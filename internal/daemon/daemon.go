@@ -6,26 +6,24 @@
 // whatever knob the platform exposes (Xen's credit scheduler exposes a
 // global tslice_ms; per-VM ratelimits and weights approximate the rest).
 //
-// The daemon is written against two small interfaces so the same loop
-// drives a real actuator, a file-based one, or the in-memory fake used
-// in tests and the demo.
-//
-// Two drivers share the per-node control logic (nodeLoop): Daemon runs
-// one node's loop inline, and Fleet (fleet.go) shards many nodes' loops
-// across goroutines behind a batched ingest queue.
+// There is one control loop, Fleet (fleet.go). It is written against two
+// small interfaces, FleetSource and FleetActuator, so the same loop
+// drives the simulated cluster (SimBackend), a text stream, or the
+// in-memory fakes used in tests and the demo. A single machine is a
+// 1-node fleet: SliceSource and WriterActuator speak for node 0. Each
+// node's control logic lives in a nodeLoop; every period Fleet.Step
+// samples all nodes, fans the nodes out over shard goroutines that run
+// decide → actuate → commit, and joins them.
 package daemon
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"atcsched/internal/core"
 	"atcsched/internal/sim"
-	"atcsched/internal/telemetry"
 )
 
 // VMSample is one VM's state for one scheduling period.
@@ -43,19 +41,6 @@ type VMSample struct {
 	// means the source does not track sequences (every sample is taken
 	// as fresh — the pre-fault-plane behaviour).
 	Seq uint64
-}
-
-// Source provides per-period latency samples (e.g., parsed from a guest
-// agent, xenbus, or a trace file).
-type Source interface {
-	// Sample returns the current period's VM population. io.EOF ends the
-	// control loop cleanly.
-	Sample() ([]VMSample, error)
-}
-
-// Actuator applies the computed slices (e.g., writes hypervisor knobs).
-type Actuator interface {
-	Apply(slices map[int]sim.Time) error
 }
 
 // Options harden the control loop against a faulty environment.
@@ -107,29 +92,6 @@ func (o *Options) sanitize() {
 	}
 }
 
-// Option customizes a Daemon at construction.
-type Option func(*Options)
-
-// WithRetry sets the per-period retry budget and initial backoff.
-func WithRetry(max int, backoff time.Duration) Option {
-	return func(o *Options) { o.MaxRetries, o.RetryBackoff = max, backoff }
-}
-
-// WithSleep replaces the backoff wait (tests).
-func WithSleep(fn func(time.Duration)) Option {
-	return func(o *Options) { o.Sleep = fn }
-}
-
-// WithGiveUpAfter sets the consecutive-dropped-period limit.
-func WithGiveUpAfter(n int) Option {
-	return func(o *Options) { o.GiveUpAfter = n }
-}
-
-// WithStaleAfter sets the blackout threshold before degradation.
-func WithStaleAfter(n int) Option {
-	return func(o *Options) { o.StaleAfter = n }
-}
-
 // Stats counts the hardened loop's fault handling.
 type Stats struct {
 	// Retries counts Apply re-attempts (not first attempts).
@@ -163,11 +125,9 @@ type vmMeta struct {
 
 // nodeLoop is the per-node heart of the control plane: one controller
 // plus the commit-on-success / stale-detection / blackout-degradation /
-// retry-accounting state hardened in PR 5. Daemon drives exactly one
-// nodeLoop inline; Fleet owns one per fleet node, sharded across
-// goroutines. The split is mechanical — decide/commit/applyWithRetry
-// are the former Daemon.Step body — so both drivers are byte-identical
-// in behaviour per node.
+// retry-accounting state. Fleet owns one per node and calls decide,
+// applyWithRetry and commit in that order once per period; a 1-node
+// fleet is the single-machine daemon.
 type nodeLoop struct {
 	ctl  *core.Controller
 	opts Options
@@ -335,209 +295,16 @@ func (l *nodeLoop) applyWithRetry(slices map[int]sim.Time, apply func(map[int]si
 	return false, nil
 }
 
-// Daemon wires a Source and an Actuator to the ATC controller for one
-// node, driven inline.
-type Daemon struct {
-	loop *nodeLoop
-	src  Source
-	act  Actuator
-	opts Options
-
-	// stop asks Run to return at the next step boundary (signal-driven
-	// shutdown); stopc additionally wakes a backoff wait early so the
-	// in-flight actuation drains instead of blocking shutdown.
-	stop     atomic.Bool
-	stopc    chan struct{}
-	stopOnce sync.Once
-
-	// tel/telClock publish controller decisions into a telemetry
-	// registry when attached.
-	tel      *telemetry.Registry
-	telClock func() sim.Time
-	telSteps uint64
-}
-
-// New builds a daemon; cfg zero-value panics (use core.DefaultConfig()).
-// Options default to DefaultOptions.
-func New(cfg core.Config, src Source, act Actuator, opts ...Option) *Daemon {
-	if src == nil || act == nil {
-		panic("daemon: nil source or actuator")
-	}
-	o := DefaultOptions()
-	for _, fn := range opts {
-		fn(&o)
-	}
-	o.sanitize()
-	return &Daemon{
-		loop:  newNodeLoop(cfg, o),
-		src:   src,
-		act:   act,
-		opts:  o,
-		stopc: make(chan struct{}),
-	}
-}
-
-// Controller exposes the underlying controller (diagnostics).
-func (d *Daemon) Controller() *core.Controller { return d.loop.ctl }
-
-// SetTelemetry attaches a registry (usually a Plane's global registry)
-// the daemon publishes controller decisions into: a "decision" span per
-// step, apply/drop/giveup counters, and per-VM slice series. clock
-// supplies the sim-time axis (e.g. World.Now for the sim backend); when
-// nil, steps are placed on a synthetic 30 ms grid.
-func (d *Daemon) SetTelemetry(reg *telemetry.Registry, clock func() sim.Time) {
-	d.tel = reg
-	d.telClock = clock
-}
-
-// Stop asks Run to return cleanly before its next step and wakes any
-// in-progress backoff wait, letting the current period's remaining
-// retry attempts drain immediately. Safe to call from another goroutine
-// (e.g. a signal handler).
-func (d *Daemon) Stop() {
-	d.stop.Store(true)
-	d.stopOnce.Do(func() { close(d.stopc) })
-}
-
-// wait performs one retry backoff. An injected Options.Sleep is used
-// verbatim; the default waits on the wall clock but returns as soon as
-// Stop is called so shutdown is never held behind a long backoff —
-// the retry attempts themselves still run (stop drains, it does not
-// abandon the in-flight actuation).
-func (d *Daemon) wait(dt time.Duration) {
-	if d.opts.Sleep != nil {
-		d.opts.Sleep(dt)
-		return
-	}
-	t := time.NewTimer(dt)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-d.stopc:
-	}
-}
-
-// telNow returns the current telemetry timestamp.
-func (d *Daemon) telNow() sim.Time {
-	if d.telClock != nil {
-		return d.telClock()
-	}
-	return sim.Time(d.telSteps) * 30 * sim.Millisecond
-}
-
-// publishStep records one control period's outcome in the telemetry
-// registry (tel is non-nil when called).
-func (d *Daemon) publishStep(start sim.Time, outcome string, slices map[int]sim.Time) {
-	d.telSteps++
-	now := d.telNow()
-	if now < start {
-		now = start
-	}
-	lab := telemetry.GlobalLabel()
-	d.tel.AddSpan(telemetry.Span{
-		Name: "decision", Track: "daemon", Node: -1, Start: start, End: now,
-	})
-	d.tel.Add("daemon_decision_"+outcome, lab, 1)
-	d.tel.SetCount("daemon_retries", lab, d.loop.stats.Retries)
-	d.tel.SetCount("daemon_dropped_periods", lab, d.loop.stats.DroppedPeriods)
-	d.tel.SetCount("daemon_stale_samples", lab, d.loop.stats.StaleSamples)
-	d.tel.SetCount("daemon_degraded", lab, d.loop.stats.Degraded)
-	for id, sl := range slices {
-		d.tel.Point("daemon_slice_ns",
-			telemetry.Label{Node: -1, VM: fmt.Sprintf("vm%d", id)}, now, float64(sl))
-	}
-}
-
-// Periods returns how many control periods have committed (a dropped
-// period does not count — its decisions never took effect).
-func (d *Daemon) Periods() uint64 { return d.loop.periods }
-
-// Stats returns the fault-handling counters.
-func (d *Daemon) Stats() Stats { return d.loop.stats }
-
-// Step executes one control period: sample, observe, decide, actuate.
-// It returns io.EOF when the source is exhausted. Controller history
-// (`last`, `periods`) is committed only after the actuation succeeds,
-// so a failed Apply can never record a slice that never took effect. A
-// period whose actuation fails through all retries is dropped (nil
-// error — the loop continues) unless GiveUpAfter consecutive periods
-// have dropped, which is terminal.
-func (d *Daemon) Step() error {
-	var telStart sim.Time
-	if d.tel != nil {
-		telStart = d.telNow()
-	}
-	samples, err := d.src.Sample()
-	if err != nil {
-		return err
-	}
-	slices := d.loop.decide(samples)
-	committed, err := d.loop.applyWithRetry(slices, d.act.Apply, d.wait)
-	if err != nil {
-		if d.tel != nil {
-			d.publishStep(telStart, "giveup", slices)
-		}
-		return err
-	}
-	if !committed {
-		if d.tel != nil {
-			d.publishStep(telStart, "drop", slices)
-		}
-		return nil // period dropped; no state committed
-	}
-	d.loop.commit(slices)
-	if d.tel != nil {
-		d.publishStep(telStart, "apply", slices)
-	}
-	return nil
-}
-
-// Run executes Step until the source returns io.EOF (clean end), a step
-// fails terminally, or Stop is called. Transient actuator failures are
-// absorbed by Step's retry/drop policy and do not end the loop. A Stop
-// arriving mid-step never truncates it: the step's remaining retry
-// attempts run (with their backoff waits cut short), so the final Apply
-// is drained, not dropped.
-func (d *Daemon) Run() error {
-	for !d.stop.Load() {
-		if err := d.Step(); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// MapActuator records the last applied slices in memory (tests, demo).
-type MapActuator struct {
-	Last map[int]sim.Time
-	// Applies counts Apply calls.
-	Applies uint64
-}
-
-// Apply implements Actuator.
-func (m *MapActuator) Apply(slices map[int]sim.Time) error {
-	if m.Last == nil {
-		m.Last = make(map[int]sim.Time)
-	}
-	for id, sl := range slices {
-		m.Last[id] = sl
-	}
-	m.Applies++
-	return nil
-}
-
 // WriterActuator renders each period's slices as "vm<id> <micros>us"
-// lines — the shape a real deployment would translate into hypervisor
-// calls (e.g., "xl sched-credit -d <dom> -t <tslice>").
+// lines terminated by "--" — the shape a real deployment would translate
+// into hypervisor calls (e.g., "xl sched-credit -d <dom> -t <tslice>").
+// VM IDs are cluster-unique, so the node is not printed.
 type WriterActuator struct {
 	W io.Writer
 }
 
-// Apply implements Actuator.
-func (w WriterActuator) Apply(slices map[int]sim.Time) error {
+// ApplyNode implements FleetActuator.
+func (w WriterActuator) ApplyNode(_ int, slices map[int]sim.Time) error {
 	ids := make([]int, 0, len(slices))
 	for id := range slices {
 		ids = append(ids, id)
@@ -552,18 +319,20 @@ func (w WriterActuator) Apply(slices map[int]sim.Time) error {
 	return err
 }
 
-// SliceSource replays a fixed schedule of periods (tests, demo).
+// SliceSource replays a fixed schedule of periods as node 0's batches
+// (tests, demo). An empty period still yields a batch, so the node sees
+// its VMs drop out rather than the control plane going dark.
 type SliceSource struct {
 	Periods [][]VMSample
 	i       int
 }
 
-// Sample implements Source.
-func (s *SliceSource) Sample() ([]VMSample, error) {
+// SampleFleet implements FleetSource.
+func (s *SliceSource) SampleFleet() ([]NodeBatch, error) {
 	if s.i >= len(s.Periods) {
 		return nil, io.EOF
 	}
 	p := s.Periods[s.i]
 	s.i++
-	return p, nil
+	return []NodeBatch{{Node: 0, Samples: p}}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"atcsched/internal/core"
@@ -11,6 +12,37 @@ import (
 )
 
 func ms(f float64) sim.Time { return sim.Time(f * float64(sim.Millisecond)) }
+
+// mapActuator records the last applied slice per VM and counts
+// ApplyNode calls (tests; VM IDs are cluster-unique).
+type mapActuator struct {
+	mu      sync.Mutex
+	Last    map[int]sim.Time
+	Applies uint64
+}
+
+func (m *mapActuator) ApplyNode(_ int, slices map[int]sim.Time) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.Last == nil {
+		m.Last = make(map[int]sim.Time)
+	}
+	for id, sl := range slices {
+		m.Last[id] = sl
+	}
+	m.Applies++
+	return nil
+}
+
+// nodeFleet builds the single-machine daemon: a 1-node fleet with the
+// hardened-loop defaults, adjusted by mod when non-nil.
+func nodeFleet(src FleetSource, act FleetActuator, mod func(*Options)) *Fleet {
+	o := DefaultOptions()
+	if mod != nil {
+		mod(&o)
+	}
+	return NewFleet(core.DefaultConfig(), src, act, FleetOptions{Node: o})
+}
 
 func TestDaemonShortensUnderRisingLatency(t *testing.T) {
 	var periods [][]VMSample
@@ -22,13 +54,13 @@ func TestDaemonShortensUnderRisingLatency(t *testing.T) {
 			{ID: 2, Parallel: false},
 		})
 	}
-	act := &MapActuator{}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act)
+	act := &mapActuator{}
+	d := nodeFleet(&SliceSource{Periods: periods}, act, nil)
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Periods() != 10 {
-		t.Errorf("periods = %d", d.Periods())
+	if d.Decisions() != 10 {
+		t.Errorf("periods = %d", d.Decisions())
 	}
 	if got := act.Last[1]; got >= ms(30) {
 		t.Errorf("parallel slice = %v, want shortened", got)
@@ -45,8 +77,8 @@ func TestDaemonRespectsAdminSlice(t *testing.T) {
 	src := &SliceSource{Periods: [][]VMSample{
 		{{ID: 1, Parallel: false, AdminSlice: ms(6)}},
 	}}
-	act := &MapActuator{}
-	d := New(core.DefaultConfig(), src, act)
+	act := &mapActuator{}
+	d := nodeFleet(src, act, nil)
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +95,8 @@ func TestDaemonRecoversOnZeroLatency(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		periods = append(periods, []VMSample{{ID: 1, AvgSpinLatency: 0, Parallel: true}})
 	}
-	act := &MapActuator{}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act)
+	act := &mapActuator{}
+	d := nodeFleet(&SliceSource{Periods: periods}, act, nil)
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +108,7 @@ func TestDaemonRecoversOnZeroLatency(t *testing.T) {
 func TestWriterActuatorFormat(t *testing.T) {
 	var buf bytes.Buffer
 	act := WriterActuator{W: &buf}
-	if err := act.Apply(map[int]sim.Time{2: ms(6), 1: ms(30)}); err != nil {
+	if err := act.ApplyNode(0, map[int]sim.Time{2: ms(6), 1: ms(30)}); err != nil {
 		t.Fatal(err)
 	}
 	want := "vm1 30000us\nvm2 6000us\n--\n"
@@ -87,21 +119,28 @@ func TestWriterActuatorFormat(t *testing.T) {
 
 func TestSliceSourceEOF(t *testing.T) {
 	src := &SliceSource{Periods: [][]VMSample{{}}}
-	if _, err := src.Sample(); err != nil {
-		t.Fatal(err)
+	if b, err := src.SampleFleet(); err != nil || len(b) != 1 || b[0].Node != 0 {
+		t.Fatalf("first period = %v, %v; want one empty node-0 batch", b, err)
 	}
-	if _, err := src.Sample(); err != io.EOF {
+	if _, err := src.SampleFleet(); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
 	}
 }
 
+// TestNewPanicsOnNil pins that a fleet without an actuator is refused at
+// construction. A nil source is allowed: such a fleet only restores and
+// snapshots state, and Step errors.
 func TestNewPanicsOnNil(t *testing.T) {
+	f := NewFleet(core.DefaultConfig(), nil, &mapActuator{}, FleetOptions{})
+	if err := f.Step(); err == nil || err == io.EOF {
+		t.Errorf("Step without a source = %v, want an error", err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("nil source accepted")
+			t.Error("nil actuator accepted")
 		}
 	}()
-	New(core.DefaultConfig(), nil, &MapActuator{})
+	NewFleet(core.DefaultConfig(), &SliceSource{}, nil, FleetOptions{})
 }
 
 func TestDaemonEndToEndTrace(t *testing.T) {
@@ -116,7 +155,7 @@ func TestDaemonEndToEndTrace(t *testing.T) {
 		periods = append(periods, []VMSample{{ID: 7, AvgSpinLatency: 0, Parallel: true}})
 	}
 	var buf bytes.Buffer
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, WriterActuator{W: &buf})
+	d := nodeFleet(&SliceSource{Periods: periods}, WriterActuator{W: &buf}, nil)
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,19 +13,19 @@ import (
 
 // scriptedActuator fails according to a per-call script (call n consults
 // script[n-1]; calls past the script succeed) and otherwise records like
-// MapActuator.
+// mapActuator.
 type scriptedActuator struct {
-	MapActuator
+	mapActuator
 	script []error
 	calls  int
 }
 
-func (a *scriptedActuator) Apply(slices map[int]sim.Time) error {
+func (a *scriptedActuator) ApplyNode(node int, slices map[int]sim.Time) error {
 	a.calls++
 	if a.calls <= len(a.script) && a.script[a.calls-1] != nil {
 		return a.script[a.calls-1]
 	}
-	return a.MapActuator.Apply(slices)
+	return a.mapActuator.ApplyNode(node, slices)
 }
 
 var errActuator = errors.New("hypervisor knob unavailable")
@@ -45,17 +45,18 @@ func TestFailedApplyCommitsNothing(t *testing.T) {
 	}
 	src := &SliceSource{Periods: periods}
 	act := &scriptedActuator{script: []error{errActuator}}
-	d := New(core.DefaultConfig(), src, act,
-		WithRetry(0, 0), WithGiveUpAfter(10), WithSleep(noSleep))
+	d := nodeFleet(src, act, func(o *Options) {
+		o.MaxRetries, o.RetryBackoff, o.GiveUpAfter, o.Sleep = 0, 0, 10, noSleep
+	})
 
 	if err := d.Step(); err != nil {
 		t.Fatalf("dropped period must not be terminal: %v", err)
 	}
-	if len(d.loop.last) != 0 {
-		t.Errorf("last-applied map committed after failed Apply: %v", d.loop.last)
+	if last := d.LastSlices(0); len(last) != 0 {
+		t.Errorf("last-applied map committed after failed Apply: %v", last)
 	}
-	if d.Periods() != 0 {
-		t.Errorf("periods = %d after failed Apply, want 0", d.Periods())
+	if d.Decisions() != 0 {
+		t.Errorf("periods = %d after failed Apply, want 0", d.Decisions())
 	}
 	if d.Stats().DroppedPeriods != 1 {
 		t.Errorf("dropped = %d, want 1", d.Stats().DroppedPeriods)
@@ -68,15 +69,15 @@ func TestFailedApplyCommitsNothing(t *testing.T) {
 		if err := d.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := d.loop.last[1], act.Last[1]; got != want {
+		if got, want := d.LastSlices(0)[1], act.Last[1]; got != want {
 			t.Fatalf("period %d: committed %v differs from actuated %v", i+2, got, want)
 		}
 	}
-	if d.Periods() != 6 {
-		t.Errorf("periods = %d, want 6 (the dropped one must not count)", d.Periods())
+	if d.Decisions() != 6 {
+		t.Errorf("periods = %d, want 6 (the dropped one must not count)", d.Decisions())
 	}
 	def := core.DefaultConfig().Default
-	if got := d.loop.last[1]; got >= def {
+	if got := d.LastSlices(0)[1]; got >= def {
 		t.Errorf("sustained contention left slice at %v, want shortened below %v", got, def)
 	}
 }
@@ -90,9 +91,10 @@ func TestRetryBackoffDoubles(t *testing.T) {
 	}}
 	act := &scriptedActuator{script: []error{errActuator, errActuator}}
 	var waits []time.Duration
-	d := New(core.DefaultConfig(), src, act,
-		WithRetry(3, 10*time.Millisecond),
-		WithSleep(func(dt time.Duration) { waits = append(waits, dt) }))
+	d := nodeFleet(src, act, func(o *Options) {
+		o.MaxRetries, o.RetryBackoff = 3, 10*time.Millisecond
+		o.Sleep = func(dt time.Duration) { waits = append(waits, dt) }
+	})
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +105,8 @@ func TestRetryBackoffDoubles(t *testing.T) {
 	if d.Stats().Retries != 2 {
 		t.Errorf("retries = %d, want 2", d.Stats().Retries)
 	}
-	if d.Periods() != 1 || d.Stats().DroppedPeriods != 0 {
-		t.Errorf("periods = %d dropped = %d, want 1/0", d.Periods(), d.Stats().DroppedPeriods)
+	if d.Decisions() != 1 || d.Stats().DroppedPeriods != 0 {
+		t.Errorf("periods = %d dropped = %d, want 1/0", d.Decisions(), d.Stats().DroppedPeriods)
 	}
 }
 
@@ -125,13 +127,14 @@ func TestRunSurvivesTransientActuatorFailure(t *testing.T) {
 		errActuator, errActuator, // period 4: dropped
 		nil, // period 5
 	}}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act,
-		WithRetry(1, time.Millisecond), WithGiveUpAfter(3), WithSleep(noSleep))
+	d := nodeFleet(&SliceSource{Periods: periods}, act, func(o *Options) {
+		o.MaxRetries, o.RetryBackoff, o.GiveUpAfter, o.Sleep = 1, time.Millisecond, 3, noSleep
+	})
 	if err := d.Run(); err != nil {
 		t.Fatalf("Run must absorb transient failures: %v", err)
 	}
-	if d.Periods() != 5 {
-		t.Errorf("periods = %d, want 5 (one of six dropped)", d.Periods())
+	if d.Decisions() != 5 {
+		t.Errorf("periods = %d, want 5 (one of six dropped)", d.Decisions())
 	}
 	st := d.Stats()
 	if st.Retries != 2 || st.DroppedPeriods != 1 {
@@ -151,8 +154,9 @@ func TestGiveUpAfterConsecutiveDrops(t *testing.T) {
 	act := &scriptedActuator{script: []error{
 		errActuator, nil, errActuator, errActuator, errActuator,
 	}}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act,
-		WithRetry(0, 0), WithGiveUpAfter(2), WithSleep(noSleep))
+	d := nodeFleet(&SliceSource{Periods: periods}, act, func(o *Options) {
+		o.MaxRetries, o.RetryBackoff, o.GiveUpAfter, o.Sleep = 0, 0, 2, noSleep
+	})
 	err := d.Run()
 	if err == nil {
 		t.Fatal("Run returned nil despite give-up threshold")
@@ -163,8 +167,8 @@ func TestGiveUpAfterConsecutiveDrops(t *testing.T) {
 	if d.Stats().DroppedPeriods != 3 {
 		t.Errorf("dropped = %d, want 3 (1 reset + 2 consecutive)", d.Stats().DroppedPeriods)
 	}
-	if d.Periods() != 1 {
-		t.Errorf("periods = %d, want 1", d.Periods())
+	if d.Decisions() != 1 {
+		t.Errorf("periods = %d, want 1", d.Decisions())
 	}
 }
 
@@ -184,7 +188,7 @@ func TestStaleSamplesSkippedThenDegraded(t *testing.T) {
 			{ID: 1, AvgSpinLatency: ms(6), Parallel: true, Seq: seq}})
 	}
 	act := &scriptedActuator{}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act, WithStaleAfter(2))
+	d := nodeFleet(&SliceSource{Periods: periods}, act, func(o *Options) { o.StaleAfter = 2 })
 
 	// Drive the contention phase and note the shortened slice.
 	for i := 0; i < 6; i++ {
@@ -240,7 +244,7 @@ func TestDropoutDegrades(t *testing.T) {
 		periods = append(periods, []VMSample{})
 	}
 	act := &scriptedActuator{}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act, WithStaleAfter(2))
+	d := nodeFleet(&SliceSource{Periods: periods}, act, func(o *Options) { o.StaleAfter = 2 })
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +255,16 @@ func TestDropoutDegrades(t *testing.T) {
 	if act.Last[2] != ms(6) {
 		t.Errorf("non-parallel dropout slice = %v, want admin 6ms", act.Last[2])
 	}
-	if d.Periods() != 7 {
-		t.Errorf("periods = %d, want 7", d.Periods())
+	if d.Decisions() != 7 {
+		t.Errorf("periods = %d, want 7", d.Decisions())
 	}
 }
 
 // TestClosedLoopRidesOutInjectedFaults drives the full daemon against
 // the sim backend with a fault plan injecting actuation failures and
 // monitor dropouts: the hardened loop must retry through the failures,
-// skip the blacked-out samples, and still finish its period budget.
+// skip the blacked-out samples, and still finish its period budget on
+// every node.
 func TestClosedLoopRidesOutInjectedFaults(t *testing.T) {
 	b, err := NewSimBackend(SimBackendConfig{
 		Nodes:      2,
@@ -277,8 +282,9 @@ func TestClosedLoopRidesOutInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(core.DefaultConfig(), b, b,
-		WithRetry(3, time.Millisecond), WithGiveUpAfter(50), WithSleep(noSleep))
+	o := DefaultOptions()
+	o.MaxRetries, o.RetryBackoff, o.GiveUpAfter, o.Sleep = 3, time.Millisecond, 50, noSleep
+	d := NewFleet(core.DefaultConfig(), b, b, FleetOptions{Node: o})
 	if err := d.Run(); !IsDone(err) {
 		t.Fatalf("daemon ended with %v, want clean period-budget end", err)
 	}
@@ -292,9 +298,15 @@ func TestClosedLoopRidesOutInjectedFaults(t *testing.T) {
 	if d.Stats().Retries == 0 {
 		t.Error("injected actuation failures never triggered a retry")
 	}
-	if d.Periods() == 0 || d.Periods()+d.Stats().DroppedPeriods != 100 {
-		t.Errorf("periods=%d dropped=%d, want their sum to be the 100-period budget",
-			d.Periods(), d.Stats().DroppedPeriods)
+	nodes := d.Table()
+	if len(nodes) != 2 {
+		t.Fatalf("fleet tracks %d nodes, want 2", len(nodes))
+	}
+	for _, n := range nodes {
+		if n.Periods == 0 || n.Periods+n.DroppedPeriods != 100 {
+			t.Errorf("node %d: periods=%d dropped=%d, want their sum to be the 100-period budget",
+				n.Node, n.Periods, n.DroppedPeriods)
+		}
 	}
 	if errs := b.World.Audit(); len(errs) > 0 {
 		t.Fatalf("audit under faults: %v", errs[0])
@@ -309,14 +321,14 @@ func TestSeqZeroKeepsLegacyBehaviour(t *testing.T) {
 		periods = append(periods, []VMSample{{ID: 1, AvgSpinLatency: ms(1), Parallel: true}})
 	}
 	act := &scriptedActuator{}
-	d := New(core.DefaultConfig(), &SliceSource{Periods: periods}, act)
+	d := nodeFleet(&SliceSource{Periods: periods}, act, nil)
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.StaleSamples != 0 || st.Degraded != 0 {
 		t.Errorf("legacy source tripped fault handling: %+v", st)
 	}
-	if d.Periods() != 5 {
-		t.Errorf("periods = %d, want 5", d.Periods())
+	if d.Decisions() != 5 {
+		t.Errorf("periods = %d, want 5", d.Decisions())
 	}
 }

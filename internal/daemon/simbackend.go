@@ -20,16 +20,17 @@ import (
 
 // SimBackend closes the control loop against a live simulated cluster:
 // the cluster runs under an externally-controlled credit scheduler
-// (internal/sched/extslice); Sample advances the simulation one
-// scheduling period and reads each guest VM's spinlock latency; Apply
-// writes the daemon's slice decisions back into the schedulers. This is
-// the in-repo stand-in for a dom0 deployment where atcd adjusts real
-// hypervisor knobs — the same Daemon code drives both.
+// (internal/sched/extslice); SampleFleet advances the simulation one
+// scheduling period and reads each guest VM's spinlock latency, one
+// batch per node; ApplyNode writes a node's slice decisions back into
+// its scheduler. This is the in-repo stand-in for a dom0 deployment
+// where atcd adjusts real hypervisor knobs — the same Fleet code drives
+// both, one fleet node per simulated node.
 type SimBackend struct {
 	World  *vmm.World
 	period sim.Time
-	// MaxPeriods bounds the run; Sample returns io.EOF... the daemon
-	// loop stops via error from Sample — we use errEOF below.
+	// MaxPeriods bounds the run: once it is spent, SampleFleet returns
+	// an error IsDone recognizes.
 	MaxPeriods int
 	periods    int
 	runs       []*workload.ParallelRun
@@ -38,8 +39,8 @@ type SimBackend struct {
 	hollow     bool
 
 	// actMu serializes fault-plan actuation draws: fleet shards apply
-	// concurrently (the world itself is quiescent at that point — Apply
-	// runs between Step barriers), but the plan's rng stream is one
+	// concurrently (the world itself is quiescent at that point — it
+	// only advances in SampleFleet), but the plan's rng stream is one
 	// shared cursor.
 	actMu sync.Mutex
 }
@@ -59,8 +60,8 @@ type SimBackendConfig struct {
 	// Seed drives the workloads.
 	Seed uint64
 	// Switches schedules live policy replacements during the run. A node
-	// switched away from EXT stops accepting the daemon's slices (Apply
-	// skips it) until a later switch brings EXT back.
+	// switched away from EXT stops accepting the daemon's slices
+	// (ApplyNode skips it) until a later switch brings EXT back.
 	Switches []PolicySwitch
 	// Faults, when non-nil, attaches a deterministic fault-injection
 	// plan (internal/fault) to the embedded cluster: stragglers, packet
@@ -92,7 +93,7 @@ type PolicySwitch struct {
 }
 
 // NewSimBackend builds the cluster and returns the backend, which
-// implements both Source and Actuator.
+// implements both FleetSource and FleetActuator.
 func NewSimBackend(cfg SimBackendConfig) (*SimBackend, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
@@ -185,8 +186,7 @@ func IsDone(err error) bool {
 	return ok
 }
 
-// advance runs the cluster one scheduling period forward (shared by the
-// single-node Sample and the fleet SampleFleet paths).
+// advance runs the cluster one scheduling period forward.
 func (b *SimBackend) advance() error {
 	if b.periods >= b.MaxPeriods {
 		return errDone{}
@@ -197,23 +197,6 @@ func (b *SimBackend) advance() error {
 	}
 	b.World.RunUntil(b.World.Eng.Now() + b.period)
 	return nil
-}
-
-// Sample implements Source: advance one scheduling period and report
-// each guest VM's average spinlock latency.
-func (b *SimBackend) Sample() ([]VMSample, error) {
-	if err := b.advance(); err != nil {
-		return nil, err
-	}
-	var out []VMSample
-	for _, vm := range b.World.GuestVMs() {
-		s, ok := b.sampleVM(vm)
-		if !ok {
-			continue // monitoring dropout: this VM reports nothing this period
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // sampleVM reads one VM's period sample.
@@ -268,24 +251,101 @@ func (b *SimBackend) applySwitches() error {
 	return nil
 }
 
-// Apply implements Actuator: write the slices into every node still
-// running the externally-controlled scheduler. Nodes switched to a
-// self-adapting policy (via PolicySwitch) own their slices and are
-// skipped.
-func (b *SimBackend) Apply(slices map[int]sim.Time) error {
+// hollowFleetProfile is the per-node workload in Hollow mode: short
+// compute, one ring message per iteration, no lock traffic — the same
+// kubemark shape as the scale experiment, chosen so thousand-node
+// fleets measure the control plane rather than the guest kernels.
+func hollowFleetProfile() workload.AppProfile {
+	return workload.AppProfile{
+		Name:           "hollow-ring",
+		ComputePerIter: 200 * sim.Microsecond,
+		Pattern:        workload.PatternRing,
+		MsgSize:        4 << 10,
+		Iterations:     50,
+		Footprint:      4 << 20,
+		ColdRate:       0.01,
+	}
+}
+
+// SampleFleet implements FleetSource: advance one scheduling period and
+// report each node's VM samples as one batch, sorted by node ID. A node
+// whose monitors all dropped out still gets an (empty) batch, so its
+// controller sees the dropout and degrades. While a daemon-crash fault
+// window is open the control plane is dark — no batches are produced
+// (the monitors keep accumulating, so the first post-blackout sample
+// covers the whole gap) and the period is tallied in the fault report.
+func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
+	if err := b.advance(); err != nil {
+		return nil, err
+	}
+	if b.plan.DaemonDown(b.World.Eng.Now()) {
+		b.plan.CountDarkPeriod()
+		return nil, nil
+	}
+	out := make([]NodeBatch, len(b.World.Nodes()))
+	for i := range out {
+		out[i].Node = i
+	}
+	for _, vm := range b.World.GuestVMs() {
+		s, ok := b.sampleVM(vm)
+		if !ok {
+			continue // monitoring dropout: this VM reports nothing this period
+		}
+		n := vm.Node().ID()
+		out[n].Samples = append(out[n].Samples, s)
+	}
+	return out, nil
+}
+
+// failActuation runs one fault-plan actuation draw under the backend's
+// lock (fleet shards apply concurrently; the rng cursor is shared).
+func (b *SimBackend) failActuation() error {
+	b.actMu.Lock()
+	defer b.actMu.Unlock()
+	return b.plan.FailActuation(b.World.Eng.Now())
+}
+
+// ApplyNode implements FleetActuator: write one node's slices into its
+// externally-controlled scheduler. Nodes switched to a self-adapting
+// policy (via PolicySwitch) own their slices and are skipped.
+func (b *SimBackend) ApplyNode(node int, slices map[int]sim.Time) error {
 	if err := b.failActuation(); err != nil {
 		return err
 	}
-	for _, n := range b.World.Nodes() {
-		sched, ok := n.Scheduler().(*extslice.Scheduler)
-		if !ok {
-			continue
-		}
-		for _, vm := range n.VMs() {
-			if sl, ok := slices[vm.ID()]; ok {
-				sched.Set(vm.ID(), sl)
-			}
+	if node < 0 || node >= len(b.World.Nodes()) {
+		return fmt.Errorf("sim backend: actuation for unknown node %d", node)
+	}
+	n := b.World.Node(node)
+	sched, ok := n.Scheduler().(*extslice.Scheduler)
+	if !ok {
+		return nil
+	}
+	for _, vm := range n.VMs() {
+		if sl, ok := slices[vm.ID()]; ok {
+			sched.Set(vm.ID(), sl)
 		}
 	}
 	return nil
 }
+
+// NodePolicies returns each node's current scheduler policy name,
+// indexed by node ID — the fleet table's policy column.
+func (b *SimBackend) NodePolicies() []string {
+	nodes := b.World.Nodes()
+	out := make([]string, len(nodes))
+	for _, n := range nodes {
+		out[n.ID()] = n.Scheduler().Name()
+	}
+	return out
+}
+
+// Hollow reports whether the backend was built in hollow-node mode.
+func (b *SimBackend) Hollow() bool { return b.hollow }
+
+// Now exposes the embedded world's virtual clock (telemetry axis).
+func (b *SimBackend) Now() sim.Time { return b.World.Eng.Now() }
+
+var (
+	_ FleetSource   = (*SimBackend)(nil)
+	_ FleetActuator = (*SimBackend)(nil)
+)

@@ -26,14 +26,14 @@ func runClosedLoop(t *testing.T, periods int, control bool) (rounds int, finalSl
 		t.Fatal(err)
 	}
 	if control {
-		d := New(core.DefaultConfig(), b, b)
+		d := NewFleet(core.DefaultConfig(), b, b, FleetOptions{Node: DefaultOptions()})
 		if err := d.Run(); !IsDone(err) {
 			t.Fatalf("daemon ended with %v", err)
 		}
 	} else {
 		// No daemon: just advance the same amount of virtual time.
 		for {
-			if _, err := b.Sample(); err != nil {
+			if _, err := b.SampleFleet(); err != nil {
 				if !IsDone(err) {
 					t.Fatal(err)
 				}
@@ -78,9 +78,16 @@ func TestSimBackendDefaults(t *testing.T) {
 	if len(b.Runs()) != 4 {
 		t.Errorf("clusters = %d", len(b.Runs()))
 	}
-	s, err := b.Sample()
+	batches, err := b.SampleFleet()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(batches) != 2 {
+		t.Errorf("batches = %d, want one per node", len(batches))
+	}
+	var s []VMSample
+	for _, nb := range batches {
+		s = append(s, nb.Samples...)
 	}
 	if len(s) != 8 { // 4 clusters x 2 nodes
 		t.Errorf("samples = %d", len(s))

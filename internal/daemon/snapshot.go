@@ -43,17 +43,17 @@ type NodeSnapshot struct {
 
 // FleetSnapshot is the deterministic, JSON-versioned image of the whole
 // control plane: per-node controller history, last-applied slices,
-// sequence numbers, stale/backoff accounting, plus the fleet queue
-// cursors (Periods/Decisions/Overflow). It holds no wall-clock state,
-// so a restore never perturbs the determinism fingerprint. Snapshots
-// are taken at the Step barrier, when the ingest ring and actuation
-// queues are empty — the queue cursor is the period count.
+// sequence numbers, stale/backoff accounting, plus the fleet cursors
+// (Periods/Decisions). It holds no wall-clock state, so a restore never
+// perturbs the determinism fingerprint. Snapshots are taken between
+// Steps, when no decision is in flight. Version-1 snapshots written
+// before the per-period fan-out may carry an "overflow" count; decoding
+// ignores it.
 type FleetSnapshot struct {
 	Version   int            `json:"version"`
 	Config    core.Config    `json:"config"`
 	Periods   uint64         `json:"periods"`
 	Decisions uint64         `json:"decisions"`
-	Overflow  uint64         `json:"overflow,omitempty"`
 	Nodes     []NodeSnapshot `json:"nodes"`
 }
 
@@ -85,33 +85,24 @@ func DecodeSnapshot(data []byte) (*FleetSnapshot, error) {
 	return &s, nil
 }
 
-// Snapshot captures the fleet's control state. Call it at a Step
-// barrier (or after Stop+Drain): in-flight work is not represented, by
-// design — a decision that has not landed was never committed.
+// Snapshot captures the fleet's control state. Call it between Steps:
+// in-flight work is not represented, by design — a decision that has
+// not landed was never committed.
 func (f *Fleet) Snapshot() *FleetSnapshot {
 	s := &FleetSnapshot{
 		Version:   SnapshotVersion,
 		Config:    f.cfg,
 		Periods:   f.Periods(),
 		Decisions: f.Decisions(),
-		Overflow:  f.Overflow(),
 	}
-	for _, id := range f.Nodes() {
-		sh := f.shardOf(id)
-		sh.mu.Lock()
-		fn := sh.nodes[id]
-		sh.mu.Unlock()
-		if fn == nil {
-			continue
-		}
-		fn.mu.Lock()
-		s.Nodes = append(s.Nodes, snapshotNode(id, fn.loop))
-		fn.mu.Unlock()
-	}
+	f.eachNode(func(id int, n *fleetNode) {
+		s.Nodes = append(s.Nodes, snapshotNode(id, n.loop))
+	})
+	sort.Slice(s.Nodes, func(i, j int) bool { return s.Nodes[i].Node < s.Nodes[j].Node })
 	return s
 }
 
-// snapshotNode images one node's loop (caller holds the node lock).
+// snapshotNode images one node's loop (caller holds the shard lock).
 func snapshotNode(id int, l *nodeLoop) NodeSnapshot {
 	ns := NodeSnapshot{
 		Node:        id,
@@ -175,7 +166,6 @@ func (f *Fleet) Restore(s *FleetSnapshot) error {
 	start := f.telNow()
 	f.periods.Store(s.Periods)
 	f.decisions.Store(s.Decisions)
-	f.overflow.Store(s.Overflow)
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
 		if f.opts.MaxNodes > 0 && (ns.Node < 0 || ns.Node >= f.opts.MaxNodes) {

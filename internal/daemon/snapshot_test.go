@@ -20,30 +20,60 @@ var update = flag.Bool("update", false, "rewrite snapshot golden files")
 // sequence numbers and fault counters.
 func goldenFleet(t *testing.T) *Fleet {
 	t.Helper()
-	act := &MapFleetActuator{}
-	f := NewFleet(core.DefaultConfig(), nil, act, FleetOptions{Shards: 2})
-	t.Cleanup(f.Close)
-	step := func(node int, samples ...VMSample) {
-		if err := f.Ingest(NodeBatch{Node: node, Samples: samples}); err != nil {
-			t.Fatal(err)
-		}
-		f.Drain() // per-period barrier: the golden state must be deterministic
+	node0 := func(seq uint64) NodeBatch {
+		return NodeBatch{Node: 0, Samples: []VMSample{
+			{ID: 1, AvgSpinLatency: ms(2), Parallel: true, Seq: seq},
+			{ID: 2, AvgSpinLatency: ms(5), Parallel: true, Seq: seq},
+			{ID: 3, AdminSlice: ms(6), Seq: seq}}}
 	}
+	node1 := func(seq uint64) NodeBatch {
+		return NodeBatch{Node: 1, Samples: []VMSample{{ID: 4, AvgSpinLatency: ms(1), Parallel: true, Seq: seq}}}
+	}
+	src := &scriptSource{}
 	for seq := uint64(1); seq <= 4; seq++ {
-		step(0,
-			VMSample{ID: 1, AvgSpinLatency: ms(2), Parallel: true, Seq: seq},
-			VMSample{ID: 2, AvgSpinLatency: ms(5), Parallel: true, Seq: seq},
-			VMSample{ID: 3, AdminSlice: ms(6), Seq: seq})
-		step(1, VMSample{ID: 4, AvgSpinLatency: ms(1), Parallel: true, Seq: seq})
+		src.periods = append(src.periods, []NodeBatch{node0(seq), node1(seq)})
 	}
-	// One stale repeat and one dropout for node 1's bookkeeping.
-	step(1, VMSample{ID: 4, AvgSpinLatency: ms(1), Parallel: true, Seq: 4})
-	step(0,
-		VMSample{ID: 1, AvgSpinLatency: ms(2), Parallel: true, Seq: 5},
-		VMSample{ID: 2, AvgSpinLatency: ms(5), Parallel: true, Seq: 5})
-	f.Drain()
-	f.periods.Store(6)
+	// One stale repeat for node 1, then a period where node 0's admin VM
+	// drops out.
+	last := node0(5)
+	last.Samples = last.Samples[:2]
+	src.periods = append(src.periods, []NodeBatch{node1(4)}, []NodeBatch{last})
+	f := NewFleet(core.DefaultConfig(), src, &mapActuator{}, FleetOptions{Shards: 2})
+	t.Cleanup(f.Close)
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
 	return f
+}
+
+// TestSnapshotDecodesLegacyOverflow pins compatibility with version-1
+// snapshots that still carry the retired "overflow" count: they decode
+// and restore, and the count is dropped.
+func TestSnapshotDecodesLegacyOverflow(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "fleet_snapshot.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(golden, []byte(`"decisions": 10,`), []byte(`"decisions": 10,
+  "overflow": 3,`), 1)
+	if bytes.Equal(legacy, golden) {
+		t.Fatal(`test assumes the golden renders "decisions": 10,`)
+	}
+	snap, err := DecodeSnapshot(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFleet(core.DefaultConfig(), nil, &mapActuator{}, FleetOptions{})
+	if err := f.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := f.Snapshot().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, golden) {
+		t.Errorf("restored legacy snapshot re-encodes as:\n%s\nwant the golden:\n%s", enc, golden)
+	}
 }
 
 // TestSnapshotGolden pins the snapshot wire format byte-for-byte
@@ -84,7 +114,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := NewFleet(core.DefaultConfig(), nil, &MapFleetActuator{}, FleetOptions{Shards: 3})
+	f2 := NewFleet(core.DefaultConfig(), nil, &mapActuator{}, FleetOptions{Shards: 3})
 	defer f2.Close()
 	if err := f2.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -116,7 +146,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 		t.Error("DecodeSnapshot accepted malformed JSON")
 	}
 	s := &FleetSnapshot{Version: 99, Config: core.DefaultConfig()}
-	f := NewFleet(core.DefaultConfig(), nil, &MapFleetActuator{}, FleetOptions{})
+	f := NewFleet(core.DefaultConfig(), nil, &mapActuator{}, FleetOptions{})
 	defer f.Close()
 	if err := f.Restore(s); err == nil {
 		t.Error("Restore accepted a version-99 snapshot")
@@ -129,7 +159,7 @@ func TestSnapshotVersionMismatch(t *testing.T) {
 func TestSnapshotRestoreUnknownNode(t *testing.T) {
 	snap := goldenFleet(t).Snapshot() // nodes 0 and 1
 	snap.Nodes = append(snap.Nodes, NodeSnapshot{Node: 99, Periods: 3})
-	f := NewFleet(core.DefaultConfig(), nil, &MapFleetActuator{}, FleetOptions{MaxNodes: 1})
+	f := NewFleet(core.DefaultConfig(), nil, &mapActuator{}, FleetOptions{MaxNodes: 1})
 	defer f.Close()
 	if err := f.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -152,7 +182,7 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 	snap := goldenFleet(t).Snapshot()
 	cfg := core.DefaultConfig()
 	cfg.Default = 24 * sim.Millisecond
-	f := NewFleet(cfg, nil, &MapFleetActuator{}, FleetOptions{})
+	f := NewFleet(cfg, nil, &mapActuator{}, FleetOptions{})
 	defer f.Close()
 	if err := f.Restore(snap); err == nil {
 		t.Error("Restore accepted a snapshot with a different controller config")

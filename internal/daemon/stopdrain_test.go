@@ -4,24 +4,23 @@ import (
 	"testing"
 	"time"
 
-	"atcsched/internal/core"
 	"atcsched/internal/sim"
 )
 
 // stopRacingActuator fails its first Apply after asking the daemon to
 // stop — the exact shape of a shutdown signal racing an actuation retry.
 type stopRacingActuator struct {
-	MapActuator
-	d *Daemon
+	mapActuator
+	d *Fleet
 }
 
-func (a *stopRacingActuator) Apply(slices map[int]sim.Time) error {
+func (a *stopRacingActuator) ApplyNode(node int, slices map[int]sim.Time) error {
 	if a.Applies == 0 {
 		a.Applies++
 		a.d.Stop()
 		return errActuator
 	}
-	return a.MapActuator.Apply(slices)
+	return a.mapActuator.ApplyNode(node, slices)
 }
 
 // TestStopDrainsInFlightActuation pins the stop-path bugfix: a Stop
@@ -36,7 +35,7 @@ func TestStopDrainsInFlightActuation(t *testing.T) {
 		{{ID: 1, AvgSpinLatency: 2 * sim.Millisecond, Parallel: true}},
 	}}
 	act := &stopRacingActuator{}
-	d := New(core.DefaultConfig(), src, act, WithRetry(1, 30*time.Second))
+	d := nodeFleet(src, act, func(o *Options) { o.MaxRetries, o.RetryBackoff = 1, 30*time.Second })
 	act.d = d
 
 	start := time.Now()
@@ -49,8 +48,9 @@ func TestStopDrainsInFlightActuation(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("Run took %v; stop did not cut the 30s backoff short", elapsed)
 	}
-	if d.Periods() != 1 {
-		t.Fatalf("Periods = %d, want 1 (the in-flight period must drain, the next must not start)", d.Periods())
+	if d.Periods() != 1 || d.Decisions() != 1 {
+		t.Fatalf("Periods = %d, Decisions = %d, want 1 (the in-flight period must drain, the next must not start)",
+			d.Periods(), d.Decisions())
 	}
 	if len(act.Last) == 0 {
 		t.Fatal("final Apply was dropped on stop; no slices landed")

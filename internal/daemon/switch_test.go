@@ -9,7 +9,7 @@ import (
 )
 
 // TestPolicySwitchFlipsNodeToATC runs the closed loop with a scheduled
-// CR→ATC handover on node 0: the daemon keeps driving node 1 via EXT
+// CR→ATC handover on node 0: the fleet keeps driving node 1 via EXT
 // while node 0's in-VMM ATC takes over its own slices.
 func TestPolicySwitchFlipsNodeToATC(t *testing.T) {
 	b, err := NewSimBackend(SimBackendConfig{
@@ -25,7 +25,7 @@ func TestPolicySwitchFlipsNodeToATC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(core.DefaultConfig(), b, b)
+	d := NewFleet(core.DefaultConfig(), b, b, FleetOptions{Node: DefaultOptions()})
 	if err := d.Run(); !IsDone(err) {
 		t.Fatalf("daemon ended with %v", err)
 	}
@@ -49,8 +49,8 @@ func TestPolicySwitchFlipsNodeToATC(t *testing.T) {
 	}
 }
 
-// TestAllNodesSwitch uses Node: -1 to flip the whole cluster; Apply then
-// becomes a no-op everywhere without erroring.
+// TestAllNodesSwitch uses Node: -1 to flip the whole cluster; ApplyNode
+// then becomes a no-op everywhere without erroring.
 func TestAllNodesSwitch(t *testing.T) {
 	b, err := NewSimBackend(SimBackendConfig{
 		Nodes:      2,
@@ -65,7 +65,7 @@ func TestAllNodesSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(core.DefaultConfig(), b, b)
+	d := NewFleet(core.DefaultConfig(), b, b, FleetOptions{Node: DefaultOptions()})
 	if err := d.Run(); !IsDone(err) {
 		t.Fatalf("daemon ended with %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 // TestFleetSmallRuns drives the fleet control-plane sweep at small
 // scale and checks its shape: one row per (nodes, shards) cell, every
 // cell committing decisions, and the measurements appended to the
-// BENCH trajectory with a nonzero p99 decision latency.
+// BENCH trajectory with a nonzero p99 step latency.
 func TestFleetSmallRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the hollow fleet sweep")
@@ -62,8 +62,8 @@ func TestFleetSmallRuns(t *testing.T) {
 		t.Fatalf("bench file: %d runs, fleet cells = %v", len(file.Runs), file.Runs)
 	}
 	for _, c := range file.Runs[0].Fleet {
-		if c.P99DecisionUS <= 0 {
-			t.Errorf("nodes=%d shards=%d: p99 decision latency = %v, want > 0", c.Nodes, c.FleetShards, c.P99DecisionUS)
+		if c.P99StepUS <= 0 {
+			t.Errorf("nodes=%d shards=%d: p99 step latency = %v, want > 0", c.Nodes, c.FleetShards, c.P99StepUS)
 		}
 		if c.Decisions == 0 || c.WallS <= 0 || c.SimS <= 0 {
 			t.Errorf("nodes=%d shards=%d: incomplete cell %+v", c.Nodes, c.FleetShards, c)
