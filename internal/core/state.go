@@ -2,19 +2,17 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"atcsched/internal/sim"
 )
 
-// TrackedVMs lists the VM IDs the controller currently holds history
-// for, sorted ascending. Unlike History, it never creates state.
-func (c *Controller) TrackedVMs() []int {
-	ids := make([]int, 0, len(c.vms))
+// AppendTrackedVMs appends to ids, in no particular order, the IDs of
+// the VMs the controller currently holds history for. Unlike History,
+// it never creates state.
+func (c *Controller) AppendTrackedVMs(ids []int) []int {
 	for id := range c.vms {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
 	return ids
 }
 

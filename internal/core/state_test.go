@@ -2,10 +2,18 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"atcsched/internal/sim"
 )
+
+// tracked lists c's tracked VM IDs, sorted.
+func tracked(c *Controller) []int {
+	ids := c.AppendTrackedVMs(nil)
+	slices.Sort(ids)
+	return ids
+}
 
 // TestExportImportRoundTrip pins that a controller rebuilt from
 // exported state computes the same slices as the original.
@@ -20,12 +28,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 		inForce = src.ComputeSlice(7)
 	}
 
-	if got := src.TrackedVMs(); !reflect.DeepEqual(got, []int{7, 9}) {
-		t.Fatalf("TrackedVMs = %v, want [7 9]", got)
+	if got := tracked(src); !reflect.DeepEqual(got, []int{7, 9}) {
+		t.Fatalf("tracked VMs = %v, want [7 9]", got)
 	}
 
 	dst := NewController(cfg)
-	for _, id := range src.TrackedVMs() {
+	for _, id := range tracked(src) {
 		lat, slice, obs, ok := src.ExportVM(id)
 		if !ok {
 			t.Fatalf("ExportVM(%d) not found", id)
@@ -56,8 +64,8 @@ func TestExportVMDoesNotCreateState(t *testing.T) {
 	if _, _, _, ok := c.ExportVM(42); ok {
 		t.Fatal("ExportVM of unknown VM reported ok")
 	}
-	if got := c.TrackedVMs(); len(got) != 0 {
-		t.Fatalf("ExportVM created state: TrackedVMs = %v", got)
+	if got := tracked(c); len(got) != 0 {
+		t.Fatalf("ExportVM created state: tracked VMs = %v", got)
 	}
 }
 
@@ -83,7 +91,7 @@ func TestImportVMValidates(t *testing.T) {
 			t.Errorf("%s: ImportVM accepted bad state", tc.name)
 		}
 	}
-	if got := c.TrackedVMs(); len(got) != 0 {
+	if got := tracked(c); len(got) != 0 {
 		t.Fatalf("failed imports left state behind: %v", got)
 	}
 }

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"sync"
 
 	"atcsched/internal/fault"
 	"atcsched/internal/netmodel"
@@ -37,12 +36,6 @@ type SimBackend struct {
 	switches   []PolicySwitch
 	plan       *fault.Plan
 	hollow     bool
-
-	// actMu serializes fault-plan actuation draws: fleet shards apply
-	// concurrently (the world itself is quiescent at that point — it
-	// only advances in SampleFleet), but the plan's rng stream is one
-	// shared cursor.
-	actMu sync.Mutex
 }
 
 // SimBackendConfig sizes the embedded scenario.
@@ -297,23 +290,17 @@ func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
 	return out, nil
 }
 
-// failActuation runs one fault-plan actuation draw under the backend's
-// lock (fleet shards apply concurrently; the rng cursor is shared).
-func (b *SimBackend) failActuation() error {
-	b.actMu.Lock()
-	defer b.actMu.Unlock()
-	return b.plan.FailActuation(b.World.Eng.Now())
-}
-
 // ApplyNode implements FleetActuator: write one node's slices into its
 // externally-controlled scheduler. Nodes switched to a self-adapting
 // policy (via PolicySwitch) own their slices and are skipped.
 func (b *SimBackend) ApplyNode(node int, slices map[int]sim.Time) error {
-	if err := b.failActuation(); err != nil {
-		return err
-	}
 	if node < 0 || node >= len(b.World.Nodes()) {
 		return fmt.Errorf("sim backend: actuation for unknown node %d", node)
+	}
+	// Fleet shards apply concurrently; the world is quiescent meanwhile
+	// (it only advances in SampleFleet) and the plan draws per node.
+	if err := b.plan.FailActuation(node, b.World.Eng.Now()); err != nil {
+		return err
 	}
 	n := b.World.Node(node)
 	sched, ok := n.Scheduler().(*extslice.Scheduler)

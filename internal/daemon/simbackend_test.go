@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"atcsched/internal/core"
+	"atcsched/internal/fault"
 	"atcsched/internal/sched/extslice"
 	"atcsched/internal/workload"
 )
@@ -103,5 +104,50 @@ func TestIsDone(t *testing.T) {
 	}
 	if IsDone(nil) {
 		t.Error("nil recognized as done")
+	}
+}
+
+// TestActuatorFailShardInvariant pins that injected actuation failures
+// are drawn per node: a 4-node sim fleet under an actuator-fail window
+// ends in the same snapshot and fault report at fleet shard counts 1, 2
+// and 4, on every one of 20 runs, however the shard goroutines
+// interleave.
+func TestActuatorFailShardInvariant(t *testing.T) {
+	run := func(shards int) (string, fault.Report) {
+		b, err := NewSimBackend(SimBackendConfig{
+			Nodes: 4, Hollow: true, MaxPeriods: 6, Seed: 5,
+			Faults: &fault.Spec{Windows: []fault.Window{
+				{Kind: fault.ActuatorFail, StartSec: 0, DurSec: 10, Severity: 0.5},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := DefaultOptions()
+		o.MaxRetries, o.GiveUpAfter, o.Sleep = 1, 100, noSleep
+		f := NewFleet(core.DefaultConfig(), b, b, FleetOptions{Node: o, Shards: shards})
+		if err := f.Run(); !IsDone(err) {
+			t.Fatalf("shards=%d: fleet ended with %v", shards, err)
+		}
+		enc, err := f.Snapshot().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(enc), b.FaultReport()
+	}
+	wantSnap, wantRep := run(1)
+	if wantRep.ActuationsFailed == 0 {
+		t.Fatalf("the window injected nothing: %v", wantRep)
+	}
+	for i := 0; i < 20; i++ {
+		for _, shards := range []int{1, 2, 4} {
+			snap, rep := run(shards)
+			if rep != wantRep {
+				t.Fatalf("run %d, shards=%d: fault report %v, want %v", i, shards, rep, wantRep)
+			}
+			if snap != wantSnap {
+				t.Fatalf("run %d, shards=%d: snapshot differs from shards=1:\n%s\nwant:\n%s", i, shards, snap, wantSnap)
+			}
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package daemon
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"atcsched/internal/core"
 	"atcsched/internal/sim"
@@ -57,34 +57,6 @@ type FleetSnapshot struct {
 	Nodes     []NodeSnapshot `json:"nodes"`
 }
 
-// Encode renders the snapshot as deterministic indented JSON (sorted
-// nodes and VMs, stable field order) with a trailing newline.
-func (s *FleetSnapshot) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// DecodeSnapshot parses and version-checks a snapshot.
-func DecodeSnapshot(data []byte) (*FleetSnapshot, error) {
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("daemon: snapshot: %w", err)
-	}
-	if probe.Version != SnapshotVersion {
-		return nil, fmt.Errorf("daemon: snapshot version %d, want %d", probe.Version, SnapshotVersion)
-	}
-	var s FleetSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("daemon: snapshot: %w", err)
-	}
-	return &s, nil
-}
-
 // Snapshot captures the fleet's control state. Call it between Steps:
 // in-flight work is not represented, by design — a decision that has
 // not landed was never committed.
@@ -95,43 +67,48 @@ func (f *Fleet) Snapshot() *FleetSnapshot {
 		Periods:   f.Periods(),
 		Decisions: f.Decisions(),
 	}
+	var ids []int // VM-ID scratch, reused node to node
 	f.eachNode(func(id int, n *fleetNode) {
-		s.Nodes = append(s.Nodes, snapshotNode(id, n.loop))
+		ids = n.loop.vmIDs(ids[:0])
+		s.Nodes = append(s.Nodes, snapshotNode(id, n.loop, ids))
 	})
-	sort.Slice(s.Nodes, func(i, j int) bool { return s.Nodes[i].Node < s.Nodes[j].Node })
+	slices.SortFunc(s.Nodes, func(a, b NodeSnapshot) int { return cmp.Compare(a.Node, b.Node) })
 	return s
 }
 
-// snapshotNode images one node's loop (caller holds the shard lock).
-func snapshotNode(id int, l *nodeLoop) NodeSnapshot {
+// vmIDs appends to ids every VM ID l holds any state for, sorted and
+// deduplicated (caller holds the shard lock).
+func (l *nodeLoop) vmIDs(ids []int) []int {
+	for vid := range l.last {
+		ids = append(ids, vid)
+	}
+	for vid := range l.lastSeq {
+		ids = append(ids, vid)
+	}
+	for vid := range l.staleRuns {
+		ids = append(ids, vid)
+	}
+	for vid := range l.known {
+		ids = append(ids, vid)
+	}
+	ids = l.ctl.AppendTrackedVMs(ids)
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// snapshotNode images one node's loop for the VM IDs ids (caller holds
+// the shard lock).
+func snapshotNode(id int, l *nodeLoop, ids []int) NodeSnapshot {
 	ns := NodeSnapshot{
 		Node:        id,
 		Periods:     l.periods,
 		ConsecDrops: l.consecDrops,
 		Stats:       l.stats,
 	}
-	ids := map[int]bool{}
-	for vid := range l.last {
-		ids[vid] = true
+	if len(ids) > 0 {
+		ns.VMs = make([]VMSnapshot, 0, len(ids))
 	}
-	for vid := range l.lastSeq {
-		ids[vid] = true
-	}
-	for vid := range l.staleRuns {
-		ids[vid] = true
-	}
-	for vid := range l.known {
-		ids[vid] = true
-	}
-	for _, vid := range l.ctl.TrackedVMs() {
-		ids[vid] = true
-	}
-	sorted := make([]int, 0, len(ids))
-	for vid := range ids {
-		sorted = append(sorted, vid)
-	}
-	sort.Ints(sorted)
-	for _, vid := range sorted {
+	for _, vid := range ids {
 		vs := VMSnapshot{ID: vid, Seq: l.lastSeq[vid], StaleRuns: l.staleRuns[vid]}
 		if meta, ok := l.known[vid]; ok {
 			vs.Known = true

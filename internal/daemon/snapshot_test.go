@@ -188,3 +188,34 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 		t.Error("Restore accepted a snapshot with a different controller config")
 	}
 }
+
+// TestSnapshotRestoreCraftedVMIDs pins that a snapshot lists every VM a
+// node holds any state for: restoring a crafted snapshot whose VMs each
+// appear in only one of the loop's tables (last slice, sequence number,
+// stale count, classification, controller history) and re-snapshotting
+// gives it back unchanged.
+func TestSnapshotRestoreCraftedVMIDs(t *testing.T) {
+	hist := func(v sim.Time) []sim.Time { return []sim.Time{v, v, v} }
+	want := &FleetSnapshot{Version: SnapshotVersion, Config: core.DefaultConfig(), Periods: 4, Decisions: 4,
+		Nodes: []NodeSnapshot{{Node: 0, Periods: 4, VMs: []VMSnapshot{
+			{ID: 1, HasLast: true, Last: ms(6)},
+			{ID: 2, Seq: 7},
+			{ID: 3, StaleRuns: 2},
+			{ID: 4, Known: true, Admin: ms(3)},
+			{ID: 5, Observed: 2, Lat: hist(ms(1)), Slice: hist(ms(24))},
+			{ID: 9, Known: true, Parallel: true, HasLast: true, Last: ms(18), Seq: 4, StaleRuns: 1,
+				Observed: 4, Lat: hist(ms(2)), Slice: hist(ms(18))},
+		}}, {Node: 3, Periods: 1, Stats: Stats{DroppedPeriods: 3}, ConsecDrops: 3}}}
+	f := NewFleet(core.DefaultConfig(), nil, &mapActuator{}, FleetOptions{Shards: 2})
+	defer f.Close()
+	if err := f.Restore(want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.Snapshot().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, _ := want.Encode(); !bytes.Equal(got, enc) {
+		t.Errorf("restored snapshot re-encodes as:\n%s\nwant:\n%s", got, enc)
+	}
+}

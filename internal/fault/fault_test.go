@@ -83,7 +83,7 @@ func TestCompileNilAndEmpty(t *testing.T) {
 	if p.Report() != (Report{}) {
 		t.Error("nil plan report not zero")
 	}
-	if p.FailActuation(0) != nil {
+	if p.FailActuation(0, 0) != nil {
 		t.Error("nil plan failed an actuation")
 	}
 }
@@ -200,7 +200,7 @@ func TestProbabilisticHooksDeterministic(t *testing.T) {
 			} else {
 				b.WriteByte('.')
 			}
-			if p.FailActuation(now) != nil {
+			if p.FailActuation(0, now) != nil {
 				b.WriteByte('F')
 			} else {
 				b.WriteByte('.')

@@ -14,6 +14,11 @@ import (
 // experiment seed.
 const faultStream = 0xfa017
 
+// actuationStream is the base rng stream id of the per-node actuation
+// draws (stream actuationStream+node), far from the per-node
+// monitor/loss streams at faultStream+1+node so the two never meet.
+const actuationStream = faultStream << 24
+
 // Plan is a Spec compiled against a seed: the live fault plane. Attach
 // installs its hooks on a world; the plan then drives every injection
 // from the world's virtual clock and its own rng stream, and tallies
@@ -34,6 +39,20 @@ type Plan struct {
 	// (where the shared stream keeps historical fingerprints intact).
 	nodeSrc []*rng.Source
 	nodeRep []Report
+
+	// act is each node's actuator-fail stream and failure tally. Fleet
+	// shards actuate nodes concurrently, so each node draws from its own
+	// stream derived from (seed, node), in its own actuation order:
+	// failures and the summed Report are the same at every fleet shard
+	// count, and no other hook's draws move. Attach sizes it for the
+	// world's nodes, so concurrent FailActuation calls never grow it.
+	act []actuation
+}
+
+// actuation is one node's actuator-fail stream and failure tally.
+type actuation struct {
+	src    *rng.Source
+	failed uint64
 }
 
 // Report tallies the injections a plan performed. All counters advance
@@ -107,6 +126,9 @@ func (p *Plan) Attach(w *vmm.World) error {
 		p.nodeRep = make([]Report, nodes)
 	}
 	for _, win := range p.windows {
+		if win.kind == ActuatorFail && nodes > 0 {
+			p.actuation(nodes - 1)
+		}
 		for n := range win.nodes {
 			if n >= nodes {
 				return fmt.Errorf("fault: window scopes node %d but world has %d nodes", n, nodes)
@@ -154,6 +176,9 @@ func (p *Plan) Report() Report {
 		r.SamplesNoised += nr.SamplesNoised
 		r.ActuationsFailed += nr.ActuationsFailed
 		r.DaemonDarkPeriods += nr.DaemonDarkPeriods
+	}
+	for i := range p.act {
+		r.ActuationsFailed += p.act[i].failed
 	}
 	return r
 }
@@ -304,9 +329,11 @@ func (p *Plan) monitorTap(vm *vmm.VM) vmm.MonitorVerdict {
 	return v
 }
 
-// FailActuation reports whether a slice application at virtual time now
-// should fail, per the active actuator-fail windows.
-func (p *Plan) FailActuation(now sim.Time) error {
+// FailActuation reports whether a slice application on node at virtual
+// time now should fail, per the active actuator-fail windows. It draws
+// from node's own stream, so calls for different nodes may run
+// concurrently once the plan is attached.
+func (p *Plan) FailActuation(node int, now sim.Time) error {
 	if p == nil {
 		return nil
 	}
@@ -317,9 +344,23 @@ func (p *Plan) FailActuation(now sim.Time) error {
 			prob = w.severity
 		}
 	}
-	if prob <= 0 || p.src.Float64() >= prob {
+	if prob <= 0 {
 		return nil
 	}
-	p.rep.ActuationsFailed++
-	return fmt.Errorf("fault: injected actuation failure at %v", now)
+	a := p.actuation(node)
+	if a.src.Float64() >= prob {
+		return nil
+	}
+	a.failed++
+	return fmt.Errorf("fault: injected actuation failure on node %d at %v", node, now)
+}
+
+// actuation returns node's actuator-fail stream and tally, growing the
+// table up to node (only an unattached plan, used from one goroutine,
+// ever grows it after Attach).
+func (p *Plan) actuation(node int) *actuation {
+	for len(p.act) <= node {
+		p.act = append(p.act, actuation{src: rng.NewStream(p.seed, actuationStream+uint64(len(p.act)))})
+	}
+	return &p.act[node]
 }
