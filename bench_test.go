@@ -65,8 +65,29 @@ func BenchmarkTable1(b *testing.B) { benchExperiment(b, "tab1") }
 // recycling) and events per wall-clock second, so heap and pooling
 // changes are measurable without running a whole scenario.
 func BenchmarkEngineEventThroughput(b *testing.B) {
-	eng := sim.New()
 	src := rng.New(1)
+	benchEngineChurn(b, func() sim.Time { return sim.Time(1+src.Intn(1000)) * sim.Microsecond })
+}
+
+// BenchmarkEngineDeferralMix is the same churn with the vmm's reschedule
+// mix: about half of all reschedules are zero-delay deferrals
+// (Schedule(0, …), as PCPU dispatch, VCPU steps and Node.kick issue
+// them), which take the engine's same-instant lane instead of the heap.
+func BenchmarkEngineDeferralMix(b *testing.B) {
+	src := rng.New(1)
+	benchEngineChurn(b, func() sim.Time {
+		if src.Intn(2) == 0 {
+			return 0
+		}
+		return sim.Time(1+src.Intn(1000)) * sim.Microsecond
+	})
+}
+
+// benchEngineChurn keeps 512 events outstanding, each firing reschedules
+// itself delay() ahead, and every eighth firing also cancels that event
+// and schedules a replacement. It reports events/s and ns/event.
+func benchEngineChurn(b *testing.B, delay func() sim.Time) {
+	eng := sim.New()
 	const outstanding = 512
 	budget := b.N
 	var churn func()
@@ -75,23 +96,24 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 			return
 		}
 		budget--
-		h := eng.Schedule(sim.Time(1+src.Intn(1000))*sim.Microsecond, churn)
+		h := eng.Schedule(delay(), churn)
 		if budget%8 == 0 {
-			// Cancel-and-replace: exercises remove() from arbitrary slots.
+			// Cancel-and-replace: exercises removal from arbitrary slots.
 			eng.Cancel(h)
-			eng.Schedule(sim.Time(1+src.Intn(1000))*sim.Microsecond, churn)
+			eng.Schedule(delay(), churn)
 		}
 	}
 	for i := 0; i < outstanding; i++ {
-		eng.Schedule(sim.Time(1+src.Intn(1000))*sim.Microsecond, churn)
+		eng.Schedule(delay(), churn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	eng.Run()
-	elapsed := time.Since(start).Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(eng.Executed())/elapsed, "events/s")
+	elapsed := time.Since(start)
+	if n := eng.Executed(); n > 0 && elapsed > 0 {
+		b.ReportMetric(float64(n)/elapsed.Seconds(), "events/s")
+		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(n), "ns/event")
 	}
 }
 

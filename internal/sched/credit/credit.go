@@ -298,10 +298,25 @@ func (s *Scheduler) insertByClass(q []*vmm.VCPU, v *vmm.VCPU, prio Priority) []*
 			break
 		}
 	}
+	return insertAt(q, pos, v)
+}
+
+// insertAt inserts v at q[pos] in place, growing q only when it is full.
+// Runqueues never leave the package, so reusing their backing arrays is
+// invisible to callers.
+func insertAt(q []*vmm.VCPU, pos int, v *vmm.VCPU) []*vmm.VCPU {
 	q = append(q, nil)
 	copy(q[pos+1:], q[pos:])
 	q[pos] = v
 	return q
+}
+
+// removeAt deletes q[i] in place.
+func removeAt(q []*vmm.VCPU, i int) []*vmm.VCPU {
+	n := len(q) - 1
+	copy(q[i:], q[i+1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // EnqueueFront pushes v at the very head of queue q with BOOST class —
@@ -314,7 +329,7 @@ func (s *Scheduler) EnqueueFront(v *vmm.VCPU, q int) {
 	d.Prio = PrioBoost
 	d.Queue = q
 	d.Queued = true
-	s.queues[q] = append([]*vmm.VCPU{v}, s.queues[q]...)
+	s.queues[q] = insertAt(s.queues[q], 0, v)
 }
 
 // EnqueueBoostTail inserts v at the tail of queue q's BOOST class —
@@ -341,7 +356,7 @@ func (s *Scheduler) Dequeue(v *vmm.VCPU) bool {
 	q := s.queues[d.Queue]
 	for i, o := range q {
 		if o == v {
-			s.queues[d.Queue] = append(q[:i], q[i+1:]...)
+			s.queues[d.Queue] = removeAt(q, i)
 			d.Queued = false
 			return true
 		}
@@ -426,7 +441,7 @@ func (s *Scheduler) popQueue(q, on int) *vmm.VCPU {
 		if !v.AllowedOn(on) {
 			continue
 		}
-		s.queues[q] = append(s.queues[q][:i:i], s.queues[q][i+1:]...)
+		s.queues[q] = removeAt(s.queues[q], i)
 		s.Data(v).Queued = false
 		return v
 	}

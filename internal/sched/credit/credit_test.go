@@ -404,3 +404,40 @@ func TestCreditChargeOnEnqueue(t *testing.T) {
 		t.Errorf("both hogs UNDER (%v, %v) despite 2x over-subscription", da.Credit, db.Credit)
 	}
 }
+
+// TestRunqueueCycleAllocFree pins the in-place runqueue: once warm, an
+// Enqueue → PickNext cycle and a gang-dispatch EnqueueFront → PickNext
+// cycle reuse the queue's backing array instead of copying it.
+func TestRunqueueCycleAllocFree(t *testing.T) {
+	w := vmmtest.World(1, 1, credit.Factory(credit.DefaultOptions()))
+	node := w.Node(0)
+	vm := node.NewVM("gang", vmm.ClassParallel, 4, 0, 1)
+	s := node.Scheduler().(*credit.Scheduler)
+	p := node.PCPUs()[0]
+	for i := 0; i < len(vm.VCPUs()); i++ {
+		s.Register(vm.VCPU(i))
+		s.Enqueue(vm.VCPU(i), vmm.EnqueueNew)
+	}
+	// Warm: one full rotation.
+	for i := 0; i < len(vm.VCPUs()); i++ {
+		s.Enqueue(s.PickNext(p), vmm.EnqueuePreempt)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		s.Enqueue(s.PickNext(p), vmm.EnqueuePreempt)
+	}); avg != 0 {
+		t.Errorf("Enqueue → PickNext allocates %.2f objects per cycle, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		v := s.PickNext(p)
+		s.EnqueueFront(v, 0)
+		if s.PickNext(p) != v {
+			t.Fatal("front-enqueued VCPU not picked first")
+		}
+		s.Enqueue(v, vmm.EnqueuePreempt)
+	}); avg != 0 {
+		t.Errorf("EnqueueFront → PickNext allocates %.2f objects per cycle, want 0", avg)
+	}
+	if s.QueueLen(0) != len(vm.VCPUs()) {
+		t.Fatalf("QueueLen = %d, want %d", s.QueueLen(0), len(vm.VCPUs()))
+	}
+}

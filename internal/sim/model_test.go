@@ -103,3 +103,300 @@ func TestEventPoolReuseIsInvisible(t *testing.T) {
 		t.Fatal("fresh event killed by stale cancel")
 	}
 }
+
+// engineAPI is the surface the re-entrant script drives. Handles are
+// indices into the order events were scheduled in, so the real engine
+// and the reference model can be driven by the same script.
+type engineAPI interface {
+	now() Time
+	schedule(d Time, fn func())
+	cancel(h int)
+	handleAt(h int) (Time, bool) // false when the handle is canceled or fired
+	step() bool
+	runUntil(t Time)
+	stop()
+	resume()
+	pending() int
+}
+
+// realEngine adapts Engine to engineAPI.
+type realEngine struct {
+	e       *Engine
+	handles []Handle
+}
+
+func (r *realEngine) now() Time                  { return r.e.Now() }
+func (r *realEngine) schedule(d Time, fn func()) { r.handles = append(r.handles, r.e.Schedule(d, fn)) }
+func (r *realEngine) cancel(h int)               { r.e.Cancel(r.handles[h]) }
+func (r *realEngine) step() bool                 { return r.e.Step() }
+func (r *realEngine) runUntil(t Time)            { r.e.RunUntil(t) }
+func (r *realEngine) stop()                      { r.e.Stop() }
+func (r *realEngine) resume()                    { r.e.Resume() }
+func (r *realEngine) pending() int               { return r.e.Pending() }
+
+// handleAt reports At only for a live handle: a fired or canceled
+// handle's At depends on whether its Event was recycled yet.
+func (r *realEngine) handleAt(h int) (Time, bool) {
+	if r.handles[h].Canceled() {
+		return 0, false
+	}
+	return r.handles[h].At(), true
+}
+
+// refEngine is the reference model: a slice kept sorted by (at, seq),
+// with no pool, no heap and no lane.
+type refEngine struct {
+	clock   Time
+	seq     int
+	stopped bool
+	queue   []*refScheduled
+	evs     []*refScheduled
+}
+
+type refScheduled struct {
+	at   Time
+	seq  int
+	fn   func()
+	done bool // fired or canceled
+}
+
+func (m *refEngine) now() Time { return m.clock }
+
+func (m *refEngine) schedule(d Time, fn func()) {
+	ev := &refScheduled{at: m.clock + d, seq: m.seq, fn: fn}
+	m.seq++
+	m.evs = append(m.evs, ev)
+	i := sort.Search(len(m.queue), func(i int) bool { return m.queue[i].at > ev.at })
+	m.queue = append(m.queue, nil)
+	copy(m.queue[i+1:], m.queue[i:])
+	m.queue[i] = ev
+}
+
+func (m *refEngine) cancel(h int) {
+	ev := m.evs[h]
+	if ev.done {
+		return
+	}
+	ev.done = true
+	for i, q := range m.queue {
+		if q == ev {
+			m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *refEngine) handleAt(h int) (Time, bool) {
+	if ev := m.evs[h]; !ev.done {
+		return ev.at, true
+	}
+	return 0, false
+}
+
+func (m *refEngine) step() bool {
+	if m.stopped || len(m.queue) == 0 {
+		return false
+	}
+	ev := m.queue[0]
+	m.queue = m.queue[1:]
+	m.clock = ev.at
+	ev.done = true
+	ev.fn()
+	return true
+}
+
+func (m *refEngine) runUntil(t Time) {
+	for !m.stopped && len(m.queue) > 0 && m.queue[0].at <= t {
+		m.step()
+	}
+	if !m.stopped && t > m.clock {
+		m.clock = t
+	}
+}
+
+func (m *refEngine) stop()        { m.stopped = true }
+func (m *refEngine) resume()      { m.stopped = false }
+func (m *refEngine) pending() int { return len(m.queue) }
+
+// scriptDelay maps a script byte to a delay: half of all bytes give a
+// zero-delay deferral, most of the rest a short delay that collides with
+// other events, and a few a long one.
+func scriptDelay(b byte) Time {
+	switch {
+	case b < 128:
+		return 0
+	case b < 240:
+		return Time(b%4) + 1
+	default:
+		return Time(b)
+	}
+}
+
+// runEngineScript drives api with script and returns the trace: every
+// firing (event id, time, Pending on entry) and, after every top-level
+// operation, the clock, Pending and any handle query. Callbacks read
+// the script too, so events schedule and cancel re-entrantly — mostly
+// at the current instant, while the heap may hold events due at it.
+// Once the script is exhausted every read returns 0, callbacks stop
+// scheduling, and the run drains.
+func runEngineScript(api engineAPI, script []byte) []int64 {
+	var trace []int64
+	pos := 0
+	next := func() byte {
+		if pos >= len(script) {
+			return 0
+		}
+		b := script[pos]
+		pos++
+		return b
+	}
+	scheduled := 0
+	query := func(h int) {
+		at, live := api.handleAt(h)
+		trace = append(trace, -3, int64(h), int64(at))
+		if live {
+			trace = append(trace, 1)
+		} else {
+			trace = append(trace, 0)
+		}
+	}
+	var schedule func()
+	schedule = func() {
+		id := scheduled
+		scheduled++
+		api.schedule(scriptDelay(next()), func() {
+			trace = append(trace, -1, int64(id), int64(api.now()), int64(api.pending()))
+			for n := next() % 4; n > 0; n-- {
+				switch next() % 8 {
+				case 0, 1, 2, 3:
+					schedule()
+				case 4:
+					if scheduled > 0 {
+						api.cancel(int(next()) % scheduled)
+					}
+				case 5:
+					api.stop() // mid-instant: lane and heap events due now stay queued
+				case 6:
+					if scheduled > 0 {
+						query(int(next()) % scheduled)
+					}
+				}
+			}
+		})
+	}
+	for pos < len(script) {
+		switch next() % 8 {
+		case 0, 1:
+			schedule()
+		case 2:
+			if scheduled > 0 {
+				api.cancel(int(next()) % scheduled)
+			}
+		case 3:
+			api.step()
+		case 4:
+			api.runUntil(api.now() + scriptDelay(next()))
+		case 5:
+			api.stop()
+		case 6:
+			api.resume()
+		case 7:
+			if scheduled > 0 {
+				query(int(next()) % scheduled)
+			}
+		}
+		trace = append(trace, -2, int64(api.now()), int64(api.pending()))
+	}
+	api.resume()
+	for api.step() {
+	}
+	for h := 0; h < scheduled; h++ {
+		query(h)
+	}
+	return append(trace, -4, int64(api.now()), int64(api.pending()))
+}
+
+// checkEngineScript runs script on a fresh Engine and on the reference
+// model and fails at the first divergence.
+func checkEngineScript(t *testing.T, script []byte) {
+	t.Helper()
+	got := runEngineScript(&realEngine{e: New()}, script)
+	want := runEngineScript(&refEngine{}, script)
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			lo := max(0, i-8)
+			t.Fatalf("script %x: trace diverges at %d:\n engine %v\n model  %v", script, i, got[lo:min(len(got), i+8)], want[lo:min(len(want), i+8)])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("script %x: trace length %d, model %d", script, len(got), len(want))
+	}
+}
+
+// TestEngineMatchesReferenceModelReentrant runs random scripts in which
+// callbacks schedule (zero delay heavily weighted) and cancel while
+// events due at the same instant sit in the heap, with Stop/Resume and
+// RunUntil boundaries inside an instant, and compares the firing order,
+// the clock, Pending after every step and handle state against the
+// sorted-slice model.
+func TestEngineMatchesReferenceModelReentrant(t *testing.T) {
+	state := uint64(0x2545f4914f6cdd1d)
+	for i := 0; i < 2000; i++ {
+		script := make([]byte, 16+i%400)
+		for j := range script {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			script[j] = byte(state >> 32)
+		}
+		checkEngineScript(t, script)
+	}
+}
+
+// FuzzEngineOrder is the native fuzz form of the re-entrant reference
+// model test.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 3, 3})
+	f.Add([]byte{0, 200, 1, 0, 3, 3, 0x41, 0, 0, 3, 4, 0})
+	f.Add([]byte{0, 129, 0, 129, 3, 0x21, 0x05, 3, 2, 1, 3, 6, 3})
+	f.Add([]byte("schedule, cancel, stop and resume at one instant"))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 4096 {
+			return
+		}
+		checkEngineScript(t, script)
+	})
+}
+
+// TestRecycledLaneHandleStaysDead cancels a same-instant event, lets
+// the lane retire it, reuses its Event for a new event, and checks the
+// old handle stays dead: Canceled, At 0, and Cancel a no-op.
+func TestRecycledLaneHandleStaysDead(t *testing.T) {
+	e := New()
+	var fired []string
+	var old Handle
+	e.Schedule(1, func() {
+		old = e.Schedule(0, func() { fired = append(fired, "old") })
+		if old.At() != 1 || old.Canceled() {
+			t.Errorf("lane handle: At=%v Canceled=%v, want 1 false", old.At(), old.Canceled())
+		}
+		e.Cancel(old)
+		if !old.Canceled() || e.Pending() != 0 {
+			t.Errorf("after Cancel: Canceled=%v Pending=%d, want true 0", old.Canceled(), e.Pending())
+		}
+	})
+	e.Run()
+	fresh := e.Schedule(0, func() { fired = append(fired, "fresh") })
+	if fresh.ev != old.ev {
+		t.Fatal("retired lane event was not recycled")
+	}
+	e.Cancel(old)
+	if !old.Canceled() || old.At() != 0 || fresh.Canceled() || e.Pending() != 1 {
+		t.Fatalf("stale cancel: old Canceled=%v At=%v, fresh Canceled=%v, Pending=%d",
+			old.Canceled(), old.At(), fresh.Canceled(), e.Pending())
+	}
+	e.Run()
+	if len(fired) != 1 || fired[0] != "fresh" {
+		t.Fatalf("fired %v, want [fresh]", fired)
+	}
+}

@@ -57,7 +57,7 @@ type Event struct {
 	seq      uint64
 	gen      uint64 // incremented on reuse; Handle validity check
 	fn       func()
-	index    int // heap index; -1 when not queued
+	index    int // heap index; -1 when not in the heap (fired, canceled or in the lane)
 	canceled bool
 }
 
@@ -191,6 +191,46 @@ func (q *eventQueue) siftDown(i int) {
 	ev.index = i
 }
 
+// eventLane is the same-instant FIFO: a ring buffer of events scheduled
+// for the engine's current time. Its length is zero or a power of two, so
+// an interleaved chain of zero-delay deferrals reuses the same slots
+// instead of growing the buffer.
+type eventLane struct {
+	buf  []*Event
+	head int
+	n    int
+}
+
+func (l *eventLane) push(ev *Event) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+// front returns the oldest event; the lane must be non-empty.
+func (l *eventLane) front() *Event { return l.buf[l.head] }
+
+// pop removes the oldest event; the lane must be non-empty.
+func (l *eventLane) pop() {
+	l.buf[l.head] = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+func (l *eventLane) grow() {
+	size := 2 * len(l.buf)
+	if size == 0 {
+		size = 64
+	}
+	buf := make([]*Event, size)
+	for i := 0; i < l.n; i++ {
+		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+	}
+	l.buf, l.head = buf, 0
+}
+
 // maxFreeEvents caps the Event recycle list. A burst of cancellations
 // (e.g. a preemption storm cancelling slice timers) would otherwise grow
 // the pool to the burst's size and pin that memory for the whole run;
@@ -199,11 +239,22 @@ const maxFreeEvents = 4096
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // New.
+//
+// Events scheduled for the current instant bypass the heap: they go to a
+// FIFO lane. Every heap event due now was scheduled before the clock
+// reached now, so its sequence number is smaller than any lane event's;
+// and the clock only advances once the lane is empty. Firing heap events
+// due now first, then the lane in FIFO order, is therefore exactly
+// (time, sequence) order.
 type Engine struct {
 	now     Time
 	queue   eventQueue
+	lane    eventLane
 	seq     uint64
 	stopped bool
+	// live counts scheduled events that have neither fired nor been
+	// canceled: the heap plus the lane's live entries.
+	live int
 	// executed counts events that have fired, for diagnostics.
 	executed uint64
 	// free recycles fired/canceled Event objects, capped at maxFreeEvents;
@@ -224,7 +275,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.live }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it always indicates a modelling bug.
@@ -245,7 +296,12 @@ func (e *Engine) At(t Time, fn func()) Handle {
 		ev = &Event{at: t, seq: e.seq, fn: fn, index: -1}
 	}
 	e.seq++
-	e.queue.push(ev)
+	e.live++
+	if t == e.now {
+		e.lane.push(ev)
+	} else {
+		e.queue.push(ev)
+	}
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -266,10 +322,19 @@ func (e *Engine) Cancel(h Handle) {
 	}
 	ev := h.ev
 	ev.canceled = true
+	ev.fn = nil
+	e.live--
 	if ev.index >= 0 {
 		e.queue.remove(ev.index)
+		e.recycle(ev)
 	}
-	ev.fn = nil
+	// A canceled lane event stays in its slot until the lane reaches it
+	// (peek recycles it then), so a recycled Event never fires from a
+	// stale slot.
+}
+
+// recycle returns a retired event to the free pool, up to its cap.
+func (e *Engine) recycle(ev *Event) {
 	if len(e.free) < maxFreeEvents {
 		e.free = append(e.free, ev)
 	}
@@ -278,26 +343,35 @@ func (e *Engine) Cancel(h Handle) {
 // Step fires the next pending event. It returns false when the queue is
 // empty or the engine has been stopped.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 && !e.stopped {
-		ev := e.queue.popMin()
-		if ev.canceled {
-			continue
-		}
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: clock regression: event at %v, now %v", ev.at, e.now))
-		}
-		e.now = ev.at
-		fn := ev.fn
-		ev.fn = nil
-		ev.canceled = true // fired; a late Cancel must be a no-op
-		if len(e.free) < maxFreeEvents {
-			e.free = append(e.free, ev)
-		}
-		e.executed++
-		fn()
-		return true
+	if e.stopped {
+		return false
 	}
-	return false
+	ev := e.peek()
+	if ev == nil {
+		return false
+	}
+	e.fire(ev)
+	return true
+}
+
+// fire removes ev, the event peek returned, and runs it.
+func (e *Engine) fire(ev *Event) {
+	if ev.index == 0 {
+		e.queue.popMin()
+	} else {
+		e.lane.pop()
+	}
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: clock regression: event at %v, now %v", ev.at, e.now))
+	}
+	e.now = ev.at
+	fn := ev.fn
+	ev.fn = nil
+	ev.canceled = true // fired; a late Cancel must be a no-op
+	e.live--
+	e.recycle(ev)
+	e.executed++
+	fn()
 }
 
 // Run fires events until the queue drains or Stop is called.
@@ -317,7 +391,7 @@ func (e *Engine) RunUntil(t Time) {
 		if ev == nil || ev.at > t {
 			break
 		}
-		e.Step()
+		e.fire(ev)
 	}
 	if e.stopped {
 		return
@@ -341,13 +415,25 @@ func (e *Engine) NextEventAt() (Time, bool) {
 	return ev.at, true
 }
 
+// peek returns the next event to fire without removing it: the heap top
+// when it is due now, else the lane head, else the heap top. Canceled
+// lane entries it passes are retired to the free pool; the heap never
+// holds canceled events (Cancel removes them).
 func (e *Engine) peek() *Event {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if !ev.canceled {
-			return ev
+	for e.lane.n > 0 {
+		ev := e.lane.front()
+		if ev.canceled {
+			e.lane.pop()
+			e.recycle(ev)
+			continue
 		}
-		e.queue.popMin()
+		if len(e.queue) > 0 && e.queue[0].at == e.now {
+			return e.queue[0]
+		}
+		return ev
+	}
+	if len(e.queue) > 0 {
+		return e.queue[0]
 	}
 	return nil
 }

@@ -365,4 +365,54 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if avg > 1 {
 		t.Errorf("steady-state allocs per 101-event burst = %.1f, want ~0", avg)
 	}
+
+	// Zero-delay chains through the same-instant lane: each event defers
+	// two more to the current instant (so the lane wraps while it holds
+	// live entries) and cancels one of them, plus a timed hop.
+	var defer2 func()
+	defer2 = func() {
+		if budget <= 0 {
+			return
+		}
+		budget--
+		e.Schedule(0, defer2)
+		h := e.Schedule(0, defer2)
+		if budget%3 == 0 {
+			e.Cancel(h)
+		}
+		if budget%16 == 0 {
+			e.Schedule(Time(budget%7)+1, defer2)
+		}
+	}
+	budget = 2000
+	e.Schedule(1, defer2)
+	e.Run()
+	avg = testing.AllocsPerRun(50, func() {
+		budget = 200
+		e.Schedule(1, defer2)
+		e.Run()
+	})
+	if avg > 1 {
+		t.Errorf("steady-state allocs per zero-delay chain burst = %.1f, want ~0", avg)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after drain", e.Pending())
+	}
+
+	// A long interleaved chain (each event defers one successor, and a
+	// second event keeps the lane from ever emptying) reuses lane slots.
+	var chain func()
+	chain = func() {
+		if budget > 0 {
+			budget--
+			e.Schedule(0, chain)
+		}
+	}
+	budget = 100000
+	e.Schedule(1, chain)
+	e.Schedule(1, chain)
+	e.Run()
+	if n := len(e.lane.buf); n > 4096 {
+		t.Errorf("lane buffer grew to %d slots over a 100000-event chain", n)
+	}
 }
