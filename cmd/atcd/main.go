@@ -268,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rounds += r.Rounds()
 		}
 		fmt.Fprintf(stdout, "sim backend: %d application rounds completed in %v of virtual time\n",
-			rounds, sb.World.Eng.Now())
+			rounds, sb.World.Now())
 	}
 	if err := flushArtifacts(*timeline, *jsonl, plane, sb); err != nil {
 		return err

@@ -94,10 +94,8 @@ func run(args []string, stdout io.Writer) error {
 			res.Scenario.Cfg.Telemetry = plane
 			res.Scenario.World.SetTelemetry(plane)
 		}
-		var tracer *vmm.Tracer
 		if needTracer() {
-			tracer = vmm.NewTracer(*traceCap)
-			res.Scenario.World.SetTracer(tracer)
+			res.Scenario.World.SetTracer(vmm.NewTracer(*traceCap))
 		}
 		table, err := res.Run()
 		if err != nil {
@@ -111,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		if *trace != "" {
-			return emitTrace(stdout, tracer, *trace)
+			return emitTrace(stdout, res.Scenario.World.Trace(), *trace)
 		}
 		return nil
 	}
@@ -138,10 +136,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var tracer *vmm.Tracer
 	if needTracer() {
-		tracer = vmm.NewTracer(*traceCap)
-		s.World.SetTracer(tracer)
+		s.World.SetTracer(vmm.NewTracer(*traceCap))
 	}
 
 	prof := workload.NPB(*kernel, cls)
@@ -183,7 +179,7 @@ func run(args []string, stdout io.Writer) error {
 		wakes += n.Wakes()
 	}
 	fmt.Fprintf(stdout, "virtual time %v, context switches %d, wakes %d, packets %d, events %d (wall %v)\n",
-		s.World.Eng.Now(), ctx, wakes, s.World.Fabric.PacketsSent(), s.World.Eng.Executed(), elapsed.Round(time.Millisecond))
+		s.World.Now(), ctx, wakes, s.World.Fabric.PacketsSent(), s.World.Executed(), elapsed.Round(time.Millisecond))
 	if a, isATC := s.World.Node(0).Scheduler().(*atc.Scheduler); isATC {
 		for _, vm := range s.World.Node(0).VMs()[:min(3, len(s.World.Node(0).VMs()))] {
 			fmt.Fprintf(stdout, "node0 %s: final ATC slice %v\n", vm.Name(), a.CurrentSlice(vm))
@@ -196,7 +192,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *trace != "" {
-		return emitTrace(stdout, tracer, *trace)
+		return emitTrace(stdout, s.World.Trace(), *trace)
 	}
 	return nil
 }

@@ -20,8 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tracer := vmm.NewTracer(500000)
-	s.World.SetTracer(tracer)
+	s.World.SetTracer(vmm.NewTracer(500000))
 
 	prof := atcsched.NPBProfile("cg", "B")
 	prof.Iterations = 10
@@ -33,13 +32,14 @@ func main() {
 	}
 
 	fmt.Println("ATC slice decisions on node 0 (time, vm, new slice):")
+	trace := s.World.Trace()
 	shown := 0
-	for _, r := range tracer.Records() {
+	for _, r := range trace.Records() {
 		if r.Kind == vmm.TraceSliceChange && r.Node == 0 && shown < 12 {
 			fmt.Printf("  %s\n", r.String())
 			shown++
 		}
 	}
 	fmt.Println("\nper-VM scheduling summary:")
-	fmt.Print(tracer.Summary())
+	fmt.Print(trace.Summary())
 }

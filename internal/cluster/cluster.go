@@ -99,13 +99,11 @@ type Config struct {
 	Nodes int
 	Node  vmm.NodeConfig
 	Net   netmodel.Config
-	// Shards, when positive, runs the world on that many engine shards
-	// synchronized at the network lookahead (Net.WireLatency must be
-	// positive); nodes are partitioned contiguously over the shards.
-	// Zero keeps the historical single-engine world. Results are
-	// byte-identical across shard counts >= 1, but the sharded
-	// fingerprint family differs from the serial one (cross-node
-	// deliveries sequence at lookahead barriers).
+	// Shards is how many engine shards the world runs on, synchronized
+	// at the network lookahead (Net.WireLatency must be positive); nodes
+	// are partitioned contiguously over the shards. Zero means one. It is
+	// a parallelism setting only: results are byte-identical at every
+	// shard count.
 	Shards int
 	Sched  SchedSpec
 	// NodePolicies, when non-empty, overrides Sched for specific nodes
@@ -158,10 +156,10 @@ type Scenario struct {
 
 	runs []*workload.ParallelRun
 	// pending counts measured runs that have not reached their target.
-	// Atomic because in a sharded world each run's completion callback
-	// fires on its home node's shard; every decrement still happens at
-	// an instant fixed by virtual time, so reaching zero — and the
-	// window-quantized Stop it triggers — is deterministic.
+	// Atomic because each run's completion callback fires on its home
+	// node's shard; every decrement still happens at an instant fixed by
+	// virtual time, so reaching zero — and the window-quantized Stop it
+	// triggers — is deterministic.
 	pending    atomic.Int64
 	nextVC     int
 	auditViols []error
@@ -191,12 +189,7 @@ func New(cfg Config) (*Scenario, error) {
 		}
 		return def
 	}
-	var w *vmm.World
-	if cfg.Shards > 0 {
-		w, err = vmm.NewShardedHeteroWorld(cfg.Nodes, cfg.Shards, cfg.Node, cfg.Net, factoryFor)
-	} else {
-		w, err = vmm.NewHeteroWorld(cfg.Nodes, cfg.Node, cfg.Net, factoryFor)
-	}
+	w, err := vmm.NewHeteroWorld(cfg.Nodes, cfg.Shards, cfg.Node, cfg.Net, factoryFor)
 	if err != nil {
 		return nil, err
 	}

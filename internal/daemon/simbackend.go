@@ -188,7 +188,7 @@ func (b *SimBackend) advance() error {
 	if err := b.applySwitches(); err != nil {
 		return err
 	}
-	b.World.RunUntil(b.World.Eng.Now() + b.period)
+	b.World.RunUntil(b.World.Now() + b.period)
 	return nil
 }
 
@@ -271,7 +271,7 @@ func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
 	if err := b.advance(); err != nil {
 		return nil, err
 	}
-	if b.plan.DaemonDown(b.World.Eng.Now()) {
+	if b.plan.DaemonDown(b.World.Now()) {
 		b.plan.CountDarkPeriod()
 		return nil, nil
 	}
@@ -299,7 +299,7 @@ func (b *SimBackend) ApplyNode(node int, slices map[int]sim.Time) error {
 	}
 	// Fleet shards apply concurrently; the world is quiescent meanwhile
 	// (it only advances in SampleFleet) and the plan draws per node.
-	if err := b.plan.FailActuation(node, b.World.Eng.Now()); err != nil {
+	if err := b.plan.FailActuation(node, b.World.Now()); err != nil {
 		return err
 	}
 	n := b.World.Node(node)
@@ -330,7 +330,7 @@ func (b *SimBackend) NodePolicies() []string {
 func (b *SimBackend) Hollow() bool { return b.hollow }
 
 // Now exposes the embedded world's virtual clock (telemetry axis).
-func (b *SimBackend) Now() sim.Time { return b.World.Eng.Now() }
+func (b *SimBackend) Now() sim.Time { return b.World.Now() }
 
 var (
 	_ FleetSource   = (*SimBackend)(nil)

@@ -29,18 +29,18 @@ const (
 // paper's adaptive slices, pure fractional shares, and the hybrid.
 var dfrsKinds = []cluster.Approach{cluster.CR, cluster.ATC, cluster.DFRS, cluster.ATCDFRS}
 
-// dfrsScenario is one row of the scenario matrix.
+// dfrsScenario is one row of the scenario matrix. There is no shard
+// row: results are byte-identical at every shard count, which the
+// determinism table proves.
 type dfrsScenario struct {
 	name    string
 	faulted bool // inject the faults experiment's straggler + packet loss
-	shards  int  // run on a sharded engine (0: serial)
 	flip    bool // start under CR and live-switch to the cell's kind
 }
 
 var dfrsScenarios = []dfrsScenario{
 	{name: "baseline"},
 	{name: "faulted", faulted: true},
-	{name: "sharded", shards: 2},
 	{name: "switch", flip: true},
 }
 
@@ -79,7 +79,6 @@ func dfrsRunCell(sc Scale, seed uint64, scen dfrsScenario, kind cluster.Approach
 	}
 	cfg := cluster.DefaultConfig(nodes, start)
 	cfg.Seed = seed
-	cfg.Shards = scen.shards
 	if scen.faulted {
 		cfg.Faults = faultSpec()
 	}
@@ -148,8 +147,8 @@ func dfrsRunCell(sc Scale, seed uint64, scen dfrsScenario, kind cluster.Approach
 }
 
 // dfrsShardCounts are the engine configurations the determinism table
-// fingerprints: the serial engine plus the sharded family.
-var dfrsShardCounts = []int{0, 1, 2, 4, 8}
+// fingerprints.
+var dfrsShardCounts = []int{1, 2, 4, 8}
 
 // dfrsFingerprint runs a short measured scenario under kind on the given
 // shard count with the scheduling tracer attached and returns the 64-bit
@@ -165,8 +164,7 @@ func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (
 	if err != nil {
 		return "", err
 	}
-	tracer := vmm.NewTracer(timelineTraceCap)
-	s.World.SetTracer(tracer)
+	s.World.SetTracer(vmm.NewTracer(timelineTraceCap))
 	prof := workload.NPB("lu", workload.ClassA)
 	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
 	vms := s.VirtualCluster("vc0", nodes, 2, nil)
@@ -245,7 +243,7 @@ func init() {
 	register(Experiment{
 		ID: "dfrs",
 		Title: "Extension — fractional-share head-to-head: CR vs ATC vs DFRS vs " +
-			"ATC×DFRS across baseline, faulted, sharded and live-switch scenarios",
+			"ATC×DFRS across baseline, faulted and live-switch scenarios",
 		Run: func(sc Scale, seed uint64) ([]*report.Table, error) {
 			t := report.New(
 				"spin latency, parallel throughput and CPU-time fairness per (scenario, policy) cell",
@@ -274,26 +272,23 @@ func init() {
 
 			ft := report.New(
 				"determinism fingerprints (FNV-1a 64) of a traced DFRS-family run per engine configuration",
-				"Policy", "serial", "shards=1", "shards=2", "shards=4", "shards=8")
+				"Policy", "shards=1", "shards=2", "shards=4", "shards=8")
 			for _, kind := range []cluster.Approach{cluster.DFRS, cluster.ATCDFRS} {
-				kind := kind
 				hashes, err := runner.Map(len(dfrsShardCounts), func(i int) (string, error) {
 					return dfrsFingerprint(sc, seed, kind, dfrsShardCounts[i])
 				})
 				if err != nil {
 					return nil, err
 				}
-				for i := 2; i < len(hashes); i++ {
-					if hashes[i] != hashes[1] {
+				for i := 1; i < len(hashes); i++ {
+					if hashes[i] != hashes[0] {
 						return nil, fmt.Errorf("dfrs: %s fingerprint diverged: shards=%d %s vs shards=1 %s",
-							kind, dfrsShardCounts[i], hashes[i], hashes[1])
+							kind, dfrsShardCounts[i], hashes[i], hashes[0])
 					}
 				}
 				ft.Add(append([]string{string(kind)}, hashes...)...)
 			}
-			ft.AddNote("shards>=1 must be byte-identical (enforced; a mismatch fails the experiment); " +
-				"the serial engine is a separate fingerprint family — cross-node deliveries sequence " +
-				"at lookahead barriers (see DESIGN.md).")
+			ft.AddNote("every shard count must be byte-identical (enforced; a mismatch fails the experiment).")
 			return []*report.Table{t, ft}, nil
 		},
 	})

@@ -9,7 +9,8 @@ import (
 	"atcsched/internal/vmm"
 )
 
-// faultStream is the rng stream id reserved for the fault plane, so its
+// faultStream is the base rng stream id reserved for the fault plane
+// (node i's loss and monitor draws use stream faultStream+1+i), so its
 // draws are independent of the workload generators sharing the same
 // experiment seed.
 const faultStream = 0xfa017
@@ -21,38 +22,30 @@ const actuationStream = faultStream << 24
 
 // Plan is a Spec compiled against a seed: the live fault plane. Attach
 // installs its hooks on a world; the plan then drives every injection
-// from the world's virtual clock and its own rng stream, and tallies
+// from the world's virtual clock and its own rng streams, and tallies
 // what it did in a Report.
 type Plan struct {
 	seed    uint64
 	windows []window
-	src     *rng.Source
-	rep     Report
+	// rep holds the tallies no node owns (daemon-dark periods).
+	rep Report
 
-	// nodeSrc/nodeRep partition the draw-consuming hooks by node when
-	// the plan is attached to a sharded world: hooks fire concurrently
-	// from different shards there, and a shared rng stream would make
-	// draw order depend on wall-clock interleaving. Each node draws from
-	// its own derived stream and tallies into its own report, which is a
-	// pure function of that node's virtual timeline — so the summed
-	// Report is byte-identical at every shard count. Nil in serial mode
-	// (where the shared stream keeps historical fingerprints intact).
-	nodeSrc []*rng.Source
-	nodeRep []Report
-
-	// act is each node's actuator-fail stream and failure tally. Fleet
-	// shards actuate nodes concurrently, so each node draws from its own
-	// stream derived from (seed, node), in its own actuation order:
-	// failures and the summed Report are the same at every fleet shard
-	// count, and no other hook's draws move. Attach sizes it for the
-	// world's nodes, so concurrent FailActuation calls never grow it.
-	act []actuation
+	// nodes partitions every draw and tally by node. Hooks fire
+	// concurrently from different shards, and fleet shards actuate nodes
+	// concurrently, so a shared rng stream would make draw order depend on
+	// wall-clock interleaving. Each node draws from its own streams
+	// derived from (seed, node) and tallies into its own report, which is
+	// a pure function of that node's virtual timeline — so the summed
+	// Report is byte-identical at every shard count. Attach sizes it for
+	// the world's nodes, so concurrent hooks never grow it.
+	nodes []nodeFaults
 }
 
-// actuation is one node's actuator-fail stream and failure tally.
-type actuation struct {
-	src    *rng.Source
-	failed uint64
+// nodeFaults is one node's partition of a plan's draws and tallies.
+type nodeFaults struct {
+	draw *rng.Source // loss and monitor draws
+	act  *rng.Source // actuator-fail draws
+	rep  Report
 }
 
 // Report tallies the injections a plan performed. All counters advance
@@ -101,7 +94,7 @@ func Compile(spec *Spec, fallbackSeed uint64) (*Plan, error) {
 	if seed == 0 {
 		seed = fallbackSeed
 	}
-	p := &Plan{seed: seed, src: rng.NewStream(seed, faultStream)}
+	p := &Plan{seed: seed}
 	for _, w := range spec.Windows {
 		p.windows = append(p.windows, compileWindow(w))
 	}
@@ -118,17 +111,8 @@ func (p *Plan) Attach(w *vmm.World) error {
 	}
 	var slow, net, bw, mon bool
 	nodes := w.Fabric.Nodes()
-	if w.Sharded() {
-		p.nodeSrc = make([]*rng.Source, nodes)
-		for i := range p.nodeSrc {
-			p.nodeSrc[i] = rng.NewStream(p.seed, faultStream+1+uint64(i))
-		}
-		p.nodeRep = make([]Report, nodes)
-	}
+	p.node(nodes - 1)
 	for _, win := range p.windows {
-		if win.kind == ActuatorFail && nodes > 0 {
-			p.actuation(nodes - 1)
-		}
 		for n := range win.nodes {
 			if n >= nodes {
 				return fmt.Errorf("fault: window scopes node %d but world has %d nodes", n, nodes)
@@ -160,25 +144,21 @@ func (p *Plan) Attach(w *vmm.World) error {
 	return nil
 }
 
-// Report returns a snapshot of the injection tallies (summed over the
-// per-node partitions in sharded mode; call it at a barrier, e.g. after
-// RunUntil returns).
+// Report returns a snapshot of the injection tallies, summed over the
+// per-node partitions (call it at a barrier, e.g. after RunUntil
+// returns).
 func (p *Plan) Report() Report {
 	if p == nil {
 		return Report{}
 	}
 	r := p.rep
-	for i := range p.nodeRep {
-		nr := &p.nodeRep[i]
+	for i := range p.nodes {
+		nr := &p.nodes[i].rep
 		r.PacketsLost += nr.PacketsLost
 		r.SamplesDropped += nr.SamplesDropped
 		r.SamplesStaled += nr.SamplesStaled
 		r.SamplesNoised += nr.SamplesNoised
 		r.ActuationsFailed += nr.ActuationsFailed
-		r.DaemonDarkPeriods += nr.DaemonDarkPeriods
-	}
-	for i := range p.act {
-		r.ActuationsFailed += p.act[i].failed
 	}
 	return r
 }
@@ -239,16 +219,6 @@ func (p *Plan) PublishTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// drawFor returns the rng stream and report the hook for node should
-// use: the node's own partition in sharded mode, the shared ones
-// otherwise.
-func (p *Plan) drawFor(node int) (*rng.Source, *Report) {
-	if p.nodeSrc != nil {
-		return p.nodeSrc[node], &p.nodeRep[node]
-	}
-	return p.src, &p.rep
-}
-
 // slowdown is the vmm compute-path hook: the strongest slow/freeze
 // factor covering the node right now (1 = full speed).
 func (p *Plan) slowdown(node int, now sim.Time) float64 {
@@ -272,11 +242,14 @@ func (p *Plan) lose(src, dst int, now sim.Time) bool {
 			prob = w.severity
 		}
 	}
-	draw, rep := p.drawFor(src)
-	if prob <= 0 || draw.Float64() >= prob {
+	if prob <= 0 {
 		return false
 	}
-	rep.PacketsLost++
+	nf := p.node(src)
+	if nf.draw.Float64() >= prob {
+		return false
+	}
+	nf.rep.PacketsLost++
 	return true
 }
 
@@ -298,7 +271,8 @@ func (p *Plan) bandwidth(node int, now sim.Time) float64 {
 // noise. Drop wins over stale wins over noise when windows overlap.
 func (p *Plan) monitorTap(vm *vmm.VM) vmm.MonitorVerdict {
 	now := vm.Node().Engine().Now()
-	draw, rep := p.drawFor(vm.Node().ID())
+	nf := p.node(vm.Node().ID())
+	draw, rep := nf.draw, &nf.rep
 	var v vmm.MonitorVerdict
 	for i := range p.windows {
 		w := &p.windows[i]
@@ -347,20 +321,23 @@ func (p *Plan) FailActuation(node int, now sim.Time) error {
 	if prob <= 0 {
 		return nil
 	}
-	a := p.actuation(node)
-	if a.src.Float64() >= prob {
+	nf := p.node(node)
+	if nf.act.Float64() >= prob {
 		return nil
 	}
-	a.failed++
+	nf.rep.ActuationsFailed++
 	return fmt.Errorf("fault: injected actuation failure on node %d at %v", node, now)
 }
 
-// actuation returns node's actuator-fail stream and tally, growing the
-// table up to node (only an unattached plan, used from one goroutine,
-// ever grows it after Attach).
-func (p *Plan) actuation(node int) *actuation {
-	for len(p.act) <= node {
-		p.act = append(p.act, actuation{src: rng.NewStream(p.seed, actuationStream+uint64(len(p.act)))})
+// node returns node's partition, growing the table up to node (only an
+// unattached plan, used from one goroutine, ever grows it after Attach).
+func (p *Plan) node(node int) *nodeFaults {
+	for len(p.nodes) <= node {
+		i := uint64(len(p.nodes))
+		p.nodes = append(p.nodes, nodeFaults{
+			draw: rng.NewStream(p.seed, faultStream+1+i),
+			act:  rng.NewStream(p.seed, actuationStream+i),
+		})
 	}
-	return &p.act[node]
+	return &p.nodes[node]
 }

@@ -23,9 +23,9 @@ func auditEvery(t *testing.T, s *cluster.Scenario, horizon, step sim.Time) {
 	for now := step; now <= horizon; now += step {
 		s.World.RunUntil(now)
 		if errs := s.World.Audit(); len(errs) > 0 {
-			t.Fatalf("audit at %v: %v (and %d more)", s.World.Eng.Now(), errs[0], len(errs)-1)
+			t.Fatalf("audit at %v: %v (and %d more)", s.World.Now(), errs[0], len(errs)-1)
 		}
-		if s.World.Eng.Stopped() {
+		if s.World.Stopped() {
 			break
 		}
 	}
@@ -161,10 +161,10 @@ func TestTracerUnderFullLoad(t *testing.T) {
 	if !s.Go(120 * sim.Second) {
 		t.Fatal("horizon exceeded")
 	}
-	if tr.Len() == 0 {
+	recs := s.World.TraceRecords()
+	if len(recs) == 0 {
 		t.Fatal("no trace records under load")
 	}
-	recs := tr.Records()
 	for i := 1; i < len(recs); i++ {
 		if recs[i].At < recs[i-1].At {
 			t.Fatal("trace out of order")

@@ -7,10 +7,10 @@
 //
 // The fabric is also the sharding boundary of the simulator: nodes only
 // influence each other through wire transmissions, and every wire
-// transmission takes at least WireLatency to arrive. A sharded fabric
-// (NewSharded) therefore hands cross-node deliveries to a PostFunc — in
-// practice sim.ShardGroup.Post — which sequences them deterministically
-// at the lookahead barrier instead of scheduling straight into the
+// transmission takes at least WireLatency to arrive. Every cross-node
+// arrival is therefore handed to a PostFunc — in a simulated world
+// sim.ShardGroup.Post — which sequences it deterministically at the
+// lookahead barrier instead of scheduling straight into the
 // destination's engine.
 package netmodel
 
@@ -62,8 +62,8 @@ type PostFunc func(src, dst int, at sim.Time, fn func())
 // destination's. The summing getters are meant for barrier time (or any
 // single-threaded moment); the per-element writes themselves never race.
 type Fabric struct {
-	engines []*sim.Engine // per-node engine (all identical in serial mode)
-	post    PostFunc      // nil in serial mode
+	engines []*sim.Engine // per-node engine
+	post    PostFunc      // cross-node arrivals
 	cfg     Config
 	tx      []sim.Time // per-node NIC transmit-free time (src shard)
 	rx      []sim.Time // per-node NIC receive-free time (dst shard)
@@ -88,7 +88,9 @@ type Fabric struct {
 	bwFn   func(node int, now sim.Time) float64
 }
 
-// New creates a serial fabric connecting `nodes` nodes on one engine.
+// New creates a fabric connecting `nodes` nodes on one engine: the
+// one-engine case of NewSharded, whose cross-node arrivals are plain
+// events on eng.
 func New(eng *sim.Engine, nodes int, cfg Config) *Fabric {
 	if nodes <= 0 {
 		panic("netmodel: need at least one node")
@@ -97,7 +99,7 @@ func New(eng *sim.Engine, nodes int, cfg Config) *Fabric {
 	for i := range engines {
 		engines[i] = eng
 	}
-	return newFabric(engines, cfg, nil)
+	return newFabric(engines, cfg, func(_, _ int, at sim.Time, fn func()) { eng.At(at, fn) })
 }
 
 // NewSharded creates a fabric over per-node engines whose cross-node
@@ -245,31 +247,20 @@ func (f *Fabric) transmit(src, dst, size int, wrapped func()) {
 		})
 		return
 	}
+	// The receiver-side NIC booking must read dst's state at arrival
+	// time on dst's own engine. arrive >= now + WireLatency, so the post
+	// always clears the lookahead window by construction.
 	arrive := txDone + f.cfg.WireLatency
-	if f.post != nil {
-		// Sharded: the receiver-side NIC booking must read dst's state at
-		// arrival time on dst's own shard. arrive >= now + WireLatency, so
-		// the post always clears the lookahead window by construction.
-		f.post(src, dst, arrive, func() {
-			f.arriveAt(dst, size, wrapped)
-		})
-		return
-	}
-	// Receiver-side serialization: the packet occupies dst's NIC for its
-	// own serialization time. An idle receiver sees the pipelined
-	// arrival (last byte lands WireLatency after it left the sender),
-	// but N senders converging on one NIC drain at line rate, not N×it.
-	rxDone := arrive
-	if t := f.rx[dst] + f.serialTime(size, dst, now); t > rxDone {
-		rxDone = t
-	}
-	f.rx[dst] = rxDone
-	f.engines[src].At(rxDone, wrapped)
+	f.post(src, dst, arrive, func() {
+		f.arriveAt(dst, size, wrapped)
+	})
 }
 
 // arriveAt books the receiver-side NIC occupancy for a packet whose last
 // byte reaches dst at the current time on dst's engine, then schedules
-// the delivery. Sharded-mode only: runs on dst's shard.
+// the delivery. An idle receiver delivers at once (the pipelined
+// arrival: the last byte lands WireLatency after it left the sender),
+// but N senders converging on one NIC drain at line rate, not N× it.
 func (f *Fabric) arriveAt(dst, size int, wrapped func()) {
 	now := f.engines[dst].Now()
 	rxDone := now

@@ -74,11 +74,11 @@ type Spec struct {
 	// Faults, when present, layers a deterministic fault schedule onto
 	// the run; the battery's properties must hold regardless.
 	Faults *fault.Spec `json:"faults,omitempty"`
-	// Shards, when positive, runs the world on that many engine shards
-	// (the sharded parallel core). Zero keeps the serial engine. The
-	// battery's properties are shard-blind; the dedicated shard
-	// equivalence check additionally proves fingerprints match across
-	// shard counts.
+	// Shards is how many engine shards the world runs on, 1..8; 0 reads
+	// as 1, so specs written before the serial engine was retired still
+	// parse. The battery's properties are shard-blind; the dedicated
+	// shard equivalence check additionally proves fingerprints match
+	// across shard counts.
 	Shards int `json:"shards,omitempty"`
 	// FleetNodes, when positive, additionally runs the fleet
 	// control-plane kill-restore property on a separate hollow world of
@@ -156,7 +156,7 @@ func (s Spec) Validate() error {
 	case s.HorizonSec <= 0 || s.HorizonSec > maxHorizonSec:
 		return fmt.Errorf("proptest: horizon %vs out of (0,%d]", s.HorizonSec, maxHorizonSec)
 	case s.Shards < 0 || s.Shards > maxShards:
-		return fmt.Errorf("proptest: shards %d out of [0,%d]", s.Shards, maxShards)
+		return fmt.Errorf("proptest: shards %d out of [1,%d] (0 reads as 1)", s.Shards, maxShards)
 	case s.FleetNodes < 0 || s.FleetNodes > maxFleetNodes:
 		return fmt.Errorf("proptest: fleetNodes %d out of [0,%d]", s.FleetNodes, maxFleetNodes)
 	}
@@ -403,9 +403,10 @@ func Generate(seed uint64, lim Limits) Spec {
 	if src.Float64() < 0.15 {
 		spec.Faults = genFaults(src, spec.Nodes)
 	}
-	// A slice of scenarios runs on the sharded engine (shard counts past
-	// the node count clamp down in the world builder; 1 exercises the
-	// sharded machinery without concurrency).
+	// A slice of scenarios runs on several engine shards (shard counts
+	// past the node count clamp down in the world builder); the rest run
+	// on one.
+	spec.Shards = 1
 	if src.Float64() < 0.15 {
 		shardChoices := []int{1, 2, 4, 8}
 		spec.Shards = shardChoices[src.Intn(len(shardChoices))]

@@ -76,8 +76,7 @@ func TestShardEquivalencePinned(t *testing.T) {
 // TestShardEquivalenceGenerated extends the pinned check to generated
 // scenarios: several seeds, each forced through every shard count, each
 // a different primary approach. Shard counts above the node count clamp
-// inside the world builder, so small worlds still run (serial-equivalent
-// shape) rather than skip.
+// inside the world builder, so small worlds still run rather than skip.
 func TestShardEquivalenceGenerated(t *testing.T) {
 	approaches := cluster.ExtendedApproaches()
 	for seed := uint64(1); seed <= 4; seed++ {

@@ -391,13 +391,16 @@ func Build(spec *Spec) (*Result, error) {
 				targets[n] = n
 			}
 		}
-		targets = append([]int(nil), targets...)
-		s.World.Eng.Schedule(sim.FromSeconds(sw.AtSec), func() {
-			for _, n := range targets {
+		// Each target node schedules its own switch on its own engine:
+		// one event cannot reach across shards.
+		at := sim.FromSeconds(sw.AtSec)
+		for _, n := range targets {
+			node := s.World.Node(n)
+			node.Engine().At(at, func() {
 				// Validate ruled out the only error (nil factory).
-				_ = s.World.Node(n).SwapScheduler(f)
-			}
-		})
+				_ = node.SwapScheduler(f)
+			})
+		}
 	}
 	res := &Result{
 		Scenario: s,

@@ -1,6 +1,7 @@
 package cosched_test
 
 import (
+	"fmt"
 	"testing"
 
 	"atcsched/internal/sched/cosched"
@@ -56,46 +57,67 @@ func TestUnmarkAfterCalm(t *testing.T) {
 }
 
 func TestGangRunsSiblingsConcurrently(t *testing.T) {
-	// Two PCPUs, a 2-VCPU parallel VM under contention, plus two hogs.
-	// Under CS the marked VM's VCPUs should frequently run at the same
-	// time on both PCPUs; under plain credit they drift apart.
-	overlap := func(factory vmm.SchedulerFactory) float64 {
+	// Two PCPUs, a 2-VCPU parallel VM under contention, and four
+	// CPU-bound hogs (SpinPair's plus three): more runnable hogs than
+	// PCPUs, so plain credit lets the siblings drift apart. Under CS the
+	// marked VM is gang-dispatched: both siblings start at the same
+	// instant and then run side by side. Both effects are read exactly
+	// from the scheduling trace rather than sampled.
+	corun := func(factory vmm.SchedulerFactory) (paired, overlap float64) {
 		w := vmmtest.World(1, 2, factory)
+		w.SetTracer(vmm.NewTracer(0))
 		node := w.Node(0)
 		vmA, _ := vmmtest.SpinPair(node, 30*sim.Millisecond)
-		hog2 := node.NewVM("hog2", vmm.ClassNonParallel, 1, 0, 1)
-		vmmtest.Loop(hog2.VCPU(0), vmm.Compute(sim.Second))
+		for i := 0; i < 3; i++ {
+			hog := node.NewVM(fmt.Sprintf("hog%d", i), vmm.ClassNonParallel, 1, 0, 1)
+			vmmtest.Loop(hog.VCPU(0), vmm.Compute(sim.Second))
+		}
 		w.Start()
-		// Sample co-run state at fine granularity.
-		samples, both := 0, 0
-		for ti := sim.Time(0); ti < 3*sim.Second; ti += sim.Millisecond {
-			w.RunUntil(ti)
-			running := 0
-			for _, v := range vmA.VCPUs() {
-				if v.State() == vmm.StateRunning {
-					running++
-				}
+		w.RunUntil(3 * sim.Second)
+		var running [2]bool
+		lastDispatch := [2]sim.Time{-1, -1}
+		var last, either, both sim.Time
+		dispatches, gangs := 0, 0
+		for _, r := range w.TraceRecords() {
+			if r.VM != vmA.Name() {
+				continue
 			}
-			if running >= 1 {
-				samples++
-				if running == 2 {
-					both++
+			if running[0] || running[1] {
+				either += r.At - last
+			}
+			if running[0] && running[1] {
+				both += r.At - last
+			}
+			last = r.At
+			switch r.Kind {
+			case vmm.TraceDispatch:
+				running[r.VCPU] = true
+				lastDispatch[r.VCPU] = r.At
+				dispatches++
+				if lastDispatch[1-r.VCPU] == r.At {
+					gangs++ // both siblings dispatched at one instant
 				}
+			case vmm.TracePreempt, vmm.TraceBlock:
+				running[r.VCPU] = false
 			}
 		}
-		if samples == 0 {
+		if dispatches == 0 || either == 0 {
 			t.Fatal("VM never ran")
 		}
-		return float64(both) / float64(samples)
+		return float64(2*gangs) / float64(dispatches), float64(both) / float64(either)
 	}
-	cs := overlap(cosched.Factory(cosched.DefaultOptions()))
+	csPaired, csOverlap := corun(cosched.Factory(cosched.DefaultOptions()))
 	// Compare against CS with an impossible threshold (never marks), i.e.
 	// the plain credit behaviour with identical parameters.
 	noGang := cosched.DefaultOptions()
 	noGang.SpinWaitThreshold = sim.Second
-	cr := overlap(cosched.Factory(noGang))
-	if cs <= cr {
-		t.Errorf("co-run fraction CS=%.3f <= CR=%.3f; gang dispatch ineffective", cs, cr)
+	crPaired, crOverlap := corun(cosched.Factory(noGang))
+	// Each margin is dozens of dispatches, not one sample.
+	if csPaired-crPaired < 0.5 {
+		t.Errorf("gang-dispatched fraction CS=%.3f vs CR=%.3f; want CS ahead by >= 0.5", csPaired, crPaired)
+	}
+	if csOverlap-crOverlap < 0.5 {
+		t.Errorf("co-run time fraction CS=%.3f vs CR=%.3f; want CS ahead by >= 0.5", csOverlap, crOverlap)
 	}
 }
 

@@ -167,3 +167,35 @@ func TestShardGroupLookaheadViolation(t *testing.T) {
 	})
 	g.RunUntil(100 * Microsecond)
 }
+
+// TestShardGroupRunUntilNowIsNoOp pins the group's RunUntil contract at
+// the current instant: unlike Engine.RunUntil, RunUntil(t) with
+// t <= Now() fires nothing, not even events due at exactly Now(); they
+// fire on the next RunUntil to a later time.
+func TestShardGroupRunUntilNowIsNoOp(t *testing.T) {
+	g := NewShardGroup(1, 50*Microsecond)
+	g.AssignSource(0, 0)
+	fired := 0
+	g.Engine(0).At(0, func() { fired++ })
+	g.RunUntil(0)
+	if fired != 0 || g.Now() != 0 {
+		t.Fatalf("RunUntil(0) at t=0: fired=%d now=%v, want nothing fired at 0", fired, g.Now())
+	}
+	g.RunUntil(Microsecond)
+	if fired != 1 {
+		t.Fatalf("event due at 0 fired %d times after RunUntil(1µs), want 1", fired)
+	}
+	g.Engine(0).At(Microsecond, func() { fired++ })
+	g.RunUntil(Microsecond / 2) // t < Now(): no-op, clock does not move back
+	if fired != 1 || g.Now() != Microsecond {
+		t.Fatalf("RunUntil into the past: fired=%d now=%v, want 1 and 1µs", fired, g.Now())
+	}
+	// An engine reference for contrast: Engine.RunUntil fires events due
+	// at exactly its current time.
+	e := New()
+	e.At(0, func() { fired++ })
+	e.RunUntil(0)
+	if fired != 2 {
+		t.Fatalf("Engine.RunUntil(0) fired %d events in total, want 2", fired)
+	}
+}

@@ -105,8 +105,7 @@ type Node struct {
 	// chasing the VM pointer graph.
 	vcpus []*VCPU
 
-	// trc is the node's tracer: the world tracer in serial mode, a
-	// node-private ring in sharded mode (nil when detached).
+	// trc is the node's private tracer ring (nil when detached).
 	trc *Tracer
 
 	// pendingSwap, when non-nil, is a scheduler replacement requested via
@@ -146,8 +145,7 @@ func (n *Node) Dom0() *VM { return n.dom0 }
 // Backend returns the node's dom0 backend machinery.
 func (n *Node) Backend() *Backend { return n.backend }
 
-// Engine returns the engine driving this node (the world's single
-// engine in serial mode, the node's shard engine in sharded mode).
+// Engine returns the engine driving this node: its shard's engine.
 func (n *Node) Engine() *sim.Engine { return n.eng }
 
 // VCPUs returns every VCPU hosted on the node, dom0's first, in

@@ -36,8 +36,7 @@ func TestSwapRejectsNilFactories(t *testing.T) {
 
 func TestSwapMidRunAtPeriodBoundary(t *testing.T) {
 	w := testWorld(t, 1, 1, sim.Millisecond)
-	tr := NewTracer(0)
-	w.SetTracer(tr)
+	w.SetTracer(NewTracer(0))
 	n := w.Node(0)
 	vmA := n.NewVM("a", ClassParallel, 1, 0, 1)
 	vmB := n.NewVM("b", ClassParallel, 1, 0, 1)
@@ -84,7 +83,7 @@ func TestSwapMidRunAtPeriodBoundary(t *testing.T) {
 	}
 
 	swaps := 0
-	for _, r := range tr.Records() {
+	for _, r := range w.TraceRecords() {
 		if r.Kind == TraceSwap {
 			swaps++
 			if r.At != 30*sim.Millisecond {
@@ -101,7 +100,7 @@ func TestHeteroWorldPerNodeFactories(t *testing.T) {
 	cfg := DefaultNodeConfig()
 	cfg.PCPUs = 1
 	cfg.Dom0VCPUs = 1
-	w, err := NewHeteroWorld(2, cfg, netmodel.DefaultConfig(), func(i int) SchedulerFactory {
+	w, err := NewHeteroWorld(2, 1, cfg, netmodel.DefaultConfig(), func(i int) SchedulerFactory {
 		slice := sim.Time(i+1) * sim.Millisecond
 		return func(n *Node) Scheduler { return &rrSched{node: n, slice: slice} }
 	})
@@ -112,10 +111,10 @@ func TestHeteroWorldPerNodeFactories(t *testing.T) {
 		w.Node(1).Scheduler().(*rrSched).slice != 2*sim.Millisecond {
 		t.Error("per-node factories not threaded through")
 	}
-	if _, err := NewHeteroWorld(1, cfg, netmodel.DefaultConfig(), nil); err == nil {
+	if _, err := NewHeteroWorld(1, 1, cfg, netmodel.DefaultConfig(), nil); err == nil {
 		t.Error("nil factory function accepted")
 	}
-	if _, err := NewHeteroWorld(1, cfg, netmodel.DefaultConfig(), func(int) SchedulerFactory { return nil }); err == nil {
+	if _, err := NewHeteroWorld(1, 1, cfg, netmodel.DefaultConfig(), func(int) SchedulerFactory { return nil }); err == nil {
 		t.Error("nil per-node factory accepted")
 	}
 }

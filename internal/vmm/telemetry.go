@@ -62,14 +62,12 @@ func (w *World) SetTelemetry(p *telemetry.Plane) {
 		n.tel = &nodeTel{reg: p.Node(n.id), lab: telemetry.Label{Node: n.id}}
 		// Shard labels for pprof attribution ride along with telemetry:
 		// label this node's shard with its id and policy.
-		if w.group != nil {
-			sh := n.id * w.group.Shards() / len(w.nodes)
-			w.group.SetShardLabels(sh,
-				"shard", strconv.Itoa(sh),
-				"node", strconv.Itoa(n.id),
-				"policy", n.sched.Name(),
-			)
-		}
+		sh := n.id * w.group.Shards() / len(w.nodes)
+		w.group.SetShardLabels(sh,
+			"shard", strconv.Itoa(sh),
+			"node", strconv.Itoa(n.id),
+			"policy", n.sched.Name(),
+		)
 	}
 }
 
@@ -161,15 +159,13 @@ func (w *World) FinalizeTelemetry() {
 			reg.SetGauge("vm_run_time_ns", vlab, float64(vm.RunTime()))
 		}
 	}
-	if w.group != nil {
-		st := w.group.Stats()
-		g, lab := w.telemetry.Global(), telemetry.GlobalLabel()
-		g.SetCount("shard_sync_windows", lab, st.Windows)
-		g.SetCount("shard_sync_segments", lab, st.Segments)
-		g.SetCount("shard_sync_parallel_segments", lab, st.ParallelSegments)
-		g.SetCount("shard_cross_posted", lab, st.CrossPosted)
-		g.SetCount("shard_cross_injected", lab, st.CrossInjected)
-	}
+	st := w.group.Stats()
+	g, lab := w.telemetry.Global(), telemetry.GlobalLabel()
+	g.SetCount("shard_sync_windows", lab, st.Windows)
+	g.SetCount("shard_sync_segments", lab, st.Segments)
+	g.SetCount("shard_sync_parallel_segments", lab, st.ParallelSegments)
+	g.SetCount("shard_cross_posted", lab, st.CrossPosted)
+	g.SetCount("shard_cross_injected", lab, st.CrossInjected)
 }
 
 // TelemetryEvents renders the world's trace records as neutral

@@ -183,8 +183,8 @@ func (t *Tracer) Summary() string {
 }
 
 // trace emits a record if a tracer is attached to the world. Records go
-// to the node's own ring (n.trc) so sharded nodes never contend on a
-// shared tracer; in serial mode every node's ring is the world tracer.
+// to the node's own ring (n.trc) so nodes on different shards never
+// contend on a shared tracer.
 func (n *Node) trace(kind TraceKind, pcpu int, v *VCPU, arg sim.Time) {
 	t := n.trc
 	if t == nil {

@@ -25,7 +25,7 @@ func TestTracerCapturesLifecycle(t *testing.T) {
 	w.RunUntil(sim.Second)
 
 	var dispatches, preempts, blocks, wakes int
-	for _, r := range tr.Records() {
+	for _, r := range w.TraceRecords() {
 		switch r.Kind {
 		case TraceDispatch:
 			dispatches++
@@ -50,7 +50,7 @@ func TestTracerCapturesLifecycle(t *testing.T) {
 		t.Errorf("blocks = %d wakes = %d", blocks, wakes)
 	}
 	// Records are time-ordered.
-	recs := tr.Records()
+	recs := w.TraceRecords()
 	for i := 1; i < len(recs); i++ {
 		if recs[i].At < recs[i-1].At {
 			t.Fatal("records out of order")

@@ -11,27 +11,25 @@ import (
 	"atcsched/internal/telemetry"
 )
 
-// World is a whole simulated cluster: the engine(s), the physical fabric,
+// World is a whole simulated cluster: the engines, the physical fabric,
 // and the nodes. Construct it, create VMs and install their processes,
 // then call Start and drive it with RunUntil.
 //
-// A world runs in one of two modes. In serial mode (NewWorld,
-// NewHeteroWorld) one engine drives every node and Eng exposes it
-// directly — the historical behaviour, byte-identical to previous
-// releases. In sharded mode (NewShardedHeteroWorld) each node owns an
-// engine, nodes are partitioned over a sim.ShardGroup's shards, and all
-// cross-node interaction flows through the group's lookahead barrier;
-// Eng is nil and callers must use the World-level methods (Now, RunUntil,
-// Stop, ...) that work in both modes.
+// Each node owns an engine; nodes are partitioned over a sim.ShardGroup's
+// shards (one by default), and all cross-node interaction flows through
+// the group's lookahead barrier. The simulation semantics are keyed on
+// node topology, never shard topology, so a scenario produces
+// byte-identical results at every shard count. Drive and observe the
+// world through its methods (Now, RunUntil, Stop, ...), or a node's own
+// engine from inside its callbacks.
 type World struct {
-	// Eng is the single engine in serial mode; nil in sharded mode.
+	// Eng is the engine of a 1-shard world, nil otherwise.
 	Eng    *sim.Engine
 	Fabric *netmodel.Fabric
 	nodes  []*Node
 	vms    []*VM
 
-	// group synchronizes the per-node engines in sharded mode (nil in
-	// serial mode).
+	// group synchronizes the per-node engines.
 	group *sim.ShardGroup
 
 	nextVMID   int
@@ -53,49 +51,39 @@ type World struct {
 // slowdown hook. fn must be deterministic in (node, now); factors below
 // 1 are treated as 1. Segments already in flight keep the factor they
 // started with — the hook is sampled at segment start, so its
-// granularity is one slice at worst. In a sharded world the hook is
-// called concurrently from different shards and must not share mutable
-// state across nodes.
+// granularity is one slice at worst. The hook is called concurrently
+// from different shards and must not share mutable state across nodes.
 func (w *World) SetSlowdown(fn func(node int, now sim.Time) float64) { w.slowFn = fn }
 
 // SetMonitorTap installs (or, with nil, removes) the monitoring-path
-// fault hook consulted by VM.SampleSpinPeriod. The sharded caveat of
-// SetSlowdown applies: any mutable state must be partitioned by node.
+// fault hook consulted by VM.SampleSpinPeriod. The caveat of SetSlowdown
+// applies: any mutable state must be partitioned by node.
 func (w *World) SetMonitorTap(fn func(vm *VM) MonitorVerdict) { w.monitorTap = fn }
 
 // SetTracer attaches a scheduling tracer (nil detaches). Attach before
-// Start to capture the whole run. In serial mode every node records into
-// t itself; in sharded mode each node gets its own ring of the same
-// capacity (shards must not share a ring) and t serves as the template —
-// read the merged stream with TraceRecords/TraceDropped, which work in
-// both modes.
+// Start to capture the whole run. Each node records into its own ring of
+// t's capacity (shards must not share a ring); t is only the template.
+// Read the merged stream with TraceRecords, TraceDropped or Trace.
 func (w *World) SetTracer(t *Tracer) {
 	w.tracer = t
 	for _, n := range w.nodes {
-		if t == nil {
-			n.trc = nil
-		} else if w.group != nil {
+		n.trc = nil
+		if t != nil {
 			n.trc = NewTracer(t.Cap)
-		} else {
-			n.trc = t
 		}
 	}
 }
 
-// Tracer returns the attached tracer (nil when none). In sharded mode
-// this is the template passed to SetTracer, not the per-node rings; use
-// TraceRecords for the data.
+// Tracer returns the template passed to SetTracer (nil when none); use
+// TraceRecords or Trace for the data.
 func (w *World) Tracer() *Tracer { return w.tracer }
 
 // TraceRecords returns the retained scheduling records of the whole
-// world in deterministic order: by time, ties broken by node. Works in
-// both modes; returns nil when no tracer is attached.
+// world in deterministic order: by time, ties broken by node. Returns nil
+// when no tracer is attached.
 func (w *World) TraceRecords() []TraceRecord {
 	if w.tracer == nil {
 		return nil
-	}
-	if w.group == nil {
-		return w.tracer.Records()
 	}
 	var out []TraceRecord
 	for _, n := range w.nodes {
@@ -110,13 +98,10 @@ func (w *World) TraceRecords() []TraceRecord {
 	return out
 }
 
-// TraceDropped returns how many records the tracer ring(s) evicted.
+// TraceDropped returns how many records the per-node rings evicted.
 func (w *World) TraceDropped() uint64 {
 	if w.tracer == nil {
 		return 0
-	}
-	if w.group == nil {
-		return w.tracer.Dropped()
 	}
 	var n uint64
 	for _, nd := range w.nodes {
@@ -125,44 +110,37 @@ func (w *World) TraceDropped() uint64 {
 	return n
 }
 
-// NewWorld builds nNodes identical nodes, each with its own scheduler
-// instance produced by factory.
+// Trace returns the merged records as an unbounded standalone Tracer
+// (for its Summary and writers), carrying the rings' eviction count; nil
+// when no tracer is attached.
+func (w *World) Trace() *Tracer {
+	if w.tracer == nil {
+		return nil
+	}
+	return &Tracer{records: w.TraceRecords(), dropped: w.TraceDropped()}
+}
+
+// NewWorld builds a 1-shard world of nNodes identical nodes, each with
+// its own scheduler instance produced by factory.
 func NewWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factory SchedulerFactory) (*World, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("vmm: nil scheduler factory")
 	}
-	return NewHeteroWorld(nNodes, ncfg, netCfg, func(int) SchedulerFactory { return factory })
+	return NewHeteroWorld(nNodes, 1, ncfg, netCfg, func(int) SchedulerFactory { return factory })
 }
 
-// NewHeteroWorld builds nNodes nodes whose schedulers may differ:
+// NewHeteroWorld builds nNodes nodes whose schedulers may differ —
 // factoryFor(i) supplies the factory for node i, so a cluster can run
-// one policy on most nodes and another on the rest.
-func NewHeteroWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
-	return newWorld(nNodes, 0, ncfg, netCfg, factoryFor)
-}
-
-// NewShardedHeteroWorld builds a world whose nodes are partitioned over
-// `shards` engine shards synchronized at the network lookahead
-// (netCfg.WireLatency, which must be positive). Shard counts are clamped
-// to [1, nNodes]. The simulation semantics are keyed on node topology,
-// never shard topology, so a given scenario produces byte-identical
-// results at every shard count — including 1 — though the sharded
-// fingerprint family differs from serial mode's (cross-node deliveries
-// sequence at barriers rather than at send time).
-func NewShardedHeteroWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("vmm: sharded world needs at least one shard, got %d", shards)
-	}
-	if netCfg.WireLatency <= 0 {
-		return nil, fmt.Errorf("vmm: sharded world needs a positive wire latency for lookahead, got %v", netCfg.WireLatency)
-	}
-	return newWorld(nNodes, shards, ncfg, netCfg, factoryFor)
-}
-
-// newWorld is the shared builder: shards == 0 selects serial mode.
-func newWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
+// one policy on most nodes and another on the rest — partitioned
+// contiguously over `shards` engine shards synchronized at the network
+// lookahead (netCfg.WireLatency, which must be positive). Shard counts
+// are clamped to [1, nNodes], so 0 means 1.
+func NewHeteroWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
 	if nNodes <= 0 {
 		return nil, fmt.Errorf("vmm: need at least one node, got %d", nNodes)
+	}
+	if netCfg.WireLatency <= 0 {
+		return nil, fmt.Errorf("vmm: world needs a positive wire latency for lookahead, got %v", netCfg.WireLatency)
 	}
 	if err := ncfg.validate(); err != nil {
 		return nil, err
@@ -170,26 +148,18 @@ func newWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, facto
 	if factoryFor == nil {
 		return nil, fmt.Errorf("vmm: nil scheduler factory function")
 	}
-	w := &World{}
-	engines := make([]*sim.Engine, nNodes)
-	if shards == 0 {
-		w.Eng = sim.New()
-		for i := range engines {
-			engines[i] = w.Eng
-		}
-		w.Fabric = netmodel.New(w.Eng, nNodes, netCfg)
-	} else {
-		if shards > nNodes {
-			shards = nNodes
-		}
-		w.group = sim.NewShardGroup(shards, netCfg.WireLatency)
-		for i := range engines {
-			sh := i * shards / nNodes
-			engines[i] = w.group.Engine(sh)
-			w.group.AssignSource(i, sh)
-		}
-		w.Fabric = netmodel.NewSharded(engines, netCfg, w.group.Post)
+	shards = min(max(shards, 1), nNodes)
+	w := &World{group: sim.NewShardGroup(shards, netCfg.WireLatency)}
+	if shards == 1 {
+		w.Eng = w.group.Engine(0)
 	}
+	engines := make([]*sim.Engine, nNodes)
+	for i := range engines {
+		sh := i * shards / nNodes
+		engines[i] = w.group.Engine(sh)
+		w.group.AssignSource(i, sh)
+	}
+	w.Fabric = netmodel.NewSharded(engines, netCfg, w.group.Post)
 	for i := 0; i < nNodes; i++ {
 		n := &Node{world: w, id: i, cfg: ncfg, eng: engines[i]}
 		for j := 0; j < ncfg.PCPUs; j++ {
@@ -225,16 +195,8 @@ func MustNewWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factory S
 	return w
 }
 
-// Sharded reports whether the world runs on a shard group.
-func (w *World) Sharded() bool { return w.group != nil }
-
-// ShardCount returns the number of engine shards (1 in serial mode).
-func (w *World) ShardCount() int {
-	if w.group == nil {
-		return 1
-	}
-	return w.group.Shards()
-}
+// ShardCount returns the number of engine shards.
+func (w *World) ShardCount() int { return w.group.Shards() }
 
 // Nodes returns the world's nodes (do not mutate).
 func (w *World) Nodes() []*Node { return w.nodes }
@@ -268,70 +230,39 @@ func (w *World) Start() {
 	}
 }
 
-// Now returns the current virtual time (the group clock in sharded
-// mode — the time every shard has reached).
-func (w *World) Now() sim.Time {
-	if w.group != nil {
-		return w.group.Now()
-	}
-	return w.Eng.Now()
-}
+// Now returns the group clock: the virtual time every shard has reached.
+func (w *World) Now() sim.Time { return w.group.Now() }
 
 // Executed returns the total number of events fired across all engines.
-func (w *World) Executed() uint64 {
-	if w.group != nil {
-		return w.group.Executed()
-	}
-	return w.Eng.Executed()
-}
+func (w *World) Executed() uint64 { return w.group.Executed() }
 
-// RunUntil drives the simulation to the given virtual time.
-func (w *World) RunUntil(t sim.Time) {
-	if w.group != nil {
-		w.group.RunUntil(t)
-		return
-	}
-	w.Eng.RunUntil(t)
-}
+// RunUntil drives the simulation to virtual time t. With t <= Now() it
+// does nothing: unlike sim.Engine.RunUntil it does not fire events due at
+// exactly Now(), so RunUntil(0) right after Start dispatches nothing.
+// Those events fire on the next RunUntil to a later time.
+func (w *World) RunUntil(t sim.Time) { w.group.RunUntil(t) }
 
 // Stop halts the simulation (e.g., when the experiment's completion
-// condition is met from inside a callback). In sharded mode the stop
-// lands at the next window boundary — a point that is a pure function of
-// virtual time, so stopped runs stay deterministic.
-func (w *World) Stop() {
-	if w.group != nil {
-		w.group.RequestStop()
-		return
-	}
-	w.Eng.Stop()
-}
+// condition is met from inside a callback). The stop lands at the next
+// window boundary — a point that is a pure function of virtual time, so
+// stopped runs stay deterministic.
+func (w *World) Stop() { w.group.RequestStop() }
 
 // Resume clears a previous Stop.
-func (w *World) Resume() {
-	if w.group != nil {
-		w.group.Resume()
-		return
-	}
-	w.Eng.Resume()
-}
+func (w *World) Resume() { w.group.Resume() }
 
 // Stopped reports whether a stop is in force.
-func (w *World) Stopped() bool {
-	if w.group != nil {
-		return w.group.Stopped()
-	}
-	return w.Eng.Stopped()
-}
+func (w *World) Stopped() bool { return w.group.Stopped() }
 
 // CrossNodeSignal runs fn on dst's engine, attributed to src. On the
-// same node (or in serial mode) it is an immediate deferred event; across
-// shards it travels through the group barrier with one network lookahead
-// of delay — the same contract as a wire message, which is what such
-// signals model (workload completion notifications, coordination RPCs).
-// Using it for ALL cross-node signalling, even between co-sharded nodes,
-// is what keeps results independent of the shard count.
+// same node it is an immediate deferred event; across nodes it travels
+// through the group barrier with one network lookahead of delay — the
+// same contract as a wire message, which is what such signals model
+// (workload completion notifications, coordination RPCs). Using it for
+// ALL cross-node signalling, even between co-sharded nodes, is what
+// keeps results independent of the shard count.
 func (w *World) CrossNodeSignal(src, dst *Node, fn func()) {
-	if w.group == nil || src == dst {
+	if src == dst {
 		dst.eng.Schedule(0, fn)
 		return
 	}

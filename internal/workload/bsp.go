@@ -256,9 +256,7 @@ func (p *bspProc) buildIteration() {
 // wall times.
 //
 // The run coordinates from a "home" node — the node hosting the app's
-// first VM. In a serial world this is invisible (every node shares the
-// engine, the historical behaviour is preserved exactly); in a sharded
-// world completion notes and round restarts travel between nodes as
+// first VM. Completion notes and round restarts travel between nodes as
 // cross-node signals with one network lookahead of delay, modelling the
 // coordination RPCs a real batch script would make, and keeping the
 // round protocol independent of how nodes map to shards.
@@ -273,11 +271,11 @@ type ParallelRun struct {
 	OnTarget     func()
 
 	// nodes groups the app's VMs by hosting node, in first-appearance
-	// order — the restart fan-out unit in sharded mode.
+	// order — the restart fan-out unit.
 	nodes []runNode
-	// hook is the per-VCPU OnDone callback (bound once; mode-dependent).
+	// hook is the per-VCPU OnDone callback (onDone, bound once).
 	hook func(*vmm.VCPU) vmm.Process
-	// noteFn is the home-side completion note (bound once, sharded mode).
+	// noteFn is the home-side completion note (noteDone, bound once).
 	noteFn func()
 
 	times     []float64
@@ -331,12 +329,8 @@ func (r *ParallelRun) publishRound(now sim.Time) {
 
 // Install sets up round 0's processes on every VCPU of the cluster.
 func (r *ParallelRun) Install() {
-	if r.home.World().Sharded() {
-		r.hook = r.onDoneSharded
-		r.noteFn = r.noteDone
-	} else {
-		r.hook = r.onDone
-	}
+	r.hook = r.onDone
+	r.noteFn = r.noteDone
 	for vmIdx, vm := range r.App.VMs {
 		n := vm.Node()
 		found := false
@@ -360,50 +354,11 @@ func (r *ParallelRun) Install() {
 	}
 }
 
-// onDone is the serial-mode per-process completion hook: the last
-// finisher of a round records the time and restarts everyone inline.
-func (r *ParallelRun) onDone(v *vmm.VCPU) vmm.Process {
-	r.remaining--
-	if r.remaining > 0 {
-		return nil // idle until the round restarts
-	}
-	now := r.home.Engine().Now()
-	r.times = append(r.times, (now - r.startedAt).Seconds())
-	r.publishRound(now)
-	r.round++
-	if r.round >= r.TargetRounds && !r.fired {
-		r.fired = true
-		if r.OnTarget != nil {
-			r.OnTarget()
-		}
-	}
-	if r.round >= r.TargetRounds && !r.Forever {
-		return nil
-	}
-	// Restart: install the new round on every process; this VCPU gets
-	// its new process as the return value, the others are revived.
-	r.startedAt = now
-	r.remaining = r.App.Processes()
-	var mine vmm.Process
-	for vmIdx, vm := range r.App.VMs {
-		for rank, u := range vm.VCPUs() {
-			p := r.App.proc(vmIdx, rank, r.round)
-			if u == v {
-				mine = p
-				continue
-			}
-			u.SetProcess(p, r.onDone)
-			u.VM().Node().WakeIdle(u)
-		}
-	}
-	return mine
-}
-
-// onDoneSharded is the sharded-mode completion hook: the finishing VCPU
-// idles immediately and a completion note travels to the home node as a
+// onDone is the per-process completion hook: the finishing VCPU idles
+// immediately and a completion note travels to the home node as a
 // cross-node signal, so the "last finisher" decision happens on one
 // deterministic timeline regardless of sharding.
-func (r *ParallelRun) onDoneSharded(v *vmm.VCPU) vmm.Process {
+func (r *ParallelRun) onDone(v *vmm.VCPU) vmm.Process {
 	w := r.home.World()
 	w.CrossNodeSignal(v.VM().Node(), r.home, r.noteFn)
 	return nil
