@@ -303,66 +303,71 @@ func (s *Scenario) Runs() []*workload.ParallelRun { return s.runs }
 // steady-state rate (RTT, bandwidth, response time).
 func (s *Scenario) GoFor(d sim.Time) {
 	s.World.Start()
-	s.advance(d)
+	s.advance(d, false)
 }
 
-// ContinueFor resumes a world stopped by measured-run completion and
-// runs it for d more virtual time, letting steady-state job metrics
-// (throughput, response time) accumulate while the Forever runs keep the
-// load up.
+// ContinueFor runs the world for d more virtual time, regardless of
+// measured-run completion, letting steady-state job metrics (throughput,
+// response time) accumulate while the Forever runs keep the load up.
 func (s *Scenario) ContinueFor(d sim.Time) {
-	s.World.Resume()
-	s.advance(s.World.Now() + d)
+	s.advance(s.World.Now()+d, false)
 }
 
-// ContinueUntil resumes the world and runs in steps of `step` until done
-// reports true or `cap` more virtual time has elapsed. It returns the
-// final done() value. A measured-run completion that stops the engine
-// mid-loop is resumed — the cap, not the stop, bounds this drive.
+// ContinueUntil runs the world in steps of `step` until done reports
+// true or `cap` more virtual time has elapsed. It returns the final
+// done() value. A measured-run completion does not end a step — the cap,
+// not the stop, bounds this drive.
 func (s *Scenario) ContinueUntil(done func() bool, step, cap sim.Time) bool {
 	deadline := s.World.Now() + cap
 	for !done() && s.World.Now() < deadline {
-		s.World.Resume()
 		next := s.World.Now() + step
 		if next > deadline {
 			next = deadline
 		}
-		s.advance(next)
+		s.advance(next, false)
 	}
 	return done()
 }
 
 // Go starts the world and drives it until every measured run reaches its
 // target (or the horizon passes — a safety net against pathological
-// schedules). It returns true when all runs completed in time.
+// schedules). It returns true when all runs completed in time. Go is
+// the only drive that ends at measured-run completion.
 func (s *Scenario) Go(horizon sim.Time) bool {
 	s.World.Start()
-	s.advance(horizon)
+	s.advance(horizon, true)
 	return s.pending.Load() == 0
 }
 
 // auditViolationCap bounds how many violations a sick run retains.
 const auditViolationCap = 16
 
-// advance drives the engine to the target virtual time, pausing every
-// AuditEvery to re-check World.Audit when the audit hook is enabled. A
-// stopped engine (measured-run completion) ends the advance early; the
-// hook still audits the shutdown state.
-func (s *Scenario) advance(target sim.Time) {
+// advance drives the world to the target virtual time, pausing every
+// AuditEvery to re-check World.Audit when the audit hook is enabled.
+// With untilDone a stop (measured-run completion) ends the advance
+// early, and the hook still audits the shutdown state; otherwise each
+// step runs on through a stop to its end.
+func (s *Scenario) advance(target sim.Time, untilDone bool) {
 	every := s.Cfg.AuditEvery
-	if every <= 0 {
-		s.World.RunUntil(target)
-		return
-	}
-	for !s.World.Stopped() && s.World.Now() < target {
-		next := s.World.Now() + every
-		if next > target {
-			next = target
+	for s.World.Now() < target {
+		next := target
+		if every > 0 && s.World.Now()+every < target {
+			next = s.World.Now() + every
 		}
-		s.World.RunUntil(next)
+		stopped := s.World.RunUntil(next)
+		for !untilDone && s.World.Now() < next {
+			s.World.RunUntil(next)
+		}
+		if every > 0 {
+			s.audit()
+		}
+		if stopped && untilDone {
+			break
+		}
+	}
+	if every > 0 {
 		s.audit()
 	}
-	s.audit()
 }
 
 // audit runs one World.Audit pass, retaining violations and notifying

@@ -9,17 +9,39 @@ import (
 )
 
 func TestGoForRunsExactDuration(t *testing.T) {
-	cfg := DefaultConfig(1, CR)
-	cfg.Node.PCPUs = 1
-	s := MustNew(cfg)
-	vm := s.IndependentVM("x", 0, 1, vmm.ClassNonParallel)
-	job := workload.NewCPUJob(vm.VCPU(0), workload.SPECProfiles()[0])
-	s.GoFor(2 * sim.Second)
-	if now := s.World.Eng.Now(); now != 2*sim.Second {
-		t.Errorf("Now = %v, want exactly 2s", now)
+	cases := []struct {
+		name      string
+		d         sim.Time
+		install   func(s *Scenario) (rounds func() int64)
+		minRounds int64
+	}{
+		{"cpu job", 2 * sim.Second, func(s *Scenario) func() int64 {
+			vm := s.IndependentVM("x", 0, 1, vmm.ClassNonParallel)
+			return workload.NewCPUJob(vm.VCPU(0), workload.SPECProfiles()[0]).Rounds
+		}, 4},
+		// The measured run reaches its target early in the span; GoFor
+		// must not end there.
+		{"measured run completes", 30 * sim.Second, func(s *Scenario) func() int64 {
+			prof := workload.NPB("ep", workload.ClassA)
+			prof.Iterations = 3
+			run := s.RunParallel(prof, s.VirtualCluster("vc", 1, 2, nil), 1, true)
+			return func() int64 { return int64(run.Rounds()) }
+		}, 2},
 	}
-	if job.Rounds() < 4 {
-		t.Errorf("rounds = %d, want ~5 in 2s", job.Rounds())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig(1, CR)
+			cfg.Node.PCPUs = 1
+			s := MustNew(cfg)
+			rounds := c.install(s)
+			s.GoFor(c.d)
+			if now := s.World.Now(); now != c.d {
+				t.Errorf("Now = %v, want exactly %v", now, c.d)
+			}
+			if got := rounds(); got < c.minRounds {
+				t.Errorf("rounds = %d, want at least %d in %v", got, c.minRounds, c.d)
+			}
+		})
 	}
 }
 

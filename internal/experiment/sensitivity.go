@@ -8,19 +8,18 @@ import (
 	"atcsched/internal/report"
 	"atcsched/internal/runner"
 	"atcsched/internal/sim"
-	"atcsched/internal/vmm"
 	"atcsched/internal/workload"
 )
 
 // sensGain measures the ATC/CR execution-time gain for one kernel under
 // a mutated model configuration — the sensitivity probe.
 func sensGain(sc Scale, kernel string, seed uint64,
-	mutNode func(*vmm.NodeConfig), mutProf func(*workload.AppProfile)) (float64, error) {
+	mutCfg func(*cluster.Config), mutProf func(*workload.AppProfile)) (float64, error) {
 	run := func(a cluster.Approach) (float64, error) {
 		cfg := cluster.DefaultConfig(2, a)
 		cfg.Seed = seed
-		if mutNode != nil {
-			mutNode(&cfg.Node)
+		if mutCfg != nil {
+			mutCfg(&cfg)
 		}
 		s, err := cluster.New(cfg)
 		if err != nil {
@@ -67,7 +66,7 @@ func init() {
 				"Variant", "ATC/CR gain")
 			type variant struct {
 				name string
-				node func(*vmm.NodeConfig)
+				cfg  func(*cluster.Config)
 				prof func(*workload.AppProfile)
 			}
 			variants := []variant{
@@ -75,20 +74,16 @@ func init() {
 				{name: "recv-poll 0 (blocking MPI)", prof: func(p *workload.AppProfile) { p.RecvPoll = 0 }},
 				{name: "recv-poll 1ms", prof: func(p *workload.AppProfile) { p.RecvPoll = sim.Millisecond }},
 				{name: "recv-poll forever", prof: func(p *workload.AppProfile) { p.RecvPoll = -1 }},
-				{name: "netback cost x3", node: func(c *vmm.NodeConfig) { c.BackendPacketCost *= 3 }},
-				{name: "ctx-switch cost x4", node: func(c *vmm.NodeConfig) { c.CtxSwitchCost *= 4 }},
-				{name: "half LLC capacity", node: func(c *vmm.NodeConfig) { c.Cache.Capacity /= 2 }},
-				{name: "double wire latency", node: nil, prof: nil}, // handled below
+				{name: "netback cost x3", cfg: func(c *cluster.Config) { c.Node.BackendPacketCost *= 3 }},
+				{name: "ctx-switch cost x4", cfg: func(c *cluster.Config) { c.Node.CtxSwitchCost *= 4 }},
+				{name: "half LLC capacity", cfg: func(c *cluster.Config) { c.Node.Cache.Capacity /= 2 }},
+				{name: "double wire latency", cfg: func(c *cluster.Config) { c.Net.WireLatency *= 2 }},
 			}
 			// Each variant's CR/ATC pair is an independent probe; fan the
 			// whole set across the worker pool.
 			gains, err := runner.Map(len(variants), func(i int) (float64, error) {
 				v := variants[i]
-				if v.name == "double wire latency" {
-					// Wire latency lives in the net config, not NodeConfig.
-					return sensGainNet(sc, "lu", seed)
-				}
-				return sensGain(sc, "lu", seed, v.node, v.prof)
+				return sensGain(sc, "lu", seed, v.cfg, v.prof)
 			})
 			if err != nil {
 				return nil, err
@@ -100,41 +95,4 @@ func init() {
 			return []*report.Table{t}, nil
 		},
 	})
-}
-
-// sensGainNet is the wire-latency variant of sensGain.
-func sensGainNet(sc Scale, kernel string, seed uint64) (float64, error) {
-	run := func(a cluster.Approach) (float64, error) {
-		cfg := cluster.DefaultConfig(2, a)
-		cfg.Seed = seed
-		cfg.Net.WireLatency *= 2
-		s, err := cluster.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		prof := workload.NPB(kernel, workload.ClassB)
-		prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-		var runs []*workload.ParallelRun
-		for vc := 0; vc < 4; vc++ {
-			vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), 2, sc.VCPUsPerVM, nil)
-			runs = append(runs, s.RunParallel(prof, vms, sc.Rounds, false))
-		}
-		if !s.Go(sc.Horizon) {
-			return 0, fmt.Errorf("sens-net %s/%s: horizon exceeded", kernel, a)
-		}
-		var times []float64
-		for _, r := range runs {
-			times = append(times, r.MeanTime())
-		}
-		return metrics.Mean(times), nil
-	}
-	cr, err := run(cluster.CR)
-	if err != nil {
-		return 0, err
-	}
-	atcT, err := run(cluster.ATC)
-	if err != nil {
-		return 0, err
-	}
-	return cr / atcT, nil
 }

@@ -21,11 +21,11 @@ func auditEvery(t *testing.T, s *cluster.Scenario, horizon, step sim.Time) {
 	t.Helper()
 	s.World.Start()
 	for now := step; now <= horizon; now += step {
-		s.World.RunUntil(now)
+		stopped := s.World.RunUntil(now)
 		if errs := s.World.Audit(); len(errs) > 0 {
 			t.Fatalf("audit at %v: %v (and %d more)", s.World.Now(), errs[0], len(errs)-1)
 		}
-		if s.World.Stopped() {
+		if stopped {
 			break
 		}
 	}

@@ -149,10 +149,6 @@ func (f *Fabric) SetBandwidth(fn func(node int, now sim.Time) float64) { f.bwFn 
 // Nodes returns the number of nodes the fabric connects.
 func (f *Fabric) Nodes() int { return len(f.tx) }
 
-// Lookahead returns the minimum cross-node delivery delay — the
-// conservative synchronization window a sharded simulation may use.
-func (f *Fabric) Lookahead() sim.Time { return f.cfg.WireLatency }
-
 func sum(a []uint64) uint64 {
 	var n uint64
 	for _, v := range a {

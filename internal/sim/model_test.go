@@ -114,8 +114,6 @@ type engineAPI interface {
 	handleAt(h int) (Time, bool) // false when the handle is canceled or fired
 	step() bool
 	runUntil(t Time)
-	stop()
-	resume()
 	pending() int
 }
 
@@ -130,8 +128,6 @@ func (r *realEngine) schedule(d Time, fn func()) { r.handles = append(r.handles,
 func (r *realEngine) cancel(h int)               { r.e.Cancel(r.handles[h]) }
 func (r *realEngine) step() bool                 { return r.e.Step() }
 func (r *realEngine) runUntil(t Time)            { r.e.RunUntil(t) }
-func (r *realEngine) stop()                      { r.e.Stop() }
-func (r *realEngine) resume()                    { r.e.Resume() }
 func (r *realEngine) pending() int               { return r.e.Pending() }
 
 // handleAt reports At only for a live handle: a fired or canceled
@@ -146,11 +142,10 @@ func (r *realEngine) handleAt(h int) (Time, bool) {
 // refEngine is the reference model: a slice kept sorted by (at, seq),
 // with no pool, no heap and no lane.
 type refEngine struct {
-	clock   Time
-	seq     int
-	stopped bool
-	queue   []*refScheduled
-	evs     []*refScheduled
+	clock Time
+	seq   int
+	queue []*refScheduled
+	evs   []*refScheduled
 }
 
 type refScheduled struct {
@@ -194,7 +189,7 @@ func (m *refEngine) handleAt(h int) (Time, bool) {
 }
 
 func (m *refEngine) step() bool {
-	if m.stopped || len(m.queue) == 0 {
+	if len(m.queue) == 0 {
 		return false
 	}
 	ev := m.queue[0]
@@ -206,16 +201,14 @@ func (m *refEngine) step() bool {
 }
 
 func (m *refEngine) runUntil(t Time) {
-	for !m.stopped && len(m.queue) > 0 && m.queue[0].at <= t {
+	for len(m.queue) > 0 && m.queue[0].at <= t {
 		m.step()
 	}
-	if !m.stopped && t > m.clock {
+	if t > m.clock {
 		m.clock = t
 	}
 }
 
-func (m *refEngine) stop()        { m.stopped = true }
-func (m *refEngine) resume()      { m.stopped = false }
 func (m *refEngine) pending() int { return len(m.queue) }
 
 // scriptDelay maps a script byte to a delay: half of all bytes give a
@@ -268,14 +261,12 @@ func runEngineScript(api engineAPI, script []byte) []int64 {
 			trace = append(trace, -1, int64(id), int64(api.now()), int64(api.pending()))
 			for n := next() % 4; n > 0; n-- {
 				switch next() % 8 {
-				case 0, 1, 2, 3:
+				case 0, 1, 2, 3, 5:
 					schedule()
 				case 4:
 					if scheduled > 0 {
 						api.cancel(int(next()) % scheduled)
 					}
-				case 5:
-					api.stop() // mid-instant: lane and heap events due now stay queued
 				case 6:
 					if scheduled > 0 {
 						query(int(next()) % scheduled)
@@ -292,14 +283,10 @@ func runEngineScript(api engineAPI, script []byte) []int64 {
 			if scheduled > 0 {
 				api.cancel(int(next()) % scheduled)
 			}
-		case 3:
+		case 3, 5:
 			api.step()
-		case 4:
+		case 4, 6:
 			api.runUntil(api.now() + scriptDelay(next()))
-		case 5:
-			api.stop()
-		case 6:
-			api.resume()
 		case 7:
 			if scheduled > 0 {
 				query(int(next()) % scheduled)
@@ -307,7 +294,6 @@ func runEngineScript(api engineAPI, script []byte) []int64 {
 		}
 		trace = append(trace, -2, int64(api.now()), int64(api.pending()))
 	}
-	api.resume()
 	for api.step() {
 	}
 	for h := 0; h < scheduled; h++ {
@@ -335,7 +321,7 @@ func checkEngineScript(t *testing.T, script []byte) {
 
 // TestEngineMatchesReferenceModelReentrant runs random scripts in which
 // callbacks schedule (zero delay heavily weighted) and cancel while
-// events due at the same instant sit in the heap, with Stop/Resume and
+// events due at the same instant sit in the heap, with Step and
 // RunUntil boundaries inside an instant, and compares the firing order,
 // the clock, Pending after every step and handle state against the
 // sorted-slice model.
@@ -359,7 +345,7 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 3, 3})
 	f.Add([]byte{0, 200, 1, 0, 3, 3, 0x41, 0, 0, 3, 4, 0})
 	f.Add([]byte{0, 129, 0, 129, 3, 0x21, 0x05, 3, 2, 1, 3, 6, 3})
-	f.Add([]byte("schedule, cancel, stop and resume at one instant"))
+	f.Add([]byte("schedule, cancel, step and run until one instant"))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			return

@@ -54,8 +54,9 @@ type ShardGroup struct {
 	now      Time
 	injected Time
 	winEnd   Time
-	// halt requests a stop; it is checked at segment boundaries only, so
-	// the stop point is deterministic in virtual time.
+	// halt is a pending stop request; RunUntil checks it at segment
+	// boundaries only, so the stop point is deterministic in virtual
+	// time, and clears it when it returns.
 	halt atomic.Bool
 	// scratch avoids per-window allocation of the active-shard list.
 	scratch []int
@@ -190,16 +191,13 @@ func (g *ShardGroup) Pending() int {
 	return n
 }
 
-// RequestStop asks RunUntil to return at the next segment boundary. Safe
-// to call from any shard's callbacks; the stop lands at a point that is
-// a pure function of virtual time, so stopped runs stay deterministic.
+// RequestStop asks the running (or next) RunUntil to return at the end
+// of the current segment: the window end or RunUntil's target, whichever
+// comes first. Safe to call from any shard's callbacks; the stop lands at
+// a point that is a pure function of virtual time, so stopped runs stay
+// deterministic. The request is one-shot: the RunUntil it interrupts
+// reports and clears it.
 func (g *ShardGroup) RequestStop() { g.halt.Store(true) }
-
-// Resume clears a previous RequestStop.
-func (g *ShardGroup) Resume() { g.halt.Store(false) }
-
-// Stopped reports whether a stop request is in force.
-func (g *ShardGroup) Stopped() bool { return g.halt.Load() }
 
 // collect drains every shard's outbox into pending (barrier-side only).
 func (g *ShardGroup) collect() {
@@ -304,8 +302,10 @@ func (g *ShardGroup) runSegment(segEnd Time) {
 
 // RunUntil drives all shards to virtual time t, synchronizing at every
 // window boundary. It returns early when RequestStop was observed at a
-// segment boundary; engine clocks are aligned to Now() on return.
-func (g *ShardGroup) RunUntil(t Time) {
+// segment boundary, and reports whether a stop request landed (clearing
+// it, so the next RunUntil runs on). Engine clocks are aligned to Now()
+// on return.
+func (g *ShardGroup) RunUntil(t Time) bool {
 	for g.now < t && !g.halt.Load() {
 		wEnd := (g.now/g.look + 1) * g.look
 		if g.injected < wEnd {
@@ -338,4 +338,5 @@ func (g *ShardGroup) RunUntil(t Time) {
 			e.RunUntil(g.now)
 		}
 	}
+	return g.halt.Swap(false)
 }

@@ -119,34 +119,39 @@ func TestShardGroupDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardGroupStop proves RequestStop lands at a deterministic segment
-// boundary and Resume continues cleanly.
+// TestShardGroupStop proves RequestStop is one-shot: RunUntil reports it
+// and ends at the end of the segment it landed in (the window end, or
+// the target when that comes first), and the next RunUntil runs on with
+// no reset.
 func TestShardGroupStop(t *testing.T) {
 	const look = 50 * Microsecond
 	g := NewShardGroup(2, look)
 	g.AssignSource(0, 0)
 	g.AssignSource(1, 1)
+	// Both shards request the stop from inside one parallel segment.
+	g.Engine(0).At(10*Microsecond, g.RequestStop)
+	g.Engine(1).At(20*Microsecond, g.RequestStop)
 	fired := 0
-	g.Engine(0).At(10*Microsecond, func() {
-		fired++
-		g.RequestStop()
-	})
 	g.Engine(1).At(300*Microsecond, func() { fired++ })
-	g.RunUntil(Millisecond)
-	if !g.Stopped() {
-		t.Fatal("group not stopped after RequestStop")
+	if !g.RunUntil(Millisecond) {
+		t.Fatal("RunUntil did not report the stop")
 	}
-	if fired != 1 {
-		t.Fatalf("fired %d events before stop, want 1", fired)
+	if fired != 0 || g.Now() != look {
+		t.Fatalf("stopped with fired=%d at %v, want no later event and the window end %v", fired, g.Now(), look)
 	}
-	// The stop point is the end of the segment the request landed in.
-	if g.Now() != look {
-		t.Fatalf("stopped at %v, want the window boundary %v", g.Now(), look)
+	if g.RunUntil(Millisecond) {
+		t.Fatal("second RunUntil reported a stop that was already consumed")
 	}
-	g.Resume()
-	g.RunUntil(Millisecond)
-	if fired != 2 || g.Now() != Millisecond {
-		t.Fatalf("after resume: fired=%d now=%v, want 2 events and 1ms", fired, g.Now())
+	if fired != 1 || g.Now() != Millisecond {
+		t.Fatalf("after the stop: fired=%d now=%v, want the later event and 1ms", fired, g.Now())
+	}
+	// A target inside a window ends the segment, so a stop there lands at
+	// the target, not the window end.
+	target := Millisecond + 30*Microsecond
+	g.Engine(0).At(Millisecond+10*Microsecond, g.RequestStop)
+	g.Engine(1).At(Millisecond+40*Microsecond, func() { fired++ })
+	if !g.RunUntil(target) || g.Now() != target || fired != 1 {
+		t.Fatalf("stop inside a window: now=%v fired=%d, want a reported stop at %v with the 40us event pending", g.Now(), fired, target)
 	}
 }
 

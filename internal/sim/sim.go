@@ -247,11 +247,10 @@ const maxFreeEvents = 4096
 // due now first, then the lane in FIFO order, is therefore exactly
 // (time, sequence) order.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	lane    eventLane
-	seq     uint64
-	stopped bool
+	now   Time
+	queue eventQueue
+	lane  eventLane
+	seq   uint64
 	// live counts scheduled events that have neither fired nor been
 	// canceled: the heap plus the lane's live entries.
 	live int
@@ -341,11 +340,8 @@ func (e *Engine) recycle(ev *Event) {
 }
 
 // Step fires the next pending event. It returns false when the queue is
-// empty or the engine has been stopped.
+// empty.
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	ev := e.peek()
 	if ev == nil {
 		return false
@@ -374,35 +370,22 @@ func (e *Engine) fire(ev *Event) {
 	fn()
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires events until the queue drains.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
 
 // RunUntil fires events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain queued. When the engine was
-// stopped mid-run the clock stays where the last event left it — pending
-// events must still be able to fire after Resume without the clock
-// running backward.
+// t. Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
-		ev := e.peek()
-		if ev == nil || ev.at > t {
-			break
-		}
+	for ev := e.peek(); ev != nil && ev.at <= t; ev = e.peek() {
 		e.fire(ev)
-	}
-	if e.stopped {
-		return
 	}
 	if t > e.now {
 		e.now = t
 	}
 }
-
-// RunFor runs for a span d of virtual time from the current instant.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // NextEventAt returns the timestamp of the earliest pending event, or
 // false when the queue is empty. The shard scheduler uses it to decide
@@ -437,13 +420,3 @@ func (e *Engine) peek() *Event {
 	}
 	return nil
 }
-
-// Stop halts Run/RunUntil after the current event completes. Pending
-// events stay queued; Resume re-enables stepping.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears a previous Stop.
-func (e *Engine) Resume() { e.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching Resume.
-func (e *Engine) Stopped() bool { return e.stopped }

@@ -236,23 +236,20 @@ func (w *World) Now() sim.Time { return w.group.Now() }
 // Executed returns the total number of events fired across all engines.
 func (w *World) Executed() uint64 { return w.group.Executed() }
 
-// RunUntil drives the simulation to virtual time t. With t <= Now() it
-// does nothing: unlike sim.Engine.RunUntil it does not fire events due at
-// exactly Now(), so RunUntil(0) right after Start dispatches nothing.
-// Those events fire on the next RunUntil to a later time.
-func (w *World) RunUntil(t sim.Time) { w.group.RunUntil(t) }
+// RunUntil drives the simulation to virtual time t, or to where a Stop
+// lands, and reports whether one landed. The stop is consumed: the next
+// RunUntil runs on. With t <= Now() it does nothing: unlike
+// sim.Engine.RunUntil it does not fire events due at exactly Now(), so
+// RunUntil(0) right after Start dispatches nothing. Those events fire on
+// the next RunUntil to a later time.
+func (w *World) RunUntil(t sim.Time) bool { return w.group.RunUntil(t) }
 
-// Stop halts the simulation (e.g., when the experiment's completion
-// condition is met from inside a callback). The stop lands at the next
-// window boundary — a point that is a pure function of virtual time, so
-// stopped runs stay deterministic.
+// Stop asks the running RunUntil to return early (e.g., when the
+// experiment's completion condition is met from inside a callback). The
+// stop lands at the end of the running segment — the window end or the
+// RunUntil target, whichever comes first — a point that is a pure
+// function of virtual time, so stopped runs stay deterministic.
 func (w *World) Stop() { w.group.RequestStop() }
-
-// Resume clears a previous Stop.
-func (w *World) Resume() { w.group.Resume() }
-
-// Stopped reports whether a stop is in force.
-func (w *World) Stopped() bool { return w.group.Stopped() }
 
 // CrossNodeSignal runs fn on dst's engine, attributed to src. On the
 // same node it is an immediate deferred event; across nodes it travels
