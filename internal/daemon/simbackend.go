@@ -6,7 +6,6 @@ import (
 	"atcsched/internal/fault"
 	"atcsched/internal/netmodel"
 	"atcsched/internal/sched/credit"
-	"atcsched/internal/sched/extslice"
 	"atcsched/internal/sched/registry"
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
@@ -18,8 +17,8 @@ import (
 )
 
 // SimBackend closes the control loop against a live simulated cluster:
-// the cluster runs under an externally-controlled credit scheduler
-// (internal/sched/extslice); SampleFleet advances the simulation one
+// the cluster runs under the externally-controlled credit scheduler
+// (credit.External, policy EXT); SampleFleet advances the simulation one
 // scheduling period and reads each guest VM's spinlock latency, one
 // batch per node; ApplyNode writes a node's slice decisions back into
 // its scheduler. This is the in-repo stand-in for a dom0 deployment
@@ -115,7 +114,7 @@ func NewSimBackend(cfg SimBackendConfig) (*SimBackend, error) {
 		ncfg.Dom0VCPUs = 1
 		cfg.VCPUsPerVM = 1
 	}
-	w, err := vmm.NewWorld(cfg.Nodes, ncfg, netmodel.DefaultConfig(), extslice.Factory(credit.DefaultOptions()))
+	w, err := vmm.NewWorld(cfg.Nodes, ncfg, netmodel.DefaultConfig(), credit.ExternalFactory(credit.DefaultOptions()))
 	if err != nil {
 		return nil, err
 	}
@@ -303,13 +302,13 @@ func (b *SimBackend) ApplyNode(node int, slices map[int]sim.Time) error {
 		return err
 	}
 	n := b.World.Node(node)
-	sched, ok := n.Scheduler().(*extslice.Scheduler)
+	ext, ok := n.Scheduler().(*credit.External)
 	if !ok {
 		return nil
 	}
 	for _, vm := range n.VMs() {
 		if sl, ok := slices[vm.ID()]; ok {
-			sched.Set(vm.ID(), sl)
+			ext.SetSlice(vm, sl)
 		}
 	}
 	return nil

@@ -5,7 +5,7 @@ import (
 
 	"atcsched/internal/core"
 	"atcsched/internal/fault"
-	"atcsched/internal/sched/extslice"
+	"atcsched/internal/sched/credit"
 	"atcsched/internal/workload"
 )
 
@@ -46,8 +46,8 @@ func runClosedLoop(t *testing.T, periods int, control bool) (rounds int, finalSl
 		rounds += r.Rounds()
 	}
 	vm0 := b.World.Node(0).VMs()[0]
-	sched := b.World.Node(0).Scheduler().(*extslice.Scheduler)
-	return rounds, sched.Current(vm0.ID()).Millis()
+	sched := b.World.Node(0).Scheduler().(*credit.External)
+	return rounds, sched.CurrentSlice(vm0).Millis()
 }
 
 func TestClosedLoopDaemonAcceleratesCluster(t *testing.T) {

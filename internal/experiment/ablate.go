@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"atcsched/internal/cluster"
-	"atcsched/internal/metrics"
 	"atcsched/internal/report"
 	"atcsched/internal/runner"
 	"atcsched/internal/sched/atc"
@@ -23,25 +22,11 @@ func ablateExec(sc Scale, kernel string, nodes int, seed uint64, mutate func(*at
 	cfg := cluster.DefaultConfig(nodes, cluster.ATC)
 	cfg.Sched.Options = opts
 	cfg.Seed = seed
-	s, err := cluster.New(cfg)
+	t, err := typeAMean(sc, cfg, npb(sc, kernel, workload.ClassB))
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("ablate %s: %w", kernel, err)
 	}
-	prof := workload.NPB(kernel, workload.ClassB)
-	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-	var runs []*workload.ParallelRun
-	for vc := 0; vc < 4; vc++ {
-		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), nodes, sc.VCPUsPerVM, nil)
-		runs = append(runs, s.RunParallel(prof, vms, sc.Rounds, false))
-	}
-	if !s.Go(sc.Horizon) {
-		return 0, fmt.Errorf("ablate %s: horizon exceeded", kernel)
-	}
-	var times []float64
-	for _, r := range runs {
-		times = append(times, r.MeanTime())
-	}
-	return metrics.Mean(times), nil
+	return t, nil
 }
 
 func init() {

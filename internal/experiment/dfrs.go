@@ -56,15 +56,9 @@ type dfrsCell struct {
 // web pair and a disk hog (the demand the fraction pool redistributes
 // over).
 func dfrsWorkload(s *cluster.Scenario, sc Scale, seed uint64) {
-	nodes := s.Cfg.Nodes
-	prof := workload.NPB("lu", workload.ClassB)
-	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-	for vc := 0; vc < 2; vc++ {
-		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), nodes, sc.VCPUsPerVM, nil)
-		s.RunBackground(prof, vms)
-	}
+	luTenants(s, sc)
 	server := s.IndependentVM("web-srv", 0, 2, vmm.ClassNonParallel)
-	client := s.IndependentVM("web-cli", 1%nodes, 2, vmm.ClassNonParallel)
+	client := s.IndependentVM("web-cli", 1%s.Cfg.Nodes, 2, vmm.ClassNonParallel)
 	workload.NewWebJob(client, 0, server, 0, 20*sim.Millisecond, 2*sim.Millisecond, seed)
 	disk := s.IndependentVM("disk", 0, 1, vmm.ClassNonParallel)
 	workload.NewDiskJob(disk.VCPU(0))
@@ -90,14 +84,8 @@ func dfrsRunCell(sc Scale, seed uint64, scen dfrsScenario, kind cluster.Approach
 
 	s.GoFor(dfrsWarmupWindows * switchWindow)
 	if scen.flip {
-		f, err := cluster.SchedSpec{Kind: kind}.Factory()
-		if err != nil {
+		if err := flipAll(s, kind); err != nil {
 			return dfrsCell{}, err
-		}
-		for _, n := range s.World.Nodes() {
-			if err := n.SwapScheduler(f); err != nil {
-				return dfrsCell{}, err
-			}
 		}
 		s.ContinueFor(dfrsSettleWindows * switchWindow)
 	}
@@ -165,8 +153,7 @@ func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (
 		return "", err
 	}
 	s.World.SetTracer(vmm.NewTracer(timelineTraceCap))
-	prof := workload.NPB("lu", workload.ClassA)
-	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
+	prof := npb(sc, "lu", workload.ClassA)
 	vms := s.VirtualCluster("vc0", nodes, 2, nil)
 	s.RunParallel(prof, vms, 2, false)
 	server := s.IndependentVM("web-srv", 0, 2, vmm.ClassNonParallel)
@@ -222,8 +209,7 @@ func DFRSShowcase(sc Scale, seed uint64) (*TimelineResult, error) {
 		return nil, err
 	}
 	s.World.SetTracer(vmm.NewTracer(dfrsShowcaseTraceCap))
-	prof := workload.NPB("lu", workload.ClassA)
-	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
+	prof := npb(sc, "lu", workload.ClassA)
 	vms := s.VirtualCluster("vc0", 2, 2, nil)
 	s.RunBackground(prof, vms)
 	server := s.IndependentVM("web-srv", 0, 1, vmm.ClassNonParallel)

@@ -8,7 +8,6 @@ import (
 	"atcsched/internal/metrics"
 	"atcsched/internal/report"
 	"atcsched/internal/sim"
-	"atcsched/internal/workload"
 )
 
 // The fault timeline, in units of the 300 ms observation window: a
@@ -66,12 +65,7 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				prof := workload.NPB("lu", workload.ClassB)
-				prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-				for vc := 0; vc < 2; vc++ {
-					vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), nodes, sc.VCPUsPerVM, nil)
-					s.RunBackground(prof, vms)
-				}
+				luTenants(s, sc)
 				var watch spinWatch
 				tr := &trace{}
 				s.GoFor(faultWindow)

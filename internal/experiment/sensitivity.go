@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"atcsched/internal/cluster"
-	"atcsched/internal/metrics"
 	"atcsched/internal/report"
 	"atcsched/internal/runner"
 	"atcsched/internal/sim"
@@ -21,28 +20,15 @@ func sensGain(sc Scale, kernel string, seed uint64,
 		if mutCfg != nil {
 			mutCfg(&cfg)
 		}
-		s, err := cluster.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		prof := workload.NPB(kernel, workload.ClassB)
-		prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
+		prof := npb(sc, kernel, workload.ClassB)
 		if mutProf != nil {
 			mutProf(&prof)
 		}
-		var runs []*workload.ParallelRun
-		for vc := 0; vc < 4; vc++ {
-			vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), 2, sc.VCPUsPerVM, nil)
-			runs = append(runs, s.RunParallel(prof, vms, sc.Rounds, false))
+		t, err := typeAMean(sc, cfg, prof)
+		if err != nil {
+			return 0, fmt.Errorf("sens %s/%s: %w", kernel, a, err)
 		}
-		if !s.Go(sc.Horizon) {
-			return 0, fmt.Errorf("sens %s/%s: horizon exceeded", kernel, a)
-		}
-		var times []float64
-		for _, r := range runs {
-			times = append(times, r.MeanTime())
-		}
-		return metrics.Mean(times), nil
+		return t, nil
 	}
 	cr, err := run(cluster.CR)
 	if err != nil {

@@ -27,19 +27,9 @@ func runSweepPoint(sc Scale, kernel string, class workload.Class, slice sim.Time
 	cfg := cluster.DefaultConfig(2, cluster.CR)
 	cfg.Sched.FixedSlice = slice
 	cfg.Seed = seed
-	s, err := cluster.New(cfg)
+	s, runs, err := typeA(sc, cfg, npb(sc, kernel, class), sc.BigVCPUsPerVM)
 	if err != nil {
-		return sweepPoint{}, err
-	}
-	prof := workload.NPB(kernel, class)
-	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-	var runs []*workload.ParallelRun
-	for vc := 0; vc < 4; vc++ {
-		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), 2, sc.BigVCPUsPerVM, nil)
-		runs = append(runs, s.RunParallel(prof, vms, sc.Rounds, false))
-	}
-	if !s.Go(sc.Horizon) {
-		return sweepPoint{}, fmt.Errorf("sweep %s slice=%v: horizon exceeded", kernel, slice)
+		return sweepPoint{}, fmt.Errorf("sweep %s slice=%v: %w", kernel, slice, err)
 	}
 	var pt sweepPoint
 	var times []float64
@@ -216,8 +206,7 @@ func runFig9(sc Scale, seed uint64) ([]*report.Table, error) {
 		// sweep isolates the slice's effect on the non-parallel tenants
 		// rather than modulating the background's CPU appetite.
 		for vc := 0; vc < 3; vc++ {
-			prof := workload.NPB(workload.NPBKernels()[vc%3], workload.ClassB)
-			prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
+			prof := npb(sc, workload.NPBKernels()[vc%3], workload.ClassB)
 			prof.RecvPoll = -1
 			s.RunBackground(prof, s.VirtualCluster(fmt.Sprintf("bg%d", vc), 2, sc.VCPUsPerVM, nil))
 		}

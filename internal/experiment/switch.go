@@ -43,28 +43,46 @@ func (sw *spinWatch) delta(w *vmm.World) sim.Time {
 	return dSum / sim.Time(dCount)
 }
 
+// luTenants starts the overcommitted parallel tenants of the switch,
+// faults, dfrs and timeline runs: two virtual clusters per the type-A
+// placement running lu.B forever.
+func luTenants(s *cluster.Scenario, sc Scale) {
+	prof := npb(sc, "lu", workload.ClassB)
+	for vc := 0; vc < 2; vc++ {
+		s.RunBackground(prof, s.VirtualCluster(fmt.Sprintf("vc%d", vc), s.Cfg.Nodes, sc.VCPUsPerVM, nil))
+	}
+}
+
+// flipAll asks every node of s to swap to policy kind at its next period
+// boundary; nothing is rebuilt or restarted.
+func flipAll(s *cluster.Scenario, kind cluster.Approach) error {
+	f, err := cluster.SchedSpec{Kind: kind}.Factory()
+	if err != nil {
+		return err
+	}
+	for _, n := range s.World.Nodes() {
+		if err := n.SwapScheduler(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func init() {
 	register(Experiment{
 		ID: "switch",
 		Title: "Extension — live policy switching: spin latency before and after " +
 			"flipping a running CR cluster to ATC at a period boundary",
 		Run: func(sc Scale, seed uint64) ([]*report.Table, error) {
-			nodes := sc.NodeSteps[0]
-			cfg := cluster.DefaultConfig(nodes, cluster.CR)
+			cfg := cluster.DefaultConfig(sc.NodeSteps[0], cluster.CR)
 			cfg.Seed = seed
 			s, err := cluster.New(cfg)
 			if err != nil {
 				return nil, err
 			}
-			// Two overcommitted virtual clusters per the type-A placement,
-			// running forever: the metric is the steady-state spin latency
-			// per window, not completion time.
-			prof := workload.NPB("lu", workload.ClassB)
-			prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-			for vc := 0; vc < 2; vc++ {
-				vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), nodes, sc.VCPUsPerVM, nil)
-				s.RunBackground(prof, vms)
-			}
+			// The metric is the steady-state spin latency per window, not
+			// completion time.
+			luTenants(s, sc)
 
 			t := report.New(
 				"cluster-wide spin latency per window across a live CR→ATC switch",
@@ -84,14 +102,8 @@ func init() {
 
 			// The live flip: every node swaps to ATC at its next period
 			// boundary; nothing is rebuilt or restarted.
-			f, err := cluster.SchedSpec{Kind: cluster.ATC}.Factory()
-			if err != nil {
+			if err := flipAll(s, cluster.ATC); err != nil {
 				return nil, err
-			}
-			for _, n := range s.World.Nodes() {
-				if err := n.SwapScheduler(f); err != nil {
-					return nil, err
-				}
 			}
 
 			for w := 1; w <= postWindows; w++ {

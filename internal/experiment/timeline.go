@@ -7,7 +7,6 @@ import (
 	"atcsched/internal/cluster"
 	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
-	"atcsched/internal/workload"
 )
 
 // timelineTraceCap bounds the scheduling tracer behind the timeline
@@ -30,8 +29,7 @@ type TimelineResult struct {
 // so the exported timeline shows spin-episode spans, slice-change
 // markers, BSP round spans, and the fault windows on one sim-time axis.
 func Timeline(sc Scale, seed uint64) (*TimelineResult, error) {
-	nodes := sc.NodeSteps[0]
-	cfg := cluster.DefaultConfig(nodes, cluster.ATC)
+	cfg := cluster.DefaultConfig(sc.NodeSteps[0], cluster.ATC)
 	cfg.Seed = seed
 	cfg.Faults = faultSpec()
 	plane := telemetry.New(telemetry.Options{})
@@ -41,12 +39,7 @@ func Timeline(sc Scale, seed uint64) (*TimelineResult, error) {
 		return nil, err
 	}
 	s.World.SetTracer(vmm.NewTracer(timelineTraceCap))
-	prof := workload.NPB("lu", workload.ClassB)
-	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-	for vc := 0; vc < 2; vc++ {
-		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), nodes, sc.VCPUsPerVM, nil)
-		s.RunBackground(prof, vms)
-	}
+	luTenants(s, sc)
 	s.GoFor(faultWindow * faultWindows)
 	if errs := s.World.Audit(); len(errs) > 0 {
 		return nil, fmt.Errorf("timeline: audit: %v", errs[0])

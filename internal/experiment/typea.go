@@ -10,31 +10,57 @@ import (
 	"atcsched/internal/workload"
 )
 
-// typeAExec runs evaluation type A (§IV-B1): four identical virtual
-// clusters, each with one nVCPU VM per node, all running the same
-// kernel; it returns the mean execution time across the four clusters.
-func typeAExec(sc Scale, approach cluster.Approach, kernel string, nodes int, seed uint64) (float64, error) {
-	cfg := cluster.DefaultConfig(nodes, approach)
-	cfg.Seed = seed
+// typeA runs evaluation type A (§IV-B1) on the cluster cfg describes:
+// four identical virtual clusters, each with one vcpus-VCPU VM per node,
+// all running prof for sc.Rounds rounds. It returns the finished
+// scenario and the four runs.
+func typeA(sc Scale, cfg cluster.Config, prof workload.AppProfile, vcpus int) (*cluster.Scenario, []*workload.ParallelRun, error) {
 	s, err := cluster.New(cfg)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	prof := workload.NPB(kernel, workload.ClassB)
-	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
 	var runs []*workload.ParallelRun
 	for vc := 0; vc < 4; vc++ {
-		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), nodes, sc.VCPUsPerVM, nil)
+		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), cfg.Nodes, vcpus, nil)
 		runs = append(runs, s.RunParallel(prof, vms, sc.Rounds, false))
 	}
 	if !s.Go(sc.Horizon) {
-		return 0, fmt.Errorf("%s/%s/%d nodes: horizon %v exceeded", approach, kernel, nodes, sc.Horizon)
+		return nil, nil, fmt.Errorf("horizon %v exceeded", sc.Horizon)
+	}
+	return s, runs, nil
+}
+
+// typeAMean runs type A with sc.VCPUsPerVM-VCPU VMs and returns the mean
+// execution time across the four clusters.
+func typeAMean(sc Scale, cfg cluster.Config, prof workload.AppProfile) (float64, error) {
+	_, runs, err := typeA(sc, cfg, prof, sc.VCPUsPerVM)
+	if err != nil {
+		return 0, err
 	}
 	var times []float64
 	for _, r := range runs {
 		times = append(times, r.MeanTime())
 	}
 	return metrics.Mean(times), nil
+}
+
+// typeAExec runs type A for one NPB kernel (class B) under approach and
+// returns the mean execution time across the four clusters.
+func typeAExec(sc Scale, approach cluster.Approach, kernel string, nodes int, seed uint64) (float64, error) {
+	cfg := cluster.DefaultConfig(nodes, approach)
+	cfg.Seed = seed
+	t, err := typeAMean(sc, cfg, npb(sc, kernel, workload.ClassB))
+	if err != nil {
+		return 0, fmt.Errorf("%s/%s/%d nodes: %w", approach, kernel, nodes, err)
+	}
+	return t, nil
+}
+
+// npb returns the NPB kernel's profile with its iterations scaled to sc.
+func npb(sc Scale, kernel string, class workload.Class) workload.AppProfile {
+	prof := workload.NPB(kernel, class)
+	prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
+	return prof
 }
 
 func iterCount(base int, scale float64) int {

@@ -1,6 +1,5 @@
 // Package metrics provides the statistics the evaluation harness needs:
-// streaming mean/variance (Welford), min/max tracking, fixed-bucket
-// histograms, Pearson correlation (used by the paper to show spinlock
+// streaming mean and extrema (Welford), Pearson correlation (used by the paper to show spinlock
 // latency tracks performance, §II-B), and the Euclidean closeness metric
 // of Equation (1) used to pick the minimum time-slice threshold (§III-B).
 package metrics
@@ -8,15 +7,13 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates a stream of float64 samples and reports count,
-// mean, variance, and extrema in O(1) memory.
+// mean, and extrema in O(1) memory.
 type Welford struct {
 	n        int64
 	mean     float64
-	m2       float64
 	min, max float64
 }
 
@@ -33,9 +30,7 @@ func (w *Welford) Add(x float64) {
 		}
 	}
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the number of samples added.
@@ -43,17 +38,6 @@ func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // Min returns the smallest sample (0 with no samples).
 func (w *Welford) Min() float64 { return w.min }
@@ -66,107 +50,6 @@ func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
 
 // Reset discards all samples.
 func (w *Welford) Reset() { *w = Welford{} }
-
-// Merge folds other into w (parallel-algorithm form of Welford).
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	d := other.mean - w.mean
-	w.m2 += other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	w.mean += d * float64(other.n) / float64(n)
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-	w.n = n
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi); samples
-// outside the range land in saturating under/overflow buckets.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int64
-	under   int64
-	over    int64
-	total   int64
-	sum     float64
-}
-
-// NewHistogram creates a histogram of n equal buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int64, n)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Mean returns the mean of recorded samples.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Quantile returns an approximate q-quantile (q in [0,1]) assuming
-// within-bucket uniformity. Under/overflow samples pin to lo/hi.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic("metrics: quantile out of [0,1]")
-	}
-	if h.total == 0 {
-		return 0
-	}
-	target := q * float64(h.total)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.lo
-	}
-	for i, c := range h.buckets {
-		if cum+float64(c) >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		cum += float64(c)
-	}
-	return h.hi
-}
 
 // Pearson returns the Pearson correlation coefficient of x and y. It
 // returns an error when lengths differ, fewer than two points are given,
@@ -215,19 +98,6 @@ func Euclidean(o, p []float64) (float64, error) {
 	return math.Sqrt(s), nil
 }
 
-// Normalize divides each value by base, the paper's "normalized execution
-// time" (ratio to the CR baseline). It panics when base is 0.
-func Normalize(values []float64, base float64) []float64 {
-	if base == 0 {
-		panic("metrics: normalize by zero base")
-	}
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = v / base
-	}
-	return out
-}
-
 // Jain returns Jain's fairness index (Σx)²/(n·Σx²) over xs: 1 when every
 // value is equal, 1/n when one value holds everything. It returns 1 for
 // an empty or all-zero slice (nothing is being shared unfairly).
@@ -253,21 +123,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Median returns the median of xs (0 for an empty slice). xs is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }
 
 // Min returns the minimum of xs; it panics on an empty slice.

@@ -51,8 +51,8 @@ type Spec struct {
 
 // SchedulerSpec selects the VMM scheduling approach.
 type SchedulerSpec struct {
-	// Kind names a registered policy (see `atcsim -list-schedulers`):
-	// CR, CS, BS, DSS, VS, ATC, HY or EXT.
+	// Kind names a registered policy; `atcsim -list-schedulers` prints
+	// them all.
 	Kind string `json:"kind"`
 	// Options parameterizes the policy: a JSON object merged over the
 	// policy's defaults (e.g. {"control": {"alpha": "6ms"}} for ATC, or

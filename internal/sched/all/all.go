@@ -13,7 +13,6 @@ import (
 	_ "atcsched/internal/sched/credit"
 	_ "atcsched/internal/sched/dfrs"
 	_ "atcsched/internal/sched/dss"
-	_ "atcsched/internal/sched/extslice"
 	_ "atcsched/internal/sched/hybrid"
 	_ "atcsched/internal/sched/vslicer"
 )

@@ -1,8 +1,9 @@
 // Package atc plugs the paper's Adaptive Time-slice Control model
 // (internal/core) into the credit scheduling core: every 30 ms scheduling
 // period it samples each guest VM's average spinlock latency, runs
-// Algorithm 1 per parallel VM and Algorithm 2 across the node, and serves
-// the resulting per-VM slices to the dispatcher.
+// Algorithm 1 per parallel VM and Algorithm 2 across the node, and writes
+// the resulting per-VM slices into the credit core's slice table, which
+// serves them to the dispatcher (dom0 keeps the default).
 package atc
 
 import (
@@ -99,8 +100,6 @@ type Scheduler struct {
 	*credit.Scheduler
 	opts Options
 	ctl  *core.Controller
-	// slices holds the per-VM slice currently in force.
-	slices map[int]sim.Time
 	// activity tracks, per VM id, how many periods ago contended spin
 	// activity was last seen (for AutoDetect).
 	activity map[int]int
@@ -131,7 +130,6 @@ func New(n *vmm.Node, opts Options) *Scheduler {
 		Scheduler:     credit.New(n, opts.Credit),
 		opts:          opts,
 		ctl:           core.NewController(opts.Control),
-		slices:        make(map[int]sim.Time),
 		activity:      make(map[int]int),
 		prevContended: make(map[int]uint64),
 		ioRate:        make(map[int]float64),
@@ -149,23 +147,6 @@ func (s *Scheduler) Name() string { return "ATC" }
 // Controller exposes the underlying ATC controller (for tests and
 // diagnostics).
 func (s *Scheduler) Controller() *core.Controller { return s.ctl }
-
-// Slice implements vmm.Scheduler: the per-VM adaptive slice for guests,
-// the default for dom0.
-func (s *Scheduler) Slice(v *vmm.VCPU) sim.Time {
-	if sl, ok := s.slices[v.VM().ID()]; ok {
-		return sl
-	}
-	return s.Options().TimeSlice
-}
-
-// CurrentSlice returns the slice in force for vm.
-func (s *Scheduler) CurrentSlice(vm *vmm.VM) sim.Time {
-	if sl, ok := s.slices[vm.ID()]; ok {
-		return sl
-	}
-	return s.Options().TimeSlice
-}
 
 // isParallel classifies a VM for Algorithm 2.
 func (s *Scheduler) isParallel(vm *vmm.VM) bool {
@@ -230,11 +211,9 @@ func (s *Scheduler) OnPeriod(n *vmm.Node) {
 		decisions = s.ctl.NodeSlices(infos)
 	}
 	for _, vm := range guests {
-		sl := decisions[vm.ID()]
-		if s.slices[vm.ID()] != sl {
+		if sl := decisions[vm.ID()]; s.SetSlice(vm, sl) {
 			n.TraceSlice(vm, sl)
 		}
-		s.slices[vm.ID()] = sl
 	}
 }
 

@@ -43,8 +43,6 @@ type Scheduler struct {
 	*dfrs.Scheduler
 	opts Options
 	ctl  *core.Controller
-	// slices holds the ATC slice in force per parallel VM id.
-	slices map[int]sim.Time
 }
 
 // New builds a hybrid scheduler for node n.
@@ -56,7 +54,6 @@ func New(n *vmm.Node, opts Options) *Scheduler {
 		Scheduler: d,
 		opts:      opts,
 		ctl:       core.NewController(opts.Control),
-		slices:    make(map[int]sim.Time),
 	}
 }
 
@@ -71,25 +68,14 @@ func (s *Scheduler) Name() string { return "ATCDFRS" }
 // Controller exposes the ATC controller (for tests and diagnostics).
 func (s *Scheduler) Controller() *core.Controller { return s.ctl }
 
-// Slice implements vmm.Scheduler: the ATC-adaptive slice for parallel
-// VMs, the DFRS fractional quantum for everything else.
+// Slice implements vmm.Scheduler: the ATC-adaptive slice from the credit
+// core's slice table for parallel VMs, the DFRS fractional quantum for
+// everything else.
 func (s *Scheduler) Slice(v *vmm.VCPU) sim.Time {
-	vm := v.VM()
-	if vm.Class() == vmm.ClassParallel {
-		if sl, ok := s.slices[vm.ID()]; ok {
-			return sl
-		}
-		return s.Options().TimeSlice
+	if vm := v.VM(); vm.Class() == vmm.ClassParallel {
+		return s.CurrentSlice(vm)
 	}
 	return s.Scheduler.Slice(v)
-}
-
-// CurrentSlice returns the ATC slice in force for a parallel vm.
-func (s *Scheduler) CurrentSlice(vm *vmm.VM) sim.Time {
-	if sl, ok := s.slices[vm.ID()]; ok {
-		return sl
-	}
-	return s.Options().TimeSlice
 }
 
 // OnPeriod implements vmm.Scheduler: the DFRS pass (fraction
@@ -121,10 +107,8 @@ func (s *Scheduler) OnPeriod(n *vmm.Node) {
 	}
 	decisions := s.ctl.NodeSlices(infos)
 	for _, vm := range parallel {
-		sl := decisions[vm.ID()]
-		if s.slices[vm.ID()] != sl {
+		if sl := decisions[vm.ID()]; s.SetSlice(vm, sl) {
 			n.TraceSlice(vm, sl)
 		}
-		s.slices[vm.ID()] = sl
 	}
 }

@@ -4,8 +4,11 @@
 // UNDER > OVER), per-PCPU runqueues with work-conserving stealing, and
 // wake "tickling" that lets a boosted VCPU preempt a lower-priority one.
 //
-// The other schedulers in atcsched (CS, BS, DSS, VS, ATC) embed this
-// core and override queue placement, slice length, or period behaviour.
+// The core also owns the per-VM knobs the adaptive policies drive:
+// weights (SetWeight), pinned CPU fractions (SetShare) and time slices
+// (SetSlice). The other schedulers in atcsched (CS, BS, DSS, VS, ATC,
+// DFRS) embed this core and override queue placement, slice length, or
+// period behaviour.
 package credit
 
 import (
@@ -127,6 +130,10 @@ type Scheduler struct {
 	// weight-proportionally. This is the fractional accounting path the
 	// DFRS family drives (see SetShare).
 	shares map[int]float64
+	// slices maps VM id to the time slice in force for it (TimeSlice
+	// when absent). ATC, ATC×DFRS and DSS write their decisions here,
+	// and EXT takes them from a userspace daemon (see SetSlice).
+	slices map[int]sim.Time
 	// creditCap bounds accumulated credit to avoid unbounded hoarding.
 	creditCap sim.Time
 	// steals counts cross-runqueue dispatches (telemetry).
@@ -156,6 +163,7 @@ func New(n *vmm.Node, opts Options) *Scheduler {
 		queues:  make([][]*vmm.VCPU, len(n.PCPUs())),
 		weights: make(map[int]int),
 		shares:  make(map[int]float64),
+		slices:  make(map[int]sim.Time),
 		lastCPU: make(map[int]sim.Time),
 	}
 	return s
@@ -168,6 +176,22 @@ func Factory(opts Options) vmm.SchedulerFactory {
 
 // Name implements vmm.Scheduler.
 func (s *Scheduler) Name() string { return "CR" }
+
+// External is the credit core under external control (EXT): it performs
+// no adaptation of its own, and a userspace daemon writes per-VM slices
+// into it through SetSlice — the in-simulator stand-in for a Xen whose
+// slice knobs a dom0 daemon adjusts (cmd/atcd's sim backend runs the
+// ATC controller outside the hypervisor and closes the loop here). It
+// differs from CR only in its name.
+type External struct{ *Scheduler }
+
+// ExternalFactory returns a vmm.SchedulerFactory producing EXT schedulers.
+func ExternalFactory(opts Options) vmm.SchedulerFactory {
+	return func(n *vmm.Node) vmm.Scheduler { return &External{New(n, opts)} }
+}
+
+// Name implements vmm.Scheduler.
+func (*External) Name() string { return "EXT" }
 
 // Node returns the scheduler's node.
 func (s *Scheduler) Node() *vmm.Node { return s.node }
@@ -211,6 +235,29 @@ func (s *Scheduler) ClearShare(vm *vmm.VM) { delete(s.shares, vm.ID()) }
 func (s *Scheduler) Share(vm *vmm.VM) (float64, bool) {
 	f, ok := s.shares[vm.ID()]
 	return f, ok
+}
+
+// SetSlice sets the time slice in force for vm; a non-positive slice
+// clears the entry, returning vm to TimeSlice. It reports whether the
+// table entry changed: the first setting counts as a change even when
+// it equals the default, so a policy that traces on change records
+// every VM's first decision.
+func (s *Scheduler) SetSlice(vm *vmm.VM, slice sim.Time) (changed bool) {
+	old, ok := s.slices[vm.ID()]
+	if slice <= 0 {
+		delete(s.slices, vm.ID())
+		return ok
+	}
+	s.slices[vm.ID()] = slice
+	return !ok || old != slice
+}
+
+// CurrentSlice returns the slice in force for vm.
+func (s *Scheduler) CurrentSlice(vm *vmm.VM) sim.Time {
+	if sl, ok := s.slices[vm.ID()]; ok {
+		return sl
+	}
+	return s.opts.TimeSlice
 }
 
 // Data returns the credit state of v, creating it if needed.
@@ -448,8 +495,8 @@ func (s *Scheduler) popQueue(q, on int) *vmm.VCPU {
 	return nil
 }
 
-// Slice implements vmm.Scheduler.
-func (s *Scheduler) Slice(v *vmm.VCPU) sim.Time { return s.opts.TimeSlice }
+// Slice implements vmm.Scheduler: the VM's entry in the slice table.
+func (s *Scheduler) Slice(v *vmm.VCPU) sim.Time { return s.CurrentSlice(v.VM()) }
 
 // WakePreempts implements vmm.Scheduler: a woken VCPU preempts a PCPU
 // whose current VCPU has a strictly worse class.

@@ -11,12 +11,28 @@ func init() {
 		Order:       1,
 		Description: "Xen Credit scheduler (baseline): proportional-share credits, BOOST/UNDER/OVER priorities, 30ms slices",
 		Defaults:    func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
-			o := *opts.(*Options)
-			if err := o.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
-			return Factory(o), nil
-		},
+		Build:       build(Factory),
 	})
+	// EXT is registered with neither a comparison position nor the
+	// extension flag: it is resolvable by name (the control daemon's sim
+	// backend swaps nodes onto it) but excluded from the evaluation
+	// sweeps, which compare scheduling policies rather than actuation
+	// paths.
+	registry.Register(registry.Descriptor{
+		Kind:        "EXT",
+		Description: "externally-controlled credit scheduler: per-VM slices set by a userspace daemon (cmd/atcd)",
+		Defaults:    func() any { o := DefaultOptions(); return &o },
+		Build:       build(ExternalFactory),
+	})
+}
+
+// build adapts a credit-options factory to a registry Build.
+func build(factory func(Options) vmm.SchedulerFactory) func(any, registry.Base) (vmm.SchedulerFactory, error) {
+	return func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
+		o := *opts.(*Options)
+		if err := o.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
+			return nil, err
+		}
+		return factory(o), nil
+	}
 }

@@ -56,8 +56,6 @@ type Scheduler struct {
 	opts Options
 	// rate is the smoothed per-period I/O wake count per VM id.
 	rate map[int]float64
-	// slices is the slice currently in force per VM id.
-	slices map[int]sim.Time
 }
 
 // New builds a DSS scheduler for node n.
@@ -74,7 +72,6 @@ func New(n *vmm.Node, opts Options) *Scheduler {
 		Scheduler: credit.New(n, opts.Credit),
 		opts:      opts,
 		rate:      make(map[int]float64),
-		slices:    make(map[int]sim.Time),
 	}
 }
 
@@ -86,24 +83,9 @@ func Factory(opts Options) vmm.SchedulerFactory {
 // Name implements vmm.Scheduler.
 func (s *Scheduler) Name() string { return "DSS" }
 
-// Slice implements vmm.Scheduler.
-func (s *Scheduler) Slice(v *vmm.VCPU) sim.Time {
-	if sl, ok := s.slices[v.VM().ID()]; ok {
-		return sl
-	}
-	return s.Options().TimeSlice
-}
-
-// CurrentSlice returns the slice in force for vm.
-func (s *Scheduler) CurrentSlice(vm *vmm.VM) sim.Time {
-	if sl, ok := s.slices[vm.ID()]; ok {
-		return sl
-	}
-	return s.Options().TimeSlice
-}
-
 // OnPeriod implements vmm.Scheduler: refill credits, then re-tier each
-// guest VM from its smoothed I/O event rate.
+// guest VM from its smoothed I/O event rate into the credit core's slice
+// table.
 func (s *Scheduler) OnPeriod(n *vmm.Node) {
 	s.Scheduler.OnPeriod(n)
 	for _, vm := range n.VMs() {
@@ -118,6 +100,6 @@ func (s *Scheduler) OnPeriod(n *vmm.Node) {
 				break
 			}
 		}
-		s.slices[vm.ID()] = slice
+		s.SetSlice(vm, slice)
 	}
 }

@@ -44,9 +44,6 @@ func (m *SpinMonitor) LifetimeMean() sim.Time { return sim.Time(m.lifetime.Mean(
 // LifetimeCount returns the number of acquisitions recorded.
 func (m *SpinMonitor) LifetimeCount() int64 { return m.lifetime.N() }
 
-// LifetimeMax returns the worst acquisition latency observed.
-func (m *SpinMonitor) LifetimeMax() sim.Time { return sim.Time(m.lifetime.Max()) }
-
 // LifetimeSum returns the total time spent waiting on spinlocks.
 func (m *SpinMonitor) LifetimeSum() sim.Time { return sim.Time(m.lifetime.Sum()) }
 

@@ -221,7 +221,6 @@ func (n *Node) wake(v *VCPU, io bool) {
 	}
 	if io {
 		v.vm.ioWakes++
-		v.vm.periodIOWakes++
 	}
 	n.wakes++
 	n.trace(TraceWake, -1, v, 0)

@@ -22,7 +22,8 @@ const (
 	TraceBlock
 	// TraceWake: a blocked VCPU became runnable.
 	TraceWake
-	// TraceSliceChange: a scheduler changed a VM's slice (ATC/DSS).
+	// TraceSliceChange: a scheduler changed a VM's slice (ATC and
+	// ATC×DFRS).
 	TraceSliceChange
 	// TraceSwap: the node's scheduling policy was replaced at a period
 	// boundary (Node.SwapScheduler).

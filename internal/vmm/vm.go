@@ -82,8 +82,7 @@ type VM struct {
 	monLastSeq uint64
 
 	// ioWakes counts I/O-caused wakeups.
-	ioWakes       uint64
-	periodIOWakes uint64
+	ioWakes uint64
 	// ioEvents counts I/O events delivered to the VM (packets, disk
 	// completions) regardless of whether they woke a blocked VCPU — the
 	// DSS input signal ("I/O behaviour").
@@ -144,13 +143,6 @@ func (vm *VM) CtxSwitches() uint64 { return vm.ctxSwitches }
 
 // IOWakes returns the lifetime count of I/O-caused wakeups.
 func (vm *VM) IOWakes() uint64 { return vm.ioWakes }
-
-// SamplePeriodIOWakes returns and resets the per-period I/O wake count.
-func (vm *VM) SamplePeriodIOWakes() uint64 {
-	n := vm.periodIOWakes
-	vm.periodIOWakes = 0
-	return n
-}
 
 // IOEvents returns the lifetime count of delivered I/O events.
 func (vm *VM) IOEvents() uint64 { return vm.ioEvents }
