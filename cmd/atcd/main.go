@@ -122,6 +122,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		*backend = "sim"
 	}
+	if *backend != "sim" {
+		if *swap != "" {
+			return fmt.Errorf("-swap requires the sim backend, not %q", *backend)
+		}
+		if *hollow {
+			return fmt.Errorf("-hollow requires the sim backend, not %q", *backend)
+		}
+	}
 
 	// Any observability output needs the telemetry plane; the fleet and
 	// (for -backend sim) the simulated world publish into it.
@@ -262,7 +270,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if sb != nil {
-		sb.FinalizeTelemetry(plane)
+		sb.FinalizeTelemetry()
 		var rounds int
 		for _, r := range sb.Runs() {
 			rounds += r.Rounds()

@@ -357,6 +357,13 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-backend", "sim", "-swap", "garbage"}, &stdout, &stderr); err == nil {
 		t.Fatal("bad -swap did not error")
 	}
+	// Sim-only flags must not be silently ignored by the other backends.
+	if err := run([]string{"-hollow", "-periods", "5"}, &stdout, &stderr); err == nil {
+		t.Fatal("-hollow accepted on the demo backend")
+	}
+	if err := run([]string{"-backend", "demo", "-periods", "5", "-swap", "2:0:ATC"}, &stdout, &stderr); err == nil {
+		t.Fatal("-swap accepted on the demo backend")
+	}
 }
 
 // updateGolden rewrites the atcd golden files from the current build.

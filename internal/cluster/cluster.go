@@ -149,6 +149,16 @@ func DefaultConfig(nodes int, kind Approach) Config {
 	}
 }
 
+// HollowConfig is DefaultConfig shrunk to kubemark proportions: two
+// PCPUs and a single-VCPU dom0 per node, so a thousand-node world stays
+// buildable. Pair it with workload.HollowRing.
+func HollowConfig(nodes int, kind Approach) Config {
+	cfg := DefaultConfig(nodes, kind)
+	cfg.Node.PCPUs = 2
+	cfg.Node.Dom0VCPUs = 1
+	return cfg
+}
+
 // Scenario is a world under construction plus its measured runs.
 type Scenario struct {
 	Cfg   Config
@@ -236,6 +246,36 @@ func MustNew(cfg Config) *Scenario {
 		panic(err)
 	}
 	return s
+}
+
+// SwitchAt schedules a live policy switch: at virtual time at, each
+// target node (every node when nodes is empty) requests a swap to spec,
+// which lands at that node's next scheduling-period boundary. Each node
+// schedules its own event on its own engine, since one event cannot
+// reach across shards.
+func (s *Scenario) SwitchAt(at sim.Time, nodes []int, spec SchedSpec) error {
+	f, err := spec.Factory()
+	if err != nil {
+		return err
+	}
+	targets := s.World.Nodes()
+	if len(nodes) > 0 {
+		targets = make([]*vmm.Node, len(nodes))
+		for i, n := range nodes {
+			if n < 0 || n >= s.Cfg.Nodes {
+				return fmt.Errorf("cluster: policy switch for node %d outside cluster of %d nodes", n, s.Cfg.Nodes)
+			}
+			targets[i] = s.World.Node(n)
+		}
+	}
+	for _, n := range targets {
+		n.Engine().At(at, func() {
+			if err := n.SwapScheduler(f); err != nil {
+				panic(err) // registry factories are non-nil and never build nil
+			}
+		})
+	}
+	return nil
 }
 
 // VirtualCluster creates nVMs VMs of vcpus VCPUs each, placed round-robin

@@ -307,7 +307,7 @@ func TestFleetKillRestoreMidBlackout(t *testing.T) {
 	b := faultedFleetBackend(t, total)
 	f1 := NewFleet(core.DefaultConfig(), b, b, opts)
 	runFleetPeriods(t, f1, killAt)
-	if !b.plan.DaemonDown(b.World.Eng.Now()) {
+	if !b.scen.FaultPlan().DaemonDown(b.World.Eng.Now()) {
 		t.Fatalf("kill point %d is not inside the blackout window (now %v)", killAt, b.World.Eng.Now())
 	}
 	snap := f1.Snapshot()

@@ -3,24 +3,21 @@ package daemon
 import (
 	"fmt"
 
+	"atcsched/internal/cluster"
 	"atcsched/internal/fault"
-	"atcsched/internal/netmodel"
 	"atcsched/internal/sched/credit"
 	"atcsched/internal/sched/registry"
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
 	"atcsched/internal/workload"
-
-	// Link every policy so PolicySwitch kinds resolve by name.
-	_ "atcsched/internal/sched/all"
 )
 
 // SimBackend closes the control loop against a live simulated cluster:
-// the cluster runs under the externally-controlled credit scheduler
-// (credit.External, policy EXT); SampleFleet advances the simulation one
-// scheduling period and reads each guest VM's spinlock latency, one
-// batch per node; ApplyNode writes a node's slice decisions back into
+// one cluster.Scenario running under the externally-controlled credit
+// scheduler (credit.External, policy EXT); SampleFleet advances the
+// simulation one scheduling period and reads each guest VM's spinlock
+// latency, one batch per node; ApplyNode writes a node's slice decisions back into
 // its scheduler. This is the in-repo stand-in for a dom0 deployment
 // where atcd adjusts real hypervisor knobs — the same Fleet code drives
 // both, one fleet node per simulated node.
@@ -31,10 +28,9 @@ type SimBackend struct {
 	// an error IsDone recognizes.
 	MaxPeriods int
 	periods    int
+	scen       *cluster.Scenario
 	runs       []*workload.ParallelRun
 	switches   []PolicySwitch
-	plan       *fault.Plan
-	hollow     bool
 }
 
 // SimBackendConfig sizes the embedded scenario.
@@ -108,19 +104,9 @@ func NewSimBackend(cfg SimBackendConfig) (*SimBackend, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	ncfg := vmm.DefaultNodeConfig()
-	if cfg.Hollow {
-		ncfg.PCPUs = 2
-		ncfg.Dom0VCPUs = 1
-		cfg.VCPUsPerVM = 1
-	}
-	w, err := vmm.NewWorld(cfg.Nodes, ncfg, netmodel.DefaultConfig(), credit.ExternalFactory(credit.DefaultOptions()))
-	if err != nil {
-		return nil, err
-	}
 	for _, sw := range cfg.Switches {
-		if sw.AtPeriod < 1 {
-			return nil, fmt.Errorf("sim backend: switch period %d must be >= 1", sw.AtPeriod)
+		if sw.AtPeriod < 1 || sw.AtPeriod > cfg.MaxPeriods {
+			return nil, fmt.Errorf("sim backend: switch period %d outside the run's periods 1..%d", sw.AtPeriod, cfg.MaxPeriods)
 		}
 		if sw.Node < -1 || sw.Node >= cfg.Nodes {
 			return nil, fmt.Errorf("sim backend: switch node %d out of range", sw.Node)
@@ -129,35 +115,28 @@ func NewSimBackend(cfg SimBackendConfig) (*SimBackend, error) {
 			return nil, fmt.Errorf("sim backend: %w", err)
 		}
 	}
-	b := &SimBackend{World: w, period: ncfg.SchedPeriod, MaxPeriods: cfg.MaxPeriods, switches: cfg.Switches, hollow: cfg.Hollow}
-	if cfg.Telemetry != nil {
-		w.SetTelemetry(cfg.Telemetry)
-	}
-	if cfg.Faults != nil {
-		plan, err := fault.Compile(cfg.Faults, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("sim backend: %w", err)
-		}
-		if err := plan.Attach(w); err != nil {
-			return nil, fmt.Errorf("sim backend: %w", err)
-		}
-		b.plan = plan
-	}
+	ccfg := cluster.DefaultConfig(cfg.Nodes, "EXT")
 	prof := workload.NPB(cfg.Kernel, cfg.Class)
 	if cfg.Hollow {
-		prof = hollowFleetProfile()
+		ccfg = cluster.HollowConfig(cfg.Nodes, "EXT")
+		cfg.VCPUsPerVM = 1
+		prof = workload.HollowRing()
 	}
+	ccfg.Seed, ccfg.Faults, ccfg.Telemetry = cfg.Seed, cfg.Faults, cfg.Telemetry
+	s, err := cluster.New(ccfg)
+	if err != nil {
+		return nil, fmt.Errorf("sim backend: %w", err)
+	}
+	b := &SimBackend{World: s.World, period: ccfg.Node.SchedPeriod, MaxPeriods: cfg.MaxPeriods, scen: s, switches: cfg.Switches}
 	for vc := 0; vc < cfg.Clusters; vc++ {
-		var vms []*vmm.VM
-		for i := 0; i < cfg.Nodes; i++ {
-			vms = append(vms, w.Node(i).NewVM(fmt.Sprintf("vc%d-%d", vc, i), vmm.ClassParallel, cfg.VCPUsPerVM, 0, 1))
-		}
-		app := workload.NewBSPApp(prof, vms, cfg.Seed+uint64(vc))
-		run := workload.NewParallelRun(app, 1, true, nil)
+		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), cfg.Nodes, cfg.VCPUsPerVM, nil)
+		// Seeded per cluster index rather than by Scenario.RunBackground,
+		// so the daemon's runs keep their established workloads.
+		run := workload.NewParallelRun(workload.NewBSPApp(prof, vms, cfg.Seed+uint64(vc)), 1, true, nil)
 		run.Install()
 		b.runs = append(b.runs, run)
 	}
-	w.Start()
+	s.World.Start()
 	return b, nil
 }
 
@@ -187,7 +166,7 @@ func (b *SimBackend) advance() error {
 	if err := b.applySwitches(); err != nil {
 		return err
 	}
-	b.World.RunUntil(b.World.Now() + b.period)
+	b.scen.ContinueFor(b.period)
 	return nil
 }
 
@@ -208,55 +187,31 @@ func (b *SimBackend) sampleVM(vm *vmm.VM) (VMSample, bool) {
 
 // FaultReport returns the attached fault plan's injection tallies (zero
 // when no faults were configured).
-func (b *SimBackend) FaultReport() fault.Report { return b.plan.Report() }
+func (b *SimBackend) FaultReport() fault.Report { return b.scen.FaultReport() }
 
 // FinalizeTelemetry publishes end-of-run totals from the embedded world
-// and fault plan into p (no-op when p is nil).
-func (b *SimBackend) FinalizeTelemetry(p *telemetry.Plane) {
-	if p == nil {
-		return
-	}
-	b.World.FinalizeTelemetry()
-	b.plan.PublishTelemetry(p.Global())
-}
+// and fault plan into the configured telemetry plane (no-op without one).
+func (b *SimBackend) FinalizeTelemetry() { b.scen.FinalizeTelemetry() }
 
 // applySwitches requests the policy switches due at the current control
-// period; each lands on its node's next scheduling-period boundary.
+// period; each lands on its node's next scheduling-period boundary. They
+// are requested now, at the paused instant, not scheduled ahead at
+// construction: an event created then for this instant would fire before
+// the instant's period tick and land one period early.
 func (b *SimBackend) applySwitches() error {
 	for _, sw := range b.switches {
 		if sw.AtPeriod != b.periods {
 			continue
 		}
-		f, err := registry.Resolve(sw.Kind, nil, registry.Base{})
-		if err != nil {
-			return fmt.Errorf("sim backend: %w", err)
+		var nodes []int // every node
+		if sw.Node >= 0 {
+			nodes = []int{sw.Node}
 		}
-		for _, n := range b.World.Nodes() {
-			if sw.Node >= 0 && n.ID() != sw.Node {
-				continue
-			}
-			if err := n.SwapScheduler(f); err != nil {
-				return fmt.Errorf("sim backend: %w", err)
-			}
+		if err := b.scen.SwitchAt(b.World.Now(), nodes, cluster.SchedSpec{Kind: cluster.Approach(sw.Kind)}); err != nil {
+			return fmt.Errorf("sim backend: %w", err)
 		}
 	}
 	return nil
-}
-
-// hollowFleetProfile is the per-node workload in Hollow mode: short
-// compute, one ring message per iteration, no lock traffic — the same
-// kubemark shape as the scale experiment, chosen so thousand-node
-// fleets measure the control plane rather than the guest kernels.
-func hollowFleetProfile() workload.AppProfile {
-	return workload.AppProfile{
-		Name:           "hollow-ring",
-		ComputePerIter: 200 * sim.Microsecond,
-		Pattern:        workload.PatternRing,
-		MsgSize:        4 << 10,
-		Iterations:     50,
-		Footprint:      4 << 20,
-		ColdRate:       0.01,
-	}
 }
 
 // SampleFleet implements FleetSource: advance one scheduling period and
@@ -270,8 +225,8 @@ func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
 	if err := b.advance(); err != nil {
 		return nil, err
 	}
-	if b.plan.DaemonDown(b.World.Now()) {
-		b.plan.CountDarkPeriod()
+	if plan := b.scen.FaultPlan(); plan.DaemonDown(b.World.Now()) {
+		plan.CountDarkPeriod()
 		return nil, nil
 	}
 	out := make([]NodeBatch, len(b.World.Nodes()))
@@ -298,7 +253,7 @@ func (b *SimBackend) ApplyNode(node int, slices map[int]sim.Time) error {
 	}
 	// Fleet shards apply concurrently; the world is quiescent meanwhile
 	// (it only advances in SampleFleet) and the plan draws per node.
-	if err := b.plan.FailActuation(node, b.World.Now()); err != nil {
+	if err := b.scen.FaultPlan().FailActuation(node, b.World.Now()); err != nil {
 		return err
 	}
 	n := b.World.Node(node)
@@ -324,9 +279,6 @@ func (b *SimBackend) NodePolicies() []string {
 	}
 	return out
 }
-
-// Hollow reports whether the backend was built in hollow-node mode.
-func (b *SimBackend) Hollow() bool { return b.hollow }
 
 // Now exposes the embedded world's virtual clock (telemetry axis).
 func (b *SimBackend) Now() sim.Time { return b.World.Now() }

@@ -81,6 +81,8 @@ func TestSwitchConfigValidation(t *testing.T) {
 		"bad period":   {AtPeriod: 0, Node: 0, Kind: "ATC"},
 		"bad node":     {AtPeriod: 1, Node: 9, Kind: "ATC"},
 		"unknown kind": {AtPeriod: 1, Node: 0, Kind: "NOPE"},
+		// The default budget is 400 periods: a later switch would never run.
+		"past the budget": {AtPeriod: 401, Node: 0, Kind: "ATC"},
 	}
 	for name, sw := range cases {
 		_, err := NewSimBackend(SimBackendConfig{Class: workload.ClassA, Switches: []PolicySwitch{sw}})

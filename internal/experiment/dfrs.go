@@ -84,7 +84,7 @@ func dfrsRunCell(sc Scale, seed uint64, scen dfrsScenario, kind cluster.Approach
 
 	s.GoFor(dfrsWarmupWindows * switchWindow)
 	if scen.flip {
-		if err := flipAll(s, kind); err != nil {
+		if err := s.SwitchAt(s.World.Now(), nil, cluster.SchedSpec{Kind: kind}); err != nil {
 			return dfrsCell{}, err
 		}
 		s.ContinueFor(dfrsSettleWindows * switchWindow)

@@ -12,12 +12,12 @@ import (
 	"atcsched/internal/cluster"
 	"atcsched/internal/report"
 	"atcsched/internal/sim"
-	"atcsched/internal/vmm"
 	"atcsched/internal/workload"
 )
 
 // The scale experiment is a kubemark-style hollow-node sweep: each node
-// carries one single-VCPU VM running a light ring-exchange BSP kernel, so
+// (cluster.HollowConfig) carries one single-VCPU VM running a light
+// ring-exchange BSP kernel (workload.HollowRing), so
 // the harness measures the simulation core itself — event dispatch,
 // fabric delivery, shard synchronization — rather than scheduler policy.
 // Every node ladder is swept at several shard counts, with shards=1 as
@@ -43,31 +43,6 @@ func scaleLadder(sc Scale) (nodes []int, shards []int) {
 		return []int{32, 128, 512, 1024}, []int{1, 2, 4, 8}
 	default: // full
 		return []int{32, 128, 512, 1024, 2048, 4096}, []int{1, 2, 4, 8}
-	}
-}
-
-// hollowNodeConfig shrinks the testbed node to kubemark proportions: two
-// cores and a single-VCPU dom0, so a 4096-node world stays buildable.
-func hollowNodeConfig() vmm.NodeConfig {
-	nc := vmm.DefaultNodeConfig()
-	nc.PCPUs = 2
-	nc.Dom0VCPUs = 1
-	return nc
-}
-
-// hollowProfile is the per-node workload: short compute, one ring
-// message per iteration, no lock traffic, blocking receives. The ring
-// pattern makes every iteration cross node boundaries, exercising the
-// shard synchronization path at full fan-out.
-func hollowProfile() workload.AppProfile {
-	return workload.AppProfile{
-		Name:           "hollow-ring",
-		ComputePerIter: 200 * sim.Microsecond,
-		Pattern:        workload.PatternRing,
-		MsgSize:        4 << 10,
-		Iterations:     50,
-		Footprint:      4 << 20,
-		ColdRate:       0.01,
 	}
 }
 
@@ -106,8 +81,7 @@ type benchScaleFile struct {
 // and drives it for scaleSimTime of virtual time, returning the cell's
 // measurements.
 func runScaleCell(n, shards int, seed uint64) (scaleCell, error) {
-	cfg := cluster.DefaultConfig(n, cluster.CR)
-	cfg.Node = hollowNodeConfig()
+	cfg := cluster.HollowConfig(n, cluster.CR)
 	cfg.Shards = shards
 	cfg.Seed = seed
 	s, err := cluster.New(cfg)
@@ -115,7 +89,7 @@ func runScaleCell(n, shards int, seed uint64) (scaleCell, error) {
 		return scaleCell{}, err
 	}
 	vms := s.VirtualCluster("hollow", n, 1, nil)
-	s.RunBackground(hollowProfile(), vms)
+	s.RunBackground(workload.HollowRing(), vms)
 
 	start := time.Now()
 	s.GoFor(scaleSimTime)

@@ -53,21 +53,6 @@ func luTenants(s *cluster.Scenario, sc Scale) {
 	}
 }
 
-// flipAll asks every node of s to swap to policy kind at its next period
-// boundary; nothing is rebuilt or restarted.
-func flipAll(s *cluster.Scenario, kind cluster.Approach) error {
-	f, err := cluster.SchedSpec{Kind: kind}.Factory()
-	if err != nil {
-		return err
-	}
-	for _, n := range s.World.Nodes() {
-		if err := n.SwapScheduler(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func init() {
 	register(Experiment{
 		ID: "switch",
@@ -102,7 +87,7 @@ func init() {
 
 			// The live flip: every node swaps to ATC at its next period
 			// boundary; nothing is rebuilt or restarted.
-			if err := flipAll(s, cluster.ATC); err != nil {
+			if err := s.SwitchAt(s.World.Now(), nil, cluster.SchedSpec{Kind: cluster.ATC}); err != nil {
 				return nil, err
 			}
 

@@ -107,22 +107,10 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 		return nil, err
 	}
 	if spec.SwapKind != "" {
-		swap := cfg.Sched
+		swap := cfg.Sched // inherit the spec's base-slice/boost/steal knobs
 		swap.Kind = cluster.Approach(spec.SwapKind)
-		f, err := swap.Factory()
-		if err != nil {
+		if err := s.SwitchAt(sim.FromSeconds(spec.SwapAtSec), nil, swap); err != nil {
 			return nil, err
-		}
-		at := sim.FromSeconds(spec.SwapAtSec)
-		// Each node schedules its own swap on its own engine: one global
-		// event cannot reach across shards, and per-node events at a
-		// fixed virtual time are exactly as deterministic.
-		for _, n := range s.World.Nodes() {
-			n.Engine().At(at, func() {
-				if err := n.SwapScheduler(f); err != nil {
-					panic(err) // nil factory cannot reach here
-				}
-			})
 		}
 	}
 	res.completed = s.Go(spec.horizon())

@@ -380,26 +380,8 @@ func Build(spec *Spec) (*Result, error) {
 		if len(sw.Options) > 0 {
 			sspec.Options = sw.Options
 		}
-		f, err := sspec.Factory()
-		if err != nil {
+		if err := s.SwitchAt(sim.FromSeconds(sw.AtSec), sw.Nodes, sspec); err != nil {
 			return nil, fmt.Errorf("scenario: policy switch %d: %w", i, err)
-		}
-		targets := sw.Nodes
-		if len(targets) == 0 {
-			targets = make([]int, spec.Nodes)
-			for n := range targets {
-				targets[n] = n
-			}
-		}
-		// Each target node schedules its own switch on its own engine:
-		// one event cannot reach across shards.
-		at := sim.FromSeconds(sw.AtSec)
-		for _, n := range targets {
-			node := s.World.Node(n)
-			node.Engine().At(at, func() {
-				// Validate ruled out the only error (nil factory).
-				_ = node.SwapScheduler(f)
-			})
 		}
 	}
 	res := &Result{

@@ -379,6 +379,24 @@ func NPB(kernel string, class Class) AppProfile {
 	return p
 }
 
+// HollowRing is the kubemark-style per-node kernel of hollow worlds
+// (cluster.HollowConfig): short compute, one ring message per iteration,
+// no lock traffic, blocking receives. The ring makes every iteration
+// cross node boundaries, exercising the shard synchronization path at
+// full fan-out, while the guests stay cheap enough that thousand-node
+// runs measure the simulator or the control plane, not the kernels.
+func HollowRing() AppProfile {
+	return AppProfile{
+		Name:           "hollow-ring",
+		ComputePerIter: 200 * sim.Microsecond,
+		Pattern:        PatternRing,
+		MsgSize:        4 << 10,
+		Iterations:     50,
+		Footprint:      4 << 20,
+		ColdRate:       0.01,
+	}
+}
+
 // NPBKernels lists the six kernels the paper evaluates.
 func NPBKernels() []string { return []string{"lu", "is", "sp", "bt", "mg", "cg"} }
 
