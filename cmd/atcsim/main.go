@@ -1,9 +1,10 @@
 // Command atcsim runs a single ad-hoc scenario: a cluster of nodes under
 // a chosen scheduling approach, a set of identical virtual clusters
-// running one NPB-like kernel, and optional non-parallel co-tenants. It
+// running one NPB-like kernel, and optional CPU-hog co-tenants. It
 // prints per-cluster execution times, spinlock latency, and scheduler
 // statistics — a quick way to poke at the simulator without the full
-// experiment harness.
+// experiment harness. The flags describe a scenario.Spec; -f reads one
+// from a JSON file instead, and both are built by scenario.Build.
 //
 // Example:
 //
@@ -27,7 +28,6 @@ import (
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
-	"atcsched/internal/workload"
 )
 
 func main() {
@@ -54,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 		slice    = fs.Float64("slice", 0, "fixed time slice in ms (0 = scheduler default)")
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		horizon  = fs.Float64("horizon", 1200, "virtual-time budget in seconds")
-		hogs     = fs.Int("hogs", 0, "CPU-hog non-parallel VMs per node")
+		hogs     = fs.Int("hogs", 0, "CPU-hog (1-VCPU gcc) non-parallel VMs per node")
 		trace    = fs.String("trace", "", "write a scheduling trace: 'summary', 'text:<file>' or 'csv:<file>'")
 		traceCap = fs.Int("tracecap", 200000, "max trace records retained (ring)")
 		timeline = fs.String("timeline", "", "write a Chrome/Perfetto trace-event timeline to this file")
@@ -68,105 +68,93 @@ func run(args []string, stdout io.Writer) error {
 		return listSchedulers(stdout)
 	}
 
-	// Either artifact flag attaches the telemetry plane; the timeline
-	// additionally needs the scheduling tracer for its PCPU lanes.
-	var plane *telemetry.Plane
-	if *timeline != "" || *jsonlOut != "" {
-		plane = telemetry.New(telemetry.Options{})
-	}
-	needTracer := func() bool { return *trace != "" || *timeline != "" }
-
+	var spec *scenario.Spec
 	if *specFile != "" {
 		f, err := os.Open(*specFile)
 		if err != nil {
 			return err
 		}
-		spec, err := scenario.Load(f)
+		spec, err = scenario.Load(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		res, err := scenario.Build(spec)
-		if err != nil {
-			return err
+	} else {
+		if *vcs < 1 || *hogs < 0 {
+			return fmt.Errorf("need -vcs >= 1 and -hogs >= 0, got %d and %d", *vcs, *hogs)
 		}
-		if plane != nil {
-			res.Scenario.Cfg.Telemetry = plane
-			res.Scenario.World.SetTelemetry(plane)
+		spec = &scenario.Spec{
+			Nodes:      *nodes,
+			Scheduler:  scenario.SchedulerSpec{Kind: strings.ToUpper(*schedArg), FixedSliceMs: *slice},
+			Seed:       *seed,
+			HorizonSec: *horizon,
 		}
-		if needTracer() {
-			res.Scenario.World.SetTracer(vmm.NewTracer(*traceCap))
+		for vc := 0; vc < *vcs; vc++ {
+			spec.VirtualClusters = append(spec.VirtualClusters, scenario.VCSpec{
+				VCPUs: *vcpus, Kernel: *kernel, Class: strings.ToUpper(*class), Rounds: *rounds,
+			})
 		}
+		for n := 0; n < *nodes; n++ {
+			for h := 0; h < *hogs; h++ {
+				spec.Jobs = append(spec.Jobs, scenario.JobSpec{Type: "cpu", Name: "gcc", Node: n})
+			}
+		}
+	}
+	res, err := scenario.Build(spec)
+	if err != nil {
+		return err
+	}
+	s := res.Scenario
+	// Either artifact flag attaches the telemetry plane; the timeline
+	// additionally needs the scheduling tracer for its PCPU lanes.
+	var plane *telemetry.Plane
+	if *timeline != "" || *jsonlOut != "" {
+		plane = telemetry.New(telemetry.Options{})
+		s.Cfg.Telemetry = plane
+		s.World.SetTelemetry(plane)
+	}
+	if *trace != "" || *timeline != "" {
+		s.World.SetTracer(vmm.NewTracer(*traceCap))
+	}
+
+	if *specFile != "" {
 		table, err := res.Run()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, table.String())
-		if plane != nil {
-			res.Scenario.FinalizeTelemetry()
-			if err := writeTelemetryArtifacts(*timeline, *jsonlOut, res.Scenario.World, plane); err != nil {
-				return err
-			}
-		}
-		if *trace != "" {
-			return emitTrace(stdout, res.Scenario.World.Trace(), *trace)
-		}
-		return nil
+	} else {
+		runFlagScenario(stdout, spec, s)
 	}
-
-	var cls workload.Class
-	switch strings.ToUpper(*class) {
-	case "A":
-		cls = workload.ClassA
-	case "B":
-		cls = workload.ClassB
-	case "C":
-		cls = workload.ClassC
-	default:
-		return fmt.Errorf("unknown class %q", *class)
-	}
-
-	cfg := cluster.DefaultConfig(*nodes, cluster.Approach(strings.ToUpper(*schedArg)))
-	cfg.Seed = *seed
-	if *slice > 0 {
-		cfg.Sched.FixedSlice = sim.FromMillis(*slice)
-	}
-	cfg.Telemetry = plane
-	s, err := cluster.New(cfg)
-	if err != nil {
-		return err
-	}
-	if needTracer() {
-		s.World.SetTracer(vmm.NewTracer(*traceCap))
-	}
-
-	prof := workload.NPB(*kernel, cls)
-	var runs []*workload.ParallelRun
-	for vc := 0; vc < *vcs; vc++ {
-		vms := s.VirtualCluster(fmt.Sprintf("vc%d", vc), *nodes, *vcpus, nil)
-		runs = append(runs, s.RunParallel(prof, vms, *rounds, false))
-	}
-	for n := 0; n < *nodes; n++ {
-		for h := 0; h < *hogs; h++ {
-			vm := s.IndependentVM(fmt.Sprintf("hog%d-%d", n, h), n, *vcpus, vmm.ClassNonParallel)
-			for _, v := range vm.VCPUs() {
-				workload.NewCPUJob(v, workload.SPECProfiles()[0])
-			}
+	if plane != nil {
+		s.FinalizeTelemetry()
+		if err := writeTelemetryArtifacts(*timeline, *jsonlOut, s.World, plane); err != nil {
+			return err
 		}
 	}
+	if *trace != "" {
+		return emitTrace(stdout, s.World.Trace(), *trace)
+	}
+	return nil
+}
 
+// runFlagScenario drives the flag-built scenario to completion (or the
+// horizon) and prints its per-cluster report.
+func runFlagScenario(stdout io.Writer, spec *scenario.Spec, s *cluster.Scenario) {
 	wall := time.Now()
-	ok := s.Go(sim.FromSeconds(*horizon))
+	ok := s.Go(sim.FromSeconds(spec.HorizonSec))
 	elapsed := time.Since(wall)
 
+	vc := spec.VirtualClusters[0]
 	fmt.Fprintf(stdout, "scenario: %d nodes x %d PCPUs, %d VCs of %d x %d-VCPU VMs, kernel %s, scheduler %s\n",
-		*nodes, cfg.Node.PCPUs, *vcs, *nodes, *vcpus, prof.Name, s.World.Node(0).Scheduler().Name())
+		spec.Nodes, s.Cfg.Node.PCPUs, len(spec.VirtualClusters), vc.VMs, vc.VCPUs, vc.Profile().Name,
+		s.World.Node(0).Scheduler().Name())
 	if !ok {
 		fmt.Fprintln(stdout, "WARNING: horizon exceeded before all clusters finished")
 	}
 	t := report.New("per-cluster results", "VC", "rounds", "mean exec", "spin latency", "LLC misses")
-	for i, r := range runs {
-		t.Add(fmt.Sprintf("vc%d", i), report.I(r.Rounds()),
+	for i, r := range s.Runs() {
+		t.Add(spec.VirtualClusters[i].Name, report.I(r.Rounds()),
 			fmt.Sprintf("%.3fs", r.MeanTime()),
 			r.App.SpinLatencyMean().String(),
 			report.I(r.App.LLCMisses()))
@@ -185,16 +173,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "node0 %s: final ATC slice %v\n", vm.Name(), a.CurrentSlice(vm))
 		}
 	}
-	if plane != nil {
-		s.FinalizeTelemetry()
-		if err := writeTelemetryArtifacts(*timeline, *jsonlOut, s.World, plane); err != nil {
-			return err
-		}
-	}
-	if *trace != "" {
-		return emitTrace(stdout, s.World.Trace(), *trace)
-	}
-	return nil
 }
 
 // writeTelemetryArtifacts flushes the -timeline and -jsonl outputs

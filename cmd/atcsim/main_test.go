@@ -65,6 +65,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-sched", "NOPE"},
 		{"-f", "/nonexistent/path.json"},
 		{"-trace", "wat:x", "-nodes", "1", "-vcs", "1", "-vcpus", "1", "-rounds", "1", "-kernel", "ep", "-class", "A", "-horizon", "60"},
+		{"-kernel", "zz"},
+		{"-horizon", "-5"},
+		{"-vcs", "0"},
+		{"-vcpus", "-1"},
+		{"-rounds", "-1"},
+		{"-slice", "-3"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

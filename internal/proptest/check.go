@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"atcsched/internal/cluster"
+	"atcsched/internal/scenario"
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
-	"atcsched/internal/workload"
 )
 
 // auditEvery is the virtual-time interval between mid-run audits.
@@ -23,9 +23,12 @@ const traceCap = 50000
 type result struct {
 	approach  cluster.Approach
 	completed bool
+	// clusters are the Spec's virtual clusters as the built scenario saw
+	// them, defaults filled.
+	clusters []scenario.VCSpec
 	// runRounds, clusterSent and clusterRounds are indexed like
-	// Spec.Clusters: completed run rounds, packets posted by the
-	// cluster's VMs, and summed per-VCPU process rounds.
+	// clusters: completed run rounds, packets posted by the cluster's
+	// VMs, and summed per-VCPU process rounds.
 	runRounds     []int
 	clusterSent   []uint64
 	clusterRounds []uint64
@@ -39,12 +42,12 @@ type result struct {
 	// auditTimes are the virtual times the hook observed, in call order —
 	// the clock-monotonicity witness.
 	auditTimes []sim.Time
-	// endTime, swaps and tick witness the live-switch property: per-node
-	// applied-swap counts at the end of the run, the virtual end time,
-	// and the scheduling period (swaps apply at period boundaries).
+	// endTime, swaps and period witness the live-switch property:
+	// per-node applied-swap counts at the end of the run, the virtual end
+	// time, and the scheduling period (swaps apply at period boundaries).
 	endTime sim.Time
 	swaps   []uint64
-	tick    sim.Time
+	period  sim.Time
 	// fingerprint is set only for traced runs: result stats plus the
 	// rendered scheduling trace, compared byte-for-byte across replays.
 	fingerprint string
@@ -55,74 +58,36 @@ type result struct {
 // With traced set a bounded scheduling tracer is attached and the full
 // fingerprint is rendered.
 func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) {
-	cfg := cluster.DefaultConfig(spec.Nodes, approach)
-	cfg.Seed = spec.Seed
-	cfg.Node.PCPUs = spec.PCPUs
-	cfg.Shards = spec.Shards
-	if spec.FixedSliceMs > 0 {
-		cfg.Sched.FixedSlice = sim.FromMillis(spec.FixedSliceMs)
+	w := clone(spec)
+	w.Scheduler.Kind = string(approach)
+	built, err := scenario.Build(&w.Spec)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Sched.DisableBoost = spec.DisableBoost
-	cfg.Sched.DisableSteal = spec.DisableSteal
-	cfg.Faults = spec.Faults
+	s := built.Scenario
+	res := &result{approach: approach, clusters: w.VirtualClusters}
+	s.Cfg.AuditEvery = auditEvery
+	s.Cfg.OnAudit = func(at sim.Time, errs []error) {
+		res.auditTimes = append(res.auditTimes, at)
+	}
 	if spec.Telemetry {
 		// Instrumented runs must fingerprint identically to bare ones:
 		// the battery attaches a full plane and otherwise changes nothing.
-		cfg.Telemetry = telemetry.New(telemetry.Options{})
-	}
-	for i, k := range spec.NodeKinds {
-		if k == "" {
-			continue
-		}
-		if cfg.NodePolicies == nil {
-			cfg.NodePolicies = map[int]cluster.SchedSpec{}
-		}
-		pin := cfg.Sched // inherit the spec's base-slice/boost/steal knobs
-		pin.Kind = cluster.Approach(k)
-		cfg.NodePolicies[i] = pin
-	}
-	cfg.AuditEvery = auditEvery
-	res := &result{approach: approach}
-	cfg.OnAudit = func(at sim.Time, errs []error) {
-		res.auditTimes = append(res.auditTimes, at)
-	}
-	s, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
+		plane := telemetry.New(telemetry.Options{})
+		s.Cfg.Telemetry = plane
+		s.World.SetTelemetry(plane)
 	}
 	if traced {
 		s.World.SetTracer(vmm.NewTracer(traceCap))
 	}
-	clusterVMs := make([][]*vmm.VM, len(spec.Clusters))
-	for i, c := range spec.Clusters {
-		prof, err := c.profile()
-		if err != nil {
-			return nil, err
-		}
-		vms := s.VirtualCluster(fmt.Sprintf("vc%d", i), c.VMs, c.VCPUs, nil)
-		clusterVMs[i] = vms
-		s.RunParallel(prof, vms, c.Rounds, false)
-	}
-	if err := buildJobs(s, spec); err != nil {
-		return nil, err
-	}
-	if spec.SwapKind != "" {
-		swap := cfg.Sched // inherit the spec's base-slice/boost/steal knobs
-		swap.Kind = cluster.Approach(spec.SwapKind)
-		if err := s.SwitchAt(sim.FromSeconds(spec.SwapAtSec), nil, swap); err != nil {
-			return nil, err
-		}
-	}
-	res.completed = s.Go(spec.horizon())
+	res.completed = s.Go(sim.FromSeconds(w.HorizonSec))
 	// Exercise the end-of-run telemetry publication too (no-op when the
 	// spec did not attach a plane); it must never disturb the world.
 	s.FinalizeTelemetry()
-	for _, run := range s.Runs() {
+	for i, run := range s.Runs() {
 		res.runRounds = append(res.runRounds, run.Rounds())
-	}
-	for i, vms := range clusterVMs {
 		var sent, rounds uint64
-		for _, vm := range vms {
+		for _, vm := range run.App.VMs {
 			sent += vm.PacketsSent()
 			for _, v := range vm.VCPUs() {
 				rounds += v.Rounds()
@@ -142,7 +107,7 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 	res.auditViols = s.AuditViolations()
 	res.finalAudit = s.World.Audit()
 	res.endTime = s.World.Now()
-	res.tick = cfg.Node.TickInterval
+	res.period = s.Cfg.Node.SchedPeriod
 	for _, n := range s.World.Nodes() {
 		res.swaps = append(res.swaps, n.Swaps())
 	}
@@ -150,42 +115,6 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 		res.fingerprint = fingerprint(s)
 	}
 	return res, nil
-}
-
-// buildJobs installs the Spec's non-parallel co-tenants, mirroring the
-// scenario runner's job placement (peer VMs on the next node around).
-func buildJobs(s *cluster.Scenario, spec Spec) error {
-	for i, j := range spec.Jobs {
-		peer := (j.Node + 1) % spec.Nodes
-		label := fmt.Sprintf("%s%d", j.Type, i)
-		switch j.Type {
-		case "web":
-			server := s.IndependentVM(label+"-srv", j.Node, 2, vmm.ClassNonParallel)
-			client := s.IndependentVM(label+"-cli", peer, 2, vmm.ClassNonParallel)
-			workload.NewWebJob(client, 0, server, 0,
-				20*sim.Millisecond, 2*sim.Millisecond, spec.Seed+uint64(i))
-		case "ping":
-			client := s.IndependentVM(label+"-cli", peer, 1, vmm.ClassNonParallel)
-			echo := s.IndependentVM(label+"-echo", j.Node, 1, vmm.ClassNonParallel)
-			workload.NewPingJob(client, 0, echo, 0, 10*sim.Millisecond)
-		case "disk":
-			vm := s.IndependentVM(label, j.Node, 1, vmm.ClassNonParallel)
-			workload.NewDiskJob(vm.VCPU(0))
-		case "stream":
-			vm := s.IndependentVM(label, j.Node, 1, vmm.ClassNonParallel)
-			workload.NewStreamJob(vm.VCPU(0))
-		case "cpu":
-			vm := s.IndependentVM(label, j.Node, 1, vmm.ClassNonParallel)
-			for _, p := range workload.SPECProfiles() {
-				if p.Name == j.Name {
-					workload.NewCPUJob(vm.VCPU(0), p)
-				}
-			}
-		default:
-			return fmt.Errorf("proptest: unknown job type %q", j.Type)
-		}
-	}
-	return nil
 }
 
 // fingerprint renders the run's observable outcome — engine counters,
@@ -217,22 +146,19 @@ func fingerprint(s *cluster.Scenario) string {
 }
 
 // check evaluates the single-approach properties: liveness, audit
-// cleanliness, clock monotonicity and analytic packet conservation.
+// cleanliness, clock monotonicity, analytic packet conservation and
+// live-switch application.
 func (r *result) check(spec Spec) error {
 	if !r.completed {
-		return fmt.Errorf("liveness: measured runs incomplete after horizon %v (rounds %v)",
-			spec.horizon(), r.runRounds)
+		return fmt.Errorf("liveness: measured runs incomplete after horizon %vs (rounds %v)",
+			spec.HorizonSec, r.runRounds)
 	}
-	for i, c := range spec.Clusters {
+	for i, c := range r.clusters {
 		if r.runRounds[i] != c.Rounds {
 			return fmt.Errorf("liveness: cluster %d completed %d rounds, want %d",
 				i, r.runRounds[i], c.Rounds)
 		}
-		prof, err := c.profile()
-		if err != nil {
-			return err
-		}
-		wantSent := uint64(c.Rounds) * prof.MessagesPerRound(c.VMs, c.VCPUs)
+		wantSent := uint64(c.Rounds) * c.Profile().MessagesPerRound(c.VMs, c.VCPUs)
 		if r.clusterSent[i] != wantSent {
 			return fmt.Errorf("conservation: cluster %d posted %d packets, analytic count %d",
 				i, r.clusterSent[i], wantSent)
@@ -258,16 +184,29 @@ func (r *result) check(spec Spec) error {
 				r.auditTimes[i-1], r.auditTimes[i])
 		}
 	}
-	if spec.SwapKind != "" {
-		// Swaps apply at each node's next period boundary; phase stagger
-		// keeps boundaries within one period of each other, so any node
-		// still unswapped two periods past the request missed it.
-		deadline := sim.FromSeconds(spec.SwapAtSec) + 2*r.tick
-		for i, n := range r.swaps {
-			if r.endTime >= deadline && n == 0 {
-				return fmt.Errorf("switch: node %d never swapped to %s (requested at %vs, ran to %v)",
-					i, spec.SwapKind, spec.SwapAtSec, r.endTime)
+	// Swaps apply at each node's next period boundary; phase stagger
+	// keeps boundaries within one period of each other, so a switch is
+	// due on its nodes two periods past the request. Requests less than a
+	// period apart may land as one swap, so a node with switches due
+	// must have applied at least one.
+	due := make([]int, len(r.swaps))
+	for _, sw := range spec.Switches {
+		if r.endTime < sim.FromSeconds(sw.AtSec)+2*r.period {
+			continue
+		}
+		if len(sw.Nodes) == 0 {
+			for i := range due {
+				due[i]++
 			}
+		}
+		for _, n := range sw.Nodes {
+			due[n]++
+		}
+	}
+	for i, n := range r.swaps {
+		if due[i] > 0 && n == 0 {
+			return fmt.Errorf("switch: node %d applied none of its %d due policy switches (ran to %v)",
+				i, due[i], r.endTime)
 		}
 	}
 	return nil

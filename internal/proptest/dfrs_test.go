@@ -5,6 +5,7 @@ import (
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/fault"
+	"atcsched/internal/scenario"
 )
 
 // dfrsKinds are the fractional-share family added by the DFRS PR; the
@@ -22,29 +23,28 @@ func dfrsEquivSpec(kind cluster.Approach) Spec {
 	if kind == cluster.ATCDFRS {
 		other = string(cluster.DFRS)
 	}
-	return Spec{
-		Seed:  11,
-		Nodes: 4,
-		PCPUs: 2,
-		Clusters: []ClusterSpec{
+	return Spec{Spec: scenario.Spec{
+		Seed:         11,
+		Nodes:        4,
+		PCPUsPerNode: 2,
+		VirtualClusters: []scenario.VCSpec{
 			{Kernel: "lu", Class: "A", VMs: 4, VCPUs: 2, Rounds: 2, Iterations: 3},
 			{Kernel: "ep", Class: "A", VMs: 2, VCPUs: 2, Rounds: 2, Iterations: 2},
 		},
-		Jobs: []JobSpec{
+		Jobs: []scenario.JobSpec{
 			{Type: "web", Node: 0},
 			{Type: "disk", Node: 2},
 			{Type: "ping", Node: 3},
 		},
-		NodeKinds:  []string{"", other, "", ""},
-		SwapKind:   other,
-		SwapAtSec:  0.25,
-		HorizonSec: 900,
+		NodePolicies: []scenario.NodePolicySpec{{Nodes: []int{1}, Kind: other}},
+		Switches:     []scenario.SwitchSpec{{AtSec: 0.25, Kind: other}},
+		HorizonSec:   900,
 		Faults: &fault.Spec{Windows: []fault.Window{
 			{Kind: fault.PCPUSlow, StartSec: 0.02, DurSec: 0.2, Nodes: []int{2}, Severity: 3},
 			{Kind: fault.PacketLoss, StartSec: 0.05, DurSec: 0.3, Severity: 0.15},
 			{Kind: fault.MonitorDrop, StartSec: 0.01, DurSec: 0.3, Severity: 0.4},
 		}},
-	}
+	}}
 }
 
 // TestDFRSDifferentialPinned runs the full property battery — audit
@@ -118,16 +118,18 @@ func TestDFRSShardTelemetryEquivalence(t *testing.T) {
 }
 
 // TestGenerateDrawsFractionalKinds pins that the generator's kind pool
-// actually contains the fractional family — nodeKinds and swapKind draws
-// come from registry.Kinds(), so DFRS/ATCDFRS must flow into generated
-// scenarios without proptest-side lists to maintain.
+// actually contains the fractional family — node-policy and switch kind
+// draws come from registry.Kinds(), so DFRS/ATCDFRS must flow into
+// generated scenarios without proptest-side lists to maintain.
 func TestGenerateDrawsFractionalKinds(t *testing.T) {
 	seen := map[string]bool{}
 	for seed := uint64(1); seed <= 400 && (!seen["DFRS"] || !seen["ATCDFRS"]); seed++ {
 		spec := Generate(seed, Bounded())
-		seen[spec.SwapKind] = true
-		for _, k := range spec.NodeKinds {
-			seen[k] = true
+		for _, sw := range spec.Switches {
+			seen[sw.Kind] = true
+		}
+		for _, np := range spec.NodePolicies {
+			seen[np.Kind] = true
 		}
 	}
 	for _, k := range []string{"DFRS", "ATCDFRS"} {

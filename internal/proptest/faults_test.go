@@ -5,6 +5,7 @@ import (
 
 	"atcsched/internal/fault"
 	"atcsched/internal/proptest"
+	"atcsched/internal/scenario"
 )
 
 // faultSpec is the directed battery scenario: two small clusters plus a
@@ -12,11 +13,11 @@ import (
 // loss, bandwidth, and all three monitor faults — overlapping the
 // measured work.
 func faultSpec() proptest.Spec {
-	return proptest.Spec{
-		Seed:  42,
-		Nodes: 2,
-		PCPUs: 4,
-		Clusters: []proptest.ClusterSpec{
+	return proptest.Spec{Spec: scenario.Spec{
+		Seed:         42,
+		Nodes:        2,
+		PCPUsPerNode: 4,
+		VirtualClusters: []scenario.VCSpec{
 			{Kernel: "lu", Class: "A", VMs: 2, VCPUs: 4, Rounds: 2, Iterations: 4},
 			{Kernel: "ep", Class: "A", VMs: 2, VCPUs: 2, Rounds: 2, Iterations: 3},
 		},
@@ -30,7 +31,7 @@ func faultSpec() proptest.Spec {
 			{Kind: fault.MonitorNoise, StartSec: 0.1, DurSec: 0.2, Severity: 0.3},
 			{Kind: fault.MonitorStale, StartSec: 0.2, DurSec: 0.2, Severity: 0.5},
 		}},
-	}
+	}}
 }
 
 // TestFaultBattery runs the full property battery — liveness,

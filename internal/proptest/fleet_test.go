@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"atcsched/internal/scenario"
 )
 
 // TestFleetKillRestoreBattery sweeps the fleet kill-restore property
@@ -14,7 +16,7 @@ import (
 func TestFleetKillRestoreBattery(t *testing.T) {
 	for _, nodes := range []int{1, 2, 5, 8} {
 		for seed := uint64(1); seed <= 4; seed++ {
-			spec := Spec{Seed: seed, FleetNodes: nodes}
+			spec := Spec{Spec: scenario.Spec{Seed: seed}, FleetNodes: nodes}
 			if err := checkFleetKillRestore(spec); err != nil {
 				t.Errorf("nodes=%d seed=%d: %v", nodes, seed, err)
 			}

@@ -21,35 +21,33 @@ func FuzzWorld(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(42), uint8(1), uint8(3), uint8(1), uint8(2), uint8(5))
 	f.Add(uint64(7), uint8(0), uint8(1), uint8(7), uint8(1), uint8(255))
+	// A generated fault window scoped to a node the rewrite drops.
+	f.Add(uint64(178), uint8('$'), uint8(0xCF), uint8(0xAE), uint8('X'), uint8(0x81))
 	f.Fuzz(func(t *testing.T, seed uint64, nodes, pcpus, kernel, shape, opts uint8) {
 		spec := proptest.Generate(seed, proptest.Bounded())
 		// Rewrite the generated spec's shape from the fuzz bytes, clamped
 		// to a tiny world so each iteration stays cheap, and keep a single
 		// cluster so the fuzzer owns every knob that matters.
 		spec.Nodes = 1 + int(nodes)%2
-		spec.PCPUs = 1 + int(pcpus)%3
+		spec.PCPUsPerNode = 1 + int(pcpus)%3
 		kernels := []string{"lu", "is", "sp", "bt", "mg", "cg", "ep", "ft"}
-		spec.Clusters = spec.Clusters[:1]
-		spec.Clusters[0].Kernel = kernels[int(kernel)%len(kernels)]
-		spec.Clusters[0].Class = "A"
-		spec.Clusters[0].VMs = 1 + int(shape)%2
-		spec.Clusters[0].VCPUs = 1 + int(shape>>2)%3
-		spec.Clusters[0].Rounds = 1
-		spec.Clusters[0].Iterations = 1 + int(shape>>4)%3
-		spec.FixedSliceMs = []float64{0, 0.3, 5, 30}[int(opts)%4]
-		spec.DisableBoost = opts&16 != 0
-		spec.DisableSteal = opts&32 != 0
+		vc := &spec.VirtualClusters[0]
+		vc.Kernel = kernels[int(kernel)%len(kernels)]
+		vc.Class = "A"
+		vc.VMs = 1 + int(shape)%2
+		vc.VCPUs = 1 + int(shape>>2)%3
+		vc.Rounds = 1
+		vc.Iterations = 1 + int(shape>>4)%3
+		spec.VirtualClusters = spec.VirtualClusters[:1]
+		spec.Scheduler.FixedSliceMs = []float64{0, 0.3, 5, 30}[int(opts)%4]
+		spec.Scheduler.DisableBoost = opts&16 != 0
+		spec.Scheduler.DisableSteal = opts&32 != 0
 		if len(spec.Jobs) > 1 {
 			spec.Jobs = spec.Jobs[:1]
 		}
-		for i := range spec.Jobs {
-			spec.Jobs[i].Node %= spec.Nodes
-		}
 		// The rewritten world may have fewer nodes than the generated
-		// per-node policy pins.
-		if len(spec.NodeKinds) > spec.Nodes {
-			spec.NodeKinds = spec.NodeKinds[:spec.Nodes]
-		}
+		// jobs, pins, switches and fault scopes name.
+		proptest.Rehome(&spec)
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("fuzz-derived spec invalid: %v", err)
 		}

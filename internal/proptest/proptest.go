@@ -34,52 +34,18 @@ import (
 
 	"atcsched/internal/fault"
 	"atcsched/internal/rng"
+	"atcsched/internal/scenario"
 	"atcsched/internal/sched/registry"
-	"atcsched/internal/sim"
 	"atcsched/internal/workload"
 )
 
-// Spec is one generated scenario: the world shape, the tenants, and the
-// scheduler parameters — everything except the approach under test, so
-// the same Spec runs differentially across all approaches. It is plain
-// data (JSON-marshalable) so failing cases can be reported, minimized
-// and replayed.
+// Spec is one generated scenario: a scenario.Spec with Scheduler.Kind
+// left for the approach under test, so the same Spec runs differentially
+// across all approaches, plus the battery's own two knobs. It marshals
+// as scenario JSON with fleetNodes and telemetry beside it, so failing
+// cases can be reported, minimized and replayed.
 type Spec struct {
-	// Seed drives all workload randomness inside the world.
-	Seed uint64 `json:"seed"`
-	// Nodes and PCPUs shape the physical cluster.
-	Nodes int `json:"nodes"`
-	PCPUs int `json:"pcpus"`
-	// FixedSliceMs, when nonzero, pins the base time slice.
-	FixedSliceMs float64 `json:"fixedSliceMs,omitempty"`
-	// DisableBoost/DisableSteal toggle the credit core's wake boost and
-	// idle stealing — adversarial knobs for the state machine.
-	DisableBoost bool `json:"disableBoost,omitempty"`
-	DisableSteal bool `json:"disableSteal,omitempty"`
-	// Clusters are the measured parallel tenants.
-	Clusters []ClusterSpec `json:"clusters"`
-	// Jobs are non-parallel co-tenants (background noise; their work is
-	// time-dependent and excluded from conservation checks).
-	Jobs []JobSpec `json:"jobs,omitempty"`
-	// NodeKinds, when present, pins individual nodes to a registered
-	// scheduler kind regardless of the approach under test (heterogeneous
-	// clusters). Entry i applies to node i; an empty string keeps the
-	// approach's scheduler on that node.
-	NodeKinds []string `json:"nodeKinds,omitempty"`
-	// SwapKind, when nonempty, live-swaps every node to this registered
-	// kind at SwapAtSec of virtual time — the mid-run policy-switch
-	// property.
-	SwapKind  string  `json:"swapKind,omitempty"`
-	SwapAtSec float64 `json:"swapAtSec,omitempty"`
-	// Faults, when present, layers a deterministic fault schedule onto
-	// the run; the battery's properties must hold regardless.
-	Faults *fault.Spec `json:"faults,omitempty"`
-	// Shards is how many engine shards the world runs on, 1..8; 0 reads
-	// as 1, so specs written before the serial engine was retired still
-	// parse. The battery's properties are shard-blind; the dedicated
-	// shard equivalence check additionally proves fingerprints match
-	// across shard counts.
-	Shards int `json:"shards,omitempty"`
+	scenario.Spec
 	// FleetNodes, when positive, additionally runs the fleet
 	// control-plane kill-restore property on a separate hollow world of
 	// that many nodes: a fleet daemon killed mid-run and restored from
@@ -92,33 +58,11 @@ type Spec struct {
 	// identical with or without it — so the battery runs a slice of
 	// scenarios instrumented to keep that contract honest.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// HorizonSec caps the run's virtual time (liveness safety net).
-	HorizonSec float64 `json:"horizonSec"`
 }
 
-// ClusterSpec sizes one virtual cluster and its BSP application.
-type ClusterSpec struct {
-	Kernel string `json:"kernel"`
-	Class  string `json:"class"`
-	VMs    int    `json:"vms"`
-	VCPUs  int    `json:"vcpus"`
-	Rounds int    `json:"rounds"`
-	// Iterations overrides the kernel's superstep count, scaling work
-	// down to property-test size.
-	Iterations int `json:"iterations"`
-}
-
-// JobSpec places one non-parallel tenant.
-type JobSpec struct {
-	// Type is ping, web, disk, stream, or cpu.
-	Type string `json:"type"`
-	Node int    `json:"node"`
-	// Name selects the CPU profile for type cpu.
-	Name string `json:"name,omitempty"`
-}
-
-// Generator hard bounds: Validate rejects anything outside them, so
-// fuzz-derived Specs cannot blow up memory or wall time.
+// Generator hard bounds, tighter than the scenario caps: Validate
+// rejects anything outside them, so fuzz-derived Specs cannot blow up
+// memory or wall time.
 const (
 	maxNodes      = 8
 	maxPCPUs      = 16
@@ -140,17 +84,18 @@ const (
 	maxFaultWindows = 8
 )
 
-// Validate checks a Spec against the generator's hard bounds.
+// Validate checks a Spec against the generator's hard bounds and then
+// the scenario's own rules (on a copy: s is left unchanged).
 func (s Spec) Validate() error {
 	switch {
 	case s.Nodes < 1 || s.Nodes > maxNodes:
 		return fmt.Errorf("proptest: nodes %d out of [1,%d]", s.Nodes, maxNodes)
-	case s.PCPUs < 1 || s.PCPUs > maxPCPUs:
-		return fmt.Errorf("proptest: pcpus %d out of [1,%d]", s.PCPUs, maxPCPUs)
-	case s.FixedSliceMs < 0 || s.FixedSliceMs > 100:
-		return fmt.Errorf("proptest: fixed slice %vms out of [0,100]", s.FixedSliceMs)
-	case len(s.Clusters) < 1 || len(s.Clusters) > maxClusters:
-		return fmt.Errorf("proptest: %d clusters out of [1,%d]", len(s.Clusters), maxClusters)
+	case s.PCPUsPerNode < 1 || s.PCPUsPerNode > maxPCPUs:
+		return fmt.Errorf("proptest: pcpusPerNode %d out of [1,%d]", s.PCPUsPerNode, maxPCPUs)
+	case s.Scheduler.FixedSliceMs < 0 || s.Scheduler.FixedSliceMs > 100:
+		return fmt.Errorf("proptest: fixed slice %vms out of [0,100]", s.Scheduler.FixedSliceMs)
+	case len(s.VirtualClusters) < 1 || len(s.VirtualClusters) > maxClusters:
+		return fmt.Errorf("proptest: %d clusters out of [1,%d]", len(s.VirtualClusters), maxClusters)
 	case len(s.Jobs) > maxJobs:
 		return fmt.Errorf("proptest: %d jobs exceeds %d", len(s.Jobs), maxJobs)
 	case s.HorizonSec <= 0 || s.HorizonSec > maxHorizonSec:
@@ -160,10 +105,7 @@ func (s Spec) Validate() error {
 	case s.FleetNodes < 0 || s.FleetNodes > maxFleetNodes:
 		return fmt.Errorf("proptest: fleetNodes %d out of [0,%d]", s.FleetNodes, maxFleetNodes)
 	}
-	for i, c := range s.Clusters {
-		if _, err := c.profile(); err != nil {
-			return fmt.Errorf("proptest: cluster %d: %w", i, err)
-		}
+	for i, c := range s.VirtualClusters {
 		switch {
 		case c.VMs < 1 || c.VMs > maxVMs:
 			return fmt.Errorf("proptest: cluster %d: vms %d out of [1,%d]", i, c.VMs, maxVMs)
@@ -173,36 +115,20 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("proptest: cluster %d: rounds %d out of [1,%d]", i, c.Rounds, maxRounds)
 		case c.Iterations < 1 || c.Iterations > maxIterations:
 			return fmt.Errorf("proptest: cluster %d: iterations %d out of [1,%d]", i, c.Iterations, maxIterations)
+		case c.Forever || c.Background:
+			// Conservation counts exactly the target rounds of every
+			// cluster; a run that goes on has no such count.
+			return fmt.Errorf("proptest: cluster %d: forever and background runs are not checkable", i)
 		}
 	}
-	if len(s.NodeKinds) > s.Nodes {
-		return fmt.Errorf("proptest: %d node kinds for %d nodes", len(s.NodeKinds), s.Nodes)
-	}
-	for i, k := range s.NodeKinds {
-		if k == "" {
-			continue
-		}
-		if _, ok := registry.Lookup(k); !ok {
-			return fmt.Errorf("proptest: node kind %d: %w", i, registry.UnknownKindError(k))
-		}
-	}
-	switch {
-	case s.SwapKind == "" && s.SwapAtSec != 0:
-		return fmt.Errorf("proptest: swapAtSec %v without swapKind", s.SwapAtSec)
-	case s.SwapKind != "":
-		if _, ok := registry.Lookup(s.SwapKind); !ok {
-			return fmt.Errorf("proptest: swap: %w", registry.UnknownKindError(s.SwapKind))
-		}
-		if s.SwapAtSec <= 0 || s.SwapAtSec > s.HorizonSec {
-			return fmt.Errorf("proptest: swapAtSec %vs out of (0,%vs]", s.SwapAtSec, s.HorizonSec)
+	for i, sw := range s.Switches {
+		if sw.AtSec > s.HorizonSec {
+			return fmt.Errorf("proptest: policy switch %d at %vs, past horizon %vs", i, sw.AtSec, s.HorizonSec)
 		}
 	}
 	if s.Faults != nil {
 		if n := len(s.Faults.Windows); n > maxFaultWindows {
 			return fmt.Errorf("proptest: %d fault windows exceeds %d", n, maxFaultWindows)
-		}
-		if err := s.Faults.Validate(s.Nodes); err != nil {
-			return fmt.Errorf("proptest: %w", err)
 		}
 		for i, w := range s.Faults.Windows {
 			if w.StartSec+w.DurSec > s.HorizonSec {
@@ -211,61 +137,9 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	for i, j := range s.Jobs {
-		switch j.Type {
-		case "ping", "web", "disk", "stream":
-		case "cpu":
-			found := false
-			for _, p := range workload.SPECProfiles() {
-				if p.Name == j.Name {
-					found = true
-				}
-			}
-			if !found {
-				return fmt.Errorf("proptest: job %d: unknown cpu profile %q", i, j.Name)
-			}
-		default:
-			return fmt.Errorf("proptest: job %d: unknown type %q", i, j.Type)
-		}
-		if j.Node < 0 || j.Node >= s.Nodes {
-			return fmt.Errorf("proptest: job %d: node %d out of range", i, j.Node)
-		}
-	}
-	return nil
+	c := clone(s)
+	return c.Spec.Validate()
 }
-
-// profile resolves the cluster's application profile with its iteration
-// override applied.
-func (c ClusterSpec) profile() (workload.AppProfile, error) {
-	var cls workload.Class
-	switch c.Class {
-	case "A":
-		cls = workload.ClassA
-	case "B":
-		cls = workload.ClassB
-	case "C":
-		cls = workload.ClassC
-	default:
-		return workload.AppProfile{}, fmt.Errorf("unknown class %q", c.Class)
-	}
-	known := false
-	for _, k := range append(workload.NPBKernels(), workload.ExtraKernels()...) {
-		if k == c.Kernel {
-			known = true
-		}
-	}
-	if !known {
-		return workload.AppProfile{}, fmt.Errorf("unknown kernel %q", c.Kernel)
-	}
-	p := workload.NPB(c.Kernel, cls)
-	if c.Iterations > 0 {
-		p.Iterations = c.Iterations
-	}
-	return p, nil
-}
-
-// horizon returns the Spec's virtual-time budget.
-func (s Spec) horizon() sim.Time { return sim.FromSeconds(s.HorizonSec) }
 
 // Limits bound the generator's draw ranges. The bounded gear keeps
 // tier-1 sweeps fast; the deep gear (-proptest.long) explores larger
@@ -355,18 +229,18 @@ func genFaults(src *rng.Source, nodes int) *fault.Spec {
 // internal/rng so the same seed always yields the same scenario.
 func Generate(seed uint64, lim Limits) Spec {
 	src := rng.New(seed)
-	spec := Spec{
-		Seed:       seed,
-		Nodes:      1 + src.Intn(lim.Nodes),
-		PCPUs:      1 + src.Intn(lim.PCPUs),
-		HorizonSec: 900,
-	}
-	spec.FixedSliceMs = fixedSliceChoices[src.Intn(len(fixedSliceChoices))]
-	spec.DisableBoost = src.Float64() < 0.1
-	spec.DisableSteal = src.Float64() < 0.1
+	spec := Spec{Spec: scenario.Spec{
+		Seed:         seed,
+		Nodes:        1 + src.Intn(lim.Nodes),
+		PCPUsPerNode: 1 + src.Intn(lim.PCPUs),
+		HorizonSec:   900,
+	}}
+	spec.Scheduler.FixedSliceMs = fixedSliceChoices[src.Intn(len(fixedSliceChoices))]
+	spec.Scheduler.DisableBoost = src.Float64() < 0.1
+	spec.Scheduler.DisableSteal = src.Float64() < 0.1
 	kernels := append(workload.NPBKernels(), workload.ExtraKernels()...)
 	for i, n := 0, 1+src.Intn(lim.Clusters); i < n; i++ {
-		spec.Clusters = append(spec.Clusters, ClusterSpec{
+		spec.VirtualClusters = append(spec.VirtualClusters, scenario.VCSpec{
 			Kernel:     kernels[src.Intn(len(kernels))],
 			Class:      classChoices[src.Intn(len(classChoices))],
 			VMs:        1 + src.Intn(lim.VMs),
@@ -376,7 +250,7 @@ func Generate(seed uint64, lim Limits) Spec {
 		})
 	}
 	for i, n := 0, src.Intn(lim.Jobs+1); i < n; i++ {
-		j := JobSpec{Type: jobTypes[src.Intn(len(jobTypes))], Node: src.Intn(spec.Nodes)}
+		j := scenario.JobSpec{Type: jobTypes[src.Intn(len(jobTypes))], Node: src.Intn(spec.Nodes)}
 		if j.Type == "cpu" {
 			profs := workload.SPECProfiles()
 			j.Name = profs[src.Intn(len(profs))].Name
@@ -389,16 +263,16 @@ func Generate(seed uint64, lim Limits) Spec {
 	if src.Float64() < 0.15 {
 		for i := 0; i < spec.Nodes; i++ {
 			if src.Float64() < 0.5 {
-				spec.NodeKinds = append(spec.NodeKinds, kinds[src.Intn(len(kinds))])
-			} else {
-				spec.NodeKinds = append(spec.NodeKinds, "")
+				spec.NodePolicies = append(spec.NodePolicies, scenario.NodePolicySpec{
+					Nodes: []int{i}, Kind: kinds[src.Intn(len(kinds))]})
 			}
 		}
 	}
 	if src.Float64() < 0.15 {
-		spec.SwapKind = kinds[src.Intn(len(kinds))]
+		sw := scenario.SwitchSpec{Kind: kinds[src.Intn(len(kinds))]}
 		// Early in the run so the swap lands while measured work is live.
-		spec.SwapAtSec = 0.05 + 0.5*src.Float64()
+		sw.AtSec = 0.05 + 0.5*src.Float64()
+		spec.Switches = []scenario.SwitchSpec{sw}
 	}
 	if src.Float64() < 0.15 {
 		spec.Faults = genFaults(src, spec.Nodes)

@@ -1,14 +1,17 @@
 package proptest_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/proptest"
+	"atcsched/internal/scenario"
 )
 
 // Sweep gears. Reproduce one failing scenario with
@@ -86,11 +89,42 @@ func TestSpecFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spec proptest.Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
+	spec, err := decodeSpec(data)
+	if err != nil {
 		t.Fatalf("parsing %s: %v", *specFile, err)
 	}
 	runBattery(t, spec)
+}
+
+// decodeSpec strictly decodes a Spec report: a field the Spec does not
+// have is an error, not silently dropped.
+func decodeSpec(data []byte) (proptest.Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var spec proptest.Spec
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// TestSpecJSONRoundTrip pins the shrinker-report workflow: every
+// generated Spec marshals and strictly decodes back to an equal Spec.
+func TestSpecJSONRoundTrip(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		for _, lim := range []proptest.Limits{proptest.Bounded(), proptest.Deep()} {
+			spec := proptest.Generate(seed, lim)
+			data, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatalf("seed %d: marshal: %v", seed, err)
+			}
+			back, err := decodeSpec(data)
+			if err != nil {
+				t.Fatalf("seed %d: strict decode of %s: %v", seed, data, err)
+			}
+			if !reflect.DeepEqual(back, spec) {
+				t.Fatalf("seed %d: round trip changed the spec:\n%+v\n%+v", seed, spec, back)
+			}
+		}
+	}
 }
 
 // TestGenerateDeterministic pins that the generator itself is a pure
@@ -153,8 +187,8 @@ func TestShrinkReducesFailingSpec(t *testing.T) {
 
 // size is a rough Spec magnitude for the shrinker test.
 func size(s proptest.Spec) int {
-	n := s.Nodes + s.PCPUs + len(s.Jobs)
-	for _, c := range s.Clusters {
+	n := s.Nodes + s.PCPUsPerNode + len(s.Jobs)
+	for _, c := range s.VirtualClusters {
 		n += c.VMs + c.VCPUs + c.Rounds + c.Iterations
 	}
 	return n
@@ -167,24 +201,31 @@ func TestValidateRejectsOutOfBounds(t *testing.T) {
 		mut  func(*proptest.Spec)
 	}{
 		{"zero nodes", func(s *proptest.Spec) { s.Nodes = 0 }},
-		{"huge pcpus", func(s *proptest.Spec) { s.PCPUs = 1 << 20 }},
-		{"no clusters", func(s *proptest.Spec) { s.Clusters = nil }},
-		{"bad kernel", func(s *proptest.Spec) { s.Clusters[0].Kernel = "nope" }},
-		{"bad class", func(s *proptest.Spec) { s.Clusters[0].Class = "Z" }},
-		{"huge vcpus", func(s *proptest.Spec) { s.Clusters[0].VCPUs = 1000 }},
-		{"zero rounds", func(s *proptest.Spec) { s.Clusters[0].Rounds = 0 }},
-		{"huge iterations", func(s *proptest.Spec) { s.Clusters[0].Iterations = 1 << 30 }},
-		{"bad job type", func(s *proptest.Spec) { s.Jobs = []proptest.JobSpec{{Type: "warp"}} }},
-		{"job node out of range", func(s *proptest.Spec) { s.Jobs = []proptest.JobSpec{{Type: "disk", Node: 99}} }},
+		{"huge pcpus", func(s *proptest.Spec) { s.PCPUsPerNode = 1 << 20 }},
+		{"no clusters", func(s *proptest.Spec) { s.VirtualClusters = nil }},
+		{"bad kernel", func(s *proptest.Spec) { s.VirtualClusters[0].Kernel = "nope" }},
+		{"bad class", func(s *proptest.Spec) { s.VirtualClusters[0].Class = "Z" }},
+		{"huge vcpus", func(s *proptest.Spec) { s.VirtualClusters[0].VCPUs = 1000 }},
+		{"zero rounds", func(s *proptest.Spec) { s.VirtualClusters[0].Rounds = 0 }},
+		{"huge iterations", func(s *proptest.Spec) { s.VirtualClusters[0].Iterations = 1 << 30 }},
+		{"forever cluster", func(s *proptest.Spec) { s.VirtualClusters[0].Forever = true }},
+		{"bad job type", func(s *proptest.Spec) { s.Jobs = []scenario.JobSpec{{Type: "warp"}} }},
+		{"job node out of range", func(s *proptest.Spec) { s.Jobs = []scenario.JobSpec{{Type: "disk", Node: 99}} }},
 		{"zero horizon", func(s *proptest.Spec) { s.HorizonSec = 0 }},
 		{"huge horizon", func(s *proptest.Spec) { s.HorizonSec = 1e18 }},
-		{"negative slice", func(s *proptest.Spec) { s.FixedSliceMs = -1 }},
-		{"too many node kinds", func(s *proptest.Spec) { s.NodeKinds = make([]string, s.Nodes+1) }},
-		{"unknown node kind", func(s *proptest.Spec) { s.NodeKinds = []string{"WARP"} }},
-		{"unknown swap kind", func(s *proptest.Spec) { s.SwapKind = "WARP"; s.SwapAtSec = 1 }},
-		{"swap time without kind", func(s *proptest.Spec) { s.SwapAtSec = 1 }},
-		{"swap time zero", func(s *proptest.Spec) { s.SwapKind = "ATC" }},
-		{"swap past horizon", func(s *proptest.Spec) { s.SwapKind = "ATC"; s.SwapAtSec = s.HorizonSec + 1 }},
+		{"negative slice", func(s *proptest.Spec) { s.Scheduler.FixedSliceMs = -1 }},
+		{"too many node kinds", func(s *proptest.Spec) {
+			s.NodePolicies = []scenario.NodePolicySpec{{Nodes: []int{s.Nodes}, Kind: "ATC"}}
+		}},
+		{"unknown node kind", func(s *proptest.Spec) {
+			s.NodePolicies = []scenario.NodePolicySpec{{Nodes: []int{0}, Kind: "WARP"}}
+		}},
+		{"unknown swap kind", func(s *proptest.Spec) { s.Switches = []scenario.SwitchSpec{{AtSec: 1, Kind: "WARP"}} }},
+		{"swap time without kind", func(s *proptest.Spec) { s.Switches = []scenario.SwitchSpec{{AtSec: 1}} }},
+		{"swap time zero", func(s *proptest.Spec) { s.Switches = []scenario.SwitchSpec{{Kind: "ATC"}} }},
+		{"swap past horizon", func(s *proptest.Spec) {
+			s.Switches = []scenario.SwitchSpec{{AtSec: s.HorizonSec + 1, Kind: "ATC"}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

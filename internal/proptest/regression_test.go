@@ -5,6 +5,7 @@ import (
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/proptest"
+	"atcsched/internal/scenario"
 )
 
 // Minimized specs for bugs the property harness found, pinned so they
@@ -17,15 +18,15 @@ import (
 // the slice restarted from scratch on every dispatch (so pollers never
 // blocked and dom0 never ran — total deadlock under HY).
 func TestRegressionHybridPollStarvation(t *testing.T) {
-	spec := proptest.Spec{
+	spec := proptest.Spec{Spec: scenario.Spec{
 		Seed:  20,
-		Nodes: 1, PCPUs: 1,
-		FixedSliceMs: 5,
-		Clusters: []proptest.ClusterSpec{
+		Nodes: 1, PCPUsPerNode: 1,
+		Scheduler: scenario.SchedulerSpec{FixedSliceMs: 5},
+		VirtualClusters: []scenario.VCSpec{
 			{Kernel: "sp", Class: "A", VMs: 2, VCPUs: 1, Rounds: 1, Iterations: 1},
 		},
 		HorizonSec: 900,
-	}
+	}}
 	if err := proptest.CheckSpec(spec, cluster.ExtendedApproaches()); err != nil {
 		t.Fatalf("pinned HY starvation spec failed again: %v", err)
 	}
@@ -36,16 +37,15 @@ func TestRegressionHybridPollStarvation(t *testing.T) {
 // runqueue, and with stealing disabled nothing told that idle PCPU to
 // look — a single compute-only VCPU on a 3-PCPU node never finished.
 func TestRegressionBalanceStrandsPreempted(t *testing.T) {
-	spec := proptest.Spec{
+	spec := proptest.Spec{Spec: scenario.Spec{
 		Seed:  47,
-		Nodes: 1, PCPUs: 3,
-		FixedSliceMs: 5,
-		DisableBoost: true, DisableSteal: true,
-		Clusters: []proptest.ClusterSpec{
+		Nodes: 1, PCPUsPerNode: 3,
+		Scheduler: scenario.SchedulerSpec{FixedSliceMs: 5, DisableBoost: true, DisableSteal: true},
+		VirtualClusters: []scenario.VCSpec{
 			{Kernel: "ep", Class: "A", VMs: 1, VCPUs: 1, Rounds: 1, Iterations: 2},
 		},
 		HorizonSec: 900,
-	}
+	}}
 	if err := proptest.CheckSpec(spec, cluster.ExtendedApproaches()); err != nil {
 		t.Fatalf("pinned BS stranding spec failed again: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/fault"
+	"atcsched/internal/scenario"
 )
 
 // shardEquivSpec is the pinned shard-equivalence scenario: four nodes
@@ -13,21 +14,20 @@ import (
 // schedule exercising the network, compute and monitor planes — every
 // subsystem whose sharding could leak into results.
 func shardEquivSpec() Spec {
-	return Spec{
-		Seed:  7,
-		Nodes: 4,
-		PCPUs: 2,
-		Clusters: []ClusterSpec{
+	return Spec{Spec: scenario.Spec{
+		Seed:         7,
+		Nodes:        4,
+		PCPUsPerNode: 2,
+		VirtualClusters: []scenario.VCSpec{
 			{Kernel: "lu", Class: "A", VMs: 4, VCPUs: 2, Rounds: 2, Iterations: 3},
 			{Kernel: "ep", Class: "A", VMs: 2, VCPUs: 2, Rounds: 2, Iterations: 2},
 		},
-		Jobs: []JobSpec{
+		Jobs: []scenario.JobSpec{
 			{Type: "web", Node: 0},
 			{Type: "ping", Node: 2},
 			{Type: "disk", Node: 3},
 		},
-		SwapKind:   "CR",
-		SwapAtSec:  0.2,
+		Switches:   []scenario.SwitchSpec{{AtSec: 0.2, Kind: "CR"}},
 		HorizonSec: 900,
 		Faults: &fault.Spec{Windows: []fault.Window{
 			{Kind: fault.PCPUSlow, StartSec: 0.01, DurSec: 0.2, Nodes: []int{1}, Severity: 3},
@@ -35,7 +35,7 @@ func shardEquivSpec() Spec {
 			{Kind: fault.Bandwidth, StartSec: 0.1, DurSec: 0.2, Severity: 0.5},
 			{Kind: fault.MonitorDrop, StartSec: 0.01, DurSec: 0.3, Severity: 0.4},
 		}},
-	}
+	}}
 }
 
 // shardCounts is the equivalence set the acceptance criteria name.

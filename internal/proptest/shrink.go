@@ -1,6 +1,9 @@
 package proptest
 
-import "atcsched/internal/fault"
+import (
+	"atcsched/internal/fault"
+	"atcsched/internal/scenario"
+)
 
 // shrinkAttempts bounds the total candidate re-runs one Shrink performs;
 // each candidate costs a full battery run, so the budget is modest.
@@ -37,10 +40,10 @@ func Shrink(spec Spec, check func(Spec) error) Spec {
 // structural drops before size halvings before option clearing.
 func candidates(s Spec) []Spec {
 	var out []Spec
-	if len(s.Clusters) > 1 {
-		for i := range s.Clusters {
+	if len(s.VirtualClusters) > 1 {
+		for i := range s.VirtualClusters {
 			c := clone(s)
-			c.Clusters = append(c.Clusters[:i:i], c.Clusters[i+1:]...)
+			c.VirtualClusters = append(c.VirtualClusters[:i:i], c.VirtualClusters[i+1:]...)
 			out = append(out, c)
 		}
 	}
@@ -62,68 +65,48 @@ func candidates(s Spec) []Spec {
 	if s.Nodes > 1 {
 		c := clone(s)
 		c.Nodes = halve(c.Nodes)
-		// Re-home jobs that lived on dropped nodes.
-		for i := range c.Jobs {
-			if c.Jobs[i].Node >= c.Nodes {
-				c.Jobs[i].Node = c.Nodes - 1
-			}
-		}
-		// Node-kind pins for dropped nodes go with them.
-		if len(c.NodeKinds) > c.Nodes {
-			c.NodeKinds = c.NodeKinds[:c.Nodes]
-		}
-		// Fault-window node scopes re-home the same way.
-		if c.Faults != nil {
-			for i := range c.Faults.Windows {
-				for j, n := range c.Faults.Windows[i].Nodes {
-					if n >= c.Nodes {
-						c.Faults.Windows[i].Nodes[j] = c.Nodes - 1
-					}
-				}
-			}
-		}
+		rehome(&c)
 		out = append(out, c)
 	}
-	if s.PCPUs > 1 {
+	if s.PCPUsPerNode > 1 {
 		c := clone(s)
-		c.PCPUs = halve(c.PCPUs)
+		c.PCPUsPerNode = halve(c.PCPUsPerNode)
 		out = append(out, c)
 	}
-	for i := range s.Clusters {
-		for _, f := range []func(*ClusterSpec){
-			func(c *ClusterSpec) { c.VMs = halve(c.VMs) },
-			func(c *ClusterSpec) { c.VCPUs = halve(c.VCPUs) },
-			func(c *ClusterSpec) { c.Rounds = halve(c.Rounds) },
-			func(c *ClusterSpec) { c.Iterations = halve(c.Iterations) },
+	for i := range s.VirtualClusters {
+		for _, f := range []func(*scenario.VCSpec){
+			func(c *scenario.VCSpec) { c.VMs = halve(c.VMs) },
+			func(c *scenario.VCSpec) { c.VCPUs = halve(c.VCPUs) },
+			func(c *scenario.VCSpec) { c.Rounds = halve(c.Rounds) },
+			func(c *scenario.VCSpec) { c.Iterations = halve(c.Iterations) },
 		} {
 			c := clone(s)
-			before := c.Clusters[i]
-			f(&c.Clusters[i])
-			if c.Clusters[i] != before {
+			before := c.VirtualClusters[i]
+			f(&c.VirtualClusters[i])
+			if c.VirtualClusters[i] != before {
 				out = append(out, c)
 			}
 		}
 	}
-	if s.FixedSliceMs != 0 {
+	if s.Scheduler.FixedSliceMs != 0 {
 		c := clone(s)
-		c.FixedSliceMs = 0
+		c.Scheduler.FixedSliceMs = 0
 		out = append(out, c)
 	}
-	if s.DisableBoost || s.DisableSteal {
+	if s.Scheduler.DisableBoost || s.Scheduler.DisableSteal {
 		c := clone(s)
-		c.DisableBoost = false
-		c.DisableSteal = false
+		c.Scheduler.DisableBoost = false
+		c.Scheduler.DisableSteal = false
 		out = append(out, c)
 	}
-	if len(s.NodeKinds) > 0 {
+	if len(s.NodePolicies) > 0 {
 		c := clone(s)
-		c.NodeKinds = nil
+		c.NodePolicies = nil
 		out = append(out, c)
 	}
-	if s.SwapKind != "" {
+	if len(s.Switches) > 0 {
 		c := clone(s)
-		c.SwapKind = ""
-		c.SwapAtSec = 0
+		c.Switches = nil
 		out = append(out, c)
 	}
 	if s.Faults != nil {
@@ -158,6 +141,50 @@ func candidates(s Spec) []Spec {
 	return out
 }
 
+// rehome fits s to its (reduced) node count: jobs, switch targets and
+// fault scopes on dropped nodes move to the last node, and node-policy
+// pins on dropped nodes are removed. s must already be a clone.
+func rehome(s *Spec) {
+	last := s.Nodes - 1
+	fit := func(n *int) {
+		if *n > last {
+			*n = last
+		}
+	}
+	for i := range s.Jobs {
+		fit(&s.Jobs[i].Node)
+		if p := s.Jobs[i].PeerNode; p != nil && *p > last {
+			s.Jobs[i].PeerNode = &last
+		}
+	}
+	for i := range s.Switches {
+		for j := range s.Switches[i].Nodes {
+			fit(&s.Switches[i].Nodes[j])
+		}
+	}
+	if s.Faults != nil {
+		for i := range s.Faults.Windows {
+			for j := range s.Faults.Windows[i].Nodes {
+				fit(&s.Faults.Windows[i].Nodes[j])
+			}
+		}
+	}
+	pins := s.NodePolicies[:0]
+	for _, np := range s.NodePolicies {
+		var kept []int
+		for _, n := range np.Nodes {
+			if n <= last {
+				kept = append(kept, n)
+			}
+		}
+		if len(kept) > 0 {
+			np.Nodes = kept
+			pins = append(pins, np)
+		}
+	}
+	s.NodePolicies = pins
+}
+
 // halve reduces n toward 1 without reaching 0.
 func halve(n int) int {
 	if n <= 1 {
@@ -166,12 +193,21 @@ func halve(n int) int {
 	return (n + 1) / 2
 }
 
-// clone deep-copies a Spec so candidate mutations stay independent.
+// clone deep-copies a Spec so mutations of the copy (candidate
+// reductions, rehoming, the defaults scenario validation fills in) stay
+// off the original.
 func clone(s Spec) Spec {
 	c := s
-	c.Clusters = append([]ClusterSpec(nil), s.Clusters...)
-	c.Jobs = append([]JobSpec(nil), s.Jobs...)
-	c.NodeKinds = append([]string(nil), s.NodeKinds...)
+	c.VirtualClusters = append([]scenario.VCSpec(nil), s.VirtualClusters...)
+	c.Jobs = append([]scenario.JobSpec(nil), s.Jobs...)
+	c.NodePolicies = append([]scenario.NodePolicySpec(nil), s.NodePolicies...)
+	for i := range c.NodePolicies {
+		c.NodePolicies[i].Nodes = append([]int(nil), c.NodePolicies[i].Nodes...)
+	}
+	c.Switches = append([]scenario.SwitchSpec(nil), s.Switches...)
+	for i := range c.Switches {
+		c.Switches[i].Nodes = append([]int(nil), c.Switches[i].Nodes...)
+	}
 	if s.Faults != nil {
 		f := fault.Spec{Seed: s.Faults.Seed}
 		f.Windows = append([]fault.Window(nil), s.Faults.Windows...)

@@ -5,22 +5,23 @@ import (
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/proptest"
+	"atcsched/internal/scenario"
 	"atcsched/internal/sched/registry"
 )
 
-// swapBase is a tiny but contended world: two nodes, two VMs spanning
-// them, a swap early enough to land while measured work is in flight.
+// swapBase is a tiny but contended world: two nodes and two VMs spanning
+// them; the swap test adds a switch early enough to land while measured
+// work is in flight.
 func swapBase() proptest.Spec {
-	return proptest.Spec{
-		Seed:  7,
-		Nodes: 2,
-		PCPUs: 2,
-		Clusters: []proptest.ClusterSpec{
+	return proptest.Spec{Spec: scenario.Spec{
+		Seed:         7,
+		Nodes:        2,
+		PCPUsPerNode: 2,
+		VirtualClusters: []scenario.VCSpec{
 			{Kernel: "lu", Class: "A", VMs: 2, VCPUs: 4, Rounds: 2, Iterations: 10},
 		},
-		SwapAtSec:  0.05,
 		HorizonSec: 900,
-	}
+	}}
 }
 
 // TestSwapPreservesInvariants is the live-switch property: for every
@@ -37,7 +38,7 @@ func TestSwapPreservesInvariants(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			spec := swapBase()
-			spec.SwapKind = kind
+			spec.Switches = []scenario.SwitchSpec{{AtSec: 0.05, Kind: kind}}
 			if err := proptest.CheckSpec(spec, approaches); err != nil {
 				t.Fatal(err)
 			}
@@ -52,8 +53,7 @@ func TestHeteroPreservesInvariants(t *testing.T) {
 		t.Skip("battery run")
 	}
 	spec := swapBase()
-	spec.SwapAtSec = 0
-	spec.NodeKinds = []string{"", "ATC"}
+	spec.NodePolicies = []scenario.NodePolicySpec{{Nodes: []int{1}, Kind: "ATC"}}
 	if err := proptest.CheckSpec(spec, []cluster.Approach{cluster.CR, cluster.CS}); err != nil {
 		t.Fatal(err)
 	}

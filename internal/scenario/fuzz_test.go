@@ -24,6 +24,8 @@ func FuzzScenarioJSON(f *testing.F) {
 		{"name":"b","kernel":"is","background":true}],
 		"jobs":[{"type":"ping","node":0,"intervalMs":5},{"type":"cpu","node":1,"name":"gcc"}]}`)
 	f.Add(`{"nodes":1,"jobs":[{"type":"web","node":0,"peerNode":0}]}`)
+	f.Add(`{"nodes":2,"shards":2,"scheduler":{"kind":"CR","disableBoost":true,"disableSteal":true},
+		"virtualClusters":[{"vms":2,"vcpus":2,"kernel":"ep","class":"A","rounds":1,"iterations":3}]}`)
 	f.Add(`{}`)
 	f.Add(`null`)
 	f.Add(`[]`)
@@ -48,9 +50,12 @@ func FuzzScenarioJSON(f *testing.F) {
 		if spec.HorizonSec <= 0 || spec.HorizonSec > maxHorizonSec {
 			t.Fatalf("accepted horizonSec=%v", spec.HorizonSec)
 		}
+		if spec.Shards < 0 || spec.Shards > maxNodes {
+			t.Fatalf("accepted shards=%d", spec.Shards)
+		}
 		small := spec.Nodes <= 2 && spec.PCPUsPerNode <= 4 && len(spec.Jobs) <= 2
 		for _, vc := range spec.VirtualClusters {
-			if vc.VMs < 1 || vc.VCPUs < 1 || vc.Rounds < 0 {
+			if vc.VMs < 1 || vc.VCPUs < 1 || vc.Rounds < 0 || vc.Iterations < 0 || vc.Iterations > maxIterations {
 				t.Fatalf("accepted cluster sizing %+v", vc)
 			}
 			if vc.VMs > 2 || vc.VCPUs > 2 {

@@ -1,8 +1,9 @@
-// Package scenario loads experiment descriptions from JSON and builds
-// runnable cluster scenarios from them — the declarative interface of
-// cmd/atcsim (-f scenario.json). A spec names the platform (nodes,
-// scheduler), the virtual clusters with their kernels, and the
-// non-parallel jobs; Run executes it and renders a result table.
+// Package scenario is the one description of a simulated world: a Spec
+// (JSON-decodable) names the platform (nodes, scheduler), the virtual
+// clusters with their kernels, and the non-parallel jobs; Build turns it
+// into a runnable cluster scenario and Run executes it and renders a
+// result table. cmd/atcsim builds both its -f files and its flags through
+// here, and internal/proptest generates Specs for its property battery.
 package scenario
 
 import (
@@ -47,6 +48,10 @@ type Spec struct {
 	// faults. Windows are seeded from faults.seed (or the scenario
 	// seed).
 	Faults *fault.Spec `json:"faults,omitempty"`
+	// Shards is how many engine shards the world runs on (0 reads as 1;
+	// counts past the node count clamp down). Results are byte-identical
+	// at every shard count.
+	Shards int `json:"shards,omitempty"`
 }
 
 // SchedulerSpec selects the VMM scheduling approach.
@@ -63,6 +68,10 @@ type SchedulerSpec struct {
 	// NonParallelAdminSliceMs applies an admin slice to every
 	// non-parallel VM (the ATC(6ms) variant).
 	NonParallelAdminSliceMs float64 `json:"nonParallelAdminSliceMs,omitempty"`
+	// DisableBoost and DisableSteal turn off the credit core's wake
+	// boost and idle stealing (ablations and adversarial property runs).
+	DisableBoost bool `json:"disableBoost,omitempty"`
+	DisableSteal bool `json:"disableSteal,omitempty"`
 }
 
 // NodePolicySpec pins a scheduling policy on a subset of nodes. It is a
@@ -102,8 +111,24 @@ type VCSpec struct {
 	// Rounds to measure (default 3); Forever keeps it running after.
 	Rounds  int  `json:"rounds,omitempty"`
 	Forever bool `json:"forever,omitempty"`
+	// Iterations overrides the kernel's superstep count per round (0
+	// keeps the kernel's own), scaling work down to test size.
+	Iterations int `json:"iterations,omitempty"`
 	// Background excludes the cluster from completion accounting.
 	Background bool `json:"background,omitempty"`
+}
+
+// classOf maps the spec's problem-class letters to workload classes.
+var classOf = map[string]workload.Class{"A": workload.ClassA, "B": workload.ClassB, "C": workload.ClassC}
+
+// Profile resolves the cluster's application: the kernel at its class,
+// with Iterations applied. Call it on a validated spec.
+func (vc VCSpec) Profile() workload.AppProfile {
+	p := workload.NPB(vc.Kernel, classOf[vc.Class])
+	if vc.Iterations > 0 {
+		p.Iterations = vc.Iterations
+	}
+	return p
 }
 
 // JobSpec describes one non-parallel tenant.
@@ -133,6 +158,7 @@ const (
 	maxVMs          = 4096
 	maxVCPUs        = 256
 	maxRounds       = 100000
+	maxIterations   = 100000
 	maxJobs         = 1024
 	maxHorizonSec   = 864000 // 10 virtual days
 	maxSliceMs      = 10000
@@ -167,6 +193,11 @@ func (s *Spec) Validate() error {
 	}
 	if s.PCPUsPerNode < 0 || s.PCPUsPerNode > maxPCPUsPerNode {
 		return fmt.Errorf("scenario: pcpusPerNode %d out of [0,%d]", s.PCPUsPerNode, maxPCPUsPerNode)
+	}
+	// Shard counts past the node count clamp down, so the node cap bounds
+	// them too.
+	if s.Shards < 0 || s.Shards > maxNodes {
+		return fmt.Errorf("scenario: shards %d out of [0,%d]", s.Shards, maxNodes)
 	}
 	if len(s.VirtualClusters) > maxClusters {
 		return fmt.Errorf("scenario: %d clusters exceeds cap %d", len(s.VirtualClusters), maxClusters)
@@ -238,12 +269,12 @@ func (s *Spec) Validate() error {
 		if vc.Rounds == 0 {
 			vc.Rounds = 3
 		}
-		if vc.Rounds < 0 || vc.VMs < 1 || vc.VCPUs < 1 {
+		if vc.Rounds < 0 || vc.Iterations < 0 || vc.VMs < 1 || vc.VCPUs < 1 {
 			return fmt.Errorf("scenario: cluster %q: bad sizing", vc.Name)
 		}
-		if vc.VMs > maxVMs || vc.VCPUs > maxVCPUs || vc.Rounds > maxRounds {
-			return fmt.Errorf("scenario: cluster %q: sizing exceeds caps (vms %d/%d, vcpus %d/%d, rounds %d/%d)",
-				vc.Name, vc.VMs, maxVMs, vc.VCPUs, maxVCPUs, vc.Rounds, maxRounds)
+		if vc.VMs > maxVMs || vc.VCPUs > maxVCPUs || vc.Rounds > maxRounds || vc.Iterations > maxIterations {
+			return fmt.Errorf("scenario: cluster %q: sizing exceeds caps (vms %d/%d, vcpus %d/%d, rounds %d/%d, iterations %d/%d)",
+				vc.Name, vc.VMs, maxVMs, vc.VCPUs, maxVCPUs, vc.Rounds, maxRounds, vc.Iterations, maxIterations)
 		}
 	}
 	for i := range s.Jobs {
@@ -346,6 +377,7 @@ func Build(spec *Spec) (*Result, error) {
 	}
 	cfg := cluster.DefaultConfig(spec.Nodes, cluster.Approach(strings.ToUpper(spec.Scheduler.Kind)))
 	cfg.Seed = spec.Seed
+	cfg.Shards = spec.Shards
 	if spec.PCPUsPerNode > 0 {
 		cfg.Node.PCPUs = spec.PCPUsPerNode
 	}
@@ -358,6 +390,8 @@ func Build(spec *Spec) (*Result, error) {
 	if spec.Scheduler.NonParallelAdminSliceMs > 0 {
 		cfg.NonParallelAdminSlice = sim.FromMillis(spec.Scheduler.NonParallelAdminSliceMs)
 	}
+	cfg.Sched.DisableBoost = spec.Scheduler.DisableBoost
+	cfg.Sched.DisableSteal = spec.Scheduler.DisableSteal
 	cfg.Faults = spec.Faults
 	if len(spec.NodePolicies) > 0 {
 		cfg.NodePolicies = map[int]cluster.SchedSpec{}
@@ -389,9 +423,8 @@ func Build(spec *Spec) (*Result, error) {
 		runs:     map[string]*workload.ParallelRun{},
 		horizon:  sim.FromSeconds(spec.HorizonSec),
 	}
-	classOf := map[string]workload.Class{"A": workload.ClassA, "B": workload.ClassB, "C": workload.ClassC}
 	for _, vc := range spec.VirtualClusters {
-		prof := workload.NPB(vc.Kernel, classOf[vc.Class])
+		prof := vc.Profile()
 		vms := s.VirtualCluster(vc.Name, vc.VMs, vc.VCPUs, nil)
 		if vc.Background {
 			s.RunBackground(prof, vms)

@@ -105,6 +105,42 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestBuildThreadsHarnessFields pins the fields the property harness
+// drives worlds with: iterations reach the cluster's profile, shards and
+// the credit-core toggles reach the cluster config, and out-of-range
+// shard and iteration counts are rejected.
+func TestBuildThreadsHarnessFields(t *testing.T) {
+	spec, err := Load(strings.NewReader(`{"nodes": 2, "shards": 2,
+	  "scheduler": {"kind": "CR", "disableBoost": true, "disableSteal": true},
+	  "virtualClusters": [{"vcpus": 2, "kernel": "ep", "class": "A", "rounds": 1, "iterations": 3}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Scenario.Runs()[0].App.Profile.Iterations; got != 3 {
+		t.Errorf("profile iterations = %d, want 3", got)
+	}
+	if cfg := res.Scenario.Cfg; cfg.Shards != 2 || !cfg.Sched.DisableBoost || !cfg.Sched.DisableSteal {
+		t.Errorf("cfg shards=%d disableBoost=%v disableSteal=%v, want 2/true/true",
+			cfg.Shards, cfg.Sched.DisableBoost, cfg.Sched.DisableSteal)
+	}
+	for name, mut := range map[string]func(*Spec){
+		"negative shards":     func(s *Spec) { s.Shards = -1 },
+		"huge shards":         func(s *Spec) { s.Shards = maxNodes + 1 },
+		"negative iterations": func(s *Spec) { s.VirtualClusters[0].Iterations = -1 },
+		"huge iterations":     func(s *Spec) { s.VirtualClusters[0].Iterations = maxIterations + 1 },
+	} {
+		bad := Spec{Nodes: 1, VirtualClusters: []VCSpec{{}}}
+		mut(&bad)
+		if _, err := Build(&bad); err == nil {
+			t.Errorf("%s: Build accepted %+v", name, bad)
+		}
+	}
+}
+
 func TestHYSchedulerAccepted(t *testing.T) {
 	spec, err := Load(strings.NewReader(`{"nodes": 1, "scheduler": {"kind": "HY"}, "virtualClusters": [{"vcpus": 2, "kernel": "ep", "class": "A", "rounds": 1}]}`))
 	if err != nil {
