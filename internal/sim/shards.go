@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,6 +19,17 @@ type crossEvent struct {
 	seq uint64
 	dst int
 	fn  func()
+}
+
+// compareCross orders cross events by their (at, src, seq) key.
+func compareCross(a, b crossEvent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // ShardGroup runs several Engines in lockstep windows of one lookahead
@@ -218,16 +230,7 @@ func (g *ShardGroup) inject(wEnd Time) {
 	if len(g.pending) == 0 {
 		return
 	}
-	sort.Slice(g.pending, func(i, j int) bool {
-		a, b := &g.pending[i], &g.pending[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(g.pending, compareCross)
 	n := 0
 	for ; n < len(g.pending) && g.pending[n].at < wEnd; n++ {
 		ev := g.pending[n]

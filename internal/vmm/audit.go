@@ -65,8 +65,8 @@ func (w *World) Audit() []error {
 	for _, vm := range w.vms {
 		sent += vm.sent
 		received += vm.received
-		for _, q := range vm.mail {
-			mailbox += uint64(q.len())
+		for i := range vm.mail {
+			mailbox += uint64(len(vm.mail[i].pkts))
 		}
 	}
 	for _, n := range w.nodes {
@@ -84,14 +84,15 @@ func (w *World) Audit() []error {
 
 	// Mailbox waiters point at genuine receivers.
 	for _, vm := range w.vms {
-		for key, v := range vm.waiting {
+		for proc := range vm.mail {
+			mb := &vm.mail[proc]
+			v := mb.waiter
 			if v == nil {
-				bad("%s: nil waiter for %+v", vm.name, key)
 				continue
 			}
 			a := v.pending
-			if a == nil || a.Kind != ActRecv || a.Tag != key.tag || v.idx != key.proc {
-				bad("%s: waiter %s not blocked on recv %+v", vm.name, v, key)
+			if a == nil || a.Kind != ActRecv || a.Tag != mb.waitTag || v.vm != vm || v.idx != proc {
+				bad("%s: waiter %s not blocked on recv proc=%d tag=%d", vm.name, v, proc, mb.waitTag)
 			}
 			if v.state == StateIdle {
 				bad("%s: waiter %s is idle", vm.name, v)

@@ -80,9 +80,29 @@ func (b *Backend) notify() {
 
 // backendProc is the service loop running on each dom0 VCPU. It drains
 // the netback/blkback queues, paying a per-item CPU cost, and blocks when
-// idle.
+// idle. A dom0 VCPU runs one action at a time, so the packet in netback
+// compute lives in the proc and the completions are bound once.
 type backendProc struct {
-	b *Backend
+	b      *Backend
+	pkt    Packet
+	txDone func()
+	rxDone func()
+}
+
+func newBackendProc(b *Backend) *backendProc {
+	bp := &backendProc{b: b}
+	bp.txDone = func() {
+		b.txProcessed++
+		b.processing--
+		b.forward(bp.pkt)
+	}
+	bp.rxDone = func() {
+		b.rxProcessed++
+		b.processing--
+		pkt := bp.pkt
+		pkt.Dst.deliver(pkt)
+	}
+	return bp
 }
 
 // Next implements Process.
@@ -91,21 +111,13 @@ func (bp *backendProc) Next() Action {
 	cfg := &b.node.cfg
 	switch {
 	case b.tx.len() > 0:
-		pkt := b.tx.pop()
+		bp.pkt = b.tx.pop()
 		b.processing++
-		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: func() {
-			b.txProcessed++
-			b.processing--
-			b.forward(pkt)
-		}}
+		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: bp.txDone}
 	case b.rx.len() > 0:
-		pkt := b.rx.pop()
+		bp.pkt = b.rx.pop()
 		b.processing++
-		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: func() {
-			b.rxProcessed++
-			b.processing--
-			pkt.Dst.deliver(pkt)
-		}}
+		return Action{Kind: ActCompute, Work: cfg.BackendPacketCost, Then: bp.rxDone}
 	case b.diskQ.len() > 0:
 		req := b.diskQ.pop()
 		return Action{Kind: ActCompute, Work: cfg.BackendDiskCost, Then: func() {

@@ -19,7 +19,11 @@ func (q *fifo[T]) pop() T {
 	var zero T
 	q.items[q.head] = zero
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
+	if q.head == len(q.items) {
+		// Drained: rewind so an alternating push/pop reuses the front.
+		q.items = q.items[:0]
+		q.head = 0
+	} else if q.head > 64 && q.head*2 >= len(q.items) {
 		n := copy(q.items, q.items[q.head:])
 		q.items = q.items[:n]
 		q.head = 0

@@ -171,12 +171,11 @@ func (n *Node) NewVM(name string, class VMClass, vcpus int, footprint int64, col
 
 func (n *Node) newVM(name string, class VMClass, vcpus int, footprint int64, coldRate float64) *VM {
 	vm := &VM{
-		id:      n.world.nextVMID,
-		name:    name,
-		node:    n,
-		class:   class,
-		mail:    make(map[mailKey]*fifo[Packet]),
-		waiting: make(map[mailKey]*VCPU),
+		id:    n.world.nextVMID,
+		name:  name,
+		node:  n,
+		class: class,
+		mail:  make([]mailbox, vcpus),
 	}
 	n.world.nextVMID++
 	n.world.vms = append(n.world.vms, vm)
@@ -190,6 +189,7 @@ func (n *Node) newVM(name string, class VMClass, vcpus int, footprint int64, col
 			burnRemaining: -1,
 			runSegStart:   -1,
 		}
+		v.kickFn = func() { n.kickNow(v) }
 		v.SetCacheProfile(footprint, coldRate)
 		n.world.nextVCPUID++
 		vm.vcpus = append(vm.vcpus, v)
@@ -247,39 +247,42 @@ func (n *Node) WakeIdle(v *VCPU) {
 // fresh event so wake chains inside action side effects cannot corrupt an
 // in-progress step loop.
 func (n *Node) kick(v *VCPU) {
-	n.eng.Schedule(0, func() {
-		if v.state != StateRunnable {
-			return
+	n.eng.Schedule(0, v.kickFn)
+}
+
+// kickNow is kick's deferred body (VCPU.kickFn).
+func (n *Node) kickNow(v *VCPU) {
+	if v.state != StateRunnable {
+		return
+	}
+	idle := false
+	for _, p := range n.pcpus {
+		if p.cur == nil {
+			// Kick every idle PCPU: without runqueue stealing only
+			// the woken VCPU's home PCPU can pick it up, and kick
+			// cannot know which one that is. scheduleDispatch
+			// coalesces, so this stays cheap.
+			p.scheduleDispatch()
+			idle = true
 		}
-		idle := false
-		for _, p := range n.pcpus {
-			if p.cur == nil {
-				// Kick every idle PCPU: without runqueue stealing only
-				// the woken VCPU's home PCPU can pick it up, and kick
-				// cannot know which one that is. scheduleDispatch
-				// coalesces, so this stays cheap.
-				p.scheduleDispatch()
-				idle = true
-			}
+	}
+	if idle {
+		return
+	}
+	// Tickle the preemptible PCPU running the longest-held slice so
+	// wake preemptions spread rather than hammering PCPU 0.
+	var victim *PCPU
+	for _, p := range n.pcpus {
+		if p.cur == nil || p.cur == v || !n.sched.WakePreempts(p, v) {
+			continue
 		}
-		if idle {
-			return
+		if victim == nil || p.sliceEnd < victim.sliceEnd {
+			victim = p
 		}
-		// Tickle the preemptible PCPU running the longest-held slice so
-		// wake preemptions spread rather than hammering PCPU 0.
-		var victim *PCPU
-		for _, p := range n.pcpus {
-			if p.cur == nil || p.cur == v || !n.sched.WakePreempts(p, v) {
-				continue
-			}
-			if victim == nil || p.sliceEnd < victim.sliceEnd {
-				victim = p
-			}
-		}
-		if victim != nil {
-			victim.Preempt()
-		}
-	})
+	}
+	if victim != nil {
+		victim.Preempt()
+	}
 }
 
 // Wakes returns the number of wake transitions on this node.
@@ -361,7 +364,7 @@ func (n *Node) LLCMisses() uint64 {
 // start installs dom0, timers, and the initial dispatch.
 func (n *Node) start() {
 	for _, v := range n.dom0.vcpus {
-		v.proc = &backendProc{b: n.backend}
+		v.proc = newBackendProc(n.backend)
 	}
 	for _, v := range n.vcpus {
 		n.sched.Register(v)

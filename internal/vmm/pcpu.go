@@ -25,9 +25,13 @@ type PCPU struct {
 
 	sliceEnd sim.Time
 	sliceEv  sim.Handle
-	// stepEv is the pending timed-segment completion (compute/burn done)
-	// or the deferred step kick-off after a context switch.
+	// stepEv is the pending timed-segment completion (compute/burn done),
+	// busy-poll timeout, or the deferred step kick-off after a context
+	// switch. At most one is outstanding.
 	stepEv sim.Handle
+	// stepV is the VCPU a pending segment or poll-timeout event was
+	// scheduled for; segFn and pollFn read it when they fire.
+	stepV *VCPU
 	// dispatchQueued coalesces deferred dispatch requests.
 	dispatchQueued bool
 	// stepQueued coalesces deferred step requests.
@@ -44,6 +48,8 @@ type PCPU struct {
 	stepFn     func()
 	sliceFn    func()
 	csFn       func()
+	segFn      func()
+	pollFn     func()
 }
 
 // initFns binds the reusable event callbacks (called at construction).
@@ -60,6 +66,14 @@ func (p *PCPU) initFns() {
 	p.csFn = func() {
 		p.stepEv = sim.Handle{}
 		p.step()
+	}
+	p.segFn = func() {
+		p.stepEv = sim.Handle{}
+		p.onSegmentDone(p.stepV)
+	}
+	p.pollFn = func() {
+		p.stepEv = sim.Handle{}
+		p.onPollTimeout(p.stepV)
 	}
 }
 
@@ -370,10 +384,8 @@ func (p *PCPU) step() {
 			t := stretch(p.cache.TimeFor(cl, a.Work), v.segSlow)
 			v.runSegStart = now
 			if now+t <= p.sliceEnd {
-				p.stepEv = eng.Schedule(t, func() {
-					p.stepEv = sim.Handle{}
-					p.onSegmentDone(v)
-				})
+				p.stepV = v
+				p.stepEv = eng.Schedule(t, p.segFn)
 			}
 			// Otherwise the slice ends first; preemption accounts the
 			// partial progress.
@@ -432,10 +444,8 @@ func (p *PCPU) step() {
 				// and the VCPU never blocks — under a scheduler that keeps
 				// it promoted, that starves dom0 and deadlocks delivery.
 				if rem := p.sliceEnd - now; a.Dur > 0 && a.Dur < rem {
-					p.stepEv = eng.Schedule(a.Dur, func() {
-						p.stepEv = sim.Handle{}
-						p.onPollTimeout(v)
-					})
+					p.stepV = v
+					p.stepEv = eng.Schedule(a.Dur, p.pollFn)
 				} else if a.Dur > 0 && rem > 0 {
 					a.Dur -= rem
 				}
@@ -570,10 +580,8 @@ func (p *PCPU) startBurn(v *VCPU, a *Action, cost sim.Time) bool {
 	v.segSlow = p.node.slowFactor(now)
 	v.runSegStart = now
 	if wall := stretch(v.burnRemaining, v.segSlow); now+wall <= p.sliceEnd {
-		p.stepEv = p.node.eng.Schedule(wall, func() {
-			p.stepEv = sim.Handle{}
-			p.onSegmentDone(v)
-		})
+		p.stepV = v
+		p.stepEv = p.node.eng.Schedule(wall, p.segFn)
 	}
 	return false
 }

@@ -58,6 +58,9 @@ type VCPU struct {
 
 	state VCPUState
 	pcpu  *PCPU
+	// kickFn is the node's deferred wake reaction for this VCPU, bound
+	// once so a wake does not allocate a closure.
+	kickFn func()
 
 	// pending is the in-flight action; nil when the next one must be
 	// fetched from proc. It always points at pendingBuf, which exists to

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"slices"
 
 	"atcsched/internal/sim"
 )
@@ -46,9 +47,14 @@ type Packet struct {
 	Size    int
 }
 
-type mailKey struct {
-	proc int
-	tag  int
+// mailbox is one process's receive side: the packets delivered to it in
+// arrival order, and the receiver waiting on it. A process runs one
+// receive at a time, so there is at most one waiter, and takeMail's
+// first-match scan keeps the packets of each tag in FIFO order.
+type mailbox struct {
+	pkts    []Packet
+	waiter  *VCPU
+	waitTag int
 }
 
 // VM is a guest (or driver) domain: a set of VCPUs plus the guest-kernel
@@ -67,10 +73,10 @@ type VM struct {
 	// §III-C).
 	AdminSlice sim.Time
 
-	vcpus   []*VCPU
-	locks   []*Spinlock
-	mail    map[mailKey]*fifo[Packet]
-	waiting map[mailKey]*VCPU
+	vcpus []*VCPU
+	locks []*Spinlock
+	// mail holds one mailbox per destination process rank.
+	mail []mailbox
 
 	// SpinMon aggregates guest spinlock latency (the ATC input signal).
 	SpinMon SpinMonitor
@@ -222,20 +228,24 @@ func (vm *VM) LLCMisses() uint64 {
 	return n
 }
 
+// box returns process proc's mailbox, growing the table for a rank
+// beyond the VM's VCPUs (such a packet waits with no receiver).
+func (vm *VM) box(proc int) *mailbox {
+	for proc >= len(vm.mail) {
+		vm.mail = append(vm.mail, mailbox{})
+	}
+	return &vm.mail[proc]
+}
+
 // deliver places a packet in the destination mailbox and wakes a blocked
 // receiver.
 func (vm *VM) deliver(pkt Packet) {
 	vm.received++
 	vm.countIOEvent()
-	key := mailKey{proc: pkt.DstProc, tag: pkt.Tag}
-	q := vm.mail[key]
-	if q == nil {
-		q = &fifo[Packet]{}
-		vm.mail[key] = q
-	}
-	q.push(pkt)
-	if w := vm.waiting[key]; w != nil {
-		delete(vm.waiting, key)
+	mb := vm.box(pkt.DstProc)
+	mb.pkts = append(mb.pkts, pkt)
+	if w := mb.waiter; w != nil && mb.waitTag == pkt.Tag {
+		mb.waiter = nil
 		switch w.state {
 		case StateBlocked:
 			vm.node.wake(w, true)
@@ -251,26 +261,46 @@ func (vm *VM) deliver(pkt Packet) {
 	}
 }
 
+// find returns the index of the first queued packet with the tag, or -1.
+func (mb *mailbox) find(tag int) int {
+	for i := range mb.pkts {
+		if mb.pkts[i].Tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
 // mailReady reports whether a packet matching (proc, tag) is queued.
 func (vm *VM) mailReady(proc, tag int) bool {
-	q := vm.mail[mailKey{proc: proc, tag: tag}]
-	return q != nil && q.len() > 0
+	return proc < len(vm.mail) && vm.mail[proc].find(tag) >= 0
 }
 
-// takeMail removes and returns the first matching packet.
+// takeMail removes and returns the first matching packet, keeping the
+// others in arrival order.
 func (vm *VM) takeMail(proc, tag int) Packet {
-	q := vm.mail[mailKey{proc: proc, tag: tag}]
-	if q == nil || q.len() == 0 {
-		panic(fmt.Sprintf("vmm: takeMail with empty mailbox proc=%d tag=%d on %s", proc, tag, vm.name))
+	if proc < len(vm.mail) {
+		mb := &vm.mail[proc]
+		if i := mb.find(tag); i >= 0 {
+			pkt := mb.pkts[i]
+			mb.pkts = slices.Delete(mb.pkts, i, i+1)
+			return pkt
+		}
 	}
-	return q.pop()
+	panic(fmt.Sprintf("vmm: takeMail with empty mailbox proc=%d tag=%d on %s", proc, tag, vm.name))
 }
 
-// waitMail registers v as the blocked receiver for (proc, tag).
+// waitMail registers v as the receiver waiting for (proc, tag).
 func (vm *VM) waitMail(proc, tag int, v *VCPU) {
-	key := mailKey{proc: proc, tag: tag}
-	if w, ok := vm.waiting[key]; ok && w != v {
-		panic(fmt.Sprintf("vmm: two receivers (%s, %s) on proc=%d tag=%d", w, v, proc, tag))
+	mb := vm.box(proc)
+	if w := mb.waiter; w != nil {
+		if w != v {
+			panic(fmt.Sprintf("vmm: two receivers (%s, %s) on proc=%d tag=%d", w, v, proc, tag))
+		}
+		if mb.waitTag != tag {
+			panic(fmt.Sprintf("vmm: %s re-registered on proc=%d under tag %d while waiting for tag %d", v, proc, tag, mb.waitTag))
+		}
 	}
-	vm.waiting[key] = v
+	mb.waiter = v
+	mb.waitTag = tag
 }

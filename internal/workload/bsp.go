@@ -18,6 +18,9 @@ type BSPApp struct {
 	seed    uint64
 	// barriers holds per-VM barrier state when IntraVMBarrier is set.
 	barriers []*vmBarrier
+	// procs holds the one process state machine of each (VM, rank),
+	// reset in place at every round.
+	procs [][]*bspProc
 }
 
 // vmBarrier is a spin-barrier across one VM's ranks: a lock-protected
@@ -52,9 +55,14 @@ func NewBSPApp(profile AppProfile, vms []*vmm.VM, seed uint64) *BSPApp {
 		if app.Profile.IntraVMBarrier {
 			app.barriers = append(app.barriers, &vmBarrier{lock: vm.NewLock(), n: len(vm.VCPUs())})
 		}
-		for _, v := range vm.VCPUs() {
+		ps := make([]*bspProc, len(vm.VCPUs()))
+		for rank, v := range vm.VCPUs() {
 			v.SetCacheProfile(profile.Footprint, profile.ColdRate)
+			p := &bspProc{}
+			p.barrierFn = p.barrierArrive
+			ps[rank] = p
 		}
+		app.procs = append(app.procs, ps)
 	}
 	return app
 }
@@ -94,21 +102,29 @@ func (a *BSPApp) LLCMisses() uint64 {
 }
 
 // tag encodes (round, iteration, source VM) uniquely; together with the
-// destination process rank it forms the mailbox key.
+// destination process rank it selects the packet a receive matches.
 func (a *BSPApp) tag(round, iter, srcVM int) int {
 	return (round*a.Profile.Iterations+iter)*len(a.VMs) + srcVM
 }
 
-// proc returns the process state machine for (vmIdx, rank) in the given
-// round.
+// proc returns the process state machine for (vmIdx, rank), reset to the
+// start of the given round. Every (VM, rank) owns one bspProc for the
+// whole run: a round restarts only after all processes of the previous
+// one returned Done, so the reset never touches a live process, and the
+// action queue keeps its capacity from round to round.
 func (a *BSPApp) proc(vmIdx, rank, round int) vmm.Process {
-	return &bspProc{
-		app:   a,
-		vmIdx: vmIdx,
-		rank:  rank,
-		round: round,
-		rng:   rng.NewStream(a.seed, uint64(round)<<32|uint64(vmIdx)<<16|uint64(rank)),
+	p := a.procs[vmIdx][rank]
+	*p = bspProc{
+		app:       a,
+		vmIdx:     vmIdx,
+		rank:      rank,
+		round:     round,
+		rng:       rng.NewStream(a.seed, uint64(round)<<32|uint64(vmIdx)<<16|uint64(rank)),
+		queue:     p.queue[:0],
+		peers:     p.peers,
+		barrierFn: p.barrierFn,
 	}
+	return p
 }
 
 // bspProc executes Profile.Iterations supersteps: compute, intra-VM
@@ -124,6 +140,8 @@ type bspProc struct {
 	queue   []vmm.Action
 	qi      int
 	started bool
+	// peers is buildIteration's scratch for the exchange partners.
+	peers []int
 
 	// Spin-barrier sub-state (IntraVMBarrier): the flat action queue
 	// cannot express the data-dependent poll loop, so Next drives it.
@@ -133,6 +151,8 @@ type bspProc struct {
 	bArrived       bool
 	bReleased      bool
 	bGen           uint64
+	// barrierFn is barrierArrive, bound once per process.
+	barrierFn func()
 }
 
 // Next implements vmm.Process.
@@ -181,20 +201,7 @@ func (p *bspProc) barrierNext() vmm.Action {
 	switch p.bState {
 	case 0:
 		p.bState = 1
-		return vmm.Action{Kind: vmm.ActAcquire, Lock: b.lock, Then: func() {
-			if !p.bArrived {
-				p.bGen = b.gen
-				b.arrived++
-				p.bArrived = true
-				if b.arrived == b.n {
-					b.arrived = 0
-					b.gen++
-				}
-			}
-			if b.gen != p.bGen {
-				p.bReleased = true
-			}
-		}}
+		return vmm.Action{Kind: vmm.ActAcquire, Lock: b.lock, Then: p.barrierFn}
 	case 1:
 		p.bState = 2
 		return vmm.Release(b.lock)
@@ -208,11 +215,30 @@ func (p *bspProc) barrierNext() vmm.Action {
 	}
 }
 
+// barrierArrive runs under the barrier lock: the first visit of an
+// iteration arrives (the last arrival opens the next generation), and
+// every visit checks whether the generation has moved on.
+func (p *bspProc) barrierArrive() {
+	b := p.app.barriers[p.vmIdx]
+	if !p.bArrived {
+		p.bGen = b.gen
+		b.arrived++
+		p.bArrived = true
+		if b.arrived == b.n {
+			b.arrived = 0
+			b.gen++
+		}
+	}
+	if b.gen != p.bGen {
+		p.bReleased = true
+	}
+}
+
 // buildIteration materializes the action list for the next superstep.
 func (p *bspProc) buildIteration() {
 	pr := &p.app.Profile
 	if p.iter >= pr.Iterations {
-		p.queue = nil
+		p.queue = p.queue[:0]
 		p.qi = 0
 		return
 	}
@@ -238,10 +264,12 @@ func (p *bspProc) buildIteration() {
 
 	// Cross-VM exchange: post all sends, then wait for all receives.
 	n := len(p.app.VMs)
-	for _, dst := range pr.Pattern.sendTo(it, p.vmIdx, n) {
+	p.peers = pr.Pattern.sendTo(p.peers[:0], it, p.vmIdx, n)
+	for _, dst := range p.peers {
 		q = append(q, vmm.Send(p.app.VMs[dst], p.rank, p.app.tag(p.round, it, p.vmIdx), pr.MsgSize))
 	}
-	for _, src := range pr.Pattern.recvFrom(it, p.vmIdx, n) {
+	p.peers = pr.Pattern.recvFrom(p.peers[:0], it, p.vmIdx, n)
+	for _, src := range p.peers {
 		q = append(q, vmm.RecvPoll(p.app.tag(p.round, it, src), pr.RecvPoll))
 	}
 
@@ -290,6 +318,8 @@ type ParallelRun struct {
 type runNode struct {
 	node   *vmm.Node
 	vmIdxs []int
+	// restart is restartOn for this node, bound once.
+	restart func()
 }
 
 // NewParallelRun builds a runner; call Install before World.Start.
@@ -345,6 +375,10 @@ func (r *ParallelRun) Install() {
 			r.nodes = append(r.nodes, runNode{node: n, vmIdxs: []int{vmIdx}})
 		}
 	}
+	for i := range r.nodes {
+		nd := &r.nodes[i]
+		nd.restart = func() { r.restartOn(nd) }
+	}
 	r.remaining = r.App.Processes()
 	r.startedAt = r.home.Engine().Now()
 	for vmIdx, vm := range r.App.VMs {
@@ -387,22 +421,23 @@ func (r *ParallelRun) noteDone() {
 	}
 	r.startedAt = now
 	r.remaining = r.App.Processes()
-	round := r.round
 	w := r.home.World()
 	for i := range r.nodes {
 		nd := &r.nodes[i]
 		if nd.node == r.home {
-			r.restartOn(nd, round)
+			r.restartOn(nd)
 			continue
 		}
-		w.CrossNodeSignal(r.home, nd.node, func() { r.restartOn(nd, round) })
+		w.CrossNodeSignal(r.home, nd.node, nd.restart)
 	}
 }
 
-// restartOn revives one node's share of the app for the given round. By
-// the time it runs, every VCPU it touches has been idle since it sent
-// its completion note, so SetProcess is legal.
-func (r *ParallelRun) restartOn(nd *runNode, round int) {
+// restartOn revives one node's share of the app for the current round.
+// By the time it runs, every VCPU it touches has been idle since it sent
+// its completion note, so SetProcess is legal, and the round cannot have
+// moved on: that needs every process, this node's too, to finish it.
+func (r *ParallelRun) restartOn(nd *runNode) {
+	round := r.round
 	for _, vmIdx := range nd.vmIdxs {
 		vm := r.App.VMs[vmIdx]
 		for rank, u := range vm.VCPUs() {

@@ -62,73 +62,73 @@ func (p CommPattern) String() string {
 	}
 }
 
-// sendTo returns the VM indices process vmIdx sends to at iteration it.
-func (p CommPattern) sendTo(it, vmIdx, n int) []int {
+// sendTo appends to buf the VM indices process vmIdx sends to at
+// iteration it and returns the extended slice.
+func (p CommPattern) sendTo(buf []int, it, vmIdx, n int) []int {
 	if n <= 1 {
-		return nil
+		return buf
 	}
 	switch p {
 	case PatternNone:
-		return nil
+		return buf
 	case PatternRing:
-		return []int{(vmIdx + 1) % n}
+		return append(buf, (vmIdx+1)%n)
 	case PatternNeighbor:
 		if n == 2 {
-			return []int{(vmIdx + 1) % n}
+			return append(buf, (vmIdx+1)%n)
 		}
-		return []int{(vmIdx + 1) % n, (vmIdx - 1 + n) % n}
+		return append(buf, (vmIdx+1)%n, (vmIdx-1+n)%n)
 	case PatternAllToAll:
-		out := make([]int, 0, n-1)
 		for j := 0; j < n; j++ {
 			if j != vmIdx {
-				out = append(out, j)
+				buf = append(buf, j)
 			}
 		}
-		return out
+		return buf
 	case PatternButterfly:
 		bits := 0
 		for 1<<(bits+1) <= n {
 			bits++
 		}
 		if bits == 0 {
-			return nil // unreachable for n >= 2; kept for safety
+			return buf // unreachable for n >= 2; kept for safety
 		}
 		partner := vmIdx ^ (1 << (it % bits))
 		if partner >= n {
 			// No partner this phase (non-power-of-two cluster edge);
 			// skipping keeps the exchange symmetric.
-			return nil
+			return buf
 		}
-		return []int{partner}
+		return append(buf, partner)
 	case PatternStride:
 		stride := 1 + it%(n-1)
-		return []int{(vmIdx + stride) % n}
+		return append(buf, (vmIdx+stride)%n)
 	default:
 		panic(fmt.Sprintf("workload: unknown pattern %d", int(p)))
 	}
 }
 
-// recvFrom returns the VM indices process vmIdx receives from at
-// iteration it — the mirror of sendTo.
-func (p CommPattern) recvFrom(it, vmIdx, n int) []int {
+// recvFrom appends to buf the VM indices process vmIdx receives from at
+// iteration it — the mirror of sendTo — and returns the extended slice.
+func (p CommPattern) recvFrom(buf []int, it, vmIdx, n int) []int {
 	if n <= 1 {
-		return nil
+		return buf
 	}
 	switch p {
 	case PatternNone:
-		return nil
+		return buf
 	case PatternRing:
-		return []int{(vmIdx - 1 + n) % n}
+		return append(buf, (vmIdx-1+n)%n)
 	case PatternNeighbor:
 		if n == 2 {
-			return []int{(vmIdx + 1) % n}
+			return append(buf, (vmIdx+1)%n)
 		}
-		return []int{(vmIdx - 1 + n) % n, (vmIdx + 1) % n}
+		return append(buf, (vmIdx-1+n)%n, (vmIdx+1)%n)
 	case PatternAllToAll, PatternButterfly:
-		return p.sendTo(it, vmIdx, n) // symmetric patterns
+		return p.sendTo(buf, it, vmIdx, n) // symmetric patterns
 	case PatternStride:
 		stride := 1 + it%(n-1)
-		return []int{(vmIdx - stride + n) % n}
+		return append(buf, (vmIdx-stride+n)%n)
 	default:
 		panic(fmt.Sprintf("workload: unknown pattern %d", int(p)))
 	}
@@ -230,9 +230,11 @@ func (p AppProfile) MessagesPerRound(nVMs, ranks int) uint64 {
 		return 0
 	}
 	var total uint64
+	var buf []int
 	for it := 0; it < p.Iterations; it++ {
 		for vmIdx := 0; vmIdx < nVMs; vmIdx++ {
-			total += uint64(len(p.Pattern.sendTo(it, vmIdx, nVMs)) * ranks)
+			buf = p.Pattern.sendTo(buf[:0], it, vmIdx, nVMs)
+			total += uint64(len(buf) * ranks)
 		}
 	}
 	return total

@@ -54,13 +54,13 @@ func TestPatternSymmetryProperty(t *testing.T) {
 			sends := make(map[[2]int]int)
 			recvs := make(map[[2]int]int)
 			for i := 0; i < n; i++ {
-				for _, j := range p.sendTo(it, i, n) {
+				for _, j := range p.sendTo(nil, it, i, n) {
 					if j == i || j < 0 || j >= n {
 						return false
 					}
 					sends[[2]int{i, j}]++
 				}
-				for _, j := range p.recvFrom(it, i, n) {
+				for _, j := range p.recvFrom(nil, it, i, n) {
 					if j == i || j < 0 || j >= n {
 						return false
 					}
