@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -382,6 +383,17 @@ func demoSource(periods int) *daemon.SliceSource {
 	return &daemon.SliceSource{Periods: ps}
 }
 
+// parseMicros parses a non-negative microsecond count that fits in a
+// sim.Time; NaN, infinities and negative values are rejected.
+func parseMicros(s string) (sim.Time, bool) {
+	us, err := strconv.ParseFloat(s, 64)
+	ns := us * float64(sim.Microsecond)
+	if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
+		return 0, false
+	}
+	return sim.Time(ns), true
+}
+
 // stdioSource parses period groups from stdin as node 0's batches.
 type stdioSource struct {
 	r *bufio.Scanner
@@ -415,22 +427,21 @@ func (s *stdioSource) next() ([]daemon.VMSample, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad vm id %q", f[0])
 		}
-		latUS, err := strconv.ParseFloat(f[1], 64)
-		if err != nil || latUS < 0 {
+		for _, vs := range out {
+			if vs.ID == id {
+				return nil, fmt.Errorf("duplicate vm %d in one period", id)
+			}
+		}
+		lat, ok := parseMicros(f[1])
+		if !ok {
 			return nil, fmt.Errorf("bad latency %q", f[1])
 		}
 		par := f[2] == "1" || strings.EqualFold(f[2], "true")
-		vs := daemon.VMSample{
-			ID:             id,
-			AvgSpinLatency: sim.Time(latUS * float64(sim.Microsecond)),
-			Parallel:       par,
-		}
+		vs := daemon.VMSample{ID: id, AvgSpinLatency: lat, Parallel: par}
 		if len(f) >= 4 {
-			adminUS, err := strconv.ParseFloat(f[3], 64)
-			if err != nil || adminUS < 0 {
+			if vs.AdminSlice, ok = parseMicros(f[3]); !ok {
 				return nil, fmt.Errorf("bad admin slice %q", f[3])
 			}
-			vs.AdminSlice = sim.Time(adminUS * float64(sim.Microsecond))
 		}
 		out = append(out, vs)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -8,10 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"atcsched/internal/daemon"
+	"atcsched/internal/sim"
 )
 
 // TestLiveTelemetrySurface drives a full atcd run in-process: sim
@@ -391,5 +396,58 @@ func TestDemoStdoutGolden(t *testing.T) {
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("demo stdout differs from %s:\ngot:\n%s\nwant:\n%s", golden, stdout.Bytes(), want)
+	}
+}
+
+// TestStdioSourceParse pins the stdio backend's line parser: well-formed
+// groups become node 0's samples, and input the controller cannot take
+// (NaN or overflowing latencies and admin slices, a VM named twice in
+// one period) is rejected as an error instead of reaching it.
+func TestStdioSourceParse(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    []daemon.VMSample
+		wantErr string
+	}{
+		{in: "1 2000 1\n2 0.5 0 3000\n--\n", want: []daemon.VMSample{
+			{ID: 1, AvgSpinLatency: 2 * sim.Millisecond, Parallel: true},
+			{ID: 2, AvgSpinLatency: 500, AdminSlice: 3 * sim.Millisecond},
+		}},
+		{in: "1 0 true\n", want: []daemon.VMSample{{ID: 1, Parallel: true}}},
+		{in: "1 NaN 1\n--\n", wantErr: "bad latency"},
+		{in: "1 1e30 1\n--\n", wantErr: "bad latency"},
+		{in: "1 +Inf 1\n--\n", wantErr: "bad latency"},
+		{in: "1 -1 1\n--\n", wantErr: "bad latency"},
+		{in: "1 9223372036854775.807 1\n--\n", wantErr: "bad latency"},
+		{in: "1 5 0 NaN\n--\n", wantErr: "bad admin slice"},
+		{in: "1 5 0 1e30\n--\n", wantErr: "bad admin slice"},
+		{in: "1 5 0 -2\n--\n", wantErr: "bad admin slice"},
+		{in: "1 5 1\n2 5 1\n1 6 1\n--\n", wantErr: "duplicate vm"},
+		{in: "x 5 1\n--\n", wantErr: "bad vm id"},
+		{in: "1 5\n--\n", wantErr: "bad input line"},
+	}
+	for _, tc := range cases {
+		src := &stdioSource{r: bufio.NewScanner(strings.NewReader(tc.in))}
+		batches, err := src.SampleFleet()
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%q: err = %v, want %q", tc.in, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%q: %v", tc.in, err)
+		case len(batches) != 1 || batches[0].Node != 0 || !reflect.DeepEqual(batches[0].Samples, tc.want):
+			t.Errorf("%q: batches = %+v, want node 0 with %+v", tc.in, batches, tc.want)
+		}
+	}
+	// A repeated ID in different periods is two samples, not a duplicate.
+	src := &stdioSource{r: bufio.NewScanner(strings.NewReader("1 5 1\n--\n1 6 1\n--\n"))}
+	for i := 0; i < 2; i++ {
+		if _, err := src.SampleFleet(); err != nil {
+			t.Fatalf("period %d: %v", i, err)
+		}
+	}
+	if _, err := src.SampleFleet(); err != io.EOF {
+		t.Fatalf("after the last group: %v, want io.EOF", err)
 	}
 }

@@ -78,19 +78,82 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// vmState is one VM's sliding history. Ring buffers hold the last
-// Window samples; index 0 is the oldest.
-type vmState struct {
-	lat   []sim.Time // average spinlock latency per period
-	slice []sim.Time // slice in force per period
-	// observed counts total periods seen, to handle cold start.
-	observed int
+// History is one VM's sliding window: the average spinlock latency and
+// the slice in force for each of the last Window periods, oldest first,
+// plus the number of periods observed. The zero History holds no
+// window; Config.NewHistory makes a cold-start one.
+type History struct {
+	lat, slice []sim.Time
+	observed   int
 }
 
-// Controller implements ATC for one physical node's VM population.
+// NewHistory returns a cold-start window: zero latency at the default
+// slice, so a new VM behaves like an idle one.
+func (c Config) NewHistory() History {
+	buf := make([]sim.Time, 2*c.Window)
+	h := History{lat: buf[:c.Window:c.Window], slice: buf[c.Window:]}
+	for i := range h.slice {
+		h.slice[i] = c.Default
+	}
+	return h
+}
+
+// IsZero reports whether h holds no window.
+func (h *History) IsZero() bool { return h.lat == nil }
+
+// Observe records one period's average spinlock latency and the slice
+// that was in force during that period, shifting out the oldest. It
+// panics on a negative latency or a non-positive slice.
+func (h *History) Observe(avgLatency, sliceInForce sim.Time) {
+	if avgLatency < 0 {
+		panic(fmt.Sprintf("core: negative latency %v", avgLatency))
+	}
+	if sliceInForce <= 0 {
+		panic(fmt.Sprintf("core: non-positive slice %v", sliceInForce))
+	}
+	copy(h.lat, h.lat[1:])
+	h.lat[len(h.lat)-1] = avgLatency
+	copy(h.slice, h.slice[1:])
+	h.slice[len(h.slice)-1] = sliceInForce
+	h.observed++
+}
+
+// Snapshot returns copies of h's latency and slice windows (oldest
+// first) and its observed-period count.
+func (h *History) Snapshot() (lat, slice []sim.Time, observed int) {
+	w := len(h.lat)
+	buf := make([]sim.Time, 2*w)
+	copy(buf, h.lat)
+	copy(buf[w:], h.slice)
+	return buf[:w:w], buf[w:], h.observed
+}
+
+// RestoreHistory rebuilds a window written by Snapshot. Both windows
+// must have Window entries, with latencies non-negative and slices
+// positive, so a corrupt snapshot cannot smuggle in values Observe
+// would have rejected.
+func (c Config) RestoreHistory(lat, slice []sim.Time, observed int) (History, error) {
+	if len(lat) != c.Window || len(slice) != c.Window || observed < 0 {
+		return History{}, fmt.Errorf("core: restore history: lat=%d slice=%d entries (want %d), observed %d",
+			len(lat), len(slice), c.Window, observed)
+	}
+	for i := range lat {
+		if lat[i] < 0 || slice[i] <= 0 {
+			return History{}, fmt.Errorf("core: restore history: latency %v, slice %v at index %d", lat[i], slice[i], i)
+		}
+	}
+	h := c.NewHistory()
+	copy(h.lat, lat)
+	copy(h.slice, slice)
+	h.observed = observed
+	return h, nil
+}
+
+// Controller implements ATC for one physical node's VM population,
+// keeping one History per VM ID.
 type Controller struct {
 	cfg Config
-	vms map[int]*vmState
+	vms map[int]*History
 }
 
 // NewController returns a Controller; it panics on an invalid Config to
@@ -99,45 +162,27 @@ func NewController(cfg Config) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Controller{cfg: cfg, vms: make(map[int]*vmState)}
+	return &Controller{cfg: cfg, vms: make(map[int]*History)}
 }
 
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// state fetches or creates a VM's history, pre-filled with zero latency
-// at the default slice so cold-start behaves like an idle VM.
-func (c *Controller) state(vmID int) *vmState {
-	st, ok := c.vms[vmID]
-	if !ok {
-		st = &vmState{
-			lat:   make([]sim.Time, c.cfg.Window),
-			slice: make([]sim.Time, c.cfg.Window),
-		}
-		for i := range st.slice {
-			st.slice[i] = c.cfg.Default
-		}
-		c.vms[vmID] = st
+// state fetches or creates a VM's history.
+func (c *Controller) state(vmID int) *History {
+	if h, ok := c.vms[vmID]; ok {
+		return h
 	}
-	return st
+	h := c.cfg.NewHistory()
+	c.vms[vmID] = &h
+	return &h
 }
 
 // Observe records one period's average spinlock latency and the slice
 // that was in force for vmID during that period. Call once per VM per
 // scheduling period, before ComputeSlice/NodeSlices.
 func (c *Controller) Observe(vmID int, avgLatency, sliceInForce sim.Time) {
-	if avgLatency < 0 {
-		panic(fmt.Sprintf("core: negative latency %v", avgLatency))
-	}
-	if sliceInForce <= 0 {
-		panic(fmt.Sprintf("core: non-positive slice %v", sliceInForce))
-	}
-	st := c.state(vmID)
-	copy(st.lat, st.lat[1:])
-	st.lat[len(st.lat)-1] = avgLatency
-	copy(st.slice, st.slice[1:])
-	st.slice[len(st.slice)-1] = sliceInForce
-	st.observed++
+	c.state(vmID).Observe(avgLatency, sliceInForce)
 }
 
 // Forget drops a VM's history (VM destroyed or migrated away).
@@ -146,23 +191,28 @@ func (c *Controller) Forget(vmID int) { delete(c.vms, vmID) }
 // History returns copies of the latency and slice windows for vmID
 // (oldest first), for diagnostics.
 func (c *Controller) History(vmID int) (lat, slice []sim.Time) {
-	st := c.state(vmID)
-	return append([]sim.Time(nil), st.lat...), append([]sim.Time(nil), st.slice...)
+	lat, slice, _ = c.state(vmID).Snapshot()
+	return lat, slice
 }
 
 // ComputeSlice is Algorithm 1: the slice vmID should use in the coming
 // scheduling period, derived from the last Window periods of history.
 func (c *Controller) ComputeSlice(vmID int) sim.Time {
-	st := c.state(vmID)
-	w := c.cfg.Window
-	latPrev := st.lat[w-1]  // sLatency_{i-1}
-	latPrev2 := st.lat[w-2] // sLatency_{i-2}
-	latPrev3 := st.lat[w-3] // sLatency_{i-3} (window >= 3; for window 2 reuse oldest)
-	if w < 3 {
-		latPrev3 = st.lat[0]
+	return c.cfg.ComputeSlice(c.state(vmID))
+}
+
+// ComputeSlice is Algorithm 1 over one VM's window h (cold-start or
+// observed; never the zero History).
+func (c Config) ComputeSlice(h *History) sim.Time {
+	w := c.Window
+	latPrev := h.lat[w-1]  // sLatency_{i-1}
+	latPrev2 := h.lat[w-2] // sLatency_{i-2}
+	latPrev3 := h.lat[0]   // sLatency_{i-3} (window >= 3; for window 2 reuse oldest)
+	if w >= 3 {
+		latPrev3 = h.lat[w-3]
 	}
-	slicePrev := st.slice[w-1]  // timeSlice_{i-1}
-	slicePrev2 := st.slice[w-2] // timeSlice_{i-2}
+	slicePrev := h.slice[w-1]  // timeSlice_{i-1}
+	slicePrev2 := h.slice[w-2] // timeSlice_{i-2}
 
 	next := slicePrev
 
@@ -170,17 +220,17 @@ func (c *Controller) ComputeSlice(vmID int) sim.Time {
 	fallingDueToShorterSlice := latPrev3 > latPrev2 && latPrev2 > latPrev && slicePrev2 > slicePrev
 	if rising || fallingDueToShorterSlice {
 		switch {
-		case slicePrev > c.cfg.Alpha && slicePrev-c.cfg.Alpha >= c.cfg.MinThreshold:
-			next = slicePrev - c.cfg.Alpha
-		case slicePrev > c.cfg.Beta && slicePrev-c.cfg.Beta >= c.cfg.MinThreshold:
-			next = slicePrev - c.cfg.Beta
+		case slicePrev > c.Alpha && slicePrev-c.Alpha >= c.MinThreshold:
+			next = slicePrev - c.Alpha
+		case slicePrev > c.Beta && slicePrev-c.Beta >= c.MinThreshold:
+			next = slicePrev - c.Beta
 		}
 	}
 
 	// Lines 12-20: latency stayed zero for the whole window → relax the
 	// slice back toward the default.
 	allZero := true
-	for _, l := range st.lat {
+	for _, l := range h.lat {
 		if l != 0 {
 			allZero = false
 			break
@@ -188,20 +238,20 @@ func (c *Controller) ComputeSlice(vmID int) sim.Time {
 	}
 	if allZero {
 		switch {
-		case slicePrev > c.cfg.Default-c.cfg.Alpha:
-			next = c.cfg.Default
-		case slicePrev+c.cfg.Alpha <= c.cfg.Default:
-			next = slicePrev + c.cfg.Alpha
+		case slicePrev > c.Default-c.Alpha:
+			next = c.Default
+		case slicePrev+c.Alpha <= c.Default:
+			next = slicePrev + c.Alpha
 		default:
-			next = slicePrev + c.cfg.Beta
+			next = slicePrev + c.Beta
 		}
-		if next > c.cfg.Default {
-			next = c.cfg.Default
+		if next > c.Default {
+			next = c.Default
 		}
 	}
 
-	if next < c.cfg.MinThreshold {
-		next = c.cfg.MinThreshold
+	if next < c.MinThreshold {
+		next = c.MinThreshold
 	}
 	return next
 }
@@ -216,6 +266,29 @@ type VMInfo struct {
 	AdminSlice sim.Time
 }
 
+// NodeMin folds one parallel VM into Algorithm 2's node minimum: min
+// is the minimum over the node's parallel VMs so far (0 before the
+// first) and h is the next one's window.
+func (c Config) NodeMin(min sim.Time, h *History) sim.Time {
+	if s := c.ComputeSlice(h); min == 0 || s < min {
+		return s
+	}
+	return min
+}
+
+// Assign is Algorithm 2's per-VM rule: a parallel VM gets the node
+// minimum min (when the node has one); a non-parallel VM gets its admin
+// slice, or the default.
+func (c Config) Assign(vm VMInfo, min sim.Time) sim.Time {
+	switch {
+	case vm.Parallel && min > 0:
+		return min
+	case !vm.Parallel && vm.AdminSlice > 0:
+		return vm.AdminSlice
+	}
+	return c.Default
+}
+
 // NodeSlices is Algorithm 2: compute every VM's slice for the coming
 // period on one physical node. All parallel VMs receive the minimum of
 // their Algorithm-1 slices; non-parallel VMs receive their admin slice or
@@ -224,23 +297,12 @@ func (c *Controller) NodeSlices(vms []VMInfo) map[int]sim.Time {
 	out := make(map[int]sim.Time, len(vms))
 	minSlice := sim.Time(0)
 	for _, vm := range vms {
-		if !vm.Parallel {
-			continue
-		}
-		s := c.ComputeSlice(vm.ID)
-		if minSlice == 0 || s < minSlice {
-			minSlice = s
+		if vm.Parallel {
+			minSlice = c.cfg.NodeMin(minSlice, c.state(vm.ID))
 		}
 	}
 	for _, vm := range vms {
-		switch {
-		case vm.Parallel && minSlice > 0:
-			out[vm.ID] = minSlice
-		case !vm.Parallel && vm.AdminSlice > 0:
-			out[vm.ID] = vm.AdminSlice
-		default:
-			out[vm.ID] = c.cfg.Default
-		}
+		out[vm.ID] = c.cfg.Assign(vm, minSlice)
 	}
 	return out
 }
@@ -253,14 +315,11 @@ func (c *Controller) NodeSlices(vms []VMInfo) map[int]sim.Time {
 func (c *Controller) PerVMSlices(vms []VMInfo) map[int]sim.Time {
 	out := make(map[int]sim.Time, len(vms))
 	for _, vm := range vms {
-		switch {
-		case vm.Parallel:
-			out[vm.ID] = c.ComputeSlice(vm.ID)
-		case vm.AdminSlice > 0:
-			out[vm.ID] = vm.AdminSlice
-		default:
-			out[vm.ID] = c.cfg.Default
+		own := sim.Time(0)
+		if vm.Parallel {
+			own = c.ComputeSlice(vm.ID)
 		}
+		out[vm.ID] = c.cfg.Assign(vm, own)
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"atcsched/internal/sim"
 )
@@ -358,5 +360,36 @@ func TestNodeSlicesUniformMinProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkControllerNodeSlices times one node's period through the
+// ID-keyed Controller — Observe every VM, then Algorithm 2 — per VM
+// decision. NodeSlices returns a fresh map each call, which allocs/op
+// shows.
+func BenchmarkControllerNodeSlices(b *testing.B) {
+	for _, vms := range []int{4, 64} {
+		b.Run(fmt.Sprintf("vms=%d", vms), func(b *testing.B) {
+			c := NewController(cfg())
+			infos := make([]VMInfo, vms)
+			for id := range infos {
+				infos[id] = VMInfo{ID: id, Parallel: id%4 != 3}
+			}
+			out := c.NodeSlices(infos)
+			period := func(i int) {
+				for id := range infos {
+					c.Observe(id, sim.Time((i+id)%5)*100*sim.Microsecond, out[id])
+				}
+				out = c.NodeSlices(infos)
+			}
+			period(0) // create every VM's history
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				period(i)
+			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*vms), "ns/VM-decision")
+		})
 	}
 }

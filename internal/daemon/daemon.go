@@ -17,9 +17,11 @@
 package daemon
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"atcsched/internal/core"
@@ -116,135 +118,185 @@ func (s *Stats) add(o Stats) {
 	s.Degraded += o.Degraded
 }
 
-// vmMeta is the classification the daemon remembers for VMs it has
-// seen, so it can keep deciding for them through a monitoring blackout.
-type vmMeta struct {
-	parallel bool
-	admin    sim.Time
+// vmSlot is everything a nodeLoop holds for one VM. A slot exists once
+// the VM has any state: a batch named it, or a snapshot restored some.
+type vmSlot struct {
+	id int
+	// parallel and admin are the classification the loop keeps deciding
+	// with through a monitoring blackout; known marks them as set.
+	known, parallel bool
+	admin           sim.Time
+	hasLast         bool // last is the slice of the last landed actuation
+	last            sim.Time
+	seq             uint64       // last fresh sample's sequence number (0: none)
+	staleRuns       int          // consecutive stale or missing periods
+	hist            core.History // Algorithm-1 window; zero until observed or restored
+	// seen and decided hold the epoch of the last decide whose batch
+	// named the VM and that chose next for it.
+	seen, decided uint64
+	next          sim.Time
 }
 
-// nodeLoop is the per-node heart of the control plane: one controller
+// inForce is the slice the VM runs at: its last landed one, or def.
+func (v *vmSlot) inForce(def sim.Time) sim.Time {
+	if v.hasLast {
+		return v.last
+	}
+	return def
+}
+
+// observation is one fresh sample of the period: its slot and class.
+type observation struct {
+	slot int
+	vm   core.VMInfo
+}
+
+// nodeLoop is the per-node heart of the control plane: one VM table
 // plus the commit-on-success / stale-detection / blackout-degradation /
 // retry-accounting state. Fleet owns one per node and calls decide,
 // applyWithRetry and commit in that order once per period; a 1-node
 // fleet is the single-machine daemon.
 type nodeLoop struct {
-	ctl  *core.Controller
+	cfg  core.Config
 	opts Options
-	last map[int]sim.Time
+	vms  []vmSlot // sorted by VM ID
 
-	// lastSeq/staleRuns/known implement stale detection and blackout
-	// degradation; consecDrops drives the give-up policy.
-	lastSeq     map[int]uint64
-	staleRuns   map[int]int
-	known       map[int]vmMeta
-	consecDrops int
+	// epoch counts decides; obs and decisions are decide's scratch and
+	// output, reused period to period.
+	epoch     uint64
+	obs       []observation
+	decisions map[int]sim.Time
 
-	periods uint64
-	stats   Stats
+	consecDrops int // drives the give-up policy
+	periods     uint64
+	stats       Stats
+	lastCommit  time.Time // wall clock of the last landed actuation (/debug/atc age)
 }
 
 // newNodeLoop builds one node's control state. opts must already be
-// sanitized; cfg zero-value panics (use core.DefaultConfig()).
+// sanitized; an invalid cfg panics (use core.DefaultConfig()).
 func newNodeLoop(cfg core.Config, opts Options) *nodeLoop {
-	return &nodeLoop{
-		ctl:       core.NewController(cfg),
-		opts:      opts,
-		last:      make(map[int]sim.Time),
-		lastSeq:   make(map[int]uint64),
-		staleRuns: make(map[int]int),
-		known:     make(map[int]vmMeta),
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
+	return &nodeLoop{cfg: cfg, opts: opts, decisions: make(map[int]sim.Time)}
 }
 
-// decide consumes one period's samples: stale-filter, feed the
-// controller, run Algorithm 2, degrade blacked-out VMs. It advances
-// controller history but commits nothing — call commit only after the
-// actuation lands, so a failed Apply can never record a slice that
-// never took effect.
-func (l *nodeLoop) decide(samples []VMSample) map[int]sim.Time {
-	seen := make(map[int]bool, len(samples))
-	infos := make([]core.VMInfo, 0, len(samples))
-	for _, s := range samples {
-		seen[s.ID] = true
-		if _, ok := l.known[s.ID]; !ok {
-			l.known[s.ID] = vmMeta{parallel: s.Parallel, admin: s.AdminSlice}
+// slot returns the index of vmID's slot, inserting an empty one in ID
+// order if there is none. hint is tried first: sources name the same
+// VMs in the same order every period, so the slot after the last one
+// matched usually is the next one wanted.
+func (l *nodeLoop) slot(vmID, hint int) int {
+	if hint < len(l.vms) && l.vms[hint].id == vmID {
+		return hint
+	}
+	i, found := slices.BinarySearchFunc(l.vms, vmID, func(v vmSlot, id int) int { return cmp.Compare(v.id, id) })
+	if !found {
+		l.vms = slices.Insert(l.vms, i, vmSlot{id: vmID})
+		for j := range l.obs {
+			if l.obs[j].slot >= i {
+				l.obs[j].slot++
+			}
 		}
-		if s.Seq != 0 && s.Seq <= l.lastSeq[s.ID] {
+	}
+	return i
+}
+
+// decide consumes one period's samples: stale-filter, advance the
+// VMs' windows, run Algorithm 2, degrade blacked-out VMs. It commits
+// nothing — call commit only after the actuation lands, so a failed
+// Apply can never record a slice that never took effect. The returned
+// map is reused by the next decide.
+func (l *nodeLoop) decide(samples []VMSample) map[int]sim.Time {
+	l.epoch++
+	l.obs = l.obs[:0]
+	hint := 0
+	for _, s := range samples {
+		i := l.slot(s.ID, hint)
+		hint = i + 1
+		v := &l.vms[i]
+		v.seen = l.epoch
+		if !v.known {
+			v.known, v.parallel, v.admin = true, s.Parallel, s.AdminSlice
+		}
+		if s.Seq != 0 && s.Seq <= v.seq {
 			// The monitor is repeating itself; skip the observation
 			// rather than feeding old data back into the controller.
 			l.stats.StaleSamples++
-			l.staleRuns[s.ID]++
+			v.staleRuns++
 			continue
 		}
-		if s.Seq != 0 {
-			l.lastSeq[s.ID] = s.Seq
+		v.seq = cmp.Or(s.Seq, v.seq)
+		v.staleRuns = 0
+		v.parallel, v.admin = s.Parallel, s.AdminSlice
+		if v.hist.IsZero() {
+			v.hist = l.cfg.NewHistory()
 		}
-		l.staleRuns[s.ID] = 0
-		l.known[s.ID] = vmMeta{parallel: s.Parallel, admin: s.AdminSlice}
-		inForce, ok := l.last[s.ID]
-		if !ok {
-			inForce = l.ctl.Config().Default
-		}
-		l.ctl.Observe(s.ID, s.AvgSpinLatency, inForce)
-		infos = append(infos, core.VMInfo{ID: s.ID, Parallel: s.Parallel, AdminSlice: s.AdminSlice})
+		v.hist.Observe(s.AvgSpinLatency, v.inForce(l.cfg.Default))
+		l.obs = append(l.obs, observation{slot: i, vm: core.VMInfo{ID: s.ID, Parallel: s.Parallel, AdminSlice: s.AdminSlice}})
 	}
-	// A known VM missing from the sample set entirely is a dropout —
-	// the other face of a monitoring blackout.
-	for id := range l.known {
-		if !seen[id] {
-			l.staleRuns[id]++
+
+	// Algorithm 2 over the fresh samples, in batch order.
+	minSlice := sim.Time(0)
+	for _, o := range l.obs {
+		if o.vm.Parallel {
+			minSlice = l.cfg.NodeMin(minSlice, &l.vms[o.slot].hist)
 		}
 	}
-	slices := l.ctl.NodeSlices(infos)
-	l.degradeBlackedOut(slices)
-	return slices
+	for _, o := range l.obs {
+		v := &l.vms[o.slot]
+		v.next, v.decided = l.cfg.Assign(o.vm, minSlice), l.epoch
+	}
+
+	clear(l.decisions)
+	for i := range l.vms {
+		v := &l.vms[i]
+		// A known VM missing from the sample set entirely is a dropout
+		// — the other face of a monitoring blackout.
+		if v.known && v.seen != l.epoch {
+			v.staleRuns++
+		}
+		if v.staleRuns != 0 {
+			l.degrade(v)
+		}
+		if v.decided == l.epoch {
+			l.decisions[v.id] = v.next
+		}
+	}
+	return l.decisions
 }
 
-// commit records a landed actuation: the slices become the in-force
-// history and the period counts.
-func (l *nodeLoop) commit(slices map[int]sim.Time) {
-	for id, sl := range slices {
-		l.last[id] = sl
+// commit records a landed actuation: the last decide's slices become
+// the in-force history and the period counts.
+func (l *nodeLoop) commit() {
+	for i := range l.vms {
+		if v := &l.vms[i]; v.decided == l.epoch {
+			v.hasLast, v.last = true, v.next
+		}
 	}
 	l.periods++
 }
 
-// degradeBlackedOut overrides the decisions for VMs whose monitoring is
-// stale or missing: hold the last applied slice for the first
-// StaleAfter-1 blacked-out periods, then walk a parallel VM's slice
-// toward the controller default by Alpha per period — the same fallback
-// the paper applies to VMs it cannot adapt. Non-parallel VMs revert to
-// their admin slice (or the default) immediately at the threshold.
-func (l *nodeLoop) degradeBlackedOut(slices map[int]sim.Time) {
-	def := l.ctl.Config().Default
-	step := l.ctl.Config().Alpha
-	for id, runs := range l.staleRuns {
-		if runs == 0 {
-			continue
-		}
-		cur, ok := l.last[id]
-		if !ok {
-			cur = def
-		}
-		meta := l.known[id]
-		switch {
-		case runs < l.opts.StaleAfter:
-			slices[id] = cur
-		case !meta.parallel:
-			if meta.admin > 0 {
-				slices[id] = meta.admin
-			} else {
-				slices[id] = def
-			}
-		default:
-			next := stepToward(cur, def, step)
-			if next != cur {
-				l.stats.Degraded++
-			}
-			slices[id] = next
+// degrade overrides the decision for a VM whose monitoring is stale or
+// missing: hold the last applied slice for the first StaleAfter-1
+// blacked-out periods, then walk a parallel VM's slice toward the
+// controller default by Alpha per period — the same fallback the paper
+// applies to VMs it cannot adapt. Non-parallel VMs revert to their
+// admin slice (or the default) immediately at the threshold.
+func (l *nodeLoop) degrade(v *vmSlot) {
+	cur := v.inForce(l.cfg.Default)
+	switch {
+	case v.staleRuns < l.opts.StaleAfter:
+		v.next = cur
+	case !v.parallel:
+		v.next = l.cfg.Assign(core.VMInfo{AdminSlice: v.admin}, 0)
+	default:
+		v.next = stepToward(cur, l.cfg.Default, l.cfg.Alpha)
+		if v.next != cur {
+			l.stats.Degraded++
 		}
 	}
+	v.decided = l.epoch
 }
 
 // stepToward moves cur toward target by at most step.
@@ -304,14 +356,9 @@ type WriterActuator struct {
 }
 
 // ApplyNode implements FleetActuator.
-func (w WriterActuator) ApplyNode(_ int, slices map[int]sim.Time) error {
-	ids := make([]int, 0, len(slices))
-	for id := range slices {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, err := fmt.Fprintf(w.W, "vm%d %.0fus\n", id, slices[id].Micros()); err != nil {
+func (w WriterActuator) ApplyNode(_ int, decided map[int]sim.Time) error {
+	for _, id := range slices.Sorted(maps.Keys(decided)) {
+		if _, err := fmt.Fprintf(w.W, "vm%d %.0fus\n", id, decided[id].Micros()); err != nil {
 			return err
 		}
 	}

@@ -30,7 +30,8 @@ type FleetSource interface {
 }
 
 // FleetActuator applies one node's slices. Nodes on different shards
-// are actuated concurrently.
+// are actuated concurrently. The fleet reuses the slices map for the
+// node's next period, so ApplyNode must not keep it after returning.
 type FleetActuator interface {
 	ApplyNode(node int, slices map[int]sim.Time) error
 }
@@ -61,20 +62,13 @@ func (o *FleetOptions) sanitize() {
 // so shard assignment is deterministic across runs and restores.
 const fleetShardSalt = 0xa7c15f1ee7
 
-// fleetNode is one node's control state plus the wall clock of its last
-// committed actuation (the /debug/atc age column).
-type fleetNode struct {
-	loop       *nodeLoop
-	lastCommit time.Time
-}
-
 // fleetShard owns a disjoint subset of nodes. mu guards nodes and every
 // nodeLoop in it: the shard's goroutine holds it for decide and commit
 // and releases it around ApplyNode and backoff waits, so Table/Summary
 // readers never wait on a slow actuator.
 type fleetShard struct {
 	mu    sync.Mutex
-	nodes map[int]*fleetNode
+	nodes map[int]*nodeLoop
 
 	// work lists the current period's batches on this shard as indices
 	// into Step's batch slice (Step scratch).
@@ -101,8 +95,9 @@ type Fleet struct {
 	src    FleetSource
 	act    FleetActuator
 	shards []*fleetShard
-	outs   []outcome // Step scratch, one per batch
-	err    error     // sticky terminal error (a node gave up)
+	outs   []outcome      // Step scratch, one per batch
+	join   sync.WaitGroup // Step's wait for its shard goroutines
+	err    error          // sticky terminal error (a node gave up)
 
 	stop     atomic.Bool
 	stopc    chan struct{}
@@ -136,7 +131,7 @@ func NewFleet(cfg core.Config, src FleetSource, act FleetActuator, opts FleetOpt
 		stopc:  make(chan struct{}),
 	}
 	for i := range f.shards {
-		f.shards[i] = &fleetShard{nodes: make(map[int]*fleetNode)}
+		f.shards[i] = &fleetShard{nodes: make(map[int]*nodeLoop)}
 	}
 	return f
 }
@@ -205,18 +200,17 @@ func (f *Fleet) Step() error {
 		sh := f.shardOf(b.Node)
 		sh.work = append(sh.work, i)
 	}
-	var wg sync.WaitGroup
 	for _, sh := range f.shards[1:] {
 		if len(sh.work) > 0 {
-			wg.Add(1)
+			f.join.Add(1)
 			go func() {
-				defer wg.Done()
+				defer f.join.Done()
 				f.runShard(sh, batches)
 			}()
 		}
 	}
 	f.runShard(f.shards[0], batches)
-	wg.Wait()
+	f.join.Wait()
 	f.periods.Add(1)
 
 	var end sim.Time
@@ -265,11 +259,11 @@ func (f *Fleet) runShard(sh *fleetShard, batches []NodeBatch) {
 		node := batches[i].Node
 		fn := sh.nodes[node]
 		if fn == nil {
-			fn = &fleetNode{loop: newNodeLoop(f.cfg, f.opts.Node)}
+			fn = newNodeLoop(f.cfg, f.opts.Node)
 			sh.nodes[node] = fn
 		}
-		slices := fn.loop.decide(batches[i].Samples)
-		committed, err := fn.loop.applyWithRetry(slices, func(s map[int]sim.Time) error {
+		slices := fn.decide(batches[i].Samples)
+		committed, err := fn.applyWithRetry(slices, func(s map[int]sim.Time) error {
 			sh.mu.Unlock()
 			defer sh.mu.Lock()
 			return f.act.ApplyNode(node, s)
@@ -284,7 +278,7 @@ func (f *Fleet) runShard(sh *fleetShard, batches []NodeBatch) {
 		case err != nil:
 			o.result, o.err = "giveup", fmt.Errorf("fleet node %d: %w", node, err)
 		case committed:
-			fn.loop.commit(slices)
+			fn.commit()
 			fn.lastCommit = now
 			o.result = "apply"
 		default:
@@ -369,7 +363,7 @@ func (f *Fleet) SkippedRestoreNodes() uint64 { return f.skippedRestore.Load() }
 
 // eachNode calls fn for every node under its shard's lock, shard by
 // shard (not in node order).
-func (f *Fleet) eachNode(fn func(id int, n *fleetNode)) {
+func (f *Fleet) eachNode(fn func(id int, n *nodeLoop)) {
 	for _, sh := range f.shards {
 		sh.mu.Lock()
 		for id, n := range sh.nodes {
@@ -382,7 +376,7 @@ func (f *Fleet) eachNode(fn func(id int, n *fleetNode)) {
 // Nodes lists every node the fleet holds state for, sorted.
 func (f *Fleet) Nodes() []int {
 	var ids []int
-	f.eachNode(func(id int, _ *fleetNode) { ids = append(ids, id) })
+	f.eachNode(func(id int, _ *nodeLoop) { ids = append(ids, id) })
 	sort.Ints(ids)
 	return ids
 }
@@ -390,7 +384,7 @@ func (f *Fleet) Nodes() []int {
 // Stats aggregates the per-node fault-handling counters.
 func (f *Fleet) Stats() Stats {
 	var out Stats
-	f.eachNode(func(_ int, n *fleetNode) { out.add(n.loop.stats) })
+	f.eachNode(func(_ int, n *nodeLoop) { out.add(n.stats) })
 	return out
 }
 
@@ -404,9 +398,11 @@ func (f *Fleet) LastSlices(node int) map[int]sim.Time {
 	if !ok {
 		return nil
 	}
-	out := make(map[int]sim.Time, len(fn.loop.last))
-	for id, sl := range fn.loop.last {
-		out[id] = sl
+	out := make(map[int]sim.Time)
+	for _, v := range fn.vms {
+		if v.hasLast {
+			out[v.id] = v.last
+		}
 	}
 	return out
 }
@@ -436,25 +432,25 @@ type FleetNodeStatus struct {
 func (f *Fleet) Table() []FleetNodeStatus {
 	now := time.Now()
 	var out []FleetNodeStatus
-	f.eachNode(func(id int, n *fleetNode) {
+	f.eachNode(func(id int, n *nodeLoop) {
 		st := FleetNodeStatus{
 			Node:              id,
-			VMs:               len(n.loop.known),
-			Periods:           n.loop.periods,
+			Periods:           n.periods,
 			LastDecisionAgeMS: -1,
-			DroppedPeriods:    n.loop.stats.DroppedPeriods,
-			StaleSamples:      n.loop.stats.StaleSamples,
+			DroppedPeriods:    n.stats.DroppedPeriods,
+			StaleSamples:      n.stats.StaleSamples,
 		}
 		if !n.lastCommit.IsZero() {
 			st.LastDecisionAgeMS = float64(now.Sub(n.lastCommit)) / float64(time.Millisecond)
 		}
 		minSlice := sim.Time(0)
-		for vid, meta := range n.loop.known {
-			if !meta.parallel {
+		for _, v := range n.vms {
+			if !v.known {
 				continue
 			}
-			if sl, ok := n.loop.last[vid]; ok && (minSlice == 0 || sl < minSlice) {
-				minSlice = sl
+			st.VMs++
+			if v.parallel && v.hasLast && (minSlice == 0 || v.last < minSlice) {
+				minSlice = v.last
 			}
 		}
 		st.SliceUS = minSlice.Micros()
@@ -482,9 +478,9 @@ func (f *Fleet) Summary() FleetSummary {
 		Decisions: f.Decisions(),
 		Rejected:  f.Rejected(),
 	}
-	f.eachNode(func(_ int, n *fleetNode) {
+	f.eachNode(func(_ int, n *nodeLoop) {
 		s.Nodes++
-		s.Stats.add(n.loop.stats)
+		s.Stats.add(n.stats)
 	})
 	return s
 }

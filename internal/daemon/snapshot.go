@@ -67,64 +67,62 @@ func (f *Fleet) Snapshot() *FleetSnapshot {
 		Periods:   f.Periods(),
 		Decisions: f.Decisions(),
 	}
-	var ids []int // VM-ID scratch, reused node to node
-	f.eachNode(func(id int, n *fleetNode) {
-		ids = n.loop.vmIDs(ids[:0])
-		s.Nodes = append(s.Nodes, snapshotNode(id, n.loop, ids))
-	})
+	f.eachNode(func(id int, n *nodeLoop) { s.Nodes = append(s.Nodes, n.snapshot(id)) })
 	slices.SortFunc(s.Nodes, func(a, b NodeSnapshot) int { return cmp.Compare(a.Node, b.Node) })
 	return s
 }
 
-// vmIDs appends to ids every VM ID l holds any state for, sorted and
-// deduplicated (caller holds the shard lock).
-func (l *nodeLoop) vmIDs(ids []int) []int {
-	for vid := range l.last {
-		ids = append(ids, vid)
+// snapshot images the loop as node id's entry, one VM per table slot
+// (caller holds the shard lock).
+func (l *nodeLoop) snapshot(id int) NodeSnapshot {
+	ns := NodeSnapshot{Node: id, Periods: l.periods, ConsecDrops: l.consecDrops, Stats: l.stats}
+	if len(l.vms) > 0 {
+		ns.VMs = make([]VMSnapshot, len(l.vms))
 	}
-	for vid := range l.lastSeq {
-		ids = append(ids, vid)
-	}
-	for vid := range l.staleRuns {
-		ids = append(ids, vid)
-	}
-	for vid := range l.known {
-		ids = append(ids, vid)
-	}
-	ids = l.ctl.AppendTrackedVMs(ids)
-	slices.Sort(ids)
-	return slices.Compact(ids)
-}
-
-// snapshotNode images one node's loop for the VM IDs ids (caller holds
-// the shard lock).
-func snapshotNode(id int, l *nodeLoop, ids []int) NodeSnapshot {
-	ns := NodeSnapshot{
-		Node:        id,
-		Periods:     l.periods,
-		ConsecDrops: l.consecDrops,
-		Stats:       l.stats,
-	}
-	if len(ids) > 0 {
-		ns.VMs = make([]VMSnapshot, 0, len(ids))
-	}
-	for _, vid := range ids {
-		vs := VMSnapshot{ID: vid, Seq: l.lastSeq[vid], StaleRuns: l.staleRuns[vid]}
-		if meta, ok := l.known[vid]; ok {
-			vs.Known = true
-			vs.Parallel = meta.parallel
-			vs.Admin = meta.admin
+	for i := range l.vms {
+		v, vs := &l.vms[i], &ns.VMs[i]
+		vs.ID, vs.Seq, vs.StaleRuns = v.id, v.seq, v.staleRuns
+		if v.known {
+			vs.Known, vs.Parallel, vs.Admin = true, v.parallel, v.admin
 		}
-		if last, ok := l.last[vid]; ok {
-			vs.HasLast = true
-			vs.Last = last
+		if v.hasLast {
+			vs.HasLast, vs.Last = true, v.last
 		}
-		if lat, slice, obs, ok := l.ctl.ExportVM(vid); ok {
-			vs.Lat, vs.Slice, vs.Observed = lat, slice, obs
+		if !v.hist.IsZero() {
+			vs.Lat, vs.Slice, vs.Observed = v.hist.Snapshot()
 		}
-		ns.VMs = append(ns.VMs, vs)
 	}
 	return ns
+}
+
+// restoreNodeLoop rebuilds one node's loop from its snapshot entry.
+// VM entries merge field by field into the VM's slot, in order; an
+// entry that carries no state makes no slot.
+func restoreNodeLoop(cfg core.Config, opts Options, ns *NodeSnapshot) (*nodeLoop, error) {
+	l := newNodeLoop(cfg, opts)
+	l.periods, l.consecDrops, l.stats = ns.Periods, ns.ConsecDrops, ns.Stats
+	for _, vs := range ns.VMs {
+		hasHist := len(vs.Lat) > 0 || len(vs.Slice) > 0
+		if !vs.Known && !vs.HasLast && vs.Seq == 0 && vs.StaleRuns == 0 && !hasHist {
+			continue
+		}
+		v := &l.vms[l.slot(vs.ID, len(l.vms))]
+		if vs.Known {
+			v.known, v.parallel, v.admin = true, vs.Parallel, vs.Admin
+		}
+		if vs.HasLast {
+			v.hasLast, v.last = true, vs.Last
+		}
+		v.seq, v.staleRuns = cmp.Or(vs.Seq, v.seq), cmp.Or(vs.StaleRuns, v.staleRuns)
+		if hasHist {
+			h, err := cfg.RestoreHistory(vs.Lat, vs.Slice, vs.Observed)
+			if err != nil {
+				return nil, fmt.Errorf("vm %d: %w", vs.ID, err)
+			}
+			v.hist = h
+		}
+	}
+	return l, nil
 }
 
 // Restore loads a snapshot into a freshly-built fleet, replacing any
@@ -149,32 +147,13 @@ func (f *Fleet) Restore(s *FleetSnapshot) error {
 			f.skippedRestore.Add(1)
 			continue
 		}
-		l := newNodeLoop(f.cfg, f.opts.Node)
-		l.periods = ns.Periods
-		l.consecDrops = ns.ConsecDrops
-		l.stats = ns.Stats
-		for _, vs := range ns.VMs {
-			if vs.Known {
-				l.known[vs.ID] = vmMeta{parallel: vs.Parallel, admin: vs.Admin}
-			}
-			if vs.HasLast {
-				l.last[vs.ID] = vs.Last
-			}
-			if vs.Seq != 0 {
-				l.lastSeq[vs.ID] = vs.Seq
-			}
-			if vs.StaleRuns != 0 {
-				l.staleRuns[vs.ID] = vs.StaleRuns
-			}
-			if len(vs.Lat) > 0 || len(vs.Slice) > 0 {
-				if err := l.ctl.ImportVM(vs.ID, vs.Lat, vs.Slice, vs.Observed); err != nil {
-					return fmt.Errorf("daemon: restore node %d: %w", ns.Node, err)
-				}
-			}
+		l, err := restoreNodeLoop(f.cfg, f.opts.Node, ns)
+		if err != nil {
+			return fmt.Errorf("daemon: restore node %d: %w", ns.Node, err)
 		}
 		sh := f.shardOf(ns.Node)
 		sh.mu.Lock()
-		sh.nodes[ns.Node] = &fleetNode{loop: l}
+		sh.nodes[ns.Node] = l
 		sh.mu.Unlock()
 		f.restoredNodes.Add(1)
 	}

@@ -219,3 +219,37 @@ func TestSnapshotRestoreCraftedVMIDs(t *testing.T) {
 		t.Errorf("restored snapshot re-encodes as:\n%s\nwant:\n%s", got, enc)
 	}
 }
+
+// TestSnapshotRestoreRejectsBadHistory pins that Restore refuses a
+// history window that Observe could never have produced, and installs
+// nothing for the node it came in.
+func TestSnapshotRestoreRejectsBadHistory(t *testing.T) {
+	def := core.DefaultConfig().Default
+	good := []sim.Time{def, def, def}
+	cases := []struct {
+		name     string
+		lat      []sim.Time
+		slice    []sim.Time
+		observed int
+	}{
+		{"short lat", []sim.Time{0, 0}, good, 1},
+		{"long slice", []sim.Time{0, 0, 0}, append(good, def), 1},
+		{"missing lat", nil, good, 1},
+		{"negative latency", []sim.Time{0, -1, 0}, good, 1},
+		{"zero slice", []sim.Time{0, 0, 0}, []sim.Time{def, 0, def}, 1},
+		{"negative observed", []sim.Time{0, 0, 0}, good, -1},
+	}
+	for _, tc := range cases {
+		snap := &FleetSnapshot{Version: SnapshotVersion, Config: core.DefaultConfig(), Nodes: []NodeSnapshot{{
+			Node: 0, VMs: []VMSnapshot{{ID: 1, Known: true, Observed: tc.observed, Lat: tc.lat, Slice: tc.slice}},
+		}}}
+		f := NewFleet(core.DefaultConfig(), nil, &mapActuator{}, FleetOptions{})
+		if err := f.Restore(snap); err == nil {
+			t.Errorf("%s: Restore accepted bad history", tc.name)
+		}
+		if got := f.Nodes(); len(got) != 0 {
+			t.Errorf("%s: failed restore left nodes %v behind", tc.name, got)
+		}
+		f.Close()
+	}
+}
