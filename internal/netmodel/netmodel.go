@@ -76,6 +76,11 @@ type Fabric struct {
 	lostBy      []uint64 // transmissions discarded by the loss hook, by src
 	retxBy      []uint64 // retransmissions after losses, by src
 
+	// free holds each node's recycled flight records. Send takes from
+	// the sender's list and delivery returns to the receiver's, so like
+	// tx and rx each list is only touched from its own node's shard.
+	free [][]*flight
+
 	// lossFn, when set, is consulted once per wire transmission attempt;
 	// returning true discards the attempt (it is retried after
 	// RetransmitTimeout). bwFn, when set, scales a node's NIC line rate
@@ -136,7 +141,53 @@ func newFabric(engines []*sim.Engine, cfg Config, post PostFunc) *Fabric {
 		localBy:     make([]uint64, nodes),
 		lostBy:      make([]uint64, nodes),
 		retxBy:      make([]uint64, nodes),
+		free:        make([][]*flight, nodes),
 	}
+}
+
+// maxFreeFlights caps each node's flight recycle list. Incast traffic
+// returns every converging sender's records to one receiver; beyond the
+// cap they are dropped for the GC instead of pinning the burst's memory
+// for the whole run.
+const maxFreeFlights = 64
+
+// flight is one packet in transit. Its callbacks are bound once, when
+// the record is first made, so a warm fabric sends, retransmits and
+// delivers without allocating — provided the caller's deliver is itself
+// bound once rather than built per packet.
+type flight struct {
+	f        *Fabric
+	src, dst int
+	size     int
+	deliver  func()
+	doneFn   func() // the delivery, on dst's engine
+	arriveFn func() // the last byte reaches dst's NIC, on dst's engine
+	retxFn   func() // the retransmit after a loss, on src's engine
+}
+
+// take returns a flight record from src's free list, or a new one.
+func (f *Fabric) take(src int) *flight {
+	if free := f.free[src]; len(free) > 0 {
+		r := free[len(free)-1]
+		f.free[src] = free[:len(free)-1]
+		return r
+	}
+	r := &flight{f: f}
+	r.doneFn, r.arriveFn, r.retxFn = r.done, r.arrive, r.retransmit
+	return r
+}
+
+// done completes a delivery. It recycles the record onto dst's list
+// before calling deliver, so a deliver that sends again from dst may
+// reuse the record at once.
+func (r *flight) done() {
+	f, deliver := r.f, r.deliver
+	f.deliveredBy[r.dst]++
+	r.deliver = nil
+	if free := f.free[r.dst]; len(free) < maxFreeFlights {
+		f.free[r.dst] = append(free, r)
+	}
+	deliver()
 }
 
 // SetLoss installs (or, with nil, removes) the packet-loss hook.
@@ -185,6 +236,8 @@ func (f *Fabric) Retransmits() uint64 { return sum(f.retxBy) }
 // when the last byte arrives at dst's NIC. Node-local sends take the
 // loopback path: LocalLatency, plus loopback serialization when
 // LocalBytesPerSec is configured. Must be called from src's engine.
+// Send itself allocates nothing once the fabric is warm; pass a deliver
+// bound once rather than a closure built per packet to keep it so.
 func (f *Fabric) Send(src, dst, size int, deliver func()) {
 	if src < 0 || src >= len(f.tx) || dst < 0 || dst >= len(f.tx) {
 		panic(fmt.Sprintf("netmodel: node out of range src=%d dst=%d nodes=%d", src, dst, len(f.tx)))
@@ -193,10 +246,8 @@ func (f *Fabric) Send(src, dst, size int, deliver func()) {
 		panic("netmodel: negative packet size")
 	}
 	f.sentBy[src]++
-	wrapped := func() {
-		f.deliveredBy[dst]++
-		deliver()
-	}
+	r := f.take(src)
+	r.src, r.dst, r.size, r.deliver = src, dst, size, deliver
 	now := f.engines[src].Now()
 	if src == dst {
 		f.localBy[src] += uint64(size)
@@ -210,10 +261,10 @@ func (f *Fabric) Send(src, dst, size int, deliver func()) {
 			f.lo[src] = done
 			at = done + f.cfg.LocalLatency
 		}
-		f.engines[src].At(at, wrapped)
+		f.engines[src].At(at, r.doneFn)
 		return
 	}
-	f.transmit(src, dst, size, wrapped)
+	f.transmit(r)
 }
 
 // transmit books one wire attempt. A lost attempt is retried after
@@ -222,7 +273,8 @@ func (f *Fabric) Send(src, dst, size int, deliver func()) {
 // packet-conservation invariant holds under loss. Everything up to the
 // wire (tx booking, loss, retransmit) happens on src's engine; only the
 // arrival crosses to dst.
-func (f *Fabric) transmit(src, dst, size int, wrapped func()) {
+func (f *Fabric) transmit(r *flight) {
+	src, dst, size := r.src, r.dst, r.size
 	now := f.engines[src].Now()
 	f.wireBy[src] += uint64(size)
 	start := now
@@ -237,34 +289,36 @@ func (f *Fabric) transmit(src, dst, size int, wrapped func()) {
 		if rto <= 0 {
 			rto = sim.Millisecond
 		}
-		f.engines[src].At(txDone+rto, func() {
-			f.retxBy[src]++
-			f.transmit(src, dst, size, wrapped)
-		})
+		f.engines[src].At(txDone+rto, r.retxFn)
 		return
 	}
 	// The receiver-side NIC booking must read dst's state at arrival
 	// time on dst's own engine. arrive >= now + WireLatency, so the post
 	// always clears the lookahead window by construction.
 	arrive := txDone + f.cfg.WireLatency
-	f.post(src, dst, arrive, func() {
-		f.arriveAt(dst, size, wrapped)
-	})
+	f.post(src, dst, arrive, r.arriveFn)
 }
 
-// arriveAt books the receiver-side NIC occupancy for a packet whose last
+// retransmit retries a lost attempt on src's engine.
+func (r *flight) retransmit() {
+	r.f.retxBy[r.src]++
+	r.f.transmit(r)
+}
+
+// arrive books the receiver-side NIC occupancy for a packet whose last
 // byte reaches dst at the current time on dst's engine, then schedules
 // the delivery. An idle receiver delivers at once (the pipelined
 // arrival: the last byte lands WireLatency after it left the sender),
 // but N senders converging on one NIC drain at line rate, not N× it.
-func (f *Fabric) arriveAt(dst, size int, wrapped func()) {
+func (r *flight) arrive() {
+	f, dst := r.f, r.dst
 	now := f.engines[dst].Now()
 	rxDone := now
-	if t := f.rx[dst] + f.serialTime(size, dst, now); t > rxDone {
+	if t := f.rx[dst] + f.serialTime(r.size, dst, now); t > rxDone {
 		rxDone = t
 	}
 	f.rx[dst] = rxDone
-	f.engines[dst].At(rxDone, wrapped)
+	f.engines[dst].At(rxDone, r.doneFn)
 }
 
 // serialTime returns the serialization time of size bytes on node's

@@ -34,8 +34,14 @@ func New(seed uint64) *Source {
 // stream, useful for giving each simulated entity its own generator
 // derived from one experiment seed.
 func NewStream(seed, stream uint64) *Source {
-	s := &Source{inc: (splitmix64(stream^0x9e3779b97f4a7c15) << 1) | 1}
-	s.state = 0
+	s := Stream(seed, stream)
+	return &s
+}
+
+// Stream returns NewStream's generator by value, for callers that keep
+// it inside a reused struct instead of allocating one per reseed.
+func Stream(seed, stream uint64) Source {
+	s := Source{inc: (splitmix64(stream^0x9e3779b97f4a7c15) << 1) | 1}
 	s.next()
 	s.state += splitmix64(seed)
 	s.next()

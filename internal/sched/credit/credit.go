@@ -147,6 +147,11 @@ type Scheduler struct {
 	// accounting period, to detect active VMs (Xen distributes credit
 	// only to active domains — an idle dom0 must not absorb supply).
 	lastCPU map[int]sim.Time
+
+	// periodVMs and active are OnPeriod's and refillVM's scratch, reused
+	// from period to period.
+	periodVMs []*vmm.VM
+	active    []bool
 }
 
 // New builds a credit scheduler for node n.
@@ -531,8 +536,9 @@ func (s *Scheduler) OnTick(n *vmm.Node) {
 // fraction of the period's capacity — and the weight-proportional pool
 // splits what remains.
 func (s *Scheduler) OnPeriod(n *vmm.Node) {
-	all := append([]*vmm.VM{n.Dom0()}, n.VMs()...)
-	vms := all[:0:0]
+	all := append(append(s.periodVMs[:0], n.Dom0()), n.VMs()...)
+	s.periodVMs = all
+	vms := all[:0] // filtered in place: the write index never passes the read
 	for _, vm := range all {
 		var cpu sim.Time
 		runnable := false
@@ -585,7 +591,11 @@ func (s *Scheduler) refillVM(vm *vmm.VM, share sim.Time) {
 	// csched does — a VM running one busy process on an 8-VCPU VM
 	// gets its whole entitlement on that VCPU rather than burning
 	// 7/8 of it on idle siblings.
-	active := make([]bool, len(vm.VCPUs()))
+	if cap(s.active) < len(vm.VCPUs()) {
+		s.active = make([]bool, len(vm.VCPUs()))
+	}
+	active := s.active[:len(vm.VCPUs())]
+	clear(active)
 	nActive := 0
 	for i, v := range vm.VCPUs() {
 		d := s.Data(v)

@@ -309,6 +309,9 @@ func (g *ShardGroup) runSegment(segEnd Time) {
 // it, so the next RunUntil runs on). Engine clocks are aligned to Now()
 // on return.
 func (g *ShardGroup) RunUntil(t Time) bool {
+	// Posts made between RunUntil calls wait in the outboxes; collect
+	// them first, or the skip-ahead below would not see them.
+	g.collect()
 	for g.now < t && !g.halt.Load() {
 		wEnd := (g.now/g.look + 1) * g.look
 		if g.injected < wEnd {

@@ -204,3 +204,20 @@ func TestShardGroupRunUntilNowIsNoOp(t *testing.T) {
 		t.Fatalf("Engine.RunUntil(0) fired %d events in total, want 2", fired)
 	}
 }
+
+// TestShardGroupPostBetweenRuns pins Post's "or between RunUntil calls"
+// contract: a cross event posted while the group is idle fires at its
+// time, even when no other event would run a segment before it.
+func TestShardGroupPostBetweenRuns(t *testing.T) {
+	const look = 50 * Microsecond
+	g := NewShardGroup(2, look)
+	g.AssignSource(0, 0)
+	g.AssignSource(1, 1)
+	g.RunUntil(look / 2)
+	var at Time
+	g.Post(0, 1, g.Now()+look, func() { at = g.Engine(1).Now() })
+	g.RunUntil(10 * look)
+	if want := look/2 + look; at != want {
+		t.Fatalf("cross event posted between runs fired at %v, want %v", at, want)
+	}
+}

@@ -20,8 +20,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"atcsched/internal/sim"
@@ -386,44 +389,28 @@ func (p *Plane) Snapshot() Snapshot {
 	return snap
 }
 
-// labelLess orders labels by (node, vm).
-func labelLess(a, b Label) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
+// compareKey orders metric instances by (name, node, vm).
+func compareKey(an string, al Label, bn string, bl Label) int {
+	if c := strings.Compare(an, bn); c != 0 {
+		return c
 	}
-	return a.VM < b.VM
+	if c := cmp.Compare(al.Node, bl.Node); c != 0 {
+		return c
+	}
+	return strings.Compare(al.VM, bl.VM)
 }
 
-// sortSnapshot puts every section in its canonical order.
+// sortSnapshot puts every section in its canonical order: metrics by
+// (name, label), spans by (start, node) keeping publish order among ties.
 func sortSnapshot(s *Snapshot) {
-	sort.Slice(s.Counters, func(i, j int) bool {
-		if s.Counters[i].Name != s.Counters[j].Name {
-			return s.Counters[i].Name < s.Counters[j].Name
+	slices.SortFunc(s.Counters, func(a, b Counter) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
+	slices.SortFunc(s.Gauges, func(a, b Gauge) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
+	slices.SortFunc(s.Series, func(a, b Series) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
+	slices.SortFunc(s.Histograms, func(a, b Histogram) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
+	slices.SortStableFunc(s.Spans, func(a, b Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return labelLess(s.Counters[i].Label, s.Counters[j].Label)
-	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		if s.Gauges[i].Name != s.Gauges[j].Name {
-			return s.Gauges[i].Name < s.Gauges[j].Name
-		}
-		return labelLess(s.Gauges[i].Label, s.Gauges[j].Label)
-	})
-	sort.Slice(s.Series, func(i, j int) bool {
-		if s.Series[i].Name != s.Series[j].Name {
-			return s.Series[i].Name < s.Series[j].Name
-		}
-		return labelLess(s.Series[i].Label, s.Series[j].Label)
-	})
-	sort.Slice(s.Histograms, func(i, j int) bool {
-		if s.Histograms[i].Name != s.Histograms[j].Name {
-			return s.Histograms[i].Name < s.Histograms[j].Name
-		}
-		return labelLess(s.Histograms[i].Label, s.Histograms[j].Label)
-	})
-	sort.SliceStable(s.Spans, func(i, j int) bool {
-		if s.Spans[i].Start != s.Spans[j].Start {
-			return s.Spans[i].Start < s.Spans[j].Start
-		}
-		return s.Spans[i].Node < s.Spans[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 }

@@ -25,6 +25,37 @@ type Backend struct {
 	// processing counts packets popped from a queue whose netback
 	// compute has not finished yet (for conservation audits).
 	processing int
+	// wires recycles this node's wire records: forward takes from the
+	// source node's list and arrival returns to the destination's, so a
+	// list is only touched from its own node's shard.
+	wires []*wire
+}
+
+// maxFreeWires caps a backend's wire recycle list, like netmodel's
+// flight lists: incast traffic cannot pin unbounded memory.
+const maxFreeWires = 64
+
+// wire is one guest packet on the fabric, with its arrival callback
+// bound once so a warm world forwards packets without allocating.
+type wire struct {
+	pkt Packet
+	fn  func()
+}
+
+// arrive runs on the destination's engine when the packet lands. It
+// recycles the record first, then delivers through the software bridge
+// (a node-local packet) or posts to the destination's netback rx.
+func (w *wire) arrive() {
+	pkt := w.pkt
+	b := pkt.Dst.node.backend
+	if len(b.wires) < maxFreeWires {
+		b.wires = append(b.wires, w)
+	}
+	if pkt.Src.node == b.node {
+		pkt.Dst.deliver(pkt)
+		return
+	}
+	b.enqueueRx(pkt)
 }
 
 type diskReq struct {
@@ -137,19 +168,17 @@ func (bp *backendProc) Next() Action {
 
 // forward pushes a processed tx packet onto the wire (Figure 4 steps
 // 5–6) or, for a node-local destination, delivers it through the software
-// bridge directly.
+// bridge directly: a node-local packet needs one backend pass, and the
+// fabric models the memory-copy latency.
 func (b *Backend) forward(pkt Packet) {
-	srcNode := b.node
-	dstNode := pkt.Dst.node
-	if dstNode == srcNode {
-		// Node-local bridge: one backend pass suffices; the fabric models
-		// the memory-copy latency.
-		srcNode.world.Fabric.Send(srcNode.id, srcNode.id, pkt.Size, func() {
-			pkt.Dst.deliver(pkt)
-		})
-		return
+	var w *wire
+	if n := len(b.wires); n > 0 {
+		w = b.wires[n-1]
+		b.wires = b.wires[:n-1]
+	} else {
+		w = &wire{}
+		w.fn = w.arrive
 	}
-	srcNode.world.Fabric.Send(srcNode.id, dstNode.id, pkt.Size, func() {
-		dstNode.backend.enqueueRx(pkt)
-	})
+	w.pkt = pkt
+	b.node.world.Fabric.Send(b.node.id, pkt.Dst.node.id, pkt.Size, w.fn)
 }

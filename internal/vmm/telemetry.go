@@ -1,7 +1,6 @@
 package vmm
 
 import (
-	"fmt"
 	"strconv"
 
 	"atcsched/internal/sim"
@@ -24,6 +23,9 @@ type nodeTel struct {
 	prevSteal    uint64
 
 	perVM []vmTel // indexed like n.vms
+	// tracks holds each VCPU's spin-span track name, "<vm>/<idx>",
+	// indexed by VCPU.local and built on the VCPU's first episode.
+	tracks []string
 }
 
 // vmTel tracks one VM's previous lifetime spin totals.
@@ -194,10 +196,21 @@ func (t *nodeTel) telSpin(vm *VM, v *VCPU, start, end sim.Time) {
 	t.reg.Observe("spin_latency", lab, end-start)
 	t.reg.AddSpan(telemetry.Span{
 		Name:  "spin",
-		Track: fmt.Sprintf("%s/%d", vm.name, v.idx),
+		Track: t.track(v),
 		Node:  vm.node.id,
 		Start: start,
 		End:   end,
 		Value: end - start,
 	})
+}
+
+// track returns v's spin-span track name, building it once per VCPU.
+func (t *nodeTel) track(v *VCPU) string {
+	for len(t.tracks) <= v.local {
+		t.tracks = append(t.tracks, "")
+	}
+	if t.tracks[v.local] == "" {
+		t.tracks[v.local] = v.vm.name + "/" + strconv.Itoa(v.idx)
+	}
+	return t.tracks[v.local]
 }

@@ -119,7 +119,7 @@ func (a *BSPApp) proc(vmIdx, rank, round int) vmm.Process {
 		vmIdx:     vmIdx,
 		rank:      rank,
 		round:     round,
-		rng:       rng.NewStream(a.seed, uint64(round)<<32|uint64(vmIdx)<<16|uint64(rank)),
+		rng:       rng.Stream(a.seed, uint64(round)<<32|uint64(vmIdx)<<16|uint64(rank)),
 		queue:     p.queue[:0],
 		peers:     p.peers,
 		barrierFn: p.barrierFn,
@@ -134,7 +134,7 @@ type bspProc struct {
 	vmIdx int
 	rank  int
 	round int
-	rng   *rng.Source
+	rng   rng.Source
 
 	iter    int
 	queue   []vmm.Action
