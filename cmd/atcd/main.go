@@ -24,7 +24,8 @@
 //	-nodes N         simulate N nodes (implies -backend sim)
 //	-shards S        spread each period's nodes over S goroutines
 //	-hollow          sim: kubemark-style hollow nodes (one light VM each)
-//	-snapshot f.json write a control-plane snapshot at exit
+//	-snapshot f.json write a control-plane snapshot at exit (temp file,
+//	                 fsync, rename: a crash leaves the old or the new one)
 //	-restore f.json  resume from a snapshot written by -snapshot
 //
 // Observability:
@@ -53,6 +54,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -264,7 +266,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
-		if err := os.WriteFile(*snapshot, enc, 0o644); err != nil {
+		if err := writeFileAtomic(*snapshot, func(w io.Writer) error {
+			_, err := w.Write(enc)
+			return err
+		}); err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
 		fmt.Fprintf(stderr, "atcd: snapshot of %d nodes written to %s\n", len(snap.Nodes), *snapshot)
@@ -334,6 +339,46 @@ func writeFileWith(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// writeFileAtomic replaces path with fn's output so that a crash at any
+// instant leaves the old file or the new one, never a torn mix: fn
+// writes a temp file in path's directory, which is synced, renamed
+// over path, and made durable by syncing the directory. On a failure
+// before the rename the temp file is removed and path is untouched.
+func writeFileAtomic(path string, fn func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = fn(f); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // parseSwitches parses the -swap flag: comma-separated

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -351,6 +352,62 @@ func TestDemoSnapshotRoundTrip(t *testing.T) {
 		!strings.Contains(stderr.String(), "24 control periods executed") {
 		t.Errorf("restored run did not continue from the snapshot:\n%s", stderr.String())
 	}
+}
+
+// TestSnapshotWriteIsAtomic pins -snapshot's write: an overwrite lands
+// the new bytes and leaves no temp file, and a write that fails after
+// its temp file exists leaves the previous snapshot byte-identical.
+func TestSnapshotWriteIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.json")
+	write := func(data string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, data)
+			return err
+		}
+	}
+	onlyFile := func() {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Name() != "fleet.json" {
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name())
+			}
+			t.Fatalf("directory holds %v, want only fleet.json", names)
+		}
+	}
+	if err := os.WriteFile(path, []byte("old snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(path, write("new snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new snapshot" {
+		t.Fatalf("after overwrite the file holds %q", got)
+	}
+	onlyFile()
+
+	boom := errors.New("disk full")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "torn sna"); err != nil {
+			return err
+		}
+		if f, ok := w.(*os.File); !ok || filepath.Dir(f.Name()) != dir {
+			t.Errorf("write does not go to a temp file beside the target: %T", w)
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want %v", err, boom)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new snapshot" {
+		t.Fatalf("a failed write changed the snapshot to %q", got)
+	}
+	onlyFile()
 }
 
 // TestBadFlags proves flag errors surface as errors, not exits.

@@ -121,11 +121,18 @@ func (h *History) Observe(avgLatency, sliceInForce sim.Time) {
 // Snapshot returns copies of h's latency and slice windows (oldest
 // first) and its observed-period count.
 func (h *History) Snapshot() (lat, slice []sim.Time, observed int) {
+	return h.SnapshotInto(make([]sim.Time, 2*len(h.lat)))
+}
+
+// SnapshotInto is Snapshot writing its copies into buf, which must
+// hold two windows (2×Window entries). The returned windows are
+// capacity-limited sub-slices of buf.
+func (h *History) SnapshotInto(buf []sim.Time) (lat, slice []sim.Time, observed int) {
 	w := len(h.lat)
-	buf := make([]sim.Time, 2*w)
-	copy(buf, h.lat)
-	copy(buf[w:], h.slice)
-	return buf[:w:w], buf[w:], h.observed
+	lat, slice = buf[:w:w], buf[w:2*w:2*w]
+	copy(lat, h.lat)
+	copy(slice, h.slice)
+	return lat, slice, h.observed
 }
 
 // RestoreHistory rebuilds a window written by Snapshot. Both windows

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"atcsched/internal/sim"
@@ -31,5 +32,29 @@ func TestHistorySnapshotRestoreRoundTrip(t *testing.T) {
 	dst.Observe(sim.Millisecond, cfg.ComputeSlice(&dst))
 	if got, want := cfg.ComputeSlice(&dst), cfg.ComputeSlice(&src); got != want {
 		t.Errorf("post-restore ComputeSlice = %v, want %v", got, want)
+	}
+}
+
+// TestHistorySnapshotInto pins that SnapshotInto copies the windows
+// Snapshot returns into the caller's buffer, capacity-limited so an
+// append to one window cannot write into the other or past it.
+func TestHistorySnapshotInto(t *testing.T) {
+	cfg := DefaultConfig()
+	h := cfg.NewHistory()
+	h.Observe(2*sim.Millisecond, cfg.Default)
+	wantLat, wantSlice, wantObs := h.Snapshot()
+	buf := make([]sim.Time, 2*cfg.Window+1)
+	buf[len(buf)-1] = 42
+	lat, slice, obs := h.SnapshotInto(buf)
+	if !slices.Equal(lat, wantLat) || !slices.Equal(slice, wantSlice) || obs != wantObs {
+		t.Fatalf("SnapshotInto = %v %v %d, want %v %v %d", lat, slice, obs, wantLat, wantSlice, wantObs)
+	}
+	if cap(lat) != cfg.Window || cap(slice) != cfg.Window || &slice[0] != &buf[cfg.Window] {
+		t.Fatalf("windows not carved from buf at capacity %d: cap %d, %d", cfg.Window, cap(lat), cap(slice))
+	}
+	_ = append(lat, -1)
+	_ = append(slice, -1)
+	if buf[cfg.Window] != wantSlice[0] || buf[len(buf)-1] != 42 {
+		t.Error("an append to a window wrote into its neighbour")
 	}
 }

@@ -135,6 +135,10 @@ type vmSlot struct {
 	// named the VM and that chose next for it.
 	seen, decided uint64
 	next          sim.Time
+	// inMap and mapped mirror the decision map's entry for the VM, so
+	// decide writes the map only where a decision changed.
+	inMap  bool
+	mapped sim.Time
 }
 
 // inForce is the slice the VM runs at: its last landed one, or def.
@@ -248,7 +252,6 @@ func (l *nodeLoop) decide(samples []VMSample) map[int]sim.Time {
 		v.next, v.decided = l.cfg.Assign(o.vm, minSlice), l.epoch
 	}
 
-	clear(l.decisions)
 	for i := range l.vms {
 		v := &l.vms[i]
 		// A known VM missing from the sample set entirely is a dropout
@@ -259,8 +262,13 @@ func (l *nodeLoop) decide(samples []VMSample) map[int]sim.Time {
 		if v.staleRuns != 0 {
 			l.degrade(v)
 		}
-		if v.decided == l.epoch {
+		switch {
+		case v.decided == l.epoch && (!v.inMap || v.mapped != v.next):
 			l.decisions[v.id] = v.next
+			v.inMap, v.mapped = true, v.next
+		case v.decided != l.epoch && v.inMap:
+			delete(l.decisions, v.id)
+			v.inMap = false
 		}
 	}
 	return l.decisions

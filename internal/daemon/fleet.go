@@ -1,9 +1,11 @@
 package daemon
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,7 +33,8 @@ type FleetSource interface {
 
 // FleetActuator applies one node's slices. Nodes on different shards
 // are actuated concurrently. The fleet reuses the slices map for the
-// node's next period, so ApplyNode must not keep it after returning.
+// node's next period, updating only the entries that change, so
+// ApplyNode must neither modify it nor keep it after returning.
 type FleetActuator interface {
 	ApplyNode(node int, slices map[int]sim.Time) error
 }
@@ -68,18 +71,37 @@ const fleetShardSalt = 0xa7c15f1ee7
 // readers never wait on a slow actuator.
 type fleetShard struct {
 	mu    sync.Mutex
-	nodes map[int]*nodeLoop
+	nodes []nodeEntry // sorted by node ID
 
 	// work lists the current period's batches on this shard as indices
 	// into Step's batch slice (Step scratch).
 	work []int
 }
 
+// nodeEntry is one row of a shard's node table.
+type nodeEntry struct {
+	id   int
+	loop *nodeLoop
+}
+
+// find returns the index of node's row, or the index it belongs at,
+// and whether the row is there.
+func (sh *fleetShard) find(node int) (int, bool) {
+	return slices.BinarySearchFunc(sh.nodes, node, func(e nodeEntry, id int) int { return cmp.Compare(e.id, id) })
+}
+
+// A node-period's result, spelled as the telemetry counter it bumps.
+const (
+	decisionApply  = "daemon_decision_apply"
+	decisionDrop   = "daemon_decision_drop"
+	decisionGiveup = "daemon_decision_giveup"
+)
+
 // outcome is one batch's result in the current period.
 type outcome struct {
 	node   int
 	slices map[int]sim.Time
-	result string // "apply", "drop" or "giveup"; "" for a rejected batch
+	result string // a decision* constant; "" for a rejected batch
 	err    error
 }
 
@@ -112,6 +134,7 @@ type Fleet struct {
 
 	tel      *telemetry.Registry
 	telClock func() sim.Time
+	vmLabels map[int]string // publish's cache of VM labels
 }
 
 // NewFleet builds the fleet control plane. It starts no goroutines. src
@@ -123,15 +146,16 @@ func NewFleet(cfg core.Config, src FleetSource, act FleetActuator, opts FleetOpt
 	}
 	opts.sanitize()
 	f := &Fleet{
-		cfg:    cfg,
-		opts:   opts,
-		src:    src,
-		act:    act,
-		shards: make([]*fleetShard, opts.Shards),
-		stopc:  make(chan struct{}),
+		cfg:      cfg,
+		opts:     opts,
+		src:      src,
+		act:      act,
+		shards:   make([]*fleetShard, opts.Shards),
+		stopc:    make(chan struct{}),
+		vmLabels: make(map[int]string),
 	}
 	for i := range f.shards {
-		f.shards[i] = &fleetShard{nodes: make(map[int]*nodeLoop)}
+		f.shards[i] = new(fleetShard)
 	}
 	return f
 }
@@ -224,9 +248,9 @@ func (f *Fleet) Step() error {
 		switch o.result {
 		case "":
 			continue
-		case "apply":
+		case decisionApply:
 			applied++
-		case "giveup":
+		case decisionGiveup:
 			if failed == nil || o.node < failed.node {
 				failed = o
 			}
@@ -250,18 +274,24 @@ func (f *Fleet) Step() error {
 }
 
 // runShard drives one period for a shard's nodes in batch (node-ID)
-// order, recording each batch's outcome in f.outs.
+// order, recording each batch's outcome in f.outs. A cursor walks the
+// node table alongside the batches, so a node's row is usually the one
+// after the last; a miss binary-searches, and inserts a new node's row.
 func (f *Fleet) runShard(sh *fleetShard, batches []NodeBatch) {
 	now := time.Now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	cur := 0
 	for _, i := range sh.work {
 		node := batches[i].Node
-		fn := sh.nodes[node]
-		if fn == nil {
-			fn = newNodeLoop(f.cfg, f.opts.Node)
-			sh.nodes[node] = fn
+		if cur >= len(sh.nodes) || sh.nodes[cur].id != node {
+			var found bool
+			if cur, found = sh.find(node); !found {
+				sh.nodes = slices.Insert(sh.nodes, cur, nodeEntry{id: node, loop: newNodeLoop(f.cfg, f.opts.Node)})
+			}
 		}
+		fn := sh.nodes[cur].loop
+		cur++
 		slices := fn.decide(batches[i].Samples)
 		committed, err := fn.applyWithRetry(slices, func(s map[int]sim.Time) error {
 			sh.mu.Unlock()
@@ -276,13 +306,13 @@ func (f *Fleet) runShard(sh *fleetShard, batches []NodeBatch) {
 		o.slices = slices
 		switch {
 		case err != nil:
-			o.result, o.err = "giveup", fmt.Errorf("fleet node %d: %w", node, err)
+			o.result, o.err = decisionGiveup, fmt.Errorf("fleet node %d: %w", node, err)
 		case committed:
 			fn.commit()
 			fn.lastCommit = now
-			o.result = "apply"
+			o.result = decisionApply
 		default:
-			o.result = "drop"
+			o.result = decisionDrop
 		}
 	}
 }
@@ -292,11 +322,21 @@ func (f *Fleet) publish(o *outcome, start, end sim.Time) {
 	f.tel.AddSpan(telemetry.Span{
 		Name: "decision", Track: "daemon", Node: o.node, Start: start, End: end,
 	})
-	f.tel.Add("daemon_decision_"+o.result, telemetry.GlobalLabel(), 1)
+	f.tel.Add(o.result, telemetry.GlobalLabel(), 1)
 	for id, sl := range o.slices {
-		f.tel.Point("daemon_slice_ns",
-			telemetry.Label{Node: -1, VM: fmt.Sprintf("vm%d", id)}, end, float64(sl))
+		f.tel.Point("daemon_slice_ns", telemetry.Label{Node: -1, VM: f.vmLabel(id)}, end, float64(sl))
 	}
+}
+
+// vmLabel returns VM id's telemetry label, "vm<id>", made once per VM.
+// Only Step's goroutine calls it, after the shards have joined.
+func (f *Fleet) vmLabel(id int) string {
+	lab, ok := f.vmLabels[id]
+	if !ok {
+		lab = fmt.Sprintf("vm%d", id)
+		f.vmLabels[id] = lab
+	}
+	return lab
 }
 
 // wait performs one retry backoff: wall clock, cut short by Stop (the
@@ -362,12 +402,12 @@ func (f *Fleet) RestoredNodes() uint64       { return f.restoredNodes.Load() }
 func (f *Fleet) SkippedRestoreNodes() uint64 { return f.skippedRestore.Load() }
 
 // eachNode calls fn for every node under its shard's lock, shard by
-// shard (not in node order).
+// shard, each shard's in node order.
 func (f *Fleet) eachNode(fn func(id int, n *nodeLoop)) {
 	for _, sh := range f.shards {
 		sh.mu.Lock()
-		for id, n := range sh.nodes {
-			fn(id, n)
+		for _, e := range sh.nodes {
+			fn(e.id, e.loop)
 		}
 		sh.mu.Unlock()
 	}
@@ -394,12 +434,12 @@ func (f *Fleet) LastSlices(node int) map[int]sim.Time {
 	sh := f.shardOf(node)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	fn, ok := sh.nodes[node]
+	i, ok := sh.find(node)
 	if !ok {
 		return nil
 	}
 	out := make(map[int]sim.Time)
-	for _, v := range fn.vms {
+	for _, v := range sh.nodes[i].loop.vms {
 		if v.hasLast {
 			out[v.id] = v.last
 		}

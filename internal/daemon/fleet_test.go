@@ -2,12 +2,16 @@ package daemon
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -381,6 +385,62 @@ func TestFleetShardCountInvariant(t *testing.T) {
 		}
 		if !bytes.Equal(enc, want) {
 			t.Errorf("shards=%d control state diverges from shards=1", shards)
+		}
+	}
+}
+
+// TestFleetNodeTableOrderFree pins the sorted per-shard node table
+// against batch order: a source that names nodes out of ID order, adds
+// nodes between known ones, skips some and repeats one lands the same
+// state as the same batches stably sorted by node ID.
+func TestFleetNodeTableOrderFree(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var shuffled, sorted [][]NodeBatch
+	for p := 0; p < 12; p++ {
+		var period []NodeBatch
+		for node := 0; node < 40; node++ {
+			if r.Intn(4) == 0 || node > 10+3*p {
+				continue // missing this period, or not born yet
+			}
+			lat := sim.Time(r.Intn(3000)) * sim.Microsecond
+			period = append(period, NodeBatch{Node: node, Samples: []VMSample{
+				{ID: 2 * node, AvgSpinLatency: lat, Parallel: true},
+				{ID: 2*node + 1, AvgSpinLatency: lat / 2, Parallel: node%3 == 0},
+			}})
+		}
+		if p%3 == 1 && len(period) > 0 {
+			period = append(period, period[0]) // a node named twice
+		}
+		r.Shuffle(len(period), func(i, j int) { period[i], period[j] = period[j], period[i] })
+		shuffled = append(shuffled, period)
+		inOrder := slices.Clone(period)
+		slices.SortStableFunc(inOrder, func(a, b NodeBatch) int { return cmp.Compare(a.Node, b.Node) })
+		sorted = append(sorted, inOrder)
+	}
+	run := func(periods [][]NodeBatch, shards int) (*Fleet, []byte) {
+		f := NewFleet(core.DefaultConfig(), &scriptSource{periods: periods}, &mapActuator{}, FleetOptions{Shards: shards})
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := f.Snapshot().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, enc
+	}
+	ref, want := run(sorted, 1)
+	for _, shards := range []int{1, 3} {
+		f, got := run(shuffled, shards)
+		if !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: out-of-order batches land different state", shards)
+		}
+		if !slices.Equal(f.Nodes(), ref.Nodes()) {
+			t.Errorf("shards=%d: nodes %v, want %v", shards, f.Nodes(), ref.Nodes())
+		}
+		for _, node := range []int{-1, 0, 5, 39, 40} {
+			if got, want := f.LastSlices(node), ref.LastSlices(node); !maps.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Errorf("shards=%d: LastSlices(%d) = %v, want %v", shards, node, got, want)
+			}
 		}
 	}
 }

@@ -297,7 +297,7 @@ func runNodeLoopDiff(t testing.TB, data []byte) {
 	for period := 0; !in.done() && period < 400; period++ {
 		switch op := in.next() % 8; op {
 		case 6, 7:
-			snap := got.snapshot(0)
+			snap := got.snapshot(0, new(snapArena))
 			if op == 7 {
 				craft(in, &snap)
 			}
@@ -356,7 +356,7 @@ func runNodeLoopDiff(t testing.TB, data []byte) {
 		if got.stats != want.stats {
 			t.Fatalf("period %d: stats %+v, reference %+v", period, got.stats, want.stats)
 		}
-		if g, w := encodeNode(t, cfg, got.snapshot(0)), encodeNode(t, cfg, want.snapshot(0)); !bytes.Equal(g, w) {
+		if g, w := encodeNode(t, cfg, got.snapshot(0, new(snapArena))), encodeNode(t, cfg, want.snapshot(0)); !bytes.Equal(g, w) {
 			t.Fatalf("period %d: snapshot\n%s\nreference\n%s", period, g, w)
 		}
 	}

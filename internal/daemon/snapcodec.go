@@ -2,7 +2,10 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"atcsched/internal/core"
@@ -42,7 +45,15 @@ func (e *encoder) close(c byte) {
 	e.first = false
 }
 
+// indent is a line break and the run of spaces newline cuts its
+// indentation from, for any depth up to 32 (the schema nests 6 deep).
+const indent = "\n                                                                "
+
 func (e *encoder) newline() {
+	if n := 1 + 2*e.depth; n <= len(indent) {
+		e.b = append(e.b, indent[:n]...)
+		return
+	}
 	e.b = append(e.b, '\n')
 	for i := 0; i < e.depth; i++ {
 		e.b = append(e.b, ' ', ' ')
@@ -193,7 +204,12 @@ func (e *encoder) vm(v *VMSnapshot) {
 // syntax error anywhere wins over a version mismatch, which wins over
 // a field of the wrong type or a repeated field.
 func DecodeSnapshot(data []byte) (s *FleetSnapshot, err error) {
-	d := decoder{data: data}
+	d := decoder{
+		data:  data,
+		nodes: pool[NodeSnapshot]{chunk: nodeChunk},
+		vms:   pool[VMSnapshot]{chunk: vmChunk},
+		times: pool[sim.Time]{chunk: timeChunk},
+	}
 	s = new(FleetSnapshot)
 	defer func() {
 		if r := recover(); r != nil {
@@ -380,15 +396,36 @@ func (d *decoder) typeErr(format string, args ...any) {
 	}
 }
 
+// eightSpaces is eight ' ' bytes read as one little-endian word.
+const eightSpaces = 0x2020202020202020
+
+// ws skips whitespace, runs of indentation eight bytes at a time.
 func (d *decoder) ws() {
 	for d.off < len(d.data) {
 		switch d.data[d.off] {
-		case ' ', '\t', '\n', '\r':
+		case ' ':
+			d.off += d.spaces()
+		case '\t', '\n', '\r':
 			d.off++
 		default:
 			return
 		}
 	}
+}
+
+// spaces returns the length of the run of ' ' at the cursor, at least
+// one: each eight-byte word read either is all spaces or ends the run
+// at its first other byte. Fewer than eight bytes from the end it
+// stops early, leaving the rest to ws.
+func (d *decoder) spaces() int {
+	n := 0
+	for d.off+n+8 <= len(d.data) {
+		if x := binary.LittleEndian.Uint64(d.data[d.off+n:]) ^ eightSpaces; x != 0 {
+			return n + bits.TrailingZeros64(x)/8
+		}
+		n += 8
+	}
+	return max(n, 1)
 }
 
 // peek returns the byte at the cursor, or 0 at the end of input.
@@ -594,7 +631,9 @@ func (d *decoder) mismatch(want string) {
 // encoding/json does, exactly and then with bytes.EqualFold) and the
 // cursor on the value. Unknown keys are skipped, a repeated key is an
 // error, null leaves the struct untouched and any other value is a
-// type error.
+// type error. Keys usually arrive in schema order, so each key is
+// first compared with the name after the last one matched; only a
+// miss searches all the names.
 func (d *decoder) object(want string, names []string, field func(key string)) {
 	switch d.peek() {
 	case '{':
@@ -607,13 +646,18 @@ func (d *decoder) object(want string, names []string, field func(key string)) {
 	}
 	outer, outerField := d.obj, d.field
 	var seen uint32
+	next := 0
 	for more := d.open('}'); more; more = d.more('}') {
 		tok, esc := d.key()
-		i := match(names, tok, esc)
+		i := next
+		if esc || i >= len(names) || string(tok[1:len(tok)-1]) != names[i] {
+			i = match(names, tok, esc)
+		}
 		if i < 0 {
 			d.skip()
 			continue
 		}
+		next = i + 1
 		d.obj, d.field = want, names[i]
 		if seen&(1<<i) != 0 {
 			d.typeErr("key repeated at byte %d", d.off)
@@ -694,8 +738,14 @@ func (d *decoder) bool(dst *bool) {
 }
 
 // time decodes a sim.Time in its wire form (sim.ParseTimeJSON, which
-// also reads null as 0 — what Time.UnmarshalJSON does).
+// also reads null as 0 — what Time.UnmarshalJSON does). A plain
+// "<number><unit>" string takes a one-pass fast path (fastTime).
 func (d *decoder) time(dst *sim.Time) {
+	if t, n := fastTime(d.data[d.off:]); n > 0 {
+		*dst = t
+		d.off += n
+		return
+	}
 	start := d.off
 	d.skip()
 	t, err := sim.ParseTimeJSON(d.data[start:d.off])
@@ -706,12 +756,72 @@ func (d *decoder) time(dst *sim.Time) {
 	*dst = t
 }
 
-// pool is a list decoder's per-element-type scratch and backing store:
-// elements collect in tmp, then each finished list is carved from
-// arena at its exact length, so a snapshot's thousands of short lists
-// share a few allocations.
+// fastTime reads a duration string that is one number — decimal
+// digits, optionally a point and more digits — and one of the units ns,
+// us, µs (U+00B5), ms or s, closed by its quote, and returns its value
+// and length in bytes. A fraction must be whole in nanoseconds (at most
+// 3 digits for µs, 6 for ms, 9 for s, none for ns): time.ParseDuration
+// scales such a fraction by a power of ten exactly, as the integer
+// arithmetic here does. fastTime returns n = 0 for every other input —
+// a sign, an escape, another unit, several components, a finer
+// fraction, or a value at or near the int64 limit — which the general
+// path then reads (and accepts or rejects) as time.ParseDuration does.
+func fastTime(b []byte) (t sim.Time, n int) {
+	if len(b) < 2 || b[0] != '"' {
+		return 0, 0
+	}
+	i := 1
+	var v uint64
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		if v > (math.MaxInt64-9)/10 {
+			return 0, 0
+		}
+		v = v*10 + uint64(b[i]-'0')
+	}
+	if i == 1 {
+		return 0, 0
+	}
+	var frac, scale uint64 = 0, 1
+	if i < len(b) && b[i] == '.' {
+		i++
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if scale == 1e9 {
+				return 0, 0
+			}
+			frac, scale = frac*10+uint64(b[i]-'0'), scale*10
+		}
+		if scale == 1 {
+			return 0, 0
+		}
+	}
+	var unit uint64
+	switch u := b[i:]; {
+	case len(u) >= 3 && u[0] == 'n' && u[1] == 's' && u[2] == '"':
+		unit, i = 1, i+2
+	case len(u) >= 3 && u[0] == 'u' && u[1] == 's' && u[2] == '"':
+		unit, i = 1e3, i+2
+	case len(u) >= 4 && u[0] == 0xc2 && u[1] == 0xb5 && u[2] == 's' && u[3] == '"':
+		unit, i = 1e3, i+3
+	case len(u) >= 3 && u[0] == 'm' && u[1] == 's' && u[2] == '"':
+		unit, i = 1e6, i+2
+	case len(u) >= 2 && u[0] == 's' && u[1] == '"':
+		unit, i = 1e9, i+1
+	default:
+		return 0, 0
+	}
+	if unit%scale != 0 || v > (math.MaxInt64-unit)/unit {
+		return 0, 0
+	}
+	return sim.Time(v*unit + frac*(unit/scale)), i + 1
+}
+
+// pool is a list decoder's per-element-type backing store: each list
+// is decoded straight into the rest of the current chunk, then carved
+// from it at its exact length, so a snapshot's thousands of short
+// lists share a few allocations.
 type pool[T any] struct {
-	tmp, arena []T
+	free  []T
+	chunk int // carve's chunk size for this element type
 }
 
 // list decodes a JSON array into *dst, calling elem on each zeroed
@@ -728,21 +838,20 @@ func list[T any](d *decoder, dst *[]T, p *pool[T], want string, elem func(*T)) {
 		d.mismatch(want)
 		return
 	}
-	var zero T
+	n := 0
 	for more := d.open(']'); more; more = d.more(']') {
-		p.tmp = append(p.tmp, zero)
-		elem(&p.tmp[len(p.tmp)-1])
+		if n == len(p.free) {
+			// The list outgrew its chunk: move it to a larger one.
+			grown := make([]T, max(2*n, p.chunk))
+			copy(grown, p.free[:n])
+			p.free = grown
+		}
+		elem(&p.free[n])
+		n++
 	}
-	n := len(p.tmp)
 	if n == 0 {
 		*dst = []T{}
 		return
 	}
-	if n > cap(p.arena)-len(p.arena) {
-		p.arena = make([]T, 0, max(n, min(2*cap(p.arena), 4096), 16))
-	}
-	start := len(p.arena)
-	p.arena = append(p.arena, p.tmp...)
-	*dst = p.arena[start:len(p.arena):len(p.arena)]
-	p.tmp = p.tmp[:0]
+	*dst = carve(&p.free, n, p.chunk)
 }

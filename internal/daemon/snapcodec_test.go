@@ -236,6 +236,12 @@ func snapshotSeeds(t testing.TB) [][]byte {
 		[]byte(`{"version":1,"nodes":[{"vms":[{"last":"3ms","lat":["1µs"]}]}],"x":"😀\ud800"}`),
 		[]byte(`{"x":"` + "\xff\xfe" + `","y":[[[{"z":[1e9,-0.5E-3,true,false,null]}]]],"version":1}`),
 		[]byte(`{"version":1} {}`),
+		// Whitespace runs around the eight-byte skip, and keys out of
+		// schema order.
+		[]byte("{\"version\":1,       \"nodes\":[{\"vms\":[        {\"id\":1}]}]         }"),
+		[]byte("{\t\"version\":1,\r        \t\"periods\":3,\n                \"nodes\":[\r\n\t         ]}"),
+		[]byte("{\"nodes\":[{\"vms\":[{\"slice\":[\"1ms\"],\"id\":2,\"lat\":[\"0s\"]}],\"node\":4}],\"periods\":2,\"version\":1}"),
+		[]byte("{\"config\":{\"window\":3,\"default\":\"30ms\"},\"decisions\":1,\"version\":1,\"config\":null}"),
 		[]byte(`{"version":1,"periods":18446744073709551616}`),
 		[]byte(`{"version":1,"nodes":[{"node":-1,"periods":-0}]}`),
 		[]byte(` null `),
@@ -254,6 +260,52 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeParity(t, data)
 	})
+}
+
+// TestDecodeTimeFastPath pins the decoder's one-pass duration reader
+// to sim.ParseTimeJSON: each token it accepts, it must accept whole and
+// read to the same value, and every other token must reach the general
+// path. fast marks the tokens the fast path is meant to take.
+func TestDecodeTimeFastPath(t *testing.T) {
+	cases := []struct {
+		tok  string
+		fast bool
+	}{
+		{`"7ns"`, true}, {`"7us"`, true}, {`"7µs"`, true}, {`"7ms"`, true}, {`"7s"`, true},
+		{`"7\u00b5s"`, false}, // the same µs, escaped
+		{`"7μs"`, false},      // U+03BC, which time.ParseDuration also reads as µs
+		{`"7m"`, false}, {`"7h"`, false}, {`"1m30s"`, false}, {`"7"`, false},
+		{`"0"`, false}, {`"0s"`, true}, {`"000ms"`, true}, {`"007ms"`, true},
+		{`"1.5ms"`, true}, {`"0.5ms"`, true}, {`"1.500ms"`, true}, {`"1.234567ms"`, true},
+		{`"1.2345678ms"`, false}, {`"1.234us"`, true}, {`"1.2345µs"`, false}, {`"1.5ns"`, false},
+		{`"1.123456789s"`, true}, {`"1.1234567891s"`, false}, {`"1.ms"`, false}, {`".5ms"`, false},
+		{`"1..5ms"`, false}, {`"+5ms"`, false}, {`"-5ms"`, false}, {`"ms"`, false}, {`""`, false},
+		{`"9223372036854775807ns"`, false}, {`"9223372036854775808ns"`, false},
+		{`"9223372036853ms"`, true}, {`"9223372036854ms"`, false}, {`"9223372035.999999999s"`, true},
+		{`"9223372036s"`, false}, {`"9223372037s"`, false},
+		{`"99999999999999999999s"`, false}, {`"5ms `, false}, {`"5ns`, false}, {`"5m"`, false},
+		{`5000`, false}, {`null`, false},
+	}
+	for _, c := range cases {
+		tok := []byte(c.tok)
+		got, n := fastTime(tok)
+		if (n > 0) != c.fast {
+			t.Errorf("fastTime(%s) took the fast path: %v, want %v", tok, n > 0, c.fast)
+		}
+		if n == 0 {
+			continue
+		}
+		want, err := sim.ParseTimeJSON(tok)
+		if n != len(tok) || err != nil || got != want {
+			t.Errorf("fastTime(%s) = %v over %d bytes; ParseTimeJSON = %v, %v", tok, got, n, want, err)
+		}
+	}
+	// Every token, fast or not, decodes as encoding/json reads it.
+	for _, c := range cases {
+		if json.Valid([]byte(c.tok)) {
+			checkDecodeParity(t, []byte(`{"version":1,"config":{"alpha":`+c.tok+`}}`))
+		}
+	}
 }
 
 // nested is a snapshot whose nodes list holds arrays nested k deep:
@@ -329,6 +381,22 @@ func checkpointFleet(tb testing.TB, nodes, vms int) *Fleet {
 // The snapshot layer's benchmarks run at 2048 nodes × 4 VMs, the
 // fleet-synthetic checkpoint size.
 const benchNodes, benchVMs = 2048, 4
+
+// TestSnapshotEncodeAllocs pins a checkpoint's allocations at the
+// benchmark size: Snapshot carves its VM lists and history windows
+// from chunked arenas and Encode writes into one buffer, so imaging
+// 2048 nodes × 4 VMs takes tens of allocations, not one per list.
+func TestSnapshotEncodeAllocs(t *testing.T) {
+	f := checkpointFleet(t, benchNodes, benchVMs)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := f.Snapshot().Encode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("Snapshot().Encode() of %d×%d VMs makes %v allocations, want ≤ 200", benchNodes, benchVMs, allocs)
+	}
+}
 
 func BenchmarkSnapshotEncode(b *testing.B) {
 	snap := checkpointFleet(b, benchNodes, benchVMs).Snapshot()

@@ -67,17 +67,52 @@ func (f *Fleet) Snapshot() *FleetSnapshot {
 		Periods:   f.Periods(),
 		Decisions: f.Decisions(),
 	}
-	f.eachNode(func(id int, n *nodeLoop) { s.Nodes = append(s.Nodes, n.snapshot(id)) })
+	nodes := 0
+	for _, sh := range f.shards {
+		sh.mu.Lock()
+		nodes += len(sh.nodes)
+		sh.mu.Unlock()
+	}
+	if nodes > 0 {
+		s.Nodes = make([]NodeSnapshot, 0, nodes)
+	}
+	var a snapArena
+	f.eachNode(func(id int, n *nodeLoop) { s.Nodes = append(s.Nodes, n.snapshot(id, &a)) })
 	slices.SortFunc(s.Nodes, func(a, b NodeSnapshot) int { return cmp.Compare(a.Node, b.Node) })
 	return s
 }
 
-// snapshot images the loop as node id's entry, one VM per table slot
-// (caller holds the shard lock).
-func (l *nodeLoop) snapshot(id int) NodeSnapshot {
+// snapArena is the backing store of one Snapshot's VM lists and
+// history windows: each is carved from a chunk of about 16 KB, so a
+// snapshot of thousands of nodes takes a few dozen allocations. The
+// zero snapArena is ready to use.
+type snapArena struct {
+	vms   []VMSnapshot
+	times []sim.Time
+}
+
+// Chunk sizes, in elements, for carving snapshot lists: about 16 KB of
+// NodeSnapshots, VMSnapshots or sim.Times.
+const nodeChunk, vmChunk, timeChunk = 256, 128, 2048
+
+// carve cuts the next n elements from *free, starting a new chunk of
+// at least chunk elements when too few are left. The result is
+// capacity-limited, so an append to it cannot write into the next.
+func carve[T any](free *[]T, n, chunk int) []T {
+	if n > len(*free) {
+		*free = make([]T, max(n, chunk))
+	}
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
+	return s
+}
+
+// snapshot images the loop as node id's entry, one VM per table slot,
+// carving its lists from a (caller holds the shard lock).
+func (l *nodeLoop) snapshot(id int, a *snapArena) NodeSnapshot {
 	ns := NodeSnapshot{Node: id, Periods: l.periods, ConsecDrops: l.consecDrops, Stats: l.stats}
 	if len(l.vms) > 0 {
-		ns.VMs = make([]VMSnapshot, len(l.vms))
+		ns.VMs = carve(&a.vms, len(l.vms), vmChunk)
 	}
 	for i := range l.vms {
 		v, vs := &l.vms[i], &ns.VMs[i]
@@ -89,7 +124,7 @@ func (l *nodeLoop) snapshot(id int) NodeSnapshot {
 			vs.HasLast, vs.Last = true, v.last
 		}
 		if !v.hist.IsZero() {
-			vs.Lat, vs.Slice, vs.Observed = v.hist.Snapshot()
+			vs.Lat, vs.Slice, vs.Observed = v.hist.SnapshotInto(carve(&a.times, 2*l.cfg.Window, timeChunk))
 		}
 	}
 	return ns
@@ -153,7 +188,11 @@ func (f *Fleet) Restore(s *FleetSnapshot) error {
 		}
 		sh := f.shardOf(ns.Node)
 		sh.mu.Lock()
-		sh.nodes[ns.Node] = l
+		if i, found := sh.find(ns.Node); found {
+			sh.nodes[i].loop = l
+		} else {
+			sh.nodes = slices.Insert(sh.nodes, i, nodeEntry{id: ns.Node, loop: l})
+		}
 		sh.mu.Unlock()
 		f.restoredNodes.Add(1)
 	}

@@ -16,14 +16,52 @@ import (
 // string or a bare integer number of nanoseconds on input, so
 // hand-written scenario files stay readable while machine-generated
 // ones can stay numeric. MarshalJSON/UnmarshalJSON and the fleet
-// snapshot codec all go through AppendTimeJSON and ParseTimeJSON.
+// snapshot codec all go through AppendTimeJSON and ParseTimeJSON; the
+// codec's decoder reads the plainest duration strings itself, and its
+// tests hold that reader to ParseTimeJSON.
 
 // AppendTimeJSON appends t's wire form, a quoted duration string, to
-// dst. It does not allocate beyond growing dst.
+// dst. Values in [0, 1s) — every value a controller window holds — are
+// printed directly, byte-equal to Duration.String: whole ns below 1µs,
+// then µs or ms with a fraction of at most 3 or 6 digits, trailing
+// zeros dropped. Every other value goes through Duration.String. It
+// does not allocate beyond growing dst.
 func AppendTimeJSON(dst []byte, t Time) []byte {
 	dst = append(dst, '"')
-	dst = append(dst, time.Duration(t).String()...)
+	switch {
+	case t == 0:
+		dst = append(dst, '0', 's')
+	case t > 0 && t < Microsecond:
+		dst = append(strconv.AppendInt(dst, int64(t), 10), 'n', 's')
+	case t > 0 && t < Millisecond:
+		dst = append(appendFrac(dst, t, Microsecond, 3), "µs"...)
+	case t > 0 && t < Second:
+		dst = append(appendFrac(dst, t, Millisecond, 6), 'm', 's')
+	default:
+		dst = append(dst, time.Duration(t).String()...)
+	}
 	return append(dst, '"')
+}
+
+// appendFrac appends t/unit as Duration.String writes it: the whole
+// part, then, if t is not a whole number of units, a point and the
+// prec-digit fraction without its trailing zeros.
+func appendFrac(dst []byte, t, unit Time, prec int) []byte {
+	dst = strconv.AppendInt(dst, int64(t/unit), 10)
+	frac := t % unit
+	if frac == 0 {
+		return dst
+	}
+	var digits [6]byte
+	for i := prec - 1; i >= 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := prec
+	for digits[n-1] == '0' {
+		n--
+	}
+	return append(append(dst, '.'), digits[:n]...)
 }
 
 // ParseTimeJSON parses one syntactically valid JSON value as a Time: a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -124,4 +125,35 @@ func TestAppendTimeJSON(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { buf = AppendTimeJSON(buf[:0], math.MinInt64) }); n != 0 {
 		t.Errorf("AppendTimeJSON allocates %v times per call", n)
 	}
+}
+
+// TestAppendTimeJSONMatchesDurationString pins AppendTimeJSON's direct
+// printing to Duration.String over every nanosecond count up to 3ms,
+// whole multiples of each unit and their neighbours, random values up
+// to 2s, and the extremes.
+func TestAppendTimeJSONMatchesDurationString(t *testing.T) {
+	check := func(v Time) {
+		got := AppendTimeJSON(nil, v)
+		if want := `"` + time.Duration(v).String() + `"`; string(got) != want {
+			t.Fatalf("AppendTimeJSON(%d) = %s, want %s", int64(v), got, want)
+		}
+	}
+	for v := Time(-3000); v < 3_000_000; v++ {
+		check(v)
+	}
+	for _, unit := range []time.Duration{time.Nanosecond, time.Microsecond, time.Millisecond,
+		time.Second, time.Minute, time.Hour} {
+		for k := Time(0); k < 5000; k++ {
+			v := k * Time(unit)
+			check(v - 1)
+			check(v)
+			check(v + 1)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(Time(r.Int63n(int64(2 * Second))))
+	}
+	check(math.MinInt64)
+	check(math.MaxInt64)
 }
