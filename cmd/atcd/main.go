@@ -284,8 +284,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "sim backend: %d application rounds completed in %v of virtual time\n",
 			rounds, sb.World.Now())
 	}
-	if err := flushArtifacts(*timeline, *jsonl, plane, sb); err != nil {
-		return err
+	if *timeline != "" || *jsonl != "" {
+		var events []telemetry.SchedEvent
+		if sb != nil {
+			events = sb.World.TelemetryEvents()
+		}
+		if err := telemetry.WriteFiles(*timeline, *jsonl, events, plane.Snapshot()); err != nil {
+			return err
+		}
 	}
 	if srv != nil {
 		// Keep answering scrapes until asked to stop, then drain.
@@ -302,43 +308,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stderr, "atcd: telemetry server closed")
 	}
 	return nil
-}
-
-// flushArtifacts writes the -timeline and -jsonl outputs (no-ops when
-// the flags are unset).
-func flushArtifacts(timeline, jsonl string, plane *telemetry.Plane, sb *daemon.SimBackend) error {
-	if timeline != "" {
-		var events []telemetry.SchedEvent
-		if sb != nil {
-			events = sb.World.TelemetryEvents()
-		}
-		if err := writeFileWith(timeline, func(w io.Writer) error {
-			return telemetry.WriteTimeline(w, events, plane.Snapshot())
-		}); err != nil {
-			return fmt.Errorf("timeline: %w", err)
-		}
-	}
-	if jsonl != "" {
-		if err := writeFileWith(jsonl, func(w io.Writer) error {
-			return telemetry.WriteJSONL(w, plane.Snapshot())
-		}); err != nil {
-			return fmt.Errorf("jsonl: %w", err)
-		}
-	}
-	return nil
-}
-
-// writeFileWith streams fn's output into path.
-func writeFileWith(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeFileAtomic replaces path with fn's output so that a crash at any

@@ -128,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if plane != nil {
 		s.FinalizeTelemetry()
-		if err := writeTelemetryArtifacts(*timeline, *jsonlOut, s.World, plane); err != nil {
+		if err := telemetry.WriteFiles(*timeline, *jsonlOut, s.World.TelemetryEvents(), plane.Snapshot()); err != nil {
 			return err
 		}
 	}
@@ -173,38 +173,6 @@ func runFlagScenario(stdout io.Writer, spec *scenario.Spec, s *cluster.Scenario)
 			fmt.Fprintf(stdout, "node0 %s: final ATC slice %v\n", vm.Name(), a.CurrentSlice(vm))
 		}
 	}
-}
-
-// writeTelemetryArtifacts flushes the -timeline and -jsonl outputs
-// (empty paths are skipped).
-func writeTelemetryArtifacts(timeline, jsonl string, w *vmm.World, plane *telemetry.Plane) error {
-	if timeline != "" {
-		f, err := os.Create(timeline)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteTimeline(f, w.TelemetryEvents(), plane.Snapshot())
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("timeline: %w", err)
-		}
-	}
-	if jsonl != "" {
-		f, err := os.Create(jsonl)
-		if err != nil {
-			return err
-		}
-		err = telemetry.WriteJSONL(f, plane.Snapshot())
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("jsonl: %w", err)
-		}
-	}
-	return nil
 }
 
 // listSchedulers prints every registered policy — the paper's comparison

@@ -28,6 +28,7 @@ import (
 
 	"atcsched/internal/experiment"
 	"atcsched/internal/runner"
+	"atcsched/internal/telemetry"
 )
 
 func main() {
@@ -173,28 +174,14 @@ func runTimeline(stdout io.Writer, sc experiment.Scale, seed uint64, timeline, j
 	if err != nil {
 		return err
 	}
-	write := func(path string, fn func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		err = fn(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+	if err := telemetry.WriteFiles(timeline, jsonl, res.Events, res.Snapshot); err != nil {
 		return err
 	}
 	if timeline != "" {
-		if err := write(timeline, res.WriteTimeline); err != nil {
-			return fmt.Errorf("timeline: %w", err)
-		}
 		fmt.Fprintf(stdout, "timeline: wrote %s\n", timeline)
 	}
 	if jsonl != "" {
-		if err := write(jsonl, res.WriteJSONL); err != nil {
-			return fmt.Errorf("jsonl: %w", err)
-		}
-		fmt.Fprintf(stdout, "timeline: wrote %s\n", jsonl)
+		fmt.Fprintf(stdout, "jsonl: wrote %s\n", jsonl)
 	}
 	fmt.Fprintf(stdout, "-- timeline showcase done in %v\n\n", time.Since(start).Round(time.Millisecond))
 	return nil

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"atcsched/internal/fault"
@@ -238,6 +239,35 @@ func (s *Scenario) FinalizeTelemetry() {
 
 // FaultPlan returns the compiled fault plan (nil without faults).
 func (s *Scenario) FaultPlan() *fault.Plan { return s.faults }
+
+// Fingerprint renders the run's observable outcome — engine counters,
+// fault tallies, per-run round times, per-node and per-VM statistics and
+// the full retained scheduling trace — as one string. Two runs of the
+// same scenario must produce byte-identical fingerprints, at any shard
+// count and with telemetry on or off.
+func (s *Scenario) Fingerprint() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%d executed=%d\n", int64(s.World.Now()), s.World.Executed())
+	fmt.Fprintf(&b, "%s\n", s.FaultReport())
+	for _, run := range s.Runs() {
+		fmt.Fprintf(&b, "run rounds=%d times=%v\n", run.Rounds(), run.Times())
+	}
+	for _, n := range s.World.Nodes() {
+		fmt.Fprintf(&b, "node%d ctx=%d wakes=%d llc=%d\n",
+			n.ID(), n.CtxSwitches(), n.Wakes(), n.LLCMisses())
+	}
+	for _, vm := range s.World.VMs() {
+		fmt.Fprintf(&b, "vm=%s sent=%d recv=%d ctx=%d iowakes=%d run=%d wait=%d spin=%d\n",
+			vm.Name(), vm.PacketsSent(), vm.PacketsReceived(), vm.CtxSwitches(),
+			vm.IOWakes(), int64(vm.RunTime()), int64(vm.WaitTime()), int64(vm.SpinWaitTotal()))
+	}
+	fmt.Fprintf(&b, "trace dropped=%d\n", s.World.TraceDropped())
+	for _, r := range s.World.TraceRecords() {
+		b.WriteString(r.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
 // MustNew is New that panics on error.
 func MustNew(cfg Config) *Scenario {

@@ -304,6 +304,47 @@ func TestOptimizeThresholdPaperShape(t *testing.T) {
 	}
 }
 
+// TestOptimizeThresholdTieBreak pins the tie rule: candidates with
+// exactly equal D resolve to the first in descending-slice order, the
+// same answer for every map insertion and iteration order.
+func TestOptimizeThresholdTieBreak(t *testing.T) {
+	us := func(n int) sim.Time { return sim.Time(n) * sim.Microsecond }
+	// 0.4, 0.3 and 0.2 ms each sit exactly 0.25 from one app's optimum
+	// (dyadic values, so every D is the same float64); 0.5 ms is worse.
+	curves := map[string][]float64{
+		"a": {1.0, 0.75, 0.5, 0.75},
+		"b": {1.0, 0.5, 0.75, 0.5},
+		"c": {0.5, 0.5, 0.5, 0.5},
+	}
+	slices := []sim.Time{us(500), us(400), us(300), us(200)}
+	appOrders := [][]string{{"a", "b", "c"}, {"c", "b", "a"}, {"b", "c", "a"}}
+	sliceOrders := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}}
+	for _, apps := range appOrders {
+		for _, order := range sliceOrders {
+			perApp := make(map[string]map[sim.Time]float64)
+			for _, app := range apps {
+				perApp[app] = make(map[sim.Time]float64)
+				for _, i := range order {
+					perApp[app][slices[i]] = curves[app][i]
+				}
+			}
+			for rep := 0; rep < 20; rep++ {
+				best, table, err := OptimizeThreshold(perApp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if best != us(400) {
+					t.Fatalf("apps %v slices %v rep %d: best = %v, want 400µs (table %v)",
+						apps, order, rep, best, table)
+				}
+				if table[1].D != table[2].D || table[2].D != table[3].D {
+					t.Fatalf("candidates not tied: %v", table)
+				}
+			}
+		}
+	}
+}
+
 func TestOptimizeThresholdErrors(t *testing.T) {
 	if _, _, err := OptimizeThreshold(nil); err == nil {
 		t.Error("empty input accepted")

@@ -22,7 +22,9 @@ type ThresholdResult struct {
 // computes O_i (each application's minimum over all candidates) and
 // D(O,P) per candidate, returning the candidate with the smallest D plus
 // the full table (sorted by descending slice, matching the paper's
-// presentation order).
+// presentation order). Candidates with exactly equal D resolve to the
+// first in descending-slice order, the largest slice, so the answer
+// never depends on map iteration order.
 func OptimizeThreshold(perApp map[string]map[sim.Time]float64) (best sim.Time, table []ThresholdResult, err error) {
 	if len(perApp) == 0 {
 		return 0, nil, fmt.Errorf("core: no applications")

@@ -3,14 +3,12 @@ package experiment
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/metrics"
 	"atcsched/internal/report"
 	"atcsched/internal/runner"
 	"atcsched/internal/sim"
-	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
 	"atcsched/internal/workload"
 )
@@ -140,8 +138,8 @@ var dfrsShardCounts = []int{1, 2, 4, 8}
 
 // dfrsFingerprint runs a short measured scenario under kind on the given
 // shard count with the scheduling tracer attached and returns the 64-bit
-// FNV-1a of the rendered outcome — engine counters, per-VM statistics
-// and the retained trace. Byte-identical runs hash identically.
+// FNV-1a of its cluster.Scenario fingerprint. Byte-identical runs hash
+// identically.
 func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (string, error) {
 	nodes := sc.NodeSteps[len(sc.NodeSteps)-1]
 	cfg := cluster.DefaultConfig(nodes, kind)
@@ -166,24 +164,8 @@ func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (
 		return "", fmt.Errorf("dfrs: fingerprint audit under %s shards=%d: %v", kind, shards, errs[0])
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "now=%d executed=%d\n", int64(s.World.Now()), s.World.Executed())
-	fmt.Fprintf(&b, "%s\n", s.FaultReport())
-	for _, run := range s.Runs() {
-		fmt.Fprintf(&b, "run rounds=%d times=%v\n", run.Rounds(), run.Times())
-	}
-	for _, vm := range s.World.VMs() {
-		fmt.Fprintf(&b, "vm=%s sent=%d recv=%d ctx=%d run=%d wait=%d spin=%d\n",
-			vm.Name(), vm.PacketsSent(), vm.PacketsReceived(), vm.CtxSwitches(),
-			int64(vm.RunTime()), int64(vm.WaitTime()), int64(vm.SpinWaitTotal()))
-	}
-	fmt.Fprintf(&b, "trace dropped=%d\n", s.World.TraceDropped())
-	for _, r := range s.World.TraceRecords() {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
 	h := fnv.New64a()
-	h.Write([]byte(b.String()))
+	h.Write([]byte(s.Fingerprint()))
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
@@ -202,27 +184,14 @@ const dfrsShowcaseTraceCap = 2000
 func DFRSShowcase(sc Scale, seed uint64) (*TimelineResult, error) {
 	cfg := cluster.DefaultConfig(2, cluster.ATCDFRS)
 	cfg.Seed = seed
-	plane := telemetry.New(telemetry.Options{})
-	cfg.Telemetry = plane
-	s, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.World.SetTracer(vmm.NewTracer(dfrsShowcaseTraceCap))
-	prof := npb(sc, "lu", workload.ClassA)
-	vms := s.VirtualCluster("vc0", 2, 2, nil)
-	s.RunBackground(prof, vms)
-	server := s.IndependentVM("web-srv", 0, 1, vmm.ClassNonParallel)
-	client := s.IndependentVM("web-cli", 1, 1, vmm.ClassNonParallel)
-	workload.NewWebJob(client, 0, server, 0, 20*sim.Millisecond, 2*sim.Millisecond, seed)
-	disk := s.IndependentVM("disk", 0, 1, vmm.ClassNonParallel)
-	workload.NewDiskJob(disk.VCPU(0))
-	s.GoFor(2 * switchWindow)
-	if errs := s.World.Audit(); len(errs) > 0 {
-		return nil, fmt.Errorf("dfrs showcase: audit: %v", errs[0])
-	}
-	s.FinalizeTelemetry()
-	return &TimelineResult{Events: s.World.TelemetryEvents(), Plane: plane}, nil
+	return showcase("dfrs showcase", cfg, dfrsShowcaseTraceCap, 2*switchWindow, func(s *cluster.Scenario) {
+		s.RunBackground(npb(sc, "lu", workload.ClassA), s.VirtualCluster("vc0", 2, 2, nil))
+		server := s.IndependentVM("web-srv", 0, 1, vmm.ClassNonParallel)
+		client := s.IndependentVM("web-cli", 1, 1, vmm.ClassNonParallel)
+		workload.NewWebJob(client, 0, server, 0, 20*sim.Millisecond, 2*sim.Millisecond, seed)
+		disk := s.IndependentVM("disk", 0, 1, vmm.ClassNonParallel)
+		workload.NewDiskJob(disk.VCPU(0))
+	})
 }
 
 func init() {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"atcsched/internal/telemetry"
 )
 
 // -update rewrites the dfrs golden files from the current output.
@@ -80,7 +82,7 @@ func TestDFRSGoldenArtifacts(t *testing.T) {
 	}
 
 	var jl bytes.Buffer
-	if err := res.WriteJSONL(&jl); err != nil {
+	if err := telemetry.WriteJSONL(&jl, res.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	first, _, _ := strings.Cut(jl.String(), "\n")
@@ -94,7 +96,7 @@ func TestDFRSGoldenArtifacts(t *testing.T) {
 	checkGolden(t, "dfrs_showcase.jsonl", jl.Bytes())
 
 	var tl bytes.Buffer
-	if err := res.WriteTimeline(&tl); err != nil {
+	if err := telemetry.WriteTimeline(&tl, res.Events, res.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {

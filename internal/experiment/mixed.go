@@ -76,8 +76,7 @@ func runFig2Approach(sc Scale, a cluster.Approach, seed uint64) (fig2Result, err
 	}
 	// Three virtual clusters of two VMs each, background NPB load.
 	for vc := 0; vc < 3; vc++ {
-		prof := workload.NPB(workload.NPBKernels()[vc], workload.ClassB)
-		prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
+		prof := npb(sc, workload.NPBKernels()[vc], workload.ClassB)
 		s.RunBackground(prof, s.VirtualCluster(fmt.Sprintf("vc%d", vc), 2, sc.VCPUsPerVM, nil))
 	}
 	npA := s.IndependentVM("np-a", 0, sc.VCPUsPerVM, vmm.ClassNonParallel)
@@ -208,6 +207,36 @@ func mixedLayout(sc Scale, seed uint64) (trace.Layout, []string, error) {
 	return layout, kernels, nil
 }
 
+// tableIClusters installs layout's virtual clusters on s, each striped
+// over distinct least-loaded nodes by pl and running its kernel (class
+// B) as a measured run of sc.Rounds rounds that then reruns forever. It
+// returns the clusters' row names, "VC1(sp)".
+func tableIClusters(s *cluster.Scenario, sc Scale, pl *placer, layout trace.Layout, kernels []string) []string {
+	names := make([]string, len(layout.Clusters))
+	for i, vc := range layout.Clusters {
+		vms := s.VirtualCluster(vc.Name, vc.VMs, sc.VCPUsPerVM, pl.forVC(vc.VMs))
+		s.RunParallel(npb(sc, kernels[i], workload.ClassB), vms, sc.Rounds, true)
+		names[i] = fmt.Sprintf("%s(%s)", vc.Name, kernels[i])
+	}
+	return names
+}
+
+// tableIIndependent installs the layout's i-th independent parallel VM
+// on pl's least-loaded node, running lu.B (even i) or is.B (odd i) alone:
+// a measured run of sc.Rounds rounds when measured is set, background
+// load otherwise. It returns the kernel.
+func tableIIndependent(s *cluster.Scenario, sc Scale, pl *placer, i int, measured bool) string {
+	k := []string{"lu", "is"}[i%2]
+	prof := npb(sc, k, workload.ClassB)
+	vms := []*vmm.VM{s.IndependentVM(fmt.Sprintf("ind%d", i), pl.one(), sc.VCPUsPerVM, vmm.ClassParallel)}
+	if measured {
+		s.RunParallel(prof, vms, sc.Rounds, true)
+	} else {
+		s.RunBackground(prof, vms)
+	}
+	return k
+}
+
 // runFig11 measures every virtual cluster (and two independent VMs
 // running single-VM lu/is) under CR, BS, CS, DSS and ATC.
 func runFig11(sc Scale, seed uint64) ([]*report.Table, error) {
@@ -231,35 +260,20 @@ func runFig11(sc Scale, seed uint64) ([]*report.Table, error) {
 			return fig11Cell{}, err
 		}
 		pl := newPlacer(sc.MixNodes)
-		var runs []*workload.ParallelRun
-		var rowNames []string
-		for i, vc := range layout.Clusters {
-			prof := workload.NPB(kernels[i], workload.ClassB)
-			prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-			vms := s.VirtualCluster(vc.Name, vc.VMs, sc.VCPUsPerVM, pl.forVC(vc.VMs))
-			runs = append(runs, s.RunParallel(prof, vms, sc.Rounds, true))
-			rowNames = append(rowNames, fmt.Sprintf("%s(%s)", vc.Name, kernels[i]))
-		}
+		rowNames := tableIClusters(s, sc, pl, layout, kernels)
 		// Independent VMs run lu.B or is.B alone; measure the first two,
 		// the rest are background.
-		indKernels := []string{"lu", "is"}
 		for i := 0; i < layout.Independent; i++ {
-			k := indKernels[i%2]
-			prof := workload.NPB(k, workload.ClassB)
-			prof.Iterations = iterCount(prof.Iterations, sc.IterScale)
-			vms := []*vmm.VM{s.World.Node(pl.one()).NewVM(fmt.Sprintf("ind%d", i), vmm.ClassParallel, sc.VCPUsPerVM, 0, 1)}
+			k := tableIIndependent(s, sc, pl, i, i < 2)
 			if i < 2 {
-				runs = append(runs, s.RunParallel(prof, vms, sc.Rounds, true))
 				rowNames = append(rowNames, fmt.Sprintf("IND%d(%s)", i+1, k))
-			} else {
-				s.RunBackground(prof, vms)
 			}
 		}
 		if !s.Go(sc.Horizon) {
 			return fig11Cell{}, fmt.Errorf("fig11/%s: horizon exceeded", a)
 		}
-		row := make([]float64, len(runs))
-		for i, r := range runs {
+		row := make([]float64, len(s.Runs()))
+		for i, r := range s.Runs() {
 			row[i] = r.MeanTime()
 		}
 		return fig11Cell{row: row, names: rowNames}, nil

@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"atcsched/internal/cluster"
+	"atcsched/internal/core"
 	"atcsched/internal/metrics"
 	"atcsched/internal/paperdata"
 	"atcsched/internal/report"
@@ -134,7 +136,7 @@ func runScore(sc Scale, seed uint64) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	best, _, err := optimizeFromPerApp(perApp)
+	best, _, err := core.OptimizeThreshold(perApp)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +168,7 @@ func runScore(sc Scale, seed uint64) ([]*report.Table, error) {
 		if v < 0.85 || v > 1.15 {
 			bonnieFlat = false
 		}
-		if absf(v-1) > absf(worst-1) {
+		if math.Abs(v-1) > math.Abs(worst-1) {
 			worst = v
 		}
 	}
@@ -191,58 +193,10 @@ func runScore(sc Scale, seed uint64) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// optimizeFromPerApp adapts core.OptimizeThreshold without re-importing
-// it here (avoids an import cycle through the euclid experiment).
-func optimizeFromPerApp(perApp map[string]map[sim.Time]float64) (sim.Time, float64, error) {
-	var best sim.Time
-	bestD := -1.0
-	// Collect candidates from the first app.
-	for app := range perApp {
-		for cand := range perApp[app] {
-			// D over all apps for this candidate vs per-app minima.
-			var d float64
-			valid := true
-			for a2 := range perApp {
-				p, ok := perApp[a2][cand]
-				if !ok {
-					valid = false
-					break
-				}
-				min := p
-				for _, v := range perApp[a2] {
-					if v < min {
-						min = v
-					}
-				}
-				d += (p - min) * (p - min)
-			}
-			if !valid {
-				continue
-			}
-			if bestD < 0 || d < bestD {
-				bestD = d
-				best = cand
-			}
-		}
-		break
-	}
-	if bestD < 0 {
-		return 0, 0, fmt.Errorf("score: no candidates")
-	}
-	return best, bestD, nil
-}
-
 func cellFloat(t *report.Table, row, col int) (float64, bool) {
 	if row >= len(t.Rows) || col >= len(t.Rows[row]) {
 		return 0, false
 	}
 	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
 	return v, err == nil
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 
 	"atcsched/internal/cluster"
+	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
 )
@@ -13,14 +13,36 @@ import (
 // export; the showcase run is a few virtual seconds, well inside it.
 const timelineTraceCap = 500000
 
-// TimelineResult is one instrumented showcase run, ready for export.
+// TimelineResult is one instrumented showcase run, ready for export
+// with telemetry.WriteFiles, WriteTimeline or WriteJSONL.
 type TimelineResult struct {
 	// Events is the merged scheduling-event stream (dispatches,
 	// preemptions, slice changes, policy swaps).
 	Events []telemetry.SchedEvent
-	// Plane holds the run's metrics and spans (spin episodes, BSP
-	// rounds, fault windows).
-	Plane *telemetry.Plane
+	// Snapshot holds the run's end-of-run metrics and spans (spin
+	// episodes, BSP rounds, fault windows).
+	Snapshot telemetry.Snapshot
+}
+
+// showcase runs one instrumented scenario for the timeline/JSONL
+// exports: it builds cfg with a fresh telemetry plane and a scheduling
+// tracer of traceCap records, installs the tenants, runs for d of
+// virtual time, audits the end state and publishes end-of-run totals.
+func showcase(name string, cfg cluster.Config, traceCap int, d sim.Time, tenants func(*cluster.Scenario)) (*TimelineResult, error) {
+	plane := telemetry.New(telemetry.Options{})
+	cfg.Telemetry = plane
+	s, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.World.SetTracer(vmm.NewTracer(traceCap))
+	tenants(s)
+	s.GoFor(d)
+	if errs := s.World.Audit(); len(errs) > 0 {
+		return nil, fmt.Errorf("%s: audit: %v", name, errs[0])
+	}
+	s.FinalizeTelemetry()
+	return &TimelineResult{Events: s.World.TelemetryEvents(), Snapshot: plane.Snapshot()}, nil
 }
 
 // Timeline runs the fault-injection showcase under ATC with the full
@@ -32,28 +54,6 @@ func Timeline(sc Scale, seed uint64) (*TimelineResult, error) {
 	cfg := cluster.DefaultConfig(sc.NodeSteps[0], cluster.ATC)
 	cfg.Seed = seed
 	cfg.Faults = faultSpec()
-	plane := telemetry.New(telemetry.Options{})
-	cfg.Telemetry = plane
-	s, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.World.SetTracer(vmm.NewTracer(timelineTraceCap))
-	luTenants(s, sc)
-	s.GoFor(faultWindow * faultWindows)
-	if errs := s.World.Audit(); len(errs) > 0 {
-		return nil, fmt.Errorf("timeline: audit: %v", errs[0])
-	}
-	s.FinalizeTelemetry()
-	return &TimelineResult{Events: s.World.TelemetryEvents(), Plane: plane}, nil
-}
-
-// WriteTimeline exports the run as Chrome/Perfetto trace-event JSON.
-func (r *TimelineResult) WriteTimeline(w io.Writer) error {
-	return telemetry.WriteTimeline(w, r.Events, r.Plane.Snapshot())
-}
-
-// WriteJSONL exports the run's telemetry as a JSON Lines dump.
-func (r *TimelineResult) WriteJSONL(w io.Writer) error {
-	return telemetry.WriteJSONL(w, r.Plane.Snapshot())
+	return showcase("timeline", cfg, timelineTraceCap, faultWindow*faultWindows,
+		func(s *cluster.Scenario) { luTenants(s, sc) })
 }

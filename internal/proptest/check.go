@@ -112,37 +112,9 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 		res.swaps = append(res.swaps, n.Swaps())
 	}
 	if traced {
-		res.fingerprint = fingerprint(s)
+		res.fingerprint = s.Fingerprint()
 	}
 	return res, nil
-}
-
-// fingerprint renders the run's observable outcome — engine counters,
-// per-VM statistics and the full retained scheduling trace — as one
-// string. Two runs of the same Spec under the same approach must produce
-// byte-identical fingerprints.
-func fingerprint(s *cluster.Scenario) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "now=%d executed=%d\n", int64(s.World.Now()), s.World.Executed())
-	fmt.Fprintf(&b, "%s\n", s.FaultReport())
-	for _, run := range s.Runs() {
-		fmt.Fprintf(&b, "run rounds=%d times=%v\n", run.Rounds(), run.Times())
-	}
-	for _, n := range s.World.Nodes() {
-		fmt.Fprintf(&b, "node%d ctx=%d wakes=%d llc=%d\n",
-			n.ID(), n.CtxSwitches(), n.Wakes(), n.LLCMisses())
-	}
-	for _, vm := range s.World.VMs() {
-		fmt.Fprintf(&b, "vm=%s sent=%d recv=%d ctx=%d iowakes=%d run=%d wait=%d spin=%d\n",
-			vm.Name(), vm.PacketsSent(), vm.PacketsReceived(), vm.CtxSwitches(),
-			vm.IOWakes(), int64(vm.RunTime()), int64(vm.WaitTime()), int64(vm.SpinWaitTotal()))
-	}
-	fmt.Fprintf(&b, "trace dropped=%d\n", s.World.TraceDropped())
-	for _, r := range s.World.TraceRecords() {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // check evaluates the single-approach properties: liveness, audit

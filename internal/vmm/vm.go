@@ -89,10 +89,9 @@ type VM struct {
 
 	// ioWakes counts I/O-caused wakeups.
 	ioWakes uint64
-	// ioEvents counts I/O events delivered to the VM (packets, disk
-	// completions) regardless of whether they woke a blocked VCPU — the
-	// DSS input signal ("I/O behaviour").
-	ioEvents       uint64
+	// periodIOEvents counts I/O events delivered to the VM (packets,
+	// disk completions) since the last sample, regardless of whether
+	// they woke a blocked VCPU — the DSS input signal ("I/O behaviour").
 	periodIOEvents uint64
 
 	ctxSwitches   uint64
@@ -150,9 +149,6 @@ func (vm *VM) CtxSwitches() uint64 { return vm.ctxSwitches }
 // IOWakes returns the lifetime count of I/O-caused wakeups.
 func (vm *VM) IOWakes() uint64 { return vm.ioWakes }
 
-// IOEvents returns the lifetime count of delivered I/O events.
-func (vm *VM) IOEvents() uint64 { return vm.ioEvents }
-
 // SamplePeriodIOEvents returns and resets the per-period I/O event count
 // (the DSS scheduler's signal).
 func (vm *VM) SamplePeriodIOEvents() uint64 {
@@ -163,7 +159,6 @@ func (vm *VM) SamplePeriodIOEvents() uint64 {
 
 // countIOEvent notes one delivered I/O event.
 func (vm *VM) countIOEvent() {
-	vm.ioEvents++
 	vm.periodIOEvents++
 }
 

@@ -195,9 +195,6 @@ func MustNewWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factory S
 	return w
 }
 
-// ShardCount returns the number of engine shards.
-func (w *World) ShardCount() int { return w.group.Shards() }
-
 // Nodes returns the world's nodes (do not mutate).
 func (w *World) Nodes() []*Node { return w.nodes }
 
