@@ -24,9 +24,12 @@
 //	-nodes N         simulate N nodes (implies -backend sim)
 //	-shards S        spread each period's nodes over S goroutines
 //	-hollow          sim: kubemark-style hollow nodes (one light VM each)
-//	-snapshot f.json write a control-plane snapshot at exit (temp file,
-//	                 fsync, rename: a crash leaves the old or the new one)
-//	-restore f.json  resume from a snapshot written by -snapshot
+//	-snapshot f.ckpt write a control-plane checkpoint at exit (temp file,
+//	                 fsync, rename: a crash leaves the old or the new one):
+//	                 a binary image in an envelope whose length and
+//	                 CRC-32C let -restore refuse a torn or damaged file
+//	-restore f.ckpt  resume from a checkpoint written by -snapshot, or
+//	                 from a version-1 JSON snapshot of an earlier build
 //
 // Observability:
 //

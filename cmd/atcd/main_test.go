@@ -207,8 +207,8 @@ func TestDemoBackend(t *testing.T) {
 // first run exposes the per-node fleet table with policies.
 func TestFleetSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	snap1 := filepath.Join(dir, "fleet1.json")
-	snap2 := filepath.Join(dir, "fleet2.json")
+	snap1 := filepath.Join(dir, "fleet1.ckpt")
+	snap2 := filepath.Join(dir, "fleet2.ckpt")
 
 	addrc := make(chan string, 1)
 	listenReady = func(addr string) { addrc <- addr }
@@ -304,14 +304,9 @@ func TestFleetSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Version int `json:"version"`
-		Nodes   []struct {
-			Periods uint64 `json:"periods"`
-		} `json:"nodes"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("exit snapshot is not JSON: %v", err)
+	out, err := daemon.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatalf("exit snapshot does not decode: %v", err)
 	}
 	if out.Version != 1 || len(out.Nodes) != 8 {
 		t.Errorf("exit snapshot: version=%d nodes=%d, want version 1 with 8 nodes", out.Version, len(out.Nodes))
@@ -339,7 +334,7 @@ func TestFleetFlagValidation(t *testing.T) {
 // TestDemoSnapshotRoundTrip pins -snapshot/-restore outside the sim
 // backend: a demo run's node-0 state carries over into the next run.
 func TestDemoSnapshotRoundTrip(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "demo.json")
+	snap := filepath.Join(t.TempDir(), "demo.ckpt")
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-periods", "12", "-snapshot", snap}, &stdout, &stderr); err != nil {
 		t.Fatalf("demo run: %v\n%s", err, stderr.String())

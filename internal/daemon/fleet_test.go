@@ -341,7 +341,7 @@ func TestFleetKillRestoreMidBlackout(t *testing.T) {
 	}
 	if !bytes.Equal(gotSnap, refSnap) {
 		t.Errorf("post-convergence control state diverges from uninterrupted run:\nrestored:\n%s\nreference:\n%s",
-			gotSnap, refSnap)
+			viewOf(t, gotSnap), viewOf(t, refSnap))
 	}
 	if rep := b.FaultReport(); rep.DaemonDarkPeriods == 0 {
 		t.Error("no dark periods tallied — blackout window never engaged")

@@ -146,7 +146,8 @@ func TestActuatorFailShardInvariant(t *testing.T) {
 				t.Fatalf("run %d, shards=%d: fault report %v, want %v", i, shards, rep, wantRep)
 			}
 			if snap != wantSnap {
-				t.Fatalf("run %d, shards=%d: snapshot differs from shards=1:\n%s\nwant:\n%s", i, shards, snap, wantSnap)
+				t.Fatalf("run %d, shards=%d: snapshot differs from shards=1:\n%s\nwant:\n%s", i, shards,
+					viewOf(t, []byte(snap)), viewOf(t, []byte(wantSnap)))
 			}
 		}
 	}

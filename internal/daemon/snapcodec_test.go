@@ -2,14 +2,16 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,27 +19,25 @@ import (
 	"atcsched/internal/sim"
 )
 
-// refDecodeSnapshot is the reflective decoder the codec replaced, kept
-// as the oracle: a version probe, then a full json.Unmarshal.
-func refDecodeSnapshot(data []byte) (*FleetSnapshot, error) {
-	var probe struct {
-		Version int `json:"version"`
+// The two snapshot goldens: the checkpoint itself, and its JSON view.
+var (
+	ckptGolden = filepath.Join("testdata", "fleet_snapshot.golden.ckpt")
+	viewGolden = filepath.Join("testdata", "fleet_snapshot.golden.json")
+)
+
+func readGolden(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run TestSnapshotGolden with -update to create)", err)
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, err
-	}
-	if probe.Version != SnapshotVersion {
-		return nil, fmt.Errorf("daemon: snapshot version %d, want %d", probe.Version, SnapshotVersion)
-	}
-	var s FleetSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return b
 }
 
-// refEncode is the reflective encoder the codec replaced.
-func refEncode(t testing.TB, s *FleetSnapshot) []byte {
+// view renders s in its JSON view: json.MarshalIndent with a two-space
+// indent and a trailing newline, the form earlier builds wrote.
+func view(t testing.TB, s *FleetSnapshot) []byte {
+	t.Helper()
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -45,20 +45,14 @@ func refEncode(t testing.TB, s *FleetSnapshot) []byte {
 	return append(b, '\n')
 }
 
-// errClass buckets a decode error for the precedence rule: a syntax
-// error beats a version mismatch, which beats a type error.
-func errClass(err error) string {
-	var jsonSyntax *json.SyntaxError
-	var ours *syntaxError
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.As(err, &jsonSyntax), errors.As(err, &ours):
-		return "syntax"
-	case strings.Contains(err.Error(), "snapshot version"):
-		return "version"
+// viewOf renders a checkpoint's JSON view, for failure messages.
+func viewOf(t testing.TB, enc []byte) string {
+	t.Helper()
+	s, err := DecodeSnapshot(enc)
+	if err != nil {
+		return fmt.Sprintf("<%d bytes that do not decode: %v>", len(enc), err)
 	}
-	return "type"
+	return string(view(t, s))
 }
 
 // genValue fills v from r by reflection, so a field added to any of
@@ -107,102 +101,47 @@ func genSnapshot(t testing.TB, r *rand.Rand) *FleetSnapshot {
 	return s
 }
 
-// TestSnapshotCodecOracle pins the codec to encoding/json on generated
-// snapshots: Encode writes MarshalIndent's bytes, and DecodeSnapshot of
-// them gives the reflective decode's value (or error class).
+// TestSnapshotCodecOracle round-trips generated snapshots: a snapshot
+// of the current version decodes back deep-equal, nil and empty lists
+// kept apart; any other version is refused; and the JSON view, read
+// back through encoding/json, renders the same view again.
 func TestSnapshotCodecOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 1500; i++ {
 		s := genSnapshot(t, r)
-		got, err := s.Encode()
+		enc, err := s.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := refEncode(t, s); !bytes.Equal(got, want) {
-			t.Fatalf("snapshot %d: Encode differs from json.MarshalIndent\ngot:\n%s\nwant:\n%s", i, got, want)
+		got, err := DecodeSnapshot(enc)
+		if s.Version != SnapshotVersion {
+			if err == nil || !strings.Contains(err.Error(), "snapshot version") {
+				t.Fatalf("snapshot %d: version %d decoded with error %v, want a version mismatch", i, s.Version, err)
+			}
+			continue
 		}
-		checkDecodeParity(t, got)
-	}
-}
-
-// hasRepeatedKey reports whether any object in data holds two keys
-// that encoding/json would match to the same field (bytes.EqualFold);
-// DecodeSnapshot deliberately rejects such documents.
-func hasRepeatedKey(data []byte) bool {
-	type frame struct {
-		obj, wantKey bool
-		keys         []string
-	}
-	var stack []*frame
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for {
-		tok, err := dec.Token()
 		if err != nil {
-			return false
+			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		var top *frame
-		if len(stack) > 0 {
-			top = stack[len(stack)-1]
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("snapshot %d does not round-trip:\n got %#v\nwant %#v", i, got, s)
 		}
-		if d, ok := tok.(json.Delim); ok {
-			switch d {
-			case '{', '[':
-				stack = append(stack, &frame{obj: d == '{', wantKey: d == '{'})
-			default:
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 && stack[len(stack)-1].obj {
-					stack[len(stack)-1].wantKey = true
-				}
-			}
-			continue
+		v := view(t, s)
+		fromJSON, err := DecodeSnapshot(v)
+		if err != nil {
+			t.Fatalf("snapshot %d: the JSON view does not decode: %v\n%s", i, err, v)
 		}
-		if top == nil || !top.obj {
-			continue
+		if again := view(t, fromJSON); !bytes.Equal(again, v) {
+			t.Fatalf("snapshot %d: the JSON view does not round-trip\ngot:\n%s\nwant:\n%s", i, again, v)
 		}
-		if !top.wantKey {
-			top.wantKey = true
-			continue
-		}
-		key := tok.(string)
-		for _, k := range top.keys {
-			if strings.EqualFold(k, key) {
-				return true
-			}
-		}
-		top.keys = append(top.keys, key)
-		top.wantKey = false
 	}
 }
 
-// checkDecodeParity asserts DecodeSnapshot matches the reflective
-// decoder on data: same acceptance, same error class, same value.
-// Documents with a repeated key are exempt (deliberate narrowing), but
-// a repeated-key error on any other document is a failure.
-func checkDecodeParity(t *testing.T, data []byte) {
-	t.Helper()
-	got, err := DecodeSnapshot(data)
-	repeated := hasRepeatedKey(data)
-	if err != nil && strings.Contains(err.Error(), "repeated") && !repeated {
-		t.Fatalf("DecodeSnapshot(%q) claims a repeated key: %v", data, err)
-	}
-	if repeated {
-		return
-	}
-	want, werr := refDecodeSnapshot(data)
-	if errClass(err) != errClass(werr) {
-		t.Fatalf("DecodeSnapshot(%q):\n got error %v (%s)\nwant error %v (%s)", data, err, errClass(err), werr, errClass(werr))
-	}
-	if err == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeSnapshot(%q):\n got %+v\nwant %+v", data, got, want)
-	}
-}
-
-// snapshotSeeds are the decoder inputs every parity check starts from.
-func snapshotSeeds(t testing.TB) [][]byte {
-	golden, err := os.ReadFile(filepath.Join("testdata", "fleet_snapshot.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// jsonSeeds are JSON-form inputs for the fuzzer: the view golden in
+// several spellings, hand-written and legacy documents, and malformed
+// ones.
+func jsonSeeds(t testing.TB) [][]byte {
+	golden := readGolden(t, viewGolden)
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, golden); err != nil {
 		t.Fatal(err)
@@ -236,8 +175,7 @@ func snapshotSeeds(t testing.TB) [][]byte {
 		[]byte(`{"version":1,"nodes":[{"vms":[{"last":"3ms","lat":["1µs"]}]}],"x":"😀\ud800"}`),
 		[]byte(`{"x":"` + "\xff\xfe" + `","y":[[[{"z":[1e9,-0.5E-3,true,false,null]}]]],"version":1}`),
 		[]byte(`{"version":1} {}`),
-		// Whitespace runs around the eight-byte skip, and keys out of
-		// schema order.
+		// Whitespace runs, and keys out of schema order.
 		[]byte("{\"version\":1,       \"nodes\":[{\"vms\":[        {\"id\":1}]}]         }"),
 		[]byte("{\t\"version\":1,\r        \t\"periods\":3,\n                \"nodes\":[\r\n\t         ]}"),
 		[]byte("{\"nodes\":[{\"vms\":[{\"slice\":[\"1ms\"],\"id\":2,\"lat\":[\"0s\"]}],\"node\":4}],\"periods\":2,\"version\":1}"),
@@ -251,104 +189,125 @@ func snapshotSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzDecodeSnapshot checks that no input panics DecodeSnapshot and
-// that it keeps parity with encoding/json (checkDecodeParity).
+// FuzzDecodeSnapshot checks that no input panics DecodeSnapshot, that
+// an accepted checkpoint re-encodes to the same bytes, and that an
+// accepted JSON snapshot survives Encode and DecodeSnapshot unchanged.
 func FuzzDecodeSnapshot(f *testing.F) {
-	for _, s := range snapshotSeeds(f) {
+	for _, s := range jsonSeeds(f) {
 		f.Add(s)
 	}
+	f.Add(readGolden(f, ckptGolden))
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 4; i++ {
+		s := genSnapshot(f, r)
+		s.Version = SnapshotVersion
+		enc, err := s.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecodeParity(t, data)
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		enc, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.HasPrefix(data, []byte(snapMagic)) {
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("accepted checkpoint re-encodes differently:\n got %x\nwant %x", enc, data)
+			}
+			return
+		}
+		back, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("JSON snapshot %q re-encodes to a checkpoint that does not decode: %v", data, err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("JSON snapshot %q does not survive a checkpoint:\n got %#v\nwant %#v", data, back, s)
+		}
 	})
 }
 
-// TestDecodeTimeFastPath pins the decoder's one-pass duration reader
-// to sim.ParseTimeJSON: each token it accepts, it must accept whole and
-// read to the same value, and every other token must reach the general
-// path. fast marks the tokens the fast path is meant to take.
-func TestDecodeTimeFastPath(t *testing.T) {
-	cases := []struct {
-		tok  string
-		fast bool
-	}{
-		{`"7ns"`, true}, {`"7us"`, true}, {`"7µs"`, true}, {`"7ms"`, true}, {`"7s"`, true},
-		{`"7\u00b5s"`, false}, // the same µs, escaped
-		{`"7μs"`, false},      // U+03BC, which time.ParseDuration also reads as µs
-		{`"7m"`, false}, {`"7h"`, false}, {`"1m30s"`, false}, {`"7"`, false},
-		{`"0"`, false}, {`"0s"`, true}, {`"000ms"`, true}, {`"007ms"`, true},
-		{`"1.5ms"`, true}, {`"0.5ms"`, true}, {`"1.500ms"`, true}, {`"1.234567ms"`, true},
-		{`"1.2345678ms"`, false}, {`"1.234us"`, true}, {`"1.2345µs"`, false}, {`"1.5ns"`, false},
-		{`"1.123456789s"`, true}, {`"1.1234567891s"`, false}, {`"1.ms"`, false}, {`".5ms"`, false},
-		{`"1..5ms"`, false}, {`"+5ms"`, false}, {`"-5ms"`, false}, {`"ms"`, false}, {`""`, false},
-		{`"9223372036854775807ns"`, false}, {`"9223372036854775808ns"`, false},
-		{`"9223372036853ms"`, true}, {`"9223372036854ms"`, false}, {`"9223372035.999999999s"`, true},
-		{`"9223372036s"`, false}, {`"9223372037s"`, false},
-		{`"99999999999999999999s"`, false}, {`"5ms `, false}, {`"5ns`, false}, {`"5m"`, false},
-		{`5000`, false}, {`null`, false},
+// TestDecodeSnapshotCorruption truncates the checkpoint golden at every
+// byte offset and flips each of its bits in turn: every such file must
+// be refused, which is what lets a restart tell a torn or damaged
+// checkpoint from a good one.
+func TestDecodeSnapshotCorruption(t *testing.T) {
+	golden := readGolden(t, ckptGolden)
+	if _, err := DecodeSnapshot(golden); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		tok := []byte(c.tok)
-		got, n := fastTime(tok)
-		if (n > 0) != c.fast {
-			t.Errorf("fastTime(%s) took the fast path: %v, want %v", tok, n > 0, c.fast)
-		}
-		if n == 0 {
-			continue
-		}
-		want, err := sim.ParseTimeJSON(tok)
-		if n != len(tok) || err != nil || got != want {
-			t.Errorf("fastTime(%s) = %v over %d bytes; ParseTimeJSON = %v, %v", tok, got, n, want, err)
+	for n := range golden {
+		if _, err := DecodeSnapshot(golden[:n]); err == nil {
+			t.Errorf("checkpoint truncated to %d of %d bytes accepted", n, len(golden))
 		}
 	}
-	// Every token, fast or not, decodes as encoding/json reads it.
-	for _, c := range cases {
-		if json.Valid([]byte(c.tok)) {
-			checkDecodeParity(t, []byte(`{"version":1,"config":{"alpha":`+c.tok+`}}`))
-		}
-	}
-}
-
-// nested is a snapshot whose nodes list holds arrays nested k deep:
-// k+2 levels in all.
-func nested(k int) string {
-	return `{"version":1,"nodes":[` + strings.Repeat("[", k) + strings.Repeat("]", k) + `]}`
-}
-
-// TestDecodeSnapshotErrorPrecedence pins which error a document with
-// several faults gets: syntax beats version mismatch beats type errors,
-// a type error on the version field itself ranks with the version
-// check, and a repeated field is rejected.
-func TestDecodeSnapshotErrorPrecedence(t *testing.T) {
-	cases := []struct {
-		in, class, contains string
-	}{
-		{`{"version":2,"nodes":[}`, "syntax", ""},
-		{`{"periods":"x","version":1,`, "syntax", ""},
-		{`{"version":1} x`, "syntax", ""},
-		{``, "syntax", ""},
-		{nested(maxDepth - 1), "syntax", "depth"},
-		{nested(maxDepth - 2), "type", "array"},
-		{`{"periods":"x","nodes":{},"version":2}`, "version", "version 2"},
-		{`{"config":{"window":1.5},"version":3}`, "version", "version 3"},
-		{`null`, "version", "version 0"},
-		{`{"periods":"x","version":"1"}`, "type", "version"},
-		{`[{"version":1}]`, "type", "array"},
-		{`{"version":1,"periods":-1}`, "type", "uint64"},
-		{`{"version":1,"nodes":[{"vms":[{"lat":[true]}]}]}`, "type", "nanosecond"},
-		{`{"version":1,"periods":1,"Periods":2}`, "type", "repeated"},
-		{`{"version":1,"nodes":[{"vms":[{"id":1,"id":1}]}]}`, "type", "repeated"},
-		{`{"version":2,"version":1}`, "type", "repeated"},
-	}
-	for _, c := range cases {
-		_, err := DecodeSnapshot([]byte(c.in))
-		if got := errClass(err); got != c.class || !strings.Contains(fmt.Sprint(err), c.contains) {
-			t.Errorf("DecodeSnapshot(%.60q) = %v (%s), want a %s error mentioning %q", c.in, err, got, c.class, c.contains)
-		}
-		if !strings.Contains(fmt.Sprint(err), "repeated") {
-			_, werr := refDecodeSnapshot([]byte(c.in))
-			if errClass(werr) != c.class {
-				t.Errorf("reference decoder gives %s for %.60q, want %s", errClass(werr), c.in, c.class)
+	buf := bytes.Clone(golden)
+	for i := range buf {
+		for bit := 0; bit < 8; bit++ {
+			buf[i] ^= 1 << bit
+			if _, err := DecodeSnapshot(buf); err == nil {
+				t.Errorf("checkpoint with bit %d of byte %d flipped accepted", bit, i)
 			}
+			buf[i] ^= 1 << bit
+		}
+	}
+}
+
+// seal wraps body in a well-formed envelope, so the body's own checks
+// are reached.
+func seal(body []byte) []byte {
+	b := append([]byte(snapMagic), snapFormat)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(body, castagnoli))
+	return append(b, body...)
+}
+
+// TestDecodeSnapshotMalformed pins the checks behind the checksum,
+// which damage from a crash or a bad disk almost never reaches: each
+// case is a body sealed with a correct length and CRC.
+func TestDecodeSnapshotMalformed(t *testing.T) {
+	// Version 1 (zigzag 2), a zero config and cursors, then one node
+	// holding one VM with every field zero and no history.
+	base := []byte{2, 0, 0, 0, 0, 0, 0, 0, 2, // fleet; node count at 8
+		0, 0, 0, 0, 0, 0, 0, 2, // node; VM count at 16
+		0, 0, 0, 0, 0, 0, 0, 0, 0} // VM; flags at 18
+	want := &FleetSnapshot{Version: SnapshotVersion, Nodes: []NodeSnapshot{{VMs: []VMSnapshot{{}}}}}
+	if got, err := DecodeSnapshot(seal(base)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("base body decodes as %+v, %v; want %+v", got, err, want)
+	}
+	with := func(i int, b ...byte) []byte {
+		return append(append(append([]byte{}, base[:i]...), b...), base[i+1:]...)
+	}
+	sealed := seal(base)
+	badFormat := bytes.Clone(sealed)
+	badFormat[len(snapMagic)] = snapFormat + 1
+	badLength := bytes.Clone(sealed)
+	badLength[len(snapMagic)+1]++
+	cases := []struct {
+		name, contains string
+		data           []byte
+	}{
+		{"short header", "header", sealed[:headerLen-1]},
+		{"unknown format", "format", badFormat},
+		{"length mismatch", "header says", badLength},
+		{"trailing byte", "trailing", seal(append(bytes.Clone(base), 0))},
+		{"non-minimal varint", "non-minimal", seal(with(0, 0x82, 0x00))},
+		{"overflowing varint", "overflowing", seal(with(6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02))},
+		{"eleven-byte varint", "overlong", seal(with(6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))},
+		{"truncated varint", "truncated", seal(append(bytes.Clone(base[:7]), 0x80))},
+		{"unknown flag bits", "flag", seal(with(18, 8))},
+		{"node count beyond the bytes left", "list of", seal(with(8, 0xff, 0xff, 0x03))},
+		{"VM count beyond the bytes left", "list of", seal(with(16, 3))},
+		{"other schema version", "snapshot version 2", seal(with(0, 4))},
+	}
+	for _, c := range cases {
+		if _, err := DecodeSnapshot(c.data); err == nil || !strings.Contains(err.Error(), c.contains) {
+			t.Errorf("%s: DecodeSnapshot = %v, want an error mentioning %q", c.name, err, c.contains)
 		}
 	}
 }
@@ -385,7 +344,9 @@ const benchNodes, benchVMs = 2048, 4
 // TestSnapshotEncodeAllocs pins a checkpoint's allocations at the
 // benchmark size: Snapshot carves its VM lists and history windows
 // from chunked arenas and Encode writes into one buffer, so imaging
-// 2048 nodes × 4 VMs takes tens of allocations, not one per list.
+// 2048 nodes × 4 VMs takes tens of allocations, not one per list; and
+// Encode sizes that buffer to the checkpoint, allocating at most a
+// quarter more bytes than it writes.
 func TestSnapshotEncodeAllocs(t *testing.T) {
 	f := checkpointFleet(t, benchNodes, benchVMs)
 	allocs := testing.AllocsPerRun(3, func() {
@@ -395,6 +356,21 @@ func TestSnapshotEncodeAllocs(t *testing.T) {
 	})
 	if allocs > 200 {
 		t.Errorf("Snapshot().Encode() of %d×%d VMs makes %v allocations, want ≤ 200", benchNodes, benchVMs, allocs)
+	}
+	snap := f.Snapshot()
+	var before, after runtime.MemStats
+	alloc, size := uint64(math.MaxUint64), 0
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		enc, err := snap.Encode()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, size = min(alloc, after.TotalAlloc-before.TotalAlloc), len(enc)
+	}
+	if float64(alloc) > 1.25*float64(size) {
+		t.Errorf("Encode of a %d-byte checkpoint allocates %d bytes, want ≤ 1.25×", size, alloc)
 	}
 }
 

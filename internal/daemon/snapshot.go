@@ -11,8 +11,9 @@ import (
 )
 
 // SnapshotVersion is the fleet snapshot schema version. Bump it — and
-// extend DecodeSnapshot — whenever a field changes meaning; decode
-// rejects any other version outright rather than guessing.
+// extend Encode and DecodeSnapshot — whenever a field is added, removed
+// or changes meaning; decode rejects any other version outright rather
+// than guessing.
 const SnapshotVersion = 1
 
 // VMSnapshot is one VM's control state inside a NodeSnapshot. Times are
@@ -41,14 +42,15 @@ type NodeSnapshot struct {
 	VMs         []VMSnapshot `json:"vms,omitempty"`
 }
 
-// FleetSnapshot is the deterministic, JSON-versioned image of the whole
+// FleetSnapshot is the deterministic, versioned image of the whole
 // control plane: per-node controller history, last-applied slices,
 // sequence numbers, stale/backoff accounting, plus the fleet cursors
 // (Periods/Decisions). It holds no wall-clock state, so a restore never
 // perturbs the determinism fingerprint. Snapshots are taken between
-// Steps, when no decision is in flight. Version-1 snapshots written
-// before the per-period fan-out may carry an "overflow" count; decoding
-// ignores it.
+// Steps, when no decision is in flight. Encode writes it as a binary
+// checkpoint; its json tags define the JSON view. Version-1 JSON
+// snapshots written before the per-period fan-out may carry an
+// "overflow" count; decoding ignores it.
 type FleetSnapshot struct {
 	Version   int            `json:"version"`
 	Config    core.Config    `json:"config"`
@@ -92,8 +94,8 @@ type snapArena struct {
 }
 
 // Chunk sizes, in elements, for carving snapshot lists: about 16 KB of
-// NodeSnapshots, VMSnapshots or sim.Times.
-const nodeChunk, vmChunk, timeChunk = 256, 128, 2048
+// VMSnapshots or sim.Times.
+const vmChunk, timeChunk = 128, 2048
 
 // carve cuts the next n elements from *free, starting a new chunk of
 // at least chunk elements when too few are left. The result is

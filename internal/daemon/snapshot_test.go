@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 	"atcsched/internal/sim"
 )
 
-// -update rewrites the snapshot golden file from the current codec.
+// -update rewrites the snapshot golden files from the current codec.
 var update = flag.Bool("update", false, "rewrite snapshot golden files")
 
 // goldenFleet builds a small fleet with fixed, fully-populated control
@@ -47,13 +46,11 @@ func goldenFleet(t *testing.T) *Fleet {
 }
 
 // TestSnapshotDecodesLegacyOverflow pins compatibility with version-1
-// snapshots that still carry the retired "overflow" count: they decode
-// and restore, and the count is dropped.
+// snapshots written in JSON, including those that still carry the
+// retired "overflow" count: they decode and restore, the count is
+// dropped, and the restored fleet checkpoints as the golden does.
 func TestSnapshotDecodesLegacyOverflow(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "fleet_snapshot.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := readGolden(t, viewGolden)
 	legacy := bytes.Replace(golden, []byte(`"decisions": 10,`), []byte(`"decisions": 10,
   "overflow": 3,`), 1)
 	if bytes.Equal(legacy, golden) {
@@ -67,39 +64,51 @@ func TestSnapshotDecodesLegacyOverflow(t *testing.T) {
 	if err := f.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	enc, err := f.Snapshot().Encode()
+	restored := f.Snapshot()
+	if got := view(t, restored); !bytes.Equal(got, golden) {
+		t.Errorf("restored legacy snapshot renders as:\n%s\nwant the golden:\n%s", got, golden)
+	}
+	enc, err := restored.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(enc, golden) {
-		t.Errorf("restored legacy snapshot re-encodes as:\n%s\nwant the golden:\n%s", enc, golden)
+	if want := readGolden(t, ckptGolden); !bytes.Equal(enc, want) {
+		t.Errorf("restored legacy snapshot checkpoints as %x, want the golden %x", enc, want)
 	}
 }
 
-// TestSnapshotGolden pins the snapshot wire format byte-for-byte
-// (regenerate with -update): the schema is a compatibility surface — a
-// daemon must be restorable from a snapshot written by an older build
-// of the same version.
+// TestSnapshotGolden pins the checkpoint byte-for-byte, and the JSON
+// view of the golden checkpoint (regenerate both with -update): the
+// format is a compatibility surface — a daemon must be restorable from
+// a checkpoint written by an older build of the same version.
 func TestSnapshotGolden(t *testing.T) {
-	enc, err := goldenFleet(t).Snapshot().Encode()
+	snap := goldenFleet(t).Snapshot()
+	enc, err := snap.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "fleet_snapshot.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, enc, 0o644); err != nil {
+		if err := os.WriteFile(ckptGolden, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(viewGolden, view(t, snap), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
+	want := readGolden(t, ckptGolden)
 	if !bytes.Equal(enc, want) {
-		t.Errorf("snapshot encoding changed; if intentional bump SnapshotVersion and rerun with -update\ngot:\n%s\nwant:\n%s", enc, want)
+		t.Errorf("checkpoint encoding changed; if intentional bump SnapshotVersion and rerun with -update\ngot:\n%s\nwant:\n%s",
+			viewOf(t, enc), viewOf(t, want))
+	}
+	decoded, err := DecodeSnapshot(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := view(t, decoded), readGolden(t, viewGolden); !bytes.Equal(got, want) {
+		t.Errorf("the golden checkpoint's JSON view changed\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -124,23 +133,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, enc2) {
-		t.Errorf("restore is not the identity:\nfirst:\n%s\nsecond:\n%s", enc, enc2)
+		t.Errorf("restore is not the identity:\nfirst:\n%s\nsecond:\n%s", viewOf(t, enc), viewOf(t, enc2))
 	}
 }
 
 // TestSnapshotVersionMismatch pins outright rejection of any other
-// schema version — no guessing.
+// schema version, in a checkpoint or in JSON — no guessing.
 func TestSnapshotVersionMismatch(t *testing.T) {
-	enc, err := goldenFleet(t).Snapshot().Encode()
+	snap := goldenFleet(t).Snapshot()
+	snap.Version = 2
+	enc, err := snap.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := bytes.Replace(enc, []byte(`"version": 1`), []byte(`"version": 2`), 1)
-	if !bytes.Contains(enc, []byte(`"version": 1`)) {
+	if _, err := DecodeSnapshot(enc); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("DecodeSnapshot(version-2 checkpoint) = %v, want version-mismatch error", err)
+	}
+	golden := readGolden(t, viewGolden)
+	bad := bytes.Replace(golden, []byte(`"version": 1`), []byte(`"version": 2`), 1)
+	if bytes.Equal(bad, golden) {
 		t.Fatal("test assumes version field renders as \"version\": 1")
 	}
-	if _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("DecodeSnapshot(version 2) = %v, want version-mismatch error", err)
+	if _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("DecodeSnapshot(version-2 JSON) = %v, want version-mismatch error", err)
 	}
 	if _, err := DecodeSnapshot([]byte("{not json")); err == nil {
 		t.Error("DecodeSnapshot accepted malformed JSON")
@@ -216,7 +231,7 @@ func TestSnapshotRestoreCraftedVMIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if enc, _ := want.Encode(); !bytes.Equal(got, enc) {
-		t.Errorf("restored snapshot re-encodes as:\n%s\nwant:\n%s", got, enc)
+		t.Errorf("restored snapshot re-encodes as:\n%s\nwant:\n%s", viewOf(t, got), viewOf(t, enc))
 	}
 }
 

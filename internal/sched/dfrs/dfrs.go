@@ -142,10 +142,6 @@ func Factory(opts Options) vmm.SchedulerFactory {
 // Name implements vmm.Scheduler.
 func (s *Scheduler) Name() string { return "DFRS" }
 
-// DFRSOptions returns the configured options (Options names the credit
-// accessor on the embedded core).
-func (s *Scheduler) DFRSOptions() Options { return s.opts }
-
 // SetEligible restricts the fraction pool to VMs passing f (nil: every
 // guest). Used by the ATC×DFRS hybrid before the first period runs.
 func (s *Scheduler) SetEligible(f func(*vmm.VM) bool) { s.eligible = f }

@@ -127,10 +127,10 @@ func TestAppendTimeJSON(t *testing.T) {
 	}
 }
 
-// TestAppendTimeJSONMatchesDurationString pins AppendTimeJSON's direct
-// printing to Duration.String over every nanosecond count up to 3ms,
-// whole multiples of each unit and their neighbours, random values up
-// to 2s, and the extremes.
+// TestAppendTimeJSONMatchesDurationString pins AppendTimeJSON to a
+// quoted Duration.String over every nanosecond count up to 3ms, whole
+// multiples of each unit and their neighbours, random values up to 2s,
+// and the extremes.
 func TestAppendTimeJSONMatchesDurationString(t *testing.T) {
 	check := func(v Time) {
 		got := AppendTimeJSON(nil, v)

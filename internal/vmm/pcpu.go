@@ -98,9 +98,6 @@ func (p *PCPU) BusyTime() sim.Time {
 	return t
 }
 
-// SliceEnd returns the end of the current slice (meaningless when idle).
-func (p *PCPU) SliceEnd() sim.Time { return p.sliceEnd }
-
 // Cache returns this PCPU's LLC model.
 func (p *PCPU) Cache() *cachemodel.Cache { return p.cache }
 

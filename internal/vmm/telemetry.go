@@ -73,9 +73,6 @@ func (w *World) SetTelemetry(p *telemetry.Plane) {
 	}
 }
 
-// Telemetry returns the attached plane (nil when none).
-func (w *World) Telemetry() *telemetry.Plane { return w.telemetry }
-
 // TelemetryRegistry returns the node's telemetry registry (nil when the
 // world has no plane attached) — the publish point for subsystems that
 // hold a *Node, like the workload layer's BSP round spans.
