@@ -9,9 +9,9 @@
 // consumer needs; the implementation lives under internal/ (see DESIGN.md
 // for the module map):
 //
-//   - Controller (internal/core): the paper's Algorithms 1 and 2 as a
-//     pure library — feed per-period spinlock latencies, get per-VM time
-//     slices. Suitable for a userspace control daemon (see cmd/atcd).
+//   - Controller (internal/core): the paper's Algorithms 1 and 2 for one
+//     node as a pure library — feed per-period spinlock latencies, get
+//     per-VM time slices. The simulator's ATC and cmd/atcd run it too.
 //   - Scenario (internal/cluster): build a simulated cluster under any of
 //     the six scheduling approaches and run workloads on it.
 //   - The experiment registry (internal/experiment): regenerate paper
@@ -31,15 +31,15 @@ import (
 // Re-exported core-controller API (the paper's contribution).
 type (
 	// Controller implements Adaptive Time-slice Control (Algorithms 1-2).
-	Controller = core.Controller
+	Controller = core.Node
 	// ControlConfig parameterizes a Controller (α, β, threshold, window).
 	ControlConfig = core.Config
-	// VMInfo describes one VM to Controller.NodeSlices.
-	VMInfo = core.VMInfo
+	// Sample is one VM's monitor reading for Controller.Decide.
+	Sample = core.Sample
 )
 
 // NewController returns an ATC controller; panics on invalid config.
-func NewController(cfg ControlConfig) *Controller { return core.NewController(cfg) }
+func NewController(cfg ControlConfig) *Controller { return core.NewNode(cfg, core.DefaultStaleAfter) }
 
 // DefaultControlConfig returns the paper's parameters (30 ms default,
 // 0.3 ms threshold, α = 6 ms, β = 0.3 ms, 3-period window).

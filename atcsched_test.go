@@ -9,12 +9,13 @@ import (
 
 func TestControllerFacade(t *testing.T) {
 	ctl := NewController(DefaultControlConfig())
-	ctl.Observe(1, sim.Millisecond, 30*sim.Millisecond)
-	ctl.Observe(1, 2*sim.Millisecond, 30*sim.Millisecond)
-	ctl.Observe(1, 3*sim.Millisecond, 30*sim.Millisecond)
-	out := ctl.NodeSlices([]VMInfo{{ID: 1, Parallel: true}})
-	if out[1] != 24*sim.Millisecond {
-		t.Errorf("slice = %v, want 24ms after one α step", out[1])
+	for i, want := range []sim.Time{24 * sim.Millisecond, 18 * sim.Millisecond} {
+		lat := sim.Time(i+1) * sim.Millisecond
+		out := ctl.Decide([]Sample{{ID: 1, AvgSpinLatency: lat, Parallel: true}}, false)
+		if out[1] != want {
+			t.Errorf("period %d: slice = %v, want %v (one α step per rising period)", i, out[1], want)
+		}
+		ctl.Commit()
 	}
 }
 

@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		threshold = fs.Float64("min", 0.3, "minimum slice threshold in ms")
 		alpha     = fs.Float64("alpha", 6, "coarse adjustment step in ms")
 		beta      = fs.Float64("beta", 0.3, "fine adjustment step in ms")
-		periods   = fs.Int("periods", 40, "demo/sim: number of control periods")
+		periods   = fs.Int("periods", 40, "demo/sim: number of control periods (0 runs none: -restore f -snapshot g rewrites the restored state)")
 		swap      = fs.String("swap", "", `sim: scheduled policy switches "period:node:KIND[,...]" (node -1 = all), e.g. "10:-1:ATC"`)
 		nodes     = fs.Int("nodes", 0, "simulate this many nodes (implies -backend sim; 0 = the sim backend's default of 2)")
 		shards    = fs.Int("shards", 0, "spread each period's nodes over this many goroutines (default 1)")
@@ -120,6 +120,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if *periods < 0 || *periods == 0 && *swap != "" {
+		return fmt.Errorf("-periods %d: want 0 or more, and at least 1 with -swap", *periods)
 	}
 
 	if *nodes > 0 {
@@ -169,6 +172,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		sb.MaxPeriods = *periods // the config reads 0 as its 400-period default
 		if *timeline != "" {
 			// The timeline merges scheduling events with telemetry spans;
 			// the world's clock has not advanced yet, so attaching the

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -420,6 +421,43 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-backend", "demo", "-periods", "5", "-swap", "2:0:ATC"}, &stdout, &stderr); err == nil {
 		t.Fatal("-swap accepted on the demo backend")
+	}
+	for _, backend := range []string{"demo", "sim"} {
+		if err := run([]string{"-backend", backend, "-periods", "-1"}, &stdout, &stderr); err == nil {
+			t.Fatalf("negative -periods accepted on the %s backend", backend)
+		}
+	}
+	if err := run([]string{"-backend", "sim", "-periods", "0", "-swap", "1:0:ATC"}, &stdout, &stderr); err == nil {
+		t.Fatal("-swap accepted with no period to apply it in")
+	}
+}
+
+// TestRestoreSnapshotAtZeroPeriods pins that -periods 0 runs no period
+// on every backend, so restoring a checkpoint and snapshotting straight
+// away writes the restored state back byte for byte.
+func TestRestoreSnapshotAtZeroPeriods(t *testing.T) {
+	for _, shape := range [][]string{{"-backend", "demo"}, {"-nodes", "4", "-hollow"}} {
+		dir := t.TempDir()
+		first, second := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
+		var stdout, stderr bytes.Buffer
+		if err := run(append(slices.Clone(shape), "-periods", "10", "-snapshot", first), &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v\n%s", shape, err, stderr.String())
+		}
+		stderr.Reset()
+		if err := run(append(slices.Clone(shape), "-periods", "0", "-restore", first, "-snapshot", second), &stdout, &stderr); err != nil {
+			t.Fatalf("%v -periods 0: %v\n%s", shape, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "atcd: 10 control periods executed") {
+			t.Errorf("%v -periods 0 ran periods:\n%s", shape, stderr.String())
+		}
+		a, errA := os.ReadFile(first)
+		b, errB := os.ReadFile(second)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%v: the restored state written back at -periods 0 differs from the checkpoint", shape)
+		}
 	}
 }
 

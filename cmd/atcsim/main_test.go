@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,5 +190,34 @@ func assertJSONL(t *testing.T, path string) {
 		if i == 0 && m["type"] != "meta" {
 			t.Fatalf("%s does not start with a meta line: %s", path, ln)
 		}
+	}
+}
+
+// updateGolden rewrites the atcsim golden files from the current build.
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestFaultsScenarioGolden pins the monitor-fault example scenario —
+// ATC under a straggler, packet loss, monitor dropouts and monitor
+// noise — byte for byte (regenerate with -update).
+func TestFaultsScenarioGolden(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-f", filepath.Join("..", "..", "examples", "scenarios", "faults.json")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "faults.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("faults.json output differs from %s:\ngot:\n%s\nwant:\n%s", golden, out.String(), want)
 	}
 }

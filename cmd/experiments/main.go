@@ -75,17 +75,7 @@ func run(args []string, stdout io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				return
-			}
-			defer f.Close()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			}
-		}()
+		defer writeProfile("heap", *memprofile)
 	}
 
 	if *blockprofile != "" {

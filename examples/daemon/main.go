@@ -1,5 +1,5 @@
-// Daemon: use the ATC controller (the paper's Algorithms 1-2) as a pure
-// library against a mock actuator — the shape of a dom0 userspace
+// Daemon: use one node's ATC controller (the paper's Algorithms 1-2) as
+// a pure library against a mock actuator — the shape of a dom0 userspace
 // deployment. A synthetic contention episode drives the slice down to
 // the 0.3 ms threshold and back to the 30 ms default.
 package main
@@ -14,7 +14,6 @@ import (
 func main() {
 	ctl := atcsched.NewController(atcsched.DefaultControlConfig())
 	const vmID = 1
-	slice := atcsched.DefaultControlConfig().Default
 
 	episode := func(period int) sim.Time {
 		switch {
@@ -32,10 +31,9 @@ func main() {
 	fmt.Println("period  avg spin latency  ->  next slice")
 	for p := 0; p < 32; p++ {
 		lat := episode(p)
-		ctl.Observe(vmID, lat, slice)
-		slices := ctl.NodeSlices([]atcsched.VMInfo{{ID: vmID, Parallel: true}})
-		slice = slices[vmID]
-		fmt.Printf("%6d  %16v  ->  %v\n", p, lat, slice)
+		slices := ctl.Decide([]atcsched.Sample{{ID: vmID, AvgSpinLatency: lat, Parallel: true}}, false)
+		fmt.Printf("%6d  %16v  ->  %v\n", p, lat, slices[vmID])
+		ctl.Commit() // the mock actuator always lands
 	}
 	fmt.Println("\nthe slice walks down by α=6ms, refines by β=0.3ms toward the")
 	fmt.Println("0.3ms threshold under contention, and snaps back to the 30ms")

@@ -1,8 +1,8 @@
 // Package core implements the paper's contribution: the Adaptive
 // Time-slice Control (ATC) model.
 //
-// A Controller tracks, per VM, the average spinlock latency and the time
-// slice of the last three VMM scheduling periods. At each period
+// A History is one VM's window: the average spinlock latency and the
+// time slice of the last three VMM scheduling periods. At each period
 // boundary:
 //
 //   - Algorithm 1 (ComputeSlice) derives the VM's next slice from the
@@ -10,14 +10,16 @@
 //     near the minimum threshold) while latency rises — or while it falls
 //     only because the slice was shortened — and relax back toward the
 //     default when the latency has stayed at zero for a full window.
-//   - Algorithm 2 (NodeSlices) takes the per-VM results for one physical
-//     node, assigns every parallel VM the minimum of their computed
-//     slices (fairness + O(N) complexity), and leaves non-parallel VMs at
-//     the administrator-specified slice or the VMM default.
+//   - Algorithm 2 (NodeMin, Assign) takes the per-VM results for one
+//     physical node, assigns every parallel VM the minimum of their
+//     computed slices (fairness + O(N) complexity), and leaves
+//     non-parallel VMs at the administrator-specified slice or the VMM
+//     default.
 //
-// The controller is a pure library: it consumes latency samples and emits
-// slice decisions, so the same code drives the simulator's ATC scheduler
-// (internal/sched/atc) and the userspace control daemon (cmd/atcd).
+// Node runs both for one physical node, skipping stale samples and
+// degrading blacked-out VMs: it consumes samples and emits slice
+// decisions, so the same code drives the simulator's ATC schedulers
+// (internal/sched/atc, atcdfrs) and the userspace daemon (cmd/atcd).
 //
 // Two typos in the paper's Algorithm 1 are resolved as documented in
 // DESIGN.md: line 4's decrement bound uses β (not α), and line 15's
@@ -118,15 +120,9 @@ func (h *History) Observe(avgLatency, sliceInForce sim.Time) {
 	h.observed++
 }
 
-// Snapshot returns copies of h's latency and slice windows (oldest
-// first) and its observed-period count.
-func (h *History) Snapshot() (lat, slice []sim.Time, observed int) {
-	return h.SnapshotInto(make([]sim.Time, 2*len(h.lat)))
-}
-
-// SnapshotInto is Snapshot writing its copies into buf, which must
-// hold two windows (2×Window entries). The returned windows are
-// capacity-limited sub-slices of buf.
+// SnapshotInto copies h's latency and slice windows (oldest first) into
+// buf, which must hold two windows (2×Window entries), and returns them
+// as capacity-limited sub-slices of buf, with the observed-period count.
 func (h *History) SnapshotInto(buf []sim.Time) (lat, slice []sim.Time, observed int) {
 	w := len(h.lat)
 	lat, slice = buf[:w:w], buf[w:2*w:2*w]
@@ -135,7 +131,7 @@ func (h *History) SnapshotInto(buf []sim.Time) (lat, slice []sim.Time, observed 
 	return lat, slice, h.observed
 }
 
-// RestoreHistory rebuilds a window written by Snapshot. Both windows
+// RestoreHistory rebuilds a window written by SnapshotInto. Both windows
 // must have Window entries, with latencies non-negative and slices
 // positive, so a corrupt snapshot cannot smuggle in values Observe
 // would have rejected.
@@ -157,7 +153,8 @@ func (c Config) RestoreHistory(lat, slice []sim.Time, observed int) (History, er
 }
 
 // Controller implements ATC for one physical node's VM population,
-// keeping one History per VM ID.
+// keeping one History per VM ID and no fault handling: the reference
+// the daemon's tests compare Node against.
 type Controller struct {
 	cfg Config
 	vms map[int]*History
@@ -198,7 +195,7 @@ func (c *Controller) Forget(vmID int) { delete(c.vms, vmID) }
 // History returns copies of the latency and slice windows for vmID
 // (oldest first), for diagnostics.
 func (c *Controller) History(vmID int) (lat, slice []sim.Time) {
-	lat, slice, _ = c.state(vmID).Snapshot()
+	lat, slice, _ = c.state(vmID).SnapshotInto(make([]sim.Time, 2*c.cfg.Window))
 	return lat, slice
 }
 
@@ -310,23 +307,6 @@ func (c *Controller) NodeSlices(vms []VMInfo) map[int]sim.Time {
 	}
 	for _, vm := range vms {
 		out[vm.ID] = c.cfg.Assign(vm, minSlice)
-	}
-	return out
-}
-
-// PerVMSlices is the ablation of Algorithm 2's node-level minimum: each
-// parallel VM keeps its own Algorithm-1 slice (DSS-style independence).
-// The paper argues this is worse — a co-resident VM with a longer slice
-// stretches the others' spin latencies — and the "ablate" experiment
-// quantifies it.
-func (c *Controller) PerVMSlices(vms []VMInfo) map[int]sim.Time {
-	out := make(map[int]sim.Time, len(vms))
-	for _, vm := range vms {
-		own := sim.Time(0)
-		if vm.Parallel {
-			own = c.ComputeSlice(vm.ID)
-		}
-		out[vm.ID] = c.cfg.Assign(vm, own)
 	}
 	return out
 }

@@ -16,7 +16,7 @@ func TestHistorySnapshotRestoreRoundTrip(t *testing.T) {
 	for _, l := range []sim.Time{2 * sim.Millisecond, 3 * sim.Millisecond, 4 * sim.Millisecond, 5 * sim.Millisecond} {
 		src.Observe(l, cfg.ComputeSlice(&src))
 	}
-	lat, slice, obs := src.Snapshot()
+	lat, slice, obs := src.SnapshotInto(make([]sim.Time, 2*cfg.Window))
 	if obs != 4 {
 		t.Fatalf("observed = %d, want 4", obs)
 	}
@@ -36,13 +36,14 @@ func TestHistorySnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestHistorySnapshotInto pins that SnapshotInto copies the windows
-// Snapshot returns into the caller's buffer, capacity-limited so an
-// append to one window cannot write into the other or past it.
+// into the caller's buffer, capacity-limited so an append to one window
+// cannot write into the other or past it.
 func TestHistorySnapshotInto(t *testing.T) {
 	cfg := DefaultConfig()
 	h := cfg.NewHistory()
 	h.Observe(2*sim.Millisecond, cfg.Default)
-	wantLat, wantSlice, wantObs := h.Snapshot()
+	wantLat := []sim.Time{0, 0, 2 * sim.Millisecond}
+	wantSlice, wantObs := []sim.Time{cfg.Default, cfg.Default, cfg.Default}, 1
 	buf := make([]sim.Time, 2*cfg.Window+1)
 	buf[len(buf)-1] = 42
 	lat, slice, obs := h.SnapshotInto(buf)

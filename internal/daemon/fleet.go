@@ -292,7 +292,7 @@ func (f *Fleet) runShard(sh *fleetShard, batches []NodeBatch) {
 		}
 		fn := sh.nodes[cur].loop
 		cur++
-		slices := fn.decide(batches[i].Samples)
+		slices := fn.ctl.Decide(batches[i].Samples, false)
 		committed, err := fn.applyWithRetry(slices, func(s map[int]sim.Time) error {
 			sh.mu.Unlock()
 			defer sh.mu.Lock()
@@ -424,7 +424,7 @@ func (f *Fleet) Nodes() []int {
 // Stats aggregates the per-node fault-handling counters.
 func (f *Fleet) Stats() Stats {
 	var out Stats
-	f.eachNode(func(_ int, n *nodeLoop) { out.add(n.stats) })
+	f.eachNode(func(_ int, n *nodeLoop) { out.add(n.stats()) })
 	return out
 }
 
@@ -439,9 +439,9 @@ func (f *Fleet) LastSlices(node int) map[int]sim.Time {
 		return nil
 	}
 	out := make(map[int]sim.Time)
-	for _, v := range sh.nodes[i].loop.vms {
-		if v.hasLast {
-			out[v.id] = v.last
+	for _, v := range sh.nodes[i].loop.ctl.VMs() {
+		if v.HasLast {
+			out[v.ID] = v.Last
 		}
 	}
 	return out
@@ -477,20 +477,20 @@ func (f *Fleet) Table() []FleetNodeStatus {
 			Node:              id,
 			Periods:           n.periods,
 			LastDecisionAgeMS: -1,
-			DroppedPeriods:    n.stats.DroppedPeriods,
-			StaleSamples:      n.stats.StaleSamples,
+			DroppedPeriods:    n.dropped,
+			StaleSamples:      n.ctl.StaleSamples,
 		}
 		if !n.lastCommit.IsZero() {
 			st.LastDecisionAgeMS = float64(now.Sub(n.lastCommit)) / float64(time.Millisecond)
 		}
 		minSlice := sim.Time(0)
-		for _, v := range n.vms {
-			if !v.known {
+		for _, v := range n.ctl.VMs() {
+			if !v.Known {
 				continue
 			}
 			st.VMs++
-			if v.parallel && v.hasLast && (minSlice == 0 || v.last < minSlice) {
-				minSlice = v.last
+			if v.Parallel && v.HasLast && (minSlice == 0 || v.Last < minSlice) {
+				minSlice = v.Last
 			}
 		}
 		st.SliceUS = minSlice.Micros()
@@ -520,7 +520,7 @@ func (f *Fleet) Summary() FleetSummary {
 	}
 	f.eachNode(func(_ int, n *nodeLoop) {
 		s.Nodes++
-		s.Stats.add(n.stats)
+		s.Stats.add(n.stats())
 	})
 	return s
 }

@@ -115,7 +115,13 @@ func (l *refNodeLoop) degradeBlackedOut(slices map[int]sim.Time) {
 				slices[id] = def
 			}
 		default:
-			next := stepToward(cur, def, step)
+			next := cur
+			switch {
+			case cur < def:
+				next = min(cur+step, def)
+			case cur > def:
+				next = max(cur-step, def)
+			}
 			if next != cur {
 				l.stats.Degraded++
 			}
@@ -328,7 +334,7 @@ func runNodeLoopDiff(t testing.TB, data []byte) {
 				}
 				batch = append(batch, s)
 			}
-			gotDec, wantDec := got.decide(batch), want.decide(batch)
+			gotDec, wantDec := got.ctl.Decide(batch, false), want.decide(batch)
 			if !maps.Equal(gotDec, wantDec) {
 				t.Fatalf("period %d: batch %+v: decisions %v, reference %v", period, batch, gotDec, wantDec)
 			}
@@ -353,8 +359,8 @@ func runNodeLoopDiff(t testing.TB, data []byte) {
 				want.commit(wantDec)
 			}
 		}
-		if got.stats != want.stats {
-			t.Fatalf("period %d: stats %+v, reference %+v", period, got.stats, want.stats)
+		if got.stats() != want.stats {
+			t.Fatalf("period %d: stats %+v, reference %+v", period, got.stats(), want.stats)
 		}
 		if g, w := encodeNode(t, cfg, got.snapshot(0, new(snapArena))), encodeNode(t, cfg, want.snapshot(0)); !bytes.Equal(g, w) {
 			t.Fatalf("period %d: snapshot\n%s\nreference\n%s", period, g, w)
@@ -449,7 +455,7 @@ func BenchmarkNodeLoopPeriod(b *testing.B) {
 			apply := func(map[int]sim.Time) error { return nil }
 			period := func() {
 				batches, _ := src.SampleFleet()
-				slices := l.decide(batches[0].Samples)
+				slices := l.ctl.Decide(batches[0].Samples, false)
 				if ok, err := l.applyWithRetry(slices, apply, nil); !ok || err != nil {
 					b.Fatal(ok, err)
 				}

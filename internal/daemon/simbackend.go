@@ -82,7 +82,11 @@ type PolicySwitch struct {
 
 // NewSimBackend builds the cluster and returns the backend, which
 // implements both FleetSource and FleetActuator.
-func NewSimBackend(cfg SimBackendConfig) (*SimBackend, error) {
+func NewSimBackend(cfg SimBackendConfig) (*SimBackend, error) { return newSimBackend(cfg, "EXT") }
+
+// newSimBackend builds the backend's world under policy kind (EXT, or a
+// self-adapting policy to compare the daemon against).
+func newSimBackend(cfg SimBackendConfig, kind cluster.Approach) (*SimBackend, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 2
 	}
@@ -115,10 +119,10 @@ func NewSimBackend(cfg SimBackendConfig) (*SimBackend, error) {
 			return nil, fmt.Errorf("sim backend: %w", err)
 		}
 	}
-	ccfg := cluster.DefaultConfig(cfg.Nodes, "EXT")
+	ccfg := cluster.DefaultConfig(cfg.Nodes, kind)
 	prof := workload.NPB(cfg.Kernel, cfg.Class)
 	if cfg.Hollow {
-		ccfg = cluster.HollowConfig(cfg.Nodes, "EXT")
+		ccfg = cluster.HollowConfig(cfg.Nodes, kind)
 		cfg.VCPUsPerVM = 1
 		prof = workload.HollowRing()
 	}
@@ -170,21 +174,6 @@ func (b *SimBackend) advance() error {
 	return nil
 }
 
-// sampleVM reads one VM's period sample.
-func (b *SimBackend) sampleVM(vm *vmm.VM) (VMSample, bool) {
-	avg, seq, ok := vm.SampleSpinPeriod()
-	if !ok {
-		return VMSample{}, false
-	}
-	return VMSample{
-		ID:             vm.ID(),
-		AvgSpinLatency: avg,
-		Parallel:       vm.Class() == vmm.ClassParallel,
-		AdminSlice:     vm.AdminSlice,
-		Seq:            seq,
-	}, true
-}
-
 // FaultReport returns the attached fault plan's injection tallies (zero
 // when no faults were configured).
 func (b *SimBackend) FaultReport() fault.Report { return b.scen.FaultReport() }
@@ -234,7 +223,7 @@ func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
 		out[i].Node = i
 	}
 	for _, vm := range b.World.GuestVMs() {
-		s, ok := b.sampleVM(vm)
+		s, ok := vm.SpinSample()
 		if !ok {
 			continue // monitoring dropout: this VM reports nothing this period
 		}

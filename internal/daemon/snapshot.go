@@ -112,21 +112,22 @@ func carve[T any](free *[]T, n, chunk int) []T {
 // snapshot images the loop as node id's entry, one VM per table slot,
 // carving its lists from a (caller holds the shard lock).
 func (l *nodeLoop) snapshot(id int, a *snapArena) NodeSnapshot {
-	ns := NodeSnapshot{Node: id, Periods: l.periods, ConsecDrops: l.consecDrops, Stats: l.stats}
-	if len(l.vms) > 0 {
-		ns.VMs = carve(&a.vms, len(l.vms), vmChunk)
+	ns := NodeSnapshot{Node: id, Periods: l.periods, ConsecDrops: l.consecDrops, Stats: l.stats()}
+	vms := l.ctl.VMs()
+	if len(vms) > 0 {
+		ns.VMs = carve(&a.vms, len(vms), vmChunk)
 	}
-	for i := range l.vms {
-		v, vs := &l.vms[i], &ns.VMs[i]
-		vs.ID, vs.Seq, vs.StaleRuns = v.id, v.seq, v.staleRuns
-		if v.known {
-			vs.Known, vs.Parallel, vs.Admin = true, v.parallel, v.admin
+	for i := range vms {
+		v, vs := &vms[i], &ns.VMs[i]
+		vs.ID, vs.Seq, vs.StaleRuns = v.ID, v.Seq, v.StaleRuns
+		if v.Known {
+			vs.Known, vs.Parallel, vs.Admin = true, v.Parallel, v.Admin
 		}
-		if v.hasLast {
-			vs.HasLast, vs.Last = true, v.last
+		if v.HasLast {
+			vs.HasLast, vs.Last = true, v.Last
 		}
-		if !v.hist.IsZero() {
-			vs.Lat, vs.Slice, vs.Observed = v.hist.SnapshotInto(carve(&a.times, 2*l.cfg.Window, timeChunk))
+		if !v.Hist.IsZero() {
+			vs.Lat, vs.Slice, vs.Observed = v.Hist.SnapshotInto(carve(&a.times, 2*l.ctl.Config().Window, timeChunk))
 		}
 	}
 	return ns
@@ -137,26 +138,28 @@ func (l *nodeLoop) snapshot(id int, a *snapArena) NodeSnapshot {
 // entry that carries no state makes no slot.
 func restoreNodeLoop(cfg core.Config, opts Options, ns *NodeSnapshot) (*nodeLoop, error) {
 	l := newNodeLoop(cfg, opts)
-	l.periods, l.consecDrops, l.stats = ns.Periods, ns.ConsecDrops, ns.Stats
+	l.periods, l.consecDrops = ns.Periods, ns.ConsecDrops
+	l.retries, l.dropped = ns.Stats.Retries, ns.Stats.DroppedPeriods
+	l.ctl.StaleSamples, l.ctl.Degraded = ns.Stats.StaleSamples, ns.Stats.Degraded
 	for _, vs := range ns.VMs {
 		hasHist := len(vs.Lat) > 0 || len(vs.Slice) > 0
 		if !vs.Known && !vs.HasLast && vs.Seq == 0 && vs.StaleRuns == 0 && !hasHist {
 			continue
 		}
-		v := &l.vms[l.slot(vs.ID, len(l.vms))]
+		v := l.ctl.Row(vs.ID)
 		if vs.Known {
-			v.known, v.parallel, v.admin = true, vs.Parallel, vs.Admin
+			v.Known, v.Parallel, v.Admin = true, vs.Parallel, vs.Admin
 		}
 		if vs.HasLast {
-			v.hasLast, v.last = true, vs.Last
+			v.HasLast, v.Last = true, vs.Last
 		}
-		v.seq, v.staleRuns = cmp.Or(vs.Seq, v.seq), cmp.Or(vs.StaleRuns, v.staleRuns)
+		v.Seq, v.StaleRuns = cmp.Or(vs.Seq, v.Seq), cmp.Or(vs.StaleRuns, v.StaleRuns)
 		if hasHist {
 			h, err := cfg.RestoreHistory(vs.Lat, vs.Slice, vs.Observed)
 			if err != nil {
 				return nil, fmt.Errorf("vm %d: %w", vs.ID, err)
 			}
-			v.hist = h
+			v.Hist = h
 		}
 	}
 	return l, nil

@@ -124,38 +124,30 @@ func init() {
 		Run:   runFig11,
 	})
 
-	register(Experiment{
-		ID:    "fig12",
-		Title: "Figure 12 — parallel performance with non-parallel co-tenants (incl. VS, ATC(6ms))",
-		Run: func(sc Scale, seed uint64) ([]*report.Table, error) {
+	// Figures 12-14 each report one table of the shared, memoized run.
+	mixedTable := func(pick func(*mixedResult) *report.Table) func(Scale, uint64) ([]*report.Table, error) {
+		return func(sc Scale, seed uint64) ([]*report.Table, error) {
 			r, err := mixedNonparallel(sc, seed)
 			if err != nil {
 				return nil, err
 			}
-			return []*report.Table{r.parallel}, nil
-		},
+			return []*report.Table{pick(r)}, nil
+		}
+	}
+	register(Experiment{
+		ID:    "fig12",
+		Title: "Figure 12 — parallel performance with non-parallel co-tenants (incl. VS, ATC(6ms))",
+		Run:   mixedTable(func(r *mixedResult) *report.Table { return r.parallel }),
 	})
 	register(Experiment{
 		ID:    "fig13",
 		Title: "Figure 13 — web server, bonnie++ and stream under all approaches",
-		Run: func(sc Scale, seed uint64) ([]*report.Table, error) {
-			r, err := mixedNonparallel(sc, seed)
-			if err != nil {
-				return nil, err
-			}
-			return []*report.Table{r.ioApps}, nil
-		},
+		Run:   mixedTable(func(r *mixedResult) *report.Table { return r.ioApps }),
 	})
 	register(Experiment{
 		ID:    "fig14",
 		Title: "Figure 14 — CPU-intensive applications under all approaches",
-		Run: func(sc Scale, seed uint64) ([]*report.Table, error) {
-			r, err := mixedNonparallel(sc, seed)
-			if err != nil {
-				return nil, err
-			}
-			return []*report.Table{r.cpuApps}, nil
-		},
+		Run:   mixedTable(func(r *mixedResult) *report.Table { return r.cpuApps }),
 	})
 
 	register(Experiment{

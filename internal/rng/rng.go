@@ -25,7 +25,7 @@ func New(seed uint64) *Source {
 	s := &Source{inc: pcgIncrement | 1}
 	s.state = 0
 	s.next()
-	s.state += splitmix64(seed)
+	s.state += SplitMix64(seed)
 	s.next()
 	return s
 }
@@ -41,14 +41,15 @@ func NewStream(seed, stream uint64) *Source {
 // Stream returns NewStream's generator by value, for callers that keep
 // it inside a reused struct instead of allocating one per reseed.
 func Stream(seed, stream uint64) Source {
-	s := Source{inc: (splitmix64(stream^0x9e3779b97f4a7c15) << 1) | 1}
+	s := Source{inc: (SplitMix64(stream^0x9e3779b97f4a7c15) << 1) | 1}
 	s.next()
-	s.state += splitmix64(seed)
+	s.state += SplitMix64(seed)
 	s.next()
 	return s
 }
 
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 finalizer: a bijective 64-bit mix.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

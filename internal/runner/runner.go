@@ -16,6 +16,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"atcsched/internal/rng"
 )
 
 // defaultWorkers is the pool width used when a call does not override
@@ -57,16 +59,9 @@ func Cells() uint64 { return cells.Load() }
 func Seed(base uint64, coords ...int) uint64 {
 	x := base
 	for _, c := range coords {
-		x = splitmix64(x ^ splitmix64(uint64(c)+0x9e3779b97f4a7c15))
+		x = rng.SplitMix64(x ^ rng.SplitMix64(uint64(c)+0x9e3779b97f4a7c15))
 	}
-	return splitmix64(x)
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return rng.SplitMix64(x)
 }
 
 // Map runs fn(0..n-1) across the default worker pool and returns the

@@ -1,9 +1,9 @@
 // Package atc plugs the paper's Adaptive Time-slice Control model
 // (internal/core) into the credit scheduling core: every 30 ms scheduling
-// period it samples each guest VM's average spinlock latency, runs
-// Algorithm 1 per parallel VM and Algorithm 2 across the node, and writes
-// the resulting per-VM slices into the credit core's slice table, which
-// serves them to the dispatcher (dom0 keeps the default).
+// period it samples each guest VM's average spinlock latency, decides
+// through the node's core.Node (the controller the daemon runs), and
+// writes the resulting per-VM slices into the credit core's slice table,
+// which serves them to the dispatcher (dom0 keeps the default).
 package atc
 
 import (
@@ -99,7 +99,9 @@ func DefaultOptions() Options {
 type Scheduler struct {
 	*credit.Scheduler
 	opts Options
-	ctl  *core.Controller
+	ctl  *core.Node
+	// batch is OnPeriod's scratch: the period's fresh samples.
+	batch []core.Sample
 	// activity tracks, per VM id, how many periods ago contended spin
 	// activity was last seen (for AutoDetect).
 	activity map[int]int
@@ -129,7 +131,7 @@ func New(n *vmm.Node, opts Options) *Scheduler {
 	return &Scheduler{
 		Scheduler:     credit.New(n, opts.Credit),
 		opts:          opts,
-		ctl:           core.NewController(opts.Control),
+		ctl:           core.NewNode(opts.Control, core.DefaultStaleAfter),
 		activity:      make(map[int]int),
 		prevContended: make(map[int]uint64),
 		ioRate:        make(map[int]float64),
@@ -144,43 +146,34 @@ func Factory(opts Options) vmm.SchedulerFactory {
 // Name implements vmm.Scheduler.
 func (s *Scheduler) Name() string { return "ATC" }
 
-// Controller exposes the underlying ATC controller (for tests and
+// Controller exposes the node's ATC controller (for tests and
 // diagnostics).
-func (s *Scheduler) Controller() *core.Controller { return s.ctl }
-
-// isParallel classifies a VM for Algorithm 2.
-func (s *Scheduler) isParallel(vm *vmm.VM) bool {
-	if !s.opts.AutoDetect {
-		return vm.Class() == vmm.ClassParallel
-	}
-	return s.activity[vm.ID()] < s.opts.AutoDetectWindow
-}
+func (s *Scheduler) Controller() *core.Node { return s.ctl }
 
 // OnPeriod implements vmm.Scheduler: credit refill plus the ATC control
-// step (sample latency → Algorithm 1 per VM → Algorithm 2 node-wide).
+// step. Dropped samples are left out of the batch; an in-simulator
+// actuation always lands, so every decision is committed.
 func (s *Scheduler) OnPeriod(n *vmm.Node) {
 	s.Scheduler.OnPeriod(n)
 	guests := n.VMs()
-	infos := make([]core.VMInfo, 0, len(guests))
+	s.batch = s.batch[:0]
 	for _, vm := range guests {
 		var avg sim.Time
+		var seq uint64
 		fresh := true
 		switch s.opts.Monitor {
 		case SignalSchedWait:
 			avg = vm.SamplePeriodWait()
 		default:
-			// The fault-aware monitoring path: a dropped sample yields no
-			// observation this period (the controller keeps the VM's
-			// existing history); stale and noisy readings come back as
-			// values, as they would from a real flaky guest agent.
-			avg, _, fresh = vm.SampleSpinPeriod()
+			// The fault-aware monitoring path: dropped, stale and noisy
+			// readings come back as a real flaky guest agent would
+			// report them, and the controller handles each.
+			avg, seq, fresh = vm.SampleSpinPeriod()
 		}
 		if avg <= s.opts.NoiseFloor {
 			avg = 0
 		}
-		if fresh {
-			s.ctl.Observe(vm.ID(), avg, s.CurrentSlice(vm))
-		}
+		parallel := vm.Class() == vmm.ClassParallel
 		if s.opts.AutoDetect {
 			contended := sumContended(vm)
 			if contended > s.prevContended[vm.ID()] {
@@ -189,6 +182,7 @@ func (s *Scheduler) OnPeriod(n *vmm.Node) {
 				s.activity[vm.ID()]++
 			}
 			s.prevContended[vm.ID()] = contended
+			parallel = s.activity[vm.ID()] < s.opts.AutoDetectWindow
 		}
 		admin := vm.AdminSlice
 		if s.opts.AdaptiveNonParallel {
@@ -198,23 +192,19 @@ func (s *Scheduler) OnPeriod(n *vmm.Node) {
 				admin = s.opts.NonParallelShort
 			}
 		}
-		infos = append(infos, core.VMInfo{
-			ID:         vm.ID(),
-			Parallel:   s.isParallel(vm),
-			AdminSlice: admin,
-		})
+		if fresh {
+			s.batch = append(s.batch, core.Sample{
+				ID: vm.ID(), AvgSpinLatency: avg, Parallel: parallel, AdminSlice: admin, Seq: seq,
+			})
+		}
 	}
-	var decisions map[int]sim.Time
-	if s.opts.DisableNodeMinimum {
-		decisions = s.ctl.PerVMSlices(infos)
-	} else {
-		decisions = s.ctl.NodeSlices(infos)
-	}
+	decided := s.ctl.Decide(s.batch, s.opts.DisableNodeMinimum)
 	for _, vm := range guests {
-		if sl := decisions[vm.ID()]; s.SetSlice(vm, sl) {
+		if sl, ok := decided[vm.ID()]; ok && s.SetSlice(vm, sl) {
 			n.TraceSlice(vm, sl)
 		}
 	}
+	s.ctl.Commit()
 }
 
 func sumContended(vm *vmm.VM) uint64 {

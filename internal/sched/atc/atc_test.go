@@ -3,6 +3,7 @@ package atc_test
 import (
 	"testing"
 
+	"atcsched/internal/core"
 	"atcsched/internal/sched/atc"
 	"atcsched/internal/sim"
 	"atcsched/internal/vmm"
@@ -225,5 +226,67 @@ func TestName(t *testing.T) {
 	w := vmmtest.World(1, 1, atc.Factory(atc.DefaultOptions()))
 	if got := w.Node(0).Scheduler().Name(); got != "ATC" {
 		t.Errorf("Name = %q", got)
+	}
+}
+
+// TestStaleMonitorDegradesTowardDefault: once the guest agent starts
+// repeating its last reading (a monitor-stale fault), the controller
+// counts the repeats as stale instead of observing them, holds the
+// shortened slice for one period, and then walks it back to the default
+// by α per period rather than acting on old data.
+func TestStaleMonitorDegradesTowardDefault(t *testing.T) {
+	opts := atc.DefaultOptions()
+	w := vmmtest.World(1, 1, atc.Factory(opts))
+	node := w.Node(0)
+	vmA, _ := vmmtest.SpinPair(node, opts.Credit.TimeSlice)
+	w.Start()
+	period := node.Config().SchedPeriod
+	t0 := 3*sim.Second + period/2 // mid-period: each step below crosses one boundary
+	w.RunUntil(t0)
+	s := node.Scheduler().(*atc.Scheduler)
+	ctl := s.Controller()
+	prev := s.CurrentSlice(vmA)
+	if prev > opts.Credit.TimeSlice-opts.Control.Alpha {
+		t.Fatalf("slice = %v before the fault, want shortened by more than α", prev)
+	}
+	stale0 := ctl.StaleSamples
+	w.SetMonitorTap(func(vm *vmm.VM) vmm.MonitorVerdict { return vmm.MonitorVerdict{Stale: vm == vmA} })
+	for k := 1; prev != opts.Credit.TimeSlice; k++ {
+		if k > 10 {
+			t.Fatalf("slice = %v after %d stale periods, want the default %v", prev, k-1, opts.Credit.TimeSlice)
+		}
+		w.RunUntil(t0 + sim.Time(k)*period)
+		got := s.CurrentSlice(vmA)
+		if n := ctl.StaleSamples - stale0; n != uint64(k) {
+			t.Fatalf("period %d: %d stale samples counted, want %d", k, n, k)
+		}
+		want := min(prev+opts.Control.Alpha, opts.Credit.TimeSlice)
+		if k < core.DefaultStaleAfter {
+			want = prev // held until StaleAfter periods have passed
+		}
+		if got != want {
+			t.Fatalf("stale period %d: slice = %v, want %v (from %v)", k, got, want, prev)
+		}
+		prev = got
+	}
+	if ctl.Degraded == 0 {
+		t.Error("no degraded decisions counted")
+	}
+}
+
+// TestOnPeriodSteadyStateAllocs pins that once the node's VMs are in the
+// controller's table, a control period allocates nothing.
+func TestOnPeriodSteadyStateAllocs(t *testing.T) {
+	opts := atc.DefaultOptions()
+	w := vmmtest.World(1, 2, atc.Factory(opts))
+	node := w.Node(0)
+	vmmtest.SpinPair(node, opts.Credit.TimeSlice)
+	job := node.NewVM("job", vmm.ClassNonParallel, 1, 0, 1)
+	vmmtest.Loop(job.VCPU(0), vmm.Compute(100*sim.Millisecond))
+	w.Start()
+	w.RunUntil(sim.Second)
+	s := node.Scheduler()
+	if got := testing.AllocsPerRun(50, func() { s.OnPeriod(node) }); got != 0 {
+		t.Errorf("%v allocations per ATC period, want 0", got)
 	}
 }

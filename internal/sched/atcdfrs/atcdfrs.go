@@ -1,11 +1,11 @@
 // Package atcdfrs is the ATC×DFRS hybrid: parallel VMs get the paper's
-// adaptive time-slice control (per-period spin-latency feedback into
-// Algorithm 1/2) while non-parallel VMs get DFRS CPU fractions
-// redistributed from observed demand. The two planes share the credit
-// core — fractions pin per-period supply through credit.SetShare, and
-// parallel VMs stay on the weight-proportional pool, so the fractional
-// redistribution automatically re-sizes around whatever capacity the
-// parallel tenants actually consume.
+// adaptive time-slice control (spin-latency samples into core.Node)
+// while non-parallel VMs get DFRS CPU fractions redistributed from
+// observed demand. The two planes share the credit core — fractions pin
+// per-period supply through credit.SetShare, and parallel VMs stay on
+// the weight-proportional pool, so the fractional redistribution
+// automatically re-sizes around whatever capacity the parallel tenants
+// actually consume.
 package atcdfrs
 
 import (
@@ -42,7 +42,9 @@ func DefaultOptions() Options {
 type Scheduler struct {
 	*dfrs.Scheduler
 	opts Options
-	ctl  *core.Controller
+	ctl  *core.Node
+	// batch is OnPeriod's scratch: the period's fresh parallel samples.
+	batch []core.Sample
 }
 
 // New builds a hybrid scheduler for node n.
@@ -53,7 +55,7 @@ func New(n *vmm.Node, opts Options) *Scheduler {
 	return &Scheduler{
 		Scheduler: d,
 		opts:      opts,
-		ctl:       core.NewController(opts.Control),
+		ctl:       core.NewNode(opts.Control, core.DefaultStaleAfter),
 	}
 }
 
@@ -64,9 +66,6 @@ func Factory(opts Options) vmm.SchedulerFactory {
 
 // Name implements vmm.Scheduler.
 func (s *Scheduler) Name() string { return "ATCDFRS" }
-
-// Controller exposes the ATC controller (for tests and diagnostics).
-func (s *Scheduler) Controller() *core.Controller { return s.ctl }
 
 // Slice implements vmm.Scheduler: the ATC-adaptive slice from the credit
 // core's slice table for parallel VMs, the DFRS fractional quantum for
@@ -83,32 +82,23 @@ func (s *Scheduler) Slice(v *vmm.VCPU) sim.Time {
 // control step over the parallel VMs only.
 func (s *Scheduler) OnPeriod(n *vmm.Node) {
 	s.Scheduler.OnPeriod(n)
-	var infos []core.VMInfo
-	var parallel []*vmm.VM
+	s.batch = s.batch[:0]
 	for _, vm := range n.VMs() {
 		if vm.Class() != vmm.ClassParallel {
 			continue
 		}
-		// The fault-aware monitoring path: a dropped sample yields no
-		// observation this period and the controller keeps the VM's
-		// existing history.
-		avg, _, fresh := vm.SampleSpinPeriod()
-		if avg <= s.opts.NoiseFloor {
-			avg = 0
+		if smp, fresh := vm.SpinSample(); fresh {
+			if smp.AvgSpinLatency <= s.opts.NoiseFloor {
+				smp.AvgSpinLatency = 0
+			}
+			s.batch = append(s.batch, smp)
 		}
-		if fresh {
-			s.ctl.Observe(vm.ID(), avg, s.CurrentSlice(vm))
-		}
-		infos = append(infos, core.VMInfo{ID: vm.ID(), Parallel: true})
-		parallel = append(parallel, vm)
 	}
-	if len(infos) == 0 {
-		return
-	}
-	decisions := s.ctl.NodeSlices(infos)
-	for _, vm := range parallel {
-		if sl := decisions[vm.ID()]; s.SetSlice(vm, sl) {
+	decided := s.ctl.Decide(s.batch, false)
+	for _, vm := range n.VMs() {
+		if sl, ok := decided[vm.ID()]; ok && s.SetSlice(vm, sl) {
 			n.TraceSlice(vm, sl)
 		}
 	}
+	s.ctl.Commit()
 }

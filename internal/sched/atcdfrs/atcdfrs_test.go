@@ -131,3 +131,22 @@ func TestBaseOverridesReachCreditCore(t *testing.T) {
 		t.Error("steal not disabled")
 	}
 }
+
+// TestOnPeriodSteadyStateAllocs pins that once the node's VMs are known
+// to both planes, a period — fraction redistribution included — allocates
+// nothing.
+func TestOnPeriodSteadyStateAllocs(t *testing.T) {
+	opts := atcdfrs.DefaultOptions()
+	opts.DFRS.RedistributePeriods = 1 // redistribute every period
+	w := vmmtest.World(1, 2, atcdfrs.Factory(opts))
+	node := w.Node(0)
+	vmmtest.SpinPair(node, opts.DFRS.Credit.TimeSlice)
+	job := node.NewVM("job", vmm.ClassNonParallel, 1, 0, 1)
+	vmmtest.Loop(job.VCPU(0), vmm.Compute(100*sim.Millisecond))
+	w.Start()
+	w.RunUntil(sim.Second)
+	s := node.Scheduler()
+	if got := testing.AllocsPerRun(50, func() { s.OnPeriod(node) }); got != 0 {
+		t.Errorf("%v allocations per ATC×DFRS period, want 0", got)
+	}
+}

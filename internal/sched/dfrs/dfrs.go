@@ -117,6 +117,9 @@ type Scheduler struct {
 	lastRedist sim.Time
 	// redists counts redistribution decisions (telemetry).
 	redists uint64
+	// pool and wants are redistribute's scratch, reused period to period.
+	pool  []*vmm.VM
+	wants []float64
 }
 
 // New builds a DFRS scheduler for node n.
@@ -204,7 +207,7 @@ func (s *Scheduler) redistribute(n *vmm.Node) {
 	interval := float64(s.opts.RedistributePeriods) * float64(n.Config().SchedPeriod)
 	capacity := float64(len(n.PCPUs()))
 	guests := n.VMs()
-	pool := guests[:0:0]
+	pool := s.pool[:0]
 	ineligUsed := 0.0
 	for _, vm := range guests {
 		id := vm.ID()
@@ -233,6 +236,7 @@ func (s *Scheduler) redistribute(n *vmm.Node) {
 		s.demand[id] = obs
 		pool = append(pool, vm)
 	}
+	s.pool = pool
 	if len(pool) == 0 {
 		return
 	}
@@ -241,15 +245,16 @@ func (s *Scheduler) redistribute(n *vmm.Node) {
 		avail = floor
 	}
 	wantSum := 0.0
-	wants := make([]float64, len(pool))
-	for i, vm := range pool {
+	wants := s.wants[:0]
+	for _, vm := range pool {
 		w := s.demand[vm.ID()]
 		if w < s.opts.MinFraction {
 			w = s.opts.MinFraction
 		}
-		wants[i] = w
+		wants = append(wants, w)
 		wantSum += w
 	}
+	s.wants = wants
 	scale := 1.0
 	if wantSum > avail || (!s.opts.NonWorkConserving && wantSum > 0) {
 		scale = avail / wantSum

@@ -6,8 +6,9 @@ package validate
 
 import (
 	"fmt"
-	"math"
 	"sort"
+
+	"atcsched/internal/metrics"
 )
 
 // Check is one claim verdict.
@@ -55,28 +56,12 @@ func SpearmanRank(a, b map[string]float64) (float64, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	ra := ranks(keys, a)
-	rb := ranks(keys, b)
-	// Pearson over the ranks.
-	n := float64(len(keys))
-	var ma, mb float64
-	for _, k := range keys {
-		ma += ra[k]
-		mb += rb[k]
+	ra, rb := ranks(keys, a), ranks(keys, b)
+	x, y := make([]float64, len(keys)), make([]float64, len(keys))
+	for i, k := range keys {
+		x[i], y[i] = ra[k], rb[k]
 	}
-	ma /= n
-	mb /= n
-	var sxy, sxx, syy float64
-	for _, k := range keys {
-		dx, dy := ra[k]-ma, rb[k]-mb
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, fmt.Errorf("validate: constant ranks")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
+	return metrics.Pearson(x, y)
 }
 
 // ranks assigns average ranks (1-based) to the keys by their values.

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"atcsched/internal/core"
 	"atcsched/internal/metrics"
 	"atcsched/internal/sim"
 )
@@ -91,4 +92,12 @@ func (vm *VM) SampleSpinPeriod() (avg sim.Time, seq uint64, ok bool) {
 	vm.monSeq++
 	vm.monLastVal, vm.monLastSeq = raw, vm.monSeq
 	return raw, vm.monSeq, true
+}
+
+// SpinSample is SampleSpinPeriod as the controller's sample for the VM:
+// its class and admin slice with the period's reading, and ok=false when
+// the sample was dropped.
+func (vm *VM) SpinSample() (core.Sample, bool) {
+	avg, seq, ok := vm.SampleSpinPeriod()
+	return core.Sample{ID: vm.id, AvgSpinLatency: avg, Parallel: vm.class == ClassParallel, AdminSlice: vm.AdminSlice, Seq: seq}, ok
 }
