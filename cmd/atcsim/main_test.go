@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -198,11 +199,18 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestFaultsScenarioGolden pins the monitor-fault example scenario —
 // ATC under a straggler, packet loss, monitor dropouts and monitor
-// noise — byte for byte (regenerate with -update).
+// noise — byte for byte (regenerate with -update). Every counted kind
+// must inject: a window that opens after the measured run would leave
+// its counter at zero.
 func TestFaultsScenarioGolden(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-f", filepath.Join("..", "..", "examples", "scenarios", "faults.json")}, &out); err != nil {
 		t.Fatal(err)
+	}
+	for _, kind := range []string{"lost", "dropped", "noised"} {
+		if m := regexp.MustCompile(` ` + kind + `=(\d+) `).FindStringSubmatch(out.String()); m == nil || m[1] == "0" {
+			t.Errorf("faults.json: %s not injected:\n%s", kind, out.String())
+		}
 	}
 	golden := filepath.Join("testdata", "faults.golden")
 	if *updateGolden {

@@ -70,7 +70,7 @@ func TestHeteroExample(t *testing.T) {
 }
 
 // TestFaultsExample runs the committed fault-injection example to
-// completion: the plan must be live, injections must actually happen,
+// completion: the plan must be live, every counted kind must inject,
 // the report must carry the injection row, and the audit must stay
 // clean under the faults.
 func TestFaultsExample(t *testing.T) {
@@ -86,8 +86,8 @@ func TestFaultsExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Scenario.FaultReport()
-	if rep.PacketsLost == 0 && rep.SamplesDropped == 0 && rep.SamplesNoised == 0 {
-		t.Errorf("no injections recorded: %s", rep)
+	if rep.PacketsLost == 0 || rep.SamplesDropped == 0 || rep.SamplesNoised == 0 {
+		t.Errorf("a configured fault kind never injected: %s", rep)
 	}
 	if !strings.Contains(table.String(), rep.String()) {
 		t.Errorf("report table missing injection row:\n%s", table)
