@@ -3,9 +3,11 @@ package proptest_test
 import (
 	"testing"
 
+	"atcsched/internal/cluster"
 	"atcsched/internal/fault"
 	"atcsched/internal/proptest"
 	"atcsched/internal/scenario"
+	"atcsched/internal/sim"
 )
 
 // faultSpec is the directed battery scenario: two small clusters plus a
@@ -29,7 +31,7 @@ func faultSpec() proptest.Spec {
 			{Kind: fault.Bandwidth, StartSec: 0.1, DurSec: 0.3, Severity: 0.4},
 			{Kind: fault.MonitorDrop, StartSec: 0.01, DurSec: 0.2, Severity: 0.5},
 			{Kind: fault.MonitorNoise, StartSec: 0.1, DurSec: 0.2, Severity: 0.3},
-			{Kind: fault.MonitorStale, StartSec: 0.2, DurSec: 0.2, Severity: 0.5},
+			{Kind: fault.MonitorStale, StartSec: 0.1, DurSec: 0.1, Severity: 0.5},
 		}},
 	}}
 }
@@ -41,6 +43,29 @@ func faultSpec() proptest.Spec {
 // so every property must still hold.
 func TestFaultBattery(t *testing.T) {
 	runBattery(t, faultSpec())
+}
+
+// TestFaultSpecInjectsMonitorFaults pins that the directed scenario's
+// windows fall inside its measured run: under the approaches that read
+// the spin monitor, every counted kind injects, so the battery reaches
+// the dropped-, stale- and noisy-sample paths (the world ends near
+// 0.2 s, so a window opening later would count zero).
+func TestFaultSpecInjectsMonitorFaults(t *testing.T) {
+	for _, a := range []cluster.Approach{cluster.ATC, cluster.ATCDFRS} {
+		spec := faultSpec()
+		spec.Scheduler.Kind = string(a)
+		built, err := scenario.Build(&spec.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !built.Scenario.Go(sim.FromSeconds(spec.HorizonSec)) {
+			t.Fatalf("%s: measured runs incomplete", a)
+		}
+		r := built.Scenario.FaultReport()
+		if r.PacketsLost == 0 || r.SamplesDropped == 0 || r.SamplesStaled == 0 || r.SamplesNoised == 0 {
+			t.Errorf("%s: a configured kind never injected: %s", a, r)
+		}
+	}
 }
 
 // TestFaultSpecValidates pins that the directed scenario is inside the
