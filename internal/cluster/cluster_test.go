@@ -99,7 +99,9 @@ func TestFixedSliceAppliesToCR(t *testing.T) {
 
 func TestATCOptionsThreaded(t *testing.T) {
 	cfg := DefaultConfig(1, ATC)
-	cfg.Sched.Options = atc.Options{AutoDetect: true}
+	opts := atc.DefaultOptions()
+	opts.AutoDetect = true
+	cfg.Sched.Options = opts
 	s := MustNew(cfg)
 	sched := s.World.Node(0).Scheduler().(*atc.Scheduler)
 	if sched.Controller().Config().MinThreshold != 300*sim.Microsecond {

@@ -40,7 +40,8 @@ type SimBackendConfig struct {
 	VCPUsPerVM int
 	// Clusters is the number of identical virtual clusters (default 4).
 	Clusters int
-	// Kernel/Class pick the application (defaults lu, B).
+	// Kernel/Class pick the application (Kernel defaults to lu; the zero
+	// Class is workload.ClassA).
 	Kernel string
 	Class  workload.Class
 	// MaxPeriods bounds the control loop (default 400 periods = 12 s).

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"atcsched/internal/cluster"
+	"atcsched/internal/sched/atc"
 	"atcsched/internal/sim"
 )
 
@@ -282,6 +284,26 @@ func TestAblateSmallRuns(t *testing.T) {
 	if noClamp < 1.2 {
 		t.Errorf("no-clamp ablation = %v, want clearly > 1 (§III-B pathology)", noClamp)
 	}
+}
+
+// TestAblateBoostOffReachesCreditCore builds the ablation's boost-off
+// cell and checks that the node's credit core runs with BOOST off and
+// everything else at its default.
+func TestAblateBoostOffReachesCreditCore(t *testing.T) {
+	for _, v := range ablateVariants {
+		if v.name != "credit boost disabled" {
+			continue
+		}
+		s := cluster.MustNew(ablateConfig(1, 1, v.mut))
+		got := s.World.Node(0).Scheduler().(*atc.Scheduler).Options()
+		want := atc.DefaultOptions().Credit
+		want.Boost = false
+		if got != want {
+			t.Errorf("credit core options = %+v, want %+v", got, want)
+		}
+		return
+	}
+	t.Fatal("no boost-off variant in the ablation")
 }
 
 func TestSensSmallRuns(t *testing.T) {

@@ -46,11 +46,15 @@ func TestApproachKernelMatrix(t *testing.T) {
 // TestATCVariantsMatrix runs the ATC option combinations end to end.
 func TestATCVariantsMatrix(t *testing.T) {
 	variants := map[string]func(*cluster.Config){
-		"stock":      func(c *cluster.Config) {},
-		"autodetect": func(c *cluster.Config) { c.Sched.Options = atc.Options{AutoDetect: true} },
-		"admin6ms":   func(c *cluster.Config) { c.NonParallelAdminSlice = 6 * sim.Millisecond },
-		"noboost":    func(c *cluster.Config) { c.Sched.DisableBoost = true },
-		"nosteal":    func(c *cluster.Config) { c.Sched.DisableSteal = true },
+		"stock": func(c *cluster.Config) {},
+		"autodetect": func(c *cluster.Config) {
+			o := atc.DefaultOptions()
+			o.AutoDetect = true
+			c.Sched.Options = o
+		},
+		"admin6ms": func(c *cluster.Config) { c.NonParallelAdminSlice = 6 * sim.Millisecond },
+		"noboost":  func(c *cluster.Config) { c.Sched.DisableBoost = true },
+		"nosteal":  func(c *cluster.Config) { c.Sched.DisableSteal = true },
 	}
 	for name, mut := range variants {
 		name, mut := name, mut

@@ -79,8 +79,8 @@ func FuzzScenarioJSON(f *testing.F) {
 // FuzzSchedOptionsJSON hammers the policy-options half of the registry:
 // for any (kind, options JSON) pair the resolver must accept or reject
 // cleanly, an unknown kind must name every valid kind in its error, and
-// an accepted merge must re-marshal byte-stably (parse → merge → marshal
-// → merge → marshal is a fixed point). Seeds cover the DFRS family's
+// an accepted decode must re-marshal byte-stably (parse → decode →
+// marshal → decode → marshal is a fixed point). Seeds cover the DFRS family's
 // fractional parameters, including out-of-range fractions that must be
 // rejected. Run deep with
 //
@@ -105,6 +105,9 @@ func FuzzSchedOptionsJSON(f *testing.F) {
 	f.Add("DFRS", `{"bogus": 1}`)
 	f.Add("DFRS", `{"minFraction": "lots"}`)
 	f.Add("DFRS", `{"minFraction": 0.1}{"trailing": true}`)
+	// An explicit false must survive the round trip, not revert to the
+	// true default.
+	f.Add("CR", `{"boost": false}`)
 	f.Fuzz(func(t *testing.T, kind, opts string) {
 		var raw json.RawMessage
 		if opts != "" {

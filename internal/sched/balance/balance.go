@@ -14,7 +14,7 @@ import (
 // Options configures the BS scheduler.
 type Options struct {
 	// Credit configures the underlying credit core.
-	Credit credit.Options `json:"credit,omitzero"`
+	Credit credit.Options `json:"credit"`
 }
 
 // DefaultOptions returns stock BS parameters.

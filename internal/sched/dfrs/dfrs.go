@@ -24,34 +24,32 @@ import (
 	"atcsched/internal/vmm"
 )
 
-// Options configures the DFRS scheduler. The json tags carry omitzero
-// so the policy registry can overlay partially-specified options on the
-// defaults.
+// Options configures the DFRS scheduler.
 type Options struct {
 	// Credit configures the underlying credit core. Credit.TimeSlice
 	// caps the fractional dispatch quantum.
-	Credit credit.Options `json:"credit,omitzero"`
+	Credit credit.Options `json:"credit"`
 	// RedistributePeriods is how many accounting periods pass between
 	// fraction redistributions (default 2: a 60 ms control interval at
 	// the stock 30 ms period).
-	RedistributePeriods int `json:"redistributePeriods,omitzero"`
+	RedistributePeriods int `json:"redistributePeriods"`
 	// MinFraction floors every eligible VM's fraction so a bursty
 	// tenant that went idle for one interval is not starved out of
 	// restarting (default 0.02).
-	MinFraction float64 `json:"minFraction,omitzero"`
+	MinFraction float64 `json:"minFraction"`
 	// Dom0Fraction is the capacity reserved for dom0's I/O backends
 	// (default 0.05). Guest fractions share what remains.
-	Dom0Fraction float64 `json:"dom0Fraction,omitzero"`
+	Dom0Fraction float64 `json:"dom0Fraction"`
 	// Smoothing is the EWMA weight of the newest demand observation in
 	// (0,1] (default 0.5).
-	Smoothing float64 `json:"smoothing,omitzero"`
+	Smoothing float64 `json:"smoothing"`
 	// MinQuantum floors the fractional dispatch quantum (default 1 ms);
 	// Credit.TimeSlice caps it.
-	MinQuantum sim.Time `json:"minQuantum,omitzero"`
+	MinQuantum sim.Time `json:"minQuantum"`
 	// NonWorkConserving leaves surplus capacity unallocated when total
 	// demand is below the node's capacity, instead of scaling every
 	// fraction up to absorb it. Off by default: DFRS is work-conserving.
-	NonWorkConserving bool `json:"nonWorkConserving,omitzero"`
+	NonWorkConserving bool `json:"nonWorkConserving"`
 }
 
 // DefaultOptions returns the evaluation configuration: stock credit

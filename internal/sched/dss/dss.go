@@ -19,22 +19,22 @@ type Tier struct {
 	// tier applies. Fractional thresholds matter: a starved VM on a
 	// saturated node may see less than one event per period, and that
 	// trickle is exactly the signal DSS needs to shorten its slice.
-	MinRate float64 `json:"minRate,omitzero"`
+	MinRate float64 `json:"minRate"`
 	// Slice is the time slice granted.
-	Slice sim.Time `json:"slice,omitzero"`
+	Slice sim.Time `json:"slice"`
 }
 
 // Options configures the DSS scheduler.
 type Options struct {
 	// Credit configures the underlying credit core; Credit.TimeSlice is
 	// the slice for VMs below every tier.
-	Credit credit.Options `json:"credit,omitzero"`
+	Credit credit.Options `json:"credit"`
 	// Tiers must be sorted by descending MinRate; the first tier whose
 	// MinRate the VM's smoothed per-period I/O event rate reaches wins.
-	Tiers []Tier `json:"tiers,omitempty"`
+	Tiers []Tier `json:"tiers"`
 	// Smoothing is the exponential moving average weight on the new
 	// period's wake count, in (0, 1].
-	Smoothing float64 `json:"smoothing,omitzero"`
+	Smoothing float64 `json:"smoothing"`
 }
 
 // DefaultOptions returns the DSS configuration used in the evaluation.

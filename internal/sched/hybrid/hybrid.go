@@ -20,7 +20,7 @@ import (
 // Options configures the HY scheduler.
 type Options struct {
 	// Credit configures the underlying credit core.
-	Credit credit.Options `json:"credit,omitzero"`
+	Credit credit.Options `json:"credit"`
 }
 
 // DefaultOptions returns stock HY parameters.

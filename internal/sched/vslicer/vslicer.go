@@ -18,9 +18,9 @@ import (
 type Options struct {
 	// Credit configures the underlying credit core; Credit.TimeSlice is
 	// the slice for latency-insensitive VMs.
-	Credit credit.Options `json:"credit,omitzero"`
+	Credit credit.Options `json:"credit"`
 	// MicroSlice is the slice granted to latency-sensitive VMs.
-	MicroSlice sim.Time `json:"microSlice,omitzero"`
+	MicroSlice sim.Time `json:"microSlice"`
 }
 
 // DefaultOptions returns the VS configuration used in the evaluation:

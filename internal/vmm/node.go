@@ -148,10 +148,6 @@ func (n *Node) Backend() *Backend { return n.backend }
 // Engine returns the engine driving this node: its shard's engine.
 func (n *Node) Engine() *sim.Engine { return n.eng }
 
-// VCPUs returns every VCPU hosted on the node, dom0's first, in
-// dispatch order (do not mutate).
-func (n *Node) VCPUs() []*VCPU { return n.vcpus }
-
 // World returns the owning world.
 func (n *Node) World() *World { return n.world }
 

@@ -86,9 +86,6 @@ func (p *PCPU) Index() int { return p.idx }
 // Current returns the running VCPU (nil when idle).
 func (p *PCPU) Current() *VCPU { return p.cur }
 
-// CtxSwitches returns the number of switches to a different VCPU.
-func (p *PCPU) CtxSwitches() uint64 { return p.ctxSwitches }
-
 // BusyTime returns accumulated non-idle time.
 func (p *PCPU) BusyTime() sim.Time {
 	t := p.busyTime

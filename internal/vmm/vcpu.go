@@ -132,9 +132,6 @@ func (v *VCPU) CPUTime() sim.Time {
 	return v.runTime
 }
 
-// WaitTime returns the accumulated runqueue wait.
-func (v *VCPU) WaitTime() sim.Time { return v.waitTime }
-
 // Rounds returns how many times the process completed (ActDone).
 func (v *VCPU) Rounds() uint64 { return v.rounds }
 
