@@ -112,11 +112,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := core.Config{
-		Default:      sim.FromMillis(*defSlice),
-		MinThreshold: sim.FromMillis(*threshold),
-		Alpha:        sim.FromMillis(*alpha),
-		Beta:         sim.FromMillis(*beta),
-		Window:       3,
+		Default: sim.FromMillis(*defSlice),
+		Params: core.Params{
+			MinThreshold: sim.FromMillis(*threshold),
+			Alpha:        sim.FromMillis(*alpha),
+			Beta:         sim.FromMillis(*beta),
+			Window:       3,
+		},
 	}
 	if err := cfg.Validate(); err != nil {
 		return err

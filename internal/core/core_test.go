@@ -15,13 +15,16 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	mk := func(def, min, alpha, beta sim.Time, window int) Config {
+		return Config{Default: def, Params: Params{MinThreshold: min, Alpha: alpha, Beta: beta, Window: window}}
+	}
 	bad := []Config{
 		{},
-		{Default: 30 * sim.Millisecond, MinThreshold: 0, Alpha: 2, Beta: 1, Window: 3},
-		{Default: sim.Millisecond, MinThreshold: 2 * sim.Millisecond, Alpha: 2, Beta: 1, Window: 3},
-		{Default: 30 * sim.Millisecond, MinThreshold: sim.Millisecond, Alpha: 1, Beta: 2, Window: 3},
-		{Default: 30 * sim.Millisecond, MinThreshold: sim.Millisecond, Alpha: 2, Beta: 1, Window: 1},
-		{Default: 30 * sim.Millisecond, MinThreshold: sim.Millisecond, Alpha: 0, Beta: 0, Window: 3},
+		mk(30*sim.Millisecond, 0, 2, 1, 3),
+		mk(sim.Millisecond, 2*sim.Millisecond, 2, 1, 3),
+		mk(30*sim.Millisecond, sim.Millisecond, 1, 2, 3),
+		mk(30*sim.Millisecond, sim.Millisecond, 2, 1, 1),
+		mk(30*sim.Millisecond, sim.Millisecond, 0, 0, 3),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -13,16 +13,9 @@ func init() {
 		Order:       6,
 		Description: "adaptive time-slice control (the paper's contribution): per-period spin-latency feedback drives node-wide slices",
 		Defaults:    func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
 			o := *opts.(*Options)
-			if err := o.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
-			// The constructor pins Control.Default to the credit slice;
-			// validate the controller config as it will actually run.
-			ctl := o.Control
-			ctl.Default = o.Credit.TimeSlice
-			if err := ctl.Validate(); err != nil {
+			if err := o.controlConfig().Validate(); err != nil {
 				return nil, fmt.Errorf("atc: %w", err)
 			}
 			return Factory(o), nil

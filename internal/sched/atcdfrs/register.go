@@ -14,22 +14,15 @@ func init() {
 		Description: "ATC×DFRS hybrid: parallel VMs get adaptive time slices, " +
 			"non-parallel VMs get demand-driven CPU fractions",
 		Defaults: func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
 			o := *opts.(*Options)
-			if err := o.DFRS.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
 			if o.DFRS.MinQuantum > o.DFRS.Credit.TimeSlice {
 				o.DFRS.MinQuantum = o.DFRS.Credit.TimeSlice
 			}
 			if err := o.DFRS.Validate(); err != nil {
 				return nil, err
 			}
-			// The constructor pins Control.Default to the credit slice;
-			// validate the controller config as it will actually run.
-			ctl := o.Control
-			ctl.Default = o.DFRS.Credit.TimeSlice
-			if err := ctl.Validate(); err != nil {
+			if err := o.controlConfig().Validate(); err != nil {
 				return nil, fmt.Errorf("atcdfrs: %w", err)
 			}
 			return Factory(o), nil

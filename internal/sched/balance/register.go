@@ -11,12 +11,8 @@ func init() {
 		Order:       2,
 		Description: "balance scheduling: never queues two sibling VCPUs of one VM on the same PCPU runqueue",
 		Defaults:    func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
-			o := *opts.(*Options)
-			if err := o.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
-			return Factory(o), nil
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
+			return Factory(*opts.(*Options)), nil
 		},
 	})
 }

@@ -13,11 +13,8 @@ func init() {
 		Order:       3,
 		Description: "dynamic co-scheduling: gang-dispatches the VCPUs of spin-heavy VMs at every tick",
 		Defaults:    func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
 			o := *opts.(*Options)
-			if err := o.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
 			if o.SpinWaitThreshold <= 0 {
 				return nil, fmt.Errorf("cosched: spin-wait threshold must be positive, got %v", o.SpinWaitThreshold)
 			}

@@ -27,12 +27,6 @@ func init() {
 }
 
 // build adapts a credit-options factory to a registry Build.
-func build(factory func(Options) vmm.SchedulerFactory) func(any, registry.Base) (vmm.SchedulerFactory, error) {
-	return func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
-		o := *opts.(*Options)
-		if err := o.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-			return nil, err
-		}
-		return factory(o), nil
-	}
+func build(factory func(Options) vmm.SchedulerFactory) func(any) (vmm.SchedulerFactory, error) {
+	return func(opts any) (vmm.SchedulerFactory, error) { return factory(*opts.(*Options)), nil }
 }

@@ -12,11 +12,8 @@ func init() {
 		Description: "dynamic fractional resource scheduling: per-VM CPU fractions redistributed " +
 			"toward yield-maximizing shares every few periods, work-conserving",
 		Defaults: func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
 			o := *opts.(*Options)
-			if err := o.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
 			// A short fixed slice caps the fractional quantum too; pull
 			// the floor under it rather than rejecting the override.
 			if o.MinQuantum > o.Credit.TimeSlice {

@@ -13,11 +13,8 @@ func init() {
 		Order:       4,
 		Description: "dynamic switching-frequency scaling: per-VM slices tiered by smoothed I/O event rate",
 		Defaults:    func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
 			o := *opts.(*Options)
-			if err := o.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
 			if o.Smoothing <= 0 || o.Smoothing > 1 {
 				return nil, fmt.Errorf("dss: smoothing %v out of (0,1]", o.Smoothing)
 			}

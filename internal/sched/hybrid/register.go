@@ -11,12 +11,8 @@ func init() {
 		Extension:   true,
 		Description: "hybrid scheduling framework (extension baseline): parallel VMs' VCPUs promoted to BOOST",
 		Defaults:    func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
-			o := *opts.(*Options)
-			if err := o.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
-			return Factory(o), nil
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
+			return Factory(*opts.(*Options)), nil
 		},
 	})
 }

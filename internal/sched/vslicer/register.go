@@ -13,11 +13,8 @@ func init() {
 		Order:       5,
 		Description: "vSlicer microslicing: latency-sensitive VMs run at a much finer slice than the default",
 		Defaults:    func() any { o := DefaultOptions(); return &o },
-		Build: func(opts any, base registry.Base) (vmm.SchedulerFactory, error) {
+		Build: func(opts any) (vmm.SchedulerFactory, error) {
 			o := *opts.(*Options)
-			if err := o.Credit.ApplyOverrides(base.FixedSlice, base.DisableBoost, base.DisableSteal); err != nil {
-				return nil, err
-			}
 			if o.MicroSlice <= 0 {
 				return nil, fmt.Errorf("vslicer: micro slice must be positive, got %v", o.MicroSlice)
 			}
