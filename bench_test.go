@@ -70,25 +70,75 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineDeferralMix is the same churn with the vmm's reschedule
-// mix: about half of all reschedules are zero-delay deferrals
-// (Schedule(0, …), as PCPU dispatch, VCPU steps and Node.kick issue
-// them), which take the engine's same-instant lane instead of the heap.
+// mix: about half of all reschedules are zero-delay deferrals, which take
+// the engine's same-instant lane instead of the heap, here through
+// pooled events (Schedule(0, …)).
 func BenchmarkEngineDeferralMix(b *testing.B) {
+	benchEngineChurn(b, deferralMixDelay())
+}
+
+// BenchmarkEngineTimerDeferMix is the DeferralMix churn on the paths the
+// vmm takes: zero-delay reschedules go through Defer (as PCPU dispatch,
+// VCPU steps and Node.kick do) and the others re-arm the firing event's
+// own Timer, which every eighth firing disarms and re-arms (as a PCPU
+// does its slice and step timers).
+func BenchmarkEngineTimerDeferMix(b *testing.B) {
+	delay := deferralMixDelay()
+	eng := sim.New()
+	type agent struct {
+		t  sim.Timer
+		fn func()
+	}
+	agents := make([]agent, churnOutstanding)
+	budget := b.N
+	// Each agent has exactly one event outstanding: its timer or one
+	// deferral.
+	resched := func(a *agent) {
+		if d := delay(); d == 0 {
+			eng.Defer(a.fn)
+		} else {
+			eng.Arm(&a.t, eng.Now()+d, a.fn)
+		}
+	}
+	for i := range agents {
+		a := &agents[i]
+		a.fn = func() {
+			if budget <= 0 {
+				return
+			}
+			budget--
+			resched(a)
+			if budget%8 == 0 && a.t.Armed() {
+				eng.Disarm(&a.t)
+				resched(a)
+			}
+		}
+		resched(a)
+	}
+	runChurn(b, eng)
+}
+
+// deferralMixDelay returns the DeferralMix delay source: zero half of
+// the time, else 1–1000 µs.
+func deferralMixDelay() func() sim.Time {
 	src := rng.New(1)
-	benchEngineChurn(b, func() sim.Time {
+	return func() sim.Time {
 		if src.Intn(2) == 0 {
 			return 0
 		}
 		return sim.Time(1+src.Intn(1000)) * sim.Microsecond
-	})
+	}
 }
 
-// benchEngineChurn keeps 512 events outstanding, each firing reschedules
-// itself delay() ahead, and every eighth firing also cancels that event
-// and schedules a replacement. It reports events/s and ns/event.
+// churnOutstanding is the number of events the engine churns keep
+// outstanding.
+const churnOutstanding = 512
+
+// benchEngineChurn keeps churnOutstanding events outstanding, each firing
+// reschedules itself delay() ahead, and every eighth firing also cancels
+// that event and schedules a replacement.
 func benchEngineChurn(b *testing.B, delay func() sim.Time) {
 	eng := sim.New()
-	const outstanding = 512
 	budget := b.N
 	var churn func()
 	churn = func() {
@@ -103,9 +153,15 @@ func benchEngineChurn(b *testing.B, delay func() sim.Time) {
 			eng.Schedule(delay(), churn)
 		}
 	}
-	for i := 0; i < outstanding; i++ {
+	for i := 0; i < churnOutstanding; i++ {
 		eng.Schedule(delay(), churn)
 	}
+	runChurn(b, eng)
+}
+
+// runChurn runs a primed churn to completion as the timed part of b and
+// reports events/s and ns/event.
+func runChurn(b *testing.B, eng *sim.Engine) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()

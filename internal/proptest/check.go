@@ -51,6 +51,10 @@ type result struct {
 	// fingerprint is set only for traced runs: result stats plus the
 	// rendered scheduling trace, compared byte-for-byte across replays.
 	fingerprint string
+	// executed and sync are the world's event count and shard-group
+	// counters at the end of the run.
+	executed uint64
+	sync     sim.SyncStats
 }
 
 // runOne builds the Spec's world under one approach, drives it to
@@ -107,6 +111,8 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 	res.auditViols = s.AuditViolations()
 	res.finalAudit = s.World.Audit()
 	res.endTime = s.World.Now()
+	res.executed = s.World.Executed()
+	res.sync = s.World.SyncStats()
 	res.period = s.Cfg.Node.SchedPeriod
 	for _, n := range s.World.Nodes() {
 		res.swaps = append(res.swaps, n.Swaps())

@@ -10,19 +10,23 @@ import (
 	"atcsched/internal/sim"
 )
 
-// faultSpec is the directed battery scenario: two small clusters plus a
-// fault schedule exercising every generated kind — straggler, freeze,
-// loss, bandwidth, and all three monitor faults — overlapping the
-// measured work.
+// faultSpec is the directed battery scenario: two small clusters and a
+// latency-sensitive web server on overcommitted nodes (8 guest VCPUs on
+// 3 PCPUs per node), plus a fault schedule exercising every generated
+// kind — straggler, freeze, loss, bandwidth, and all three monitor
+// faults — overlapping the measured work. The overcommit makes lu's
+// spinlock waits long enough for co-scheduling to gang its VCPUs, and
+// the web server is what vSlicer microslices.
 func faultSpec() proptest.Spec {
 	return proptest.Spec{Spec: scenario.Spec{
 		Seed:         42,
 		Nodes:        2,
-		PCPUsPerNode: 4,
+		PCPUsPerNode: 3,
 		VirtualClusters: []scenario.VCSpec{
 			{Kernel: "lu", Class: "A", VMs: 2, VCPUs: 4, Rounds: 2, Iterations: 4},
 			{Kernel: "ep", Class: "A", VMs: 2, VCPUs: 2, Rounds: 2, Iterations: 3},
 		},
+		Jobs:       []scenario.JobSpec{{Type: "web", Node: 0}},
 		HorizonSec: 900,
 		Faults: &fault.Spec{Windows: []fault.Window{
 			{Kind: fault.PCPUSlow, StartSec: 0.01, DurSec: 0.3, Nodes: []int{0}, Severity: 4},
@@ -64,6 +68,31 @@ func TestFaultSpecInjectsMonitorFaults(t *testing.T) {
 		r := built.Scenario.FaultReport()
 		if r.PacketsLost == 0 || r.SamplesDropped == 0 || r.SamplesStaled == 0 || r.SamplesNoised == 0 {
 			t.Errorf("%s: a configured kind never injected: %s", a, r)
+		}
+	}
+}
+
+// TestFaultSpecSeparatesApproaches pins that the directed scenario tells
+// the baseline apart from the approaches it is there to exercise under
+// faults: co-scheduling's gang dispatch and vSlicer's microslices must
+// each change the run, so CS's and VS's fingerprints differ from CR's.
+func TestFaultSpecSeparatesApproaches(t *testing.T) {
+	fp := map[cluster.Approach]string{}
+	for _, a := range []cluster.Approach{cluster.CR, cluster.CS, cluster.VS} {
+		spec := faultSpec()
+		spec.Scheduler.Kind = string(a)
+		built, err := scenario.Build(&spec.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !built.Scenario.Go(sim.FromSeconds(spec.HorizonSec)) {
+			t.Fatalf("%s: measured runs incomplete", a)
+		}
+		fp[a] = built.Scenario.Fingerprint()
+	}
+	for _, a := range []cluster.Approach{cluster.CS, cluster.VS} {
+		if fp[a] == fp[cluster.CR] {
+			t.Errorf("%s fingerprints identically to CR (%d bytes): the scenario never reaches what %s changes", a, len(fp[a]), a)
 		}
 	}
 }

@@ -73,6 +73,45 @@ func TestShardEquivalencePinned(t *testing.T) {
 	}
 }
 
+// TestShardEquivalenceWorkSpan pins the shard group's work/span profile
+// on the pinned scenario: the work (events fired, summed over segments)
+// is the same at every shard count and is every event the world fired;
+// one shard's span is all of the work, and more shards never make the
+// span exceed it.
+func TestShardEquivalenceWorkSpan(t *testing.T) {
+	spec := shardEquivSpec()
+	var work uint64
+	for _, sc := range shardCounts {
+		spec.Shards = sc
+		r, err := runOne(spec, cluster.ATC, false)
+		if err != nil {
+			t.Fatalf("shards=%d: build: %v", sc, err)
+		}
+		if !r.completed {
+			t.Fatalf("shards=%d: measured runs incomplete (rounds %v)", sc, r.runRounds)
+		}
+		st := r.sync
+		t.Logf("shards=%d: work=%d span=%d segments=%d (work/span %.2f)",
+			sc, st.WorkEvents, st.SpanEvents, st.Segments, float64(st.WorkEvents)/float64(st.SpanEvents))
+		if st.WorkEvents != r.executed {
+			t.Errorf("shards=%d: WorkEvents=%d, world executed %d", sc, st.WorkEvents, r.executed)
+		}
+		if sc == shardCounts[0] {
+			work = st.WorkEvents
+			if st.SpanEvents != st.WorkEvents {
+				t.Errorf("shards=%d: SpanEvents=%d, want WorkEvents=%d", sc, st.SpanEvents, st.WorkEvents)
+			}
+			continue
+		}
+		if st.WorkEvents != work {
+			t.Errorf("shards=%d: WorkEvents=%d, want %d as at %d shard", sc, st.WorkEvents, work, shardCounts[0])
+		}
+		if st.SpanEvents > st.WorkEvents {
+			t.Errorf("shards=%d: SpanEvents=%d exceeds WorkEvents=%d", sc, st.SpanEvents, st.WorkEvents)
+		}
+	}
+}
+
 // TestShardEquivalenceGenerated extends the pinned check to generated
 // scenarios: several seeds, each forced through every shard count, each
 // a different primary approach. Shard counts above the node count clamp

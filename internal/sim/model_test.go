@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,14 +105,22 @@ func TestEventPoolReuseIsInvisible(t *testing.T) {
 	}
 }
 
+// scriptTimers is the number of owned timers a script drives.
+const scriptTimers = 4
+
 // engineAPI is the surface the re-entrant script drives. Handles are
-// indices into the order events were scheduled in, so the real engine
-// and the reference model can be driven by the same script.
+// indices into the order events were scheduled in, and timers indices
+// into a fixed set of owned timers, so the real engine and the reference
+// model can be driven by the same script.
 type engineAPI interface {
 	now() Time
 	schedule(d Time, fn func())
 	cancel(h int)
 	handleAt(h int) (Time, bool) // false when the handle is canceled or fired
+	deferFn(fn func())
+	arm(k int, d Time, fn func())
+	disarm(k int)
+	armed(k int) bool
 	step() bool
 	runUntil(t Time)
 	pending() int
@@ -121,14 +130,19 @@ type engineAPI interface {
 type realEngine struct {
 	e       *Engine
 	handles []Handle
+	timers  [scriptTimers]Timer
 }
 
-func (r *realEngine) now() Time                  { return r.e.Now() }
-func (r *realEngine) schedule(d Time, fn func()) { r.handles = append(r.handles, r.e.Schedule(d, fn)) }
-func (r *realEngine) cancel(h int)               { r.e.Cancel(r.handles[h]) }
-func (r *realEngine) step() bool                 { return r.e.Step() }
-func (r *realEngine) runUntil(t Time)            { r.e.RunUntil(t) }
-func (r *realEngine) pending() int               { return r.e.Pending() }
+func (r *realEngine) now() Time                    { return r.e.Now() }
+func (r *realEngine) schedule(d Time, fn func())   { r.handles = append(r.handles, r.e.Schedule(d, fn)) }
+func (r *realEngine) cancel(h int)                 { r.e.Cancel(r.handles[h]) }
+func (r *realEngine) deferFn(fn func())            { r.e.Defer(fn) }
+func (r *realEngine) arm(k int, d Time, fn func()) { r.e.Arm(&r.timers[k], r.e.Now()+d, fn) }
+func (r *realEngine) disarm(k int)                 { r.e.Disarm(&r.timers[k]) }
+func (r *realEngine) armed(k int) bool             { return r.timers[k].Armed() }
+func (r *realEngine) step() bool                   { return r.e.Step() }
+func (r *realEngine) runUntil(t Time)              { r.e.RunUntil(t) }
+func (r *realEngine) pending() int                 { return r.e.Pending() }
 
 // handleAt reports At only for a live handle: a fired or canceled
 // handle's At depends on whether its Event was recycled yet.
@@ -140,12 +154,15 @@ func (r *realEngine) handleAt(h int) (Time, bool) {
 }
 
 // refEngine is the reference model: a slice kept sorted by (at, seq),
-// with no pool, no heap and no lane.
+// with no pool, no heap, no lane and no timer slots. A deferral is an
+// event without a handle, and a timer is the handle of its latest
+// arming.
 type refEngine struct {
-	clock Time
-	seq   int
-	queue []*refScheduled
-	evs   []*refScheduled
+	clock  Time
+	seq    int
+	queue  []*refScheduled
+	evs    []*refScheduled
+	timers [scriptTimers]*refScheduled
 }
 
 type refScheduled struct {
@@ -157,19 +174,23 @@ type refScheduled struct {
 
 func (m *refEngine) now() Time { return m.clock }
 
-func (m *refEngine) schedule(d Time, fn func()) {
+func (m *refEngine) schedule(d Time, fn func()) { m.evs = append(m.evs, m.insert(d, fn)) }
+
+// insert queues fn d from now behind every event at the same time.
+func (m *refEngine) insert(d Time, fn func()) *refScheduled {
 	ev := &refScheduled{at: m.clock + d, seq: m.seq, fn: fn}
 	m.seq++
-	m.evs = append(m.evs, ev)
 	i := sort.Search(len(m.queue), func(i int) bool { return m.queue[i].at > ev.at })
 	m.queue = append(m.queue, nil)
 	copy(m.queue[i+1:], m.queue[i:])
 	m.queue[i] = ev
+	return ev
 }
 
-func (m *refEngine) cancel(h int) {
-	ev := m.evs[h]
-	if ev.done {
+func (m *refEngine) cancel(h int) { m.revoke(m.evs[h]) }
+
+func (m *refEngine) revoke(ev *refScheduled) {
+	if ev == nil || ev.done {
 		return
 	}
 	ev.done = true
@@ -180,6 +201,18 @@ func (m *refEngine) cancel(h int) {
 		}
 	}
 }
+
+func (m *refEngine) deferFn(fn func()) { m.insert(0, fn) }
+
+func (m *refEngine) arm(k int, d Time, fn func()) {
+	if m.armed(k) {
+		panic("model: arming an armed timer")
+	}
+	m.timers[k] = m.insert(d, fn)
+}
+
+func (m *refEngine) disarm(k int)     { m.revoke(m.timers[k]) }
+func (m *refEngine) armed(k int) bool { return m.timers[k] != nil && !m.timers[k].done }
 
 func (m *refEngine) handleAt(h int) (Time, bool) {
 	if ev := m.evs[h]; !ev.done {
@@ -227,11 +260,12 @@ func scriptDelay(b byte) Time {
 
 // runEngineScript drives api with script and returns the trace: every
 // firing (event id, time, Pending on entry) and, after every top-level
-// operation, the clock, Pending and any handle query. Callbacks read
-// the script too, so events schedule and cancel re-entrantly — mostly
-// at the current instant, while the heap may hold events due at it.
-// Once the script is exhausted every read returns 0, callbacks stop
-// scheduling, and the run drains.
+// operation, the clock, Pending and any handle or timer query. Callbacks
+// read the script too, so events schedule, defer, cancel, arm and disarm
+// re-entrantly — mostly at the current instant, while the heap may hold
+// events due at it and the lane may hold stale slots of re-armed timers.
+// Arming an armed timer disarms it first. Once the script is exhausted
+// every read returns 0, callbacks stop scheduling, and the run drains.
 func runEngineScript(api engineAPI, script []byte) []int64 {
 	var trace []int64
 	pos := 0
@@ -243,7 +277,7 @@ func runEngineScript(api engineAPI, script []byte) []int64 {
 		pos++
 		return b
 	}
-	scheduled := 0
+	ids, scheduled := 0, 0
 	query := func(h int) {
 		at, live := api.handleAt(h)
 		trace = append(trace, -3, int64(h), int64(at))
@@ -253,43 +287,69 @@ func runEngineScript(api engineAPI, script []byte) []int64 {
 			trace = append(trace, 0)
 		}
 	}
-	var schedule func()
-	schedule = func() {
-		id := scheduled
-		scheduled++
-		api.schedule(scriptDelay(next()), func() {
-			trace = append(trace, -1, int64(id), int64(api.now()), int64(api.pending()))
-			for n := next() % 4; n > 0; n-- {
-				switch next() % 8 {
-				case 0, 1, 2, 3, 5:
-					schedule()
-				case 4:
-					if scheduled > 0 {
-						api.cancel(int(next()) % scheduled)
-					}
-				case 6:
-					if scheduled > 0 {
-						query(int(next()) % scheduled)
-					}
-				}
-			}
-		})
+	queryTimer := func(k int) {
+		trace = append(trace, -5, int64(k))
+		if api.armed(k) {
+			trace = append(trace, 1)
+		} else {
+			trace = append(trace, 0)
+		}
 	}
-	for pos < len(script) {
-		switch next() % 8 {
+	var callback func() func()
+	// op performs one operation picked by b; it reports false for the
+	// operations only the top level performs.
+	op := func(b byte) bool {
+		switch b % 12 {
 		case 0, 1:
-			schedule()
+			d := scriptDelay(next())
+			scheduled++
+			api.schedule(d, callback())
 		case 2:
 			if scheduled > 0 {
 				api.cancel(int(next()) % scheduled)
 			}
-		case 3, 5:
-			api.step()
-		case 4, 6:
-			api.runUntil(api.now() + scriptDelay(next()))
 		case 7:
 			if scheduled > 0 {
 				query(int(next()) % scheduled)
+			}
+		case 8:
+			api.deferFn(callback())
+		case 9:
+			k := int(next()) % scriptTimers
+			d := scriptDelay(next())
+			api.disarm(k)
+			api.arm(k, d, callback())
+		case 10:
+			api.disarm(int(next()) % scriptTimers)
+		case 11:
+			queryTimer(int(next()) % scriptTimers)
+		default:
+			return false
+		}
+		return true
+	}
+	callback = func() func() {
+		id := ids
+		ids++
+		return func() {
+			trace = append(trace, -1, int64(id), int64(api.now()), int64(api.pending()))
+			for n := next() % 4; n > 0; n-- {
+				// Callbacks do not step or run the engine: those
+				// bytes schedule, defer or arm instead, so chains of
+				// callbacks neither die out nor explode.
+				if b := next(); !op(b) {
+					op([]byte{0, 8, 1, 9}[b%4])
+				}
+			}
+		}
+	}
+	for pos < len(script) {
+		if b := next(); !op(b) {
+			switch b % 12 {
+			case 3, 5:
+				api.step()
+			case 4, 6:
+				api.runUntil(api.now() + scriptDelay(next()))
 			}
 		}
 		trace = append(trace, -2, int64(api.now()), int64(api.pending()))
@@ -298,6 +358,9 @@ func runEngineScript(api engineAPI, script []byte) []int64 {
 	}
 	for h := 0; h < scheduled; h++ {
 		query(h)
+	}
+	for k := 0; k < scriptTimers; k++ {
+		queryTimer(k)
 	}
 	return append(trace, -4, int64(api.now()), int64(api.pending()))
 }
@@ -346,6 +409,11 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 200, 1, 0, 3, 3, 0x41, 0, 0, 3, 4, 0})
 	f.Add([]byte{0, 129, 0, 129, 3, 0x21, 0x05, 3, 2, 1, 3, 6, 3})
 	f.Add([]byte("schedule, cancel, step and run until one instant"))
+	// A timer armed for now, disarmed and re-armed for now behind a
+	// deferral: its first lane slot must stay dead.
+	f.Add([]byte{9, 0, 0, 8, 9, 0, 0, 3, 0, 3, 0, 3, 0})
+	// An Arm at Now() behind two deferrals and a heap event due now.
+	f.Add([]byte{0, 128, 0, 128, 3, 3, 8, 8, 9, 1, 0, 5, 0, 5, 0, 5, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			return
@@ -354,9 +422,10 @@ func FuzzEngineOrder(f *testing.F) {
 	})
 }
 
-// TestRecycledLaneHandleStaysDead cancels a same-instant event, lets
-// the lane retire it, reuses its Event for a new event, and checks the
-// old handle stays dead: Canceled, At 0, and Cancel a no-op.
+// TestRecycledLaneHandleStaysDead cancels a same-instant event, reuses
+// its Timer for a new event while the old lane slot may still be queued,
+// and checks the old handle stays dead: Canceled, At 0, and Cancel a
+// no-op.
 func TestRecycledLaneHandleStaysDead(t *testing.T) {
 	e := New()
 	var fired []string
@@ -373,8 +442,8 @@ func TestRecycledLaneHandleStaysDead(t *testing.T) {
 	})
 	e.Run()
 	fresh := e.Schedule(0, func() { fired = append(fired, "fresh") })
-	if fresh.ev != old.ev {
-		t.Fatal("retired lane event was not recycled")
+	if fresh.t != old.t {
+		t.Fatal("canceled lane event was not recycled")
 	}
 	e.Cancel(old)
 	if !old.Canceled() || old.At() != 0 || fresh.Canceled() || e.Pending() != 1 {
@@ -384,5 +453,83 @@ func TestRecycledLaneHandleStaysDead(t *testing.T) {
 	e.Run()
 	if len(fired) != 1 || fired[0] != "fresh" {
 		t.Fatalf("fired %v, want [fresh]", fired)
+	}
+}
+
+// TestTimerRearmSkipsStaleLaneSlot arms an owned timer for the current
+// instant, defers a callback behind it, then disarms and re-arms the
+// timer for the same instant: the first lane slot is still queued and
+// must never fire, and the re-armed callback fires once, after the
+// deferral.
+func TestTimerRearmSkipsStaleLaneSlot(t *testing.T) {
+	e := New()
+	var tm Timer
+	var fired []string
+	e.Schedule(1, func() {
+		e.Arm(&tm, e.Now(), func() { fired = append(fired, "first") })
+		e.Defer(func() { fired = append(fired, "defer") })
+		e.Disarm(&tm)
+		if tm.Armed() || e.Pending() != 1 {
+			t.Errorf("after Disarm: Armed=%v Pending=%d, want false 1", tm.Armed(), e.Pending())
+		}
+		e.Arm(&tm, e.Now(), func() {
+			if tm.Armed() {
+				t.Error("timer still armed inside its own callback")
+			}
+			fired = append(fired, "second")
+		})
+	})
+	e.Run()
+	if got := strings.Join(fired, ","); got != "defer,second" {
+		t.Fatalf("fired %s, want defer,second", got)
+	}
+	if tm.Armed() || e.Pending() != 0 {
+		t.Fatalf("after Run: Armed=%v Pending=%d", tm.Armed(), e.Pending())
+	}
+}
+
+// TestArmAtNowQueuesBehindLane arms an owned timer for the current
+// instant while two deferrals wait in the lane and a heap event is due
+// now: it takes its sequence number where it is armed, so it fires last.
+func TestArmAtNowQueuesBehindLane(t *testing.T) {
+	e := New()
+	var tm Timer
+	var fired []string
+	note := func(s string) func() { return func() { fired = append(fired, s) } }
+	e.Schedule(1, func() {
+		e.Defer(note("a"))
+		e.Defer(note("b"))
+		e.Arm(&tm, e.Now(), note("timer"))
+		e.Defer(note("c"))
+	})
+	e.Schedule(1, note("heap"))
+	e.Run()
+	if got := strings.Join(fired, ","); got != "heap,a,b,timer,c" {
+		t.Fatalf("fired %s, want heap,a,b,timer,c", got)
+	}
+}
+
+// TestOwnedTimerNeverPooled fires, disarms and lane-cancels an owned
+// timer among pooled events and checks that it never reaches the free
+// pool, so At can never hand it out behind its owner's back.
+func TestOwnedTimerNeverPooled(t *testing.T) {
+	e := New()
+	var tm Timer
+	noop := func() {}
+	for i := 0; i < 50; i++ {
+		e.Arm(&tm, e.Now()+Time(i%3), noop) // i%3 == 0 takes the lane
+		e.Schedule(Time(i%2), noop)
+		if i%2 == 0 {
+			e.Disarm(&tm)
+		}
+		e.Run()
+		for _, f := range e.free {
+			if f == &tm {
+				t.Fatalf("round %d: owned timer in the free pool", i)
+			}
+		}
+	}
+	if len(e.free) == 0 {
+		t.Fatal("pooled events were not recycled")
 	}
 }

@@ -70,8 +70,10 @@ type ShardGroup struct {
 	// boundaries only, so the stop point is deterministic in virtual
 	// time, and clears it when it returns.
 	halt atomic.Bool
-	// scratch avoids per-window allocation of the active-shard list.
+	// scratch avoids per-window allocation of the active-shard list;
+	// counts holds the active engines' executed counts at segment start.
 	scratch []int
+	counts  []uint64
 	// labels holds per-shard pprof label sets applied to segment
 	// goroutines (nil entries: no labels).
 	labels []*pprof.LabelSet
@@ -96,6 +98,13 @@ type SyncStats struct {
 	// CrossInjected counts cross events injected into destination
 	// engines at window boundaries.
 	CrossInjected uint64
+	// WorkEvents sums, over segments, the events every active engine
+	// fired in the segment: the events a serial run would fire.
+	WorkEvents uint64
+	// SpanEvents sums, over segments, the events the busiest engine
+	// fired in the segment: the critical path of a run with one core per
+	// shard. WorkEvents/SpanEvents bounds the speedup sharding can give.
+	SpanEvents uint64
 }
 
 // NewShardGroup creates shards engines synchronized at the given
@@ -260,10 +269,11 @@ func (g *ShardGroup) earliest() (Time, bool) {
 	return min, has
 }
 
-// runSegment runs every engine to segEnd. Engines with no events in the
-// segment only need their clocks advanced; when more than one engine has
-// real work the segment fans out over goroutines (labelled for pprof
-// attribution when SetShardLabels was called).
+// runSegment runs every engine to segEnd and counts the segment's work
+// and span. Engines with no events in the segment only need their clocks
+// advanced; when more than one engine has real work the segment fans out
+// over goroutines (labelled for pprof attribution when SetShardLabels
+// was called).
 func (g *ShardGroup) runSegment(segEnd Time) {
 	active := g.scratch[:0]
 	for i, e := range g.engines {
@@ -273,13 +283,25 @@ func (g *ShardGroup) runSegment(segEnd Time) {
 	}
 	g.scratch = active[:0] // retain capacity
 	g.stats.Segments++
+	counts := g.counts[:0]
+	for _, i := range active {
+		counts = append(counts, g.engines[i].executed)
+	}
+	g.counts = counts
 	if len(active) <= 1 {
 		for _, e := range g.engines {
 			e.RunUntil(segEnd)
 		}
-		return
+	} else {
+		g.stats.ParallelSegments++
+		g.fanOut(active, segEnd)
 	}
-	g.stats.ParallelSegments++
+	g.countWork(active, counts)
+}
+
+// fanOut runs the active engines to segEnd on one goroutine each, then
+// advances the idle engines' clocks.
+func (g *ShardGroup) fanOut(active []int, segEnd Time) {
 	var wg sync.WaitGroup
 	for _, i := range active {
 		wg.Add(1)
@@ -303,11 +325,24 @@ func (g *ShardGroup) runSegment(segEnd Time) {
 	}
 }
 
+// countWork adds a finished segment's per-engine event deltas to the
+// work and span counters; counts holds the active engines' executed
+// counts at segment start.
+func (g *ShardGroup) countWork(active []int, counts []uint64) {
+	var span uint64
+	for k, i := range active {
+		d := g.engines[i].executed - counts[k]
+		g.stats.WorkEvents += d
+		span = max(span, d)
+	}
+	g.stats.SpanEvents += span
+}
+
 // RunUntil drives all shards to virtual time t, synchronizing at every
 // window boundary. It returns early when RequestStop was observed at a
 // segment boundary, and reports whether a stop request landed (clearing
 // it, so the next RunUntil runs on). Engine clocks are aligned to Now()
-// on return.
+// on return (see align).
 func (g *ShardGroup) RunUntil(t Time) bool {
 	// Posts made between RunUntil calls wait in the outboxes; collect
 	// them first, or the skip-ahead below would not see them.
@@ -339,10 +374,23 @@ func (g *ShardGroup) RunUntil(t Time) bool {
 		g.now = segEnd
 		g.collect()
 	}
-	for _, e := range g.engines {
+	g.align()
+	return g.halt.Swap(false)
+}
+
+// align brings every engine's clock up to Now(). An engine that the
+// skip-ahead left in an earlier window fires its events due exactly at
+// Now() here, on the barrier goroutine; they count as one more segment's
+// work and span.
+func (g *ShardGroup) align() {
+	active, counts := g.scratch[:0], g.counts[:0]
+	for i, e := range g.engines {
 		if e.now < g.now {
+			active = append(active, i)
+			counts = append(counts, e.executed)
 			e.RunUntil(g.now)
 		}
 	}
-	return g.halt.Swap(false)
+	g.scratch, g.counts = active[:0], counts
+	g.countWork(active, counts)
 }

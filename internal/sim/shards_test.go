@@ -221,3 +221,26 @@ func TestShardGroupPostBetweenRuns(t *testing.T) {
 		t.Fatalf("cross event posted between runs fired at %v, want %v", at, want)
 	}
 }
+
+// TestShardGroupWorkSpan pins the work/span counters: a segment adds
+// every active engine's events to WorkEvents and its busiest engine's to
+// SpanEvents, and events that fire while RunUntil aligns the clocks (an
+// event at exactly the target, reached by skipping dead windows) count
+// too, so WorkEvents equals Executed.
+func TestShardGroupWorkSpan(t *testing.T) {
+	const look = 50 * Microsecond
+	g := NewShardGroup(2, look)
+	g.AssignSource(0, 0)
+	g.AssignSource(1, 1)
+	nop := func() {}
+	g.Engine(0).At(10*Microsecond, nop)
+	g.Engine(0).At(20*Microsecond, nop)
+	g.Engine(1).At(30*Microsecond, nop)
+	g.Engine(1).At(4*look, nop)
+	g.RunUntil(4 * look)
+	st := g.Stats()
+	if st.WorkEvents != 4 || st.SpanEvents != 3 || g.Executed() != 4 {
+		t.Fatalf("work=%d span=%d executed=%d, want 4, 3 (2 in the shared segment + 1 aligned) and 4",
+			st.WorkEvents, st.SpanEvents, g.Executed())
+	}
+}

@@ -2,8 +2,10 @@
 //
 // The engine keeps virtual time as nanoseconds in an int64 and executes
 // scheduled events in (time, sequence) order, so two runs with the same
-// inputs produce byte-identical traces. All of atcsched's virtualization
-// substrate (PCPUs, VCPUs, NICs, disks) is driven by one Engine.
+// inputs produce byte-identical traces. Every simulated node's
+// virtualization substrate (PCPUs, VCPUs, NICs, disks) is driven by the
+// Engine of the shard it lives on; a ShardGroup runs one or more such
+// Engines in lockstep windows, and a World always runs on one.
 package sim
 
 import (
@@ -50,28 +52,39 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback, always handled through Handle so that
-// object recycling stays invisible to callers.
-type Event struct {
-	at       Time
-	seq      uint64
-	gen      uint64 // incremented on reuse; Handle validity check
-	fn       func()
-	index    int // heap index; -1 when not in the heap (fired, canceled or in the lane)
-	canceled bool
+// Timer is one event slot: a callback armed for one instant, ordered by
+// (time, sequence) with every other event of its engine. An owner that
+// re-arms the same event over and over (a PCPU's slice end) embeds a
+// Timer and drives it with Engine.Arm and Engine.Disarm; the zero Timer
+// is disarmed and ready. At and Schedule arm Timers taken from the
+// engine's free pool and hand out a Handle instead; only pooled Timers
+// ever return to the pool.
+type Timer struct {
+	at  Time
+	seq uint64
+	// gen counts armings: a Handle and a lane entry each record the
+	// generation they belong to, so neither acts on a later arming.
+	gen    uint64
+	fn     func()
+	index  int // heap index; -1 when not in the heap (fired, disarmed or in the lane)
+	armed  bool
+	pooled bool
 }
 
-// Handle identifies one scheduled event. The zero Handle refers to
-// nothing; Cancel on it (or on a handle whose event already fired or was
-// canceled, even if the underlying object has been recycled for a new
-// event) is a safe no-op.
+// Armed reports whether the timer is waiting to fire.
+func (t *Timer) Armed() bool { return t.armed }
+
+// Handle identifies one event scheduled with At or Schedule. The zero
+// Handle refers to nothing; Cancel on it (or on a handle whose event
+// already fired or was canceled, even if the underlying slot has been
+// recycled for a new event) is a safe no-op.
 type Handle struct {
-	ev  *Event
+	t   *Timer
 	gen uint64
 }
 
 // live reports whether the handle still refers to its original event.
-func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen }
+func (h Handle) live() bool { return h.t != nil && h.t.gen == h.gen }
 
 // At returns the virtual time the event will fire at (0 for a dead
 // handle).
@@ -79,24 +92,24 @@ func (h Handle) At() Time {
 	if !h.live() {
 		return 0
 	}
-	return h.ev.at
+	return h.t.at
 }
 
 // Canceled reports whether the event was canceled or already fired.
-func (h Handle) Canceled() bool { return !h.live() || h.ev.canceled }
+func (h Handle) Canceled() bool { return !h.live() || !h.t.armed }
 
-// eventQueue is a 4-ary min-heap of events ordered by (at, seq). The
+// eventQueue is a 4-ary min-heap of armed timers ordered by (at, seq). The
 // heap is the simulator's hottest data structure: every Schedule, Step
 // and Cancel touches it. A 4-ary layout is ~half as deep as a binary
 // heap (fewer comparisons and cache lines per sift), and the inlined
 // sift loops avoid container/heap's per-element interface dispatch.
-// Children of node i live at 4i+1..4i+4; each *Event carries its slot
-// in index so Cancel can remove in O(log₄ n).
-type eventQueue []*Event
+// Children of node i live at 4i+1..4i+4; each *Timer carries its slot
+// in index so Disarm can remove in O(log₄ n).
+type eventQueue []*Timer
 
 // before reports heap order: earlier time wins, sequence breaks ties so
 // same-instant events fire in scheduling order.
-func before(x, y *Event) bool {
+func before(x, y *Timer) bool {
 	if x.at != y.at {
 		return x.at < y.at
 	}
@@ -104,13 +117,13 @@ func before(x, y *Event) bool {
 }
 
 // push appends ev and restores heap order.
-func (q *eventQueue) push(ev *Event) {
+func (q *eventQueue) push(ev *Timer) {
 	*q = append(*q, ev)
 	q.siftUp(len(*q) - 1)
 }
 
 // popMin removes and returns the earliest event.
-func (q *eventQueue) popMin() *Event {
+func (q *eventQueue) popMin() *Timer {
 	a := *q
 	min := a[0]
 	n := len(a) - 1
@@ -126,7 +139,7 @@ func (q *eventQueue) popMin() *Event {
 	return min
 }
 
-// remove deletes the event at slot i (Cancel's path).
+// remove deletes the event at slot i (Disarm's path).
 func (q *eventQueue) remove(i int) {
 	a := *q
 	ev := a[i]
@@ -191,30 +204,46 @@ func (q *eventQueue) siftDown(i int) {
 	ev.index = i
 }
 
-// eventLane is the same-instant FIFO: a ring buffer of events scheduled
-// for the engine's current time. Its length is zero or a power of two, so
-// an interleaved chain of zero-delay deferrals reuses the same slots
-// instead of growing the buffer.
+// laneEntry is one same-instant event: a bare callback from Defer (t is
+// nil), or the arming gen of timer t. A timer disarmed since (or
+// disarmed and re-armed) no longer matches its entry, which the lane
+// then skips.
+type laneEntry struct {
+	fn  func()
+	t   *Timer
+	gen uint64
+}
+
+// stale reports whether the entry's timer was disarmed after it was
+// queued.
+func (le *laneEntry) stale() bool {
+	return le.t != nil && (!le.t.armed || le.t.gen != le.gen)
+}
+
+// eventLane is the same-instant FIFO: a ring buffer of events due at the
+// engine's current time. Its length is zero or a power of two, so an
+// interleaved chain of zero-delay deferrals reuses the same slots instead
+// of growing the buffer.
 type eventLane struct {
-	buf  []*Event
+	buf  []laneEntry
 	head int
 	n    int
 }
 
-func (l *eventLane) push(ev *Event) {
+func (l *eventLane) push(le laneEntry) {
 	if l.n == len(l.buf) {
 		l.grow()
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = le
 	l.n++
 }
 
-// front returns the oldest event; the lane must be non-empty.
-func (l *eventLane) front() *Event { return l.buf[l.head] }
+// front returns the oldest entry; the lane must be non-empty.
+func (l *eventLane) front() *laneEntry { return &l.buf[l.head] }
 
-// pop removes the oldest event; the lane must be non-empty.
+// pop removes the oldest entry; the lane must be non-empty.
 func (l *eventLane) pop() {
-	l.buf[l.head] = nil
+	l.buf[l.head] = laneEntry{}
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 }
@@ -224,28 +253,35 @@ func (l *eventLane) grow() {
 	if size == 0 {
 		size = 64
 	}
-	buf := make([]*Event, size)
+	buf := make([]laneEntry, size)
 	for i := 0; i < l.n; i++ {
 		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
 	}
 	l.buf, l.head = buf, 0
 }
 
-// maxFreeEvents caps the Event recycle list. A burst of cancellations
-// (e.g. a preemption storm cancelling slice timers) would otherwise grow
-// the pool to the burst's size and pin that memory for the whole run;
-// beyond the cap, retired events are simply dropped for the GC.
+// maxFreeEvents caps the pooled-Timer recycle list. A burst of
+// cancellations (e.g. a preemption storm cancelling scheduled events)
+// would otherwise grow the pool to the burst's size and pin that memory
+// for the whole run; beyond the cap, retired Timers are simply dropped
+// for the GC.
 const maxFreeEvents = 4096
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // New.
 //
-// Events scheduled for the current instant bypass the heap: they go to a
-// FIFO lane. Every heap event due now was scheduled before the clock
-// reached now, so its sequence number is smaller than any lane event's;
-// and the clock only advances once the lane is empty. Firing heap events
-// due now first, then the lane in FIFO order, is therefore exactly
-// (time, sequence) order.
+// An event is owned in one of two ways: by a Timer (pooled behind At and
+// Schedule, or embedded by its owner and driven by Arm and Disarm), or
+// by nobody (Defer, a bare callback for the current instant). Both draw
+// one sequence number per event from the same counter, so the firing
+// order is (time, sequence) whichever way an event was scheduled.
+//
+// Events for the current instant bypass the heap: they go to a FIFO
+// lane. Every heap event due now was armed before the clock reached now,
+// so its sequence number is smaller than any lane event's; and the clock
+// only advances once the lane is empty. Firing heap events due now
+// first, then the lane in FIFO order, is therefore exactly (time,
+// sequence) order.
 type Engine struct {
 	now   Time
 	queue eventQueue
@@ -256,10 +292,10 @@ type Engine struct {
 	live int
 	// executed counts events that have fired, for diagnostics.
 	executed uint64
-	// free recycles fired/canceled Event objects, capped at maxFreeEvents;
-	// Handle generations make the recycling invisible (a stale Cancel is a
-	// no-op).
-	free []*Event
+	// free recycles fired/canceled pooled Timers, capped at
+	// maxFreeEvents; Handle generations make the recycling invisible (a
+	// stale Cancel is a no-op).
+	free []*Timer
 }
 
 // New returns an Engine with the clock at zero and an empty event queue.
@@ -279,29 +315,15 @@ func (e *Engine) Pending() int { return e.live }
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it always indicates a modelling bug.
 func (e *Engine) At(t Time, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	var ev *Event
+	var tm *Timer
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
+		tm = e.free[n-1]
 		e.free = e.free[:n-1]
-		gen := ev.gen + 1
-		*ev = Event{at: t, seq: e.seq, gen: gen, fn: fn, index: -1}
 	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn, index: -1}
+		tm = &Timer{pooled: true}
 	}
-	e.seq++
-	e.live++
-	if t == e.now {
-		e.lane.push(ev)
-	} else {
-		e.queue.push(ev)
-	}
-	return Handle{ev: ev, gen: ev.gen}
+	e.Arm(tm, t, fn)
+	return Handle{t: tm, gen: tm.gen}
 }
 
 // Schedule schedules fn to run d after the current time.
@@ -312,60 +334,108 @@ func (e *Engine) Schedule(d Time, fn func()) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// Cancel revokes a pending event. Canceling the zero Handle, an
-// already-fired or already-canceled event is a no-op, even if the
-// underlying object has since been recycled for a different event.
-func (e *Engine) Cancel(h Handle) {
-	if !h.live() || h.ev.canceled {
-		return
+// Defer runs fn at the current instant, after every event already due
+// now: Schedule(0, fn) without a Handle, so it takes no Timer. Use it
+// for deferrals that are never canceled.
+func (e *Engine) Defer(fn func()) {
+	if fn == nil {
+		panic("sim: nil event callback")
 	}
-	ev := h.ev
-	ev.canceled = true
-	ev.fn = nil
-	e.live--
-	if ev.index >= 0 {
-		e.queue.remove(ev.index)
-		e.recycle(ev)
-	}
-	// A canceled lane event stays in its slot until the lane reaches it
-	// (peek recycles it then), so a recycled Event never fires from a
-	// stale slot.
+	e.seq++
+	e.live++
+	e.lane.push(laneEntry{fn: fn})
 }
 
-// recycle returns a retired event to the free pool, up to its cap.
-func (e *Engine) recycle(ev *Event) {
-	if len(e.free) < maxFreeEvents {
-		e.free = append(e.free, ev)
+// Arm schedules fn on tm at absolute virtual time at, with the sequence
+// number At would take at the same point. Arming an armed timer or
+// arming in the past panics.
+func (e *Engine) Arm(tm *Timer, at Time, fn func()) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	if tm.armed {
+		panic(fmt.Sprintf("sim: arming a timer already armed for %v", tm.at))
+	}
+	tm.at, tm.seq, tm.fn, tm.armed = at, e.seq, fn, true
+	tm.gen++
+	e.seq++
+	e.live++
+	if at == e.now {
+		tm.index = -1
+		e.lane.push(laneEntry{fn: fn, t: tm, gen: tm.gen})
+	} else {
+		e.queue.push(tm)
+	}
+}
+
+// Disarm revokes tm's pending firing; a disarmed timer is a no-op.
+func (e *Engine) Disarm(tm *Timer) {
+	if !tm.armed {
+		return
+	}
+	if tm.index >= 0 {
+		e.queue.remove(tm.index)
+	}
+	// A lane entry stays in its slot until peek reaches it and drops it
+	// as stale: by then tm is disarmed or armed under a new generation.
+	e.live--
+	e.retire(tm)
+}
+
+// Cancel revokes a pending event. Canceling the zero Handle, an
+// already-fired or already-canceled event is a no-op, even if the
+// underlying slot has since been recycled for a different event.
+func (e *Engine) Cancel(h Handle) {
+	if h.live() {
+		e.Disarm(h.t)
+	}
+}
+
+// retire marks a fired or disarmed timer idle and returns a pooled one
+// to the free pool, up to its cap.
+func (e *Engine) retire(tm *Timer) {
+	tm.armed = false
+	tm.fn = nil
+	if tm.pooled && len(e.free) < maxFreeEvents {
+		e.free = append(e.free, tm)
 	}
 }
 
 // Step fires the next pending event. It returns false when the queue is
 // empty.
 func (e *Engine) Step() bool {
-	ev := e.peek()
-	if ev == nil {
-		return false
+	_, fromHeap, ok := e.peek()
+	if ok {
+		e.fire(fromHeap)
 	}
-	e.fire(ev)
-	return true
+	return ok
 }
 
-// fire removes ev, the event peek returned, and runs it.
-func (e *Engine) fire(ev *Event) {
-	if ev.index == 0 {
-		e.queue.popMin()
+// fire removes the event peek found, the heap top or the lane head, and
+// runs it. A timer is disarmed before its callback runs, so the callback
+// may re-arm it.
+func (e *Engine) fire(fromHeap bool) {
+	var fn func()
+	if fromHeap {
+		tm := e.queue.popMin()
+		if tm.at < e.now {
+			panic(fmt.Sprintf("sim: clock regression: event at %v, now %v", tm.at, e.now))
+		}
+		e.now = tm.at
+		fn = tm.fn
+		e.retire(tm)
 	} else {
+		le := e.lane.front()
+		fn = le.fn
+		if le.t != nil {
+			e.retire(le.t)
+		}
 		e.lane.pop()
 	}
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: clock regression: event at %v, now %v", ev.at, e.now))
-	}
-	e.now = ev.at
-	fn := ev.fn
-	ev.fn = nil
-	ev.canceled = true // fired; a late Cancel must be a no-op
 	e.live--
-	e.recycle(ev)
 	e.executed++
 	fn()
 }
@@ -379,8 +449,12 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	for ev := e.peek(); ev != nil && ev.at <= t; ev = e.peek() {
-		e.fire(ev)
+	for {
+		at, fromHeap, ok := e.peek()
+		if !ok || at > t {
+			break
+		}
+		e.fire(fromHeap)
 	}
 	if t > e.now {
 		e.now = t
@@ -391,32 +465,28 @@ func (e *Engine) RunUntil(t Time) {
 // false when the queue is empty. The shard scheduler uses it to decide
 // which engines have work inside a synchronization window.
 func (e *Engine) NextEventAt() (Time, bool) {
-	ev := e.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
+	at, _, ok := e.peek()
+	return at, ok
 }
 
-// peek returns the next event to fire without removing it: the heap top
-// when it is due now, else the lane head, else the heap top. Canceled
-// lane entries it passes are retired to the free pool; the heap never
-// holds canceled events (Cancel removes them).
-func (e *Engine) peek() *Event {
+// peek finds the next event to fire without removing it: the heap top
+// when it is due now, else the lane head, else the heap top. It returns
+// the event's time and whether it is the heap top; ok is false when
+// nothing is pending. Stale lane entries it passes are dropped; the heap
+// never holds disarmed timers (Disarm removes them).
+func (e *Engine) peek() (at Time, fromHeap, ok bool) {
 	for e.lane.n > 0 {
-		ev := e.lane.front()
-		if ev.canceled {
+		if e.lane.front().stale() {
 			e.lane.pop()
-			e.recycle(ev)
 			continue
 		}
 		if len(e.queue) > 0 && e.queue[0].at == e.now {
-			return e.queue[0]
+			return e.now, true, true
 		}
-		return ev
+		return e.now, false, true
 	}
 	if len(e.queue) > 0 {
-		return e.queue[0]
+		return e.queue[0].at, true, true
 	}
-	return nil
+	return 0, false, false
 }

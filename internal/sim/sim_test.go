@@ -354,6 +354,44 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Pending() = %d after drain", e.Pending())
 	}
 
+	// The handle-free paths: deferrals and owned timers. Each callback
+	// (fired by its timer or deferred by its neighbour) moves its own
+	// timer, defers its neighbour, and every fourth time disarms and
+	// re-arms the timer, sometimes for the current instant, leaving a
+	// stale lane slot behind.
+	var timers [8]Timer
+	var fns [8]func()
+	for i := range timers {
+		tm := &timers[i]
+		fns[i] = func() {
+			if budget <= 0 {
+				return
+			}
+			budget--
+			e.Disarm(tm)
+			e.Arm(tm, e.Now()+Time(budget%5), fns[i])
+			e.Defer(fns[(i+1)%8])
+			if budget%4 == 0 {
+				e.Disarm(tm)
+				e.Arm(tm, e.Now()+Time(budget%2), fns[i])
+			}
+		}
+	}
+	budget = 2000
+	e.Schedule(1, fns[0])
+	e.Run()
+	avg = testing.AllocsPerRun(50, func() {
+		budget = 200
+		e.Schedule(1, fns[0])
+		e.Run()
+	})
+	if avg != 0 {
+		t.Errorf("steady-state allocs per Defer/Arm/Disarm burst = %.1f, want 0", avg)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after drain", e.Pending())
+	}
+
 	// A long interleaved chain (each event defers one successor, and a
 	// second event keeps the lane from ever emptying) reuses lane slots.
 	var chain func()

@@ -239,11 +239,11 @@ func (n *Node) WakeIdle(v *VCPU) {
 }
 
 // kick reacts to new runnable work: dispatch an idle PCPU, or preempt a
-// running one when the scheduler's wake policy says so. Deferred to a
-// fresh event so wake chains inside action side effects cannot corrupt an
-// in-progress step loop.
+// running one when the scheduler's wake policy says so. Deferred to the
+// current instant so wake chains inside action side effects cannot
+// corrupt an in-progress step loop.
 func (n *Node) kick(v *VCPU) {
-	n.eng.Schedule(0, v.kickFn)
+	n.eng.Defer(v.kickFn)
 }
 
 // kickNow is kick's deferred body (VCPU.kickFn).

@@ -24,11 +24,12 @@ type PCPU struct {
 	lastRan *VCPU
 
 	sliceEnd sim.Time
-	sliceEv  sim.Handle
-	// stepEv is the pending timed-segment completion (compute/burn done),
+	// sliceT fires at sliceEnd while a VCPU runs.
+	sliceT sim.Timer
+	// stepT is the pending timed-segment completion (compute/burn done),
 	// busy-poll timeout, or the deferred step kick-off after a context
 	// switch. At most one is outstanding.
-	stepEv sim.Handle
+	stepT sim.Timer
 	// stepV is the VCPU a pending segment or poll-timeout event was
 	// scheduled for; segFn and pollFn read it when they fire.
 	stepV *VCPU
@@ -62,19 +63,10 @@ func (p *PCPU) initFns() {
 		p.stepQueued = false
 		p.step()
 	}
-	p.sliceFn = p.onSliceEnd
-	p.csFn = func() {
-		p.stepEv = sim.Handle{}
-		p.step()
-	}
-	p.segFn = func() {
-		p.stepEv = sim.Handle{}
-		p.onSegmentDone(p.stepV)
-	}
-	p.pollFn = func() {
-		p.stepEv = sim.Handle{}
-		p.onPollTimeout(p.stepV)
-	}
+	p.sliceFn = p.preemptCur // the slice expired
+	p.csFn = p.step
+	p.segFn = func() { p.onSegmentDone(p.stepV) }
+	p.pollFn = func() { p.onPollTimeout(p.stepV) }
 }
 
 // Node returns the owning node.
@@ -133,23 +125,23 @@ func (p *PCPU) clientFor(v *VCPU) *cachemodel.Client {
 	return cl
 }
 
-// scheduleDispatch defers a dispatch to a fresh event at the current
-// instant, flattening recursion from wake/preempt chains.
+// scheduleDispatch defers a dispatch to the current instant, flattening
+// recursion from wake/preempt chains.
 func (p *PCPU) scheduleDispatch() {
 	if p.dispatchQueued {
 		return
 	}
 	p.dispatchQueued = true
-	p.node.eng.Schedule(0, p.dispatchFn)
+	p.node.eng.Defer(p.dispatchFn)
 }
 
-// scheduleStep defers a step to a fresh event at the current instant.
+// scheduleStep defers a step to the current instant.
 func (p *PCPU) scheduleStep() {
 	if p.stepQueued {
 		return
 	}
 	p.stepQueued = true
-	p.node.eng.Schedule(0, p.stepFn)
+	p.node.eng.Defer(p.stepFn)
 }
 
 // dispatch asks the scheduler for the next VCPU and installs it.
@@ -190,28 +182,19 @@ func (p *PCPU) dispatch() {
 	}
 	v.vm.curSlice = slice
 	p.sliceEnd = now + cs + slice
-	p.sliceEv = p.node.eng.At(p.sliceEnd, p.sliceFn)
+	p.node.eng.Arm(&p.sliceT, p.sliceEnd, p.sliceFn)
 
 	if cs > 0 {
-		p.stepEv = p.node.eng.Schedule(cs, p.csFn)
+		p.node.eng.Arm(&p.stepT, now+cs, p.csFn)
 		return
 	}
 	p.step()
 }
 
-// onSliceEnd preempts the current VCPU when its slice expires.
-func (p *PCPU) onSliceEnd() {
-	p.sliceEv = sim.Handle{}
-	p.preemptCur()
-}
-
 // Preempt forcibly ends the current VCPU's slice (scheduler-initiated,
 // e.g., co-scheduling gang dispatch or wake tickling).
 func (p *PCPU) Preempt() {
-	if p.sliceEv != (sim.Handle{}) {
-		p.node.eng.Cancel(p.sliceEv)
-		p.sliceEv = sim.Handle{}
-	}
+	p.node.eng.Disarm(&p.sliceT)
 	p.preemptCur()
 }
 
@@ -222,10 +205,7 @@ func (p *PCPU) preemptCur() {
 		return
 	}
 	now := p.node.eng.Now()
-	if p.stepEv != (sim.Handle{}) {
-		p.node.eng.Cancel(p.stepEv)
-		p.stepEv = sim.Handle{}
-	}
+	p.node.eng.Disarm(&p.stepT)
 	p.accountPartial(v, now)
 	if p.cur != v {
 		// The interrupted action completed at this very instant and its
@@ -258,10 +238,7 @@ func (p *PCPU) releaseCur(v *VCPU, now sim.Time) {
 	v.pcpu = nil
 	p.cur = nil
 	p.busyTime += now - p.busySince
-	if p.sliceEv != (sim.Handle{}) {
-		p.node.eng.Cancel(p.sliceEv)
-		p.sliceEv = sim.Handle{}
-	}
+	p.node.eng.Disarm(&p.sliceT)
 }
 
 // accountPartial credits progress for an interrupted timed segment.
@@ -314,10 +291,7 @@ func (p *PCPU) blockCur(v *VCPU, st VCPUState) {
 		panic(fmt.Sprintf("vmm: blockCur for %s which is not current", v))
 	}
 	now := p.node.eng.Now()
-	if p.stepEv != (sim.Handle{}) {
-		p.node.eng.Cancel(p.stepEv)
-		p.stepEv = sim.Handle{}
-	}
+	p.node.eng.Disarm(&p.stepT)
 	if v.runSegStart >= 0 {
 		panic(fmt.Sprintf("vmm: %s blocking mid-segment", v))
 	}
@@ -341,7 +315,7 @@ func (p *PCPU) step() {
 	if v == nil || v.state != StateRunning {
 		return
 	}
-	if v.runSegStart >= 0 || p.stepEv != (sim.Handle{}) {
+	if v.runSegStart >= 0 || p.stepT.Armed() {
 		// A timed segment is already in flight (its completion event or
 		// the slice end will continue); a stale deferred step must not
 		// restart it.
@@ -379,7 +353,7 @@ func (p *PCPU) step() {
 			v.runSegStart = now
 			if now+t <= p.sliceEnd {
 				p.stepV = v
-				p.stepEv = eng.Schedule(t, p.segFn)
+				eng.Arm(&p.stepT, now+t, p.segFn)
 			}
 			// Otherwise the slice ends first; preemption accounts the
 			// partial progress.
@@ -439,7 +413,7 @@ func (p *PCPU) step() {
 				// it promoted, that starves dom0 and deadlocks delivery.
 				if rem := p.sliceEnd - now; a.Dur > 0 && a.Dur < rem {
 					p.stepV = v
-					p.stepEv = eng.Schedule(a.Dur, p.pollFn)
+					eng.Arm(&p.stepT, now+a.Dur, p.pollFn)
 				} else if a.Dur > 0 && rem > 0 {
 					a.Dur -= rem
 				}
@@ -553,10 +527,7 @@ func (p *PCPU) resumePoll(v *VCPU) {
 	if !p.still(v) {
 		return
 	}
-	if p.stepEv != (sim.Handle{}) {
-		p.node.eng.Cancel(p.stepEv)
-		p.stepEv = sim.Handle{}
-	}
+	p.node.eng.Disarm(&p.stepT)
 	p.scheduleStep()
 }
 
@@ -575,7 +546,7 @@ func (p *PCPU) startBurn(v *VCPU, a *Action, cost sim.Time) bool {
 	v.runSegStart = now
 	if wall := stretch(v.burnRemaining, v.segSlow); now+wall <= p.sliceEnd {
 		p.stepV = v
-		p.stepEv = p.node.eng.Schedule(wall, p.segFn)
+		p.node.eng.Arm(&p.stepT, now+wall, p.segFn)
 	}
 	return false
 }

@@ -233,6 +233,10 @@ func (w *World) Now() sim.Time { return w.group.Now() }
 // Executed returns the total number of events fired across all engines.
 func (w *World) Executed() uint64 { return w.group.Executed() }
 
+// SyncStats returns the shard group's synchronization and work/span
+// counters. Call between RunUntil calls.
+func (w *World) SyncStats() sim.SyncStats { return w.group.Stats() }
+
 // RunUntil drives the simulation to virtual time t, or to where a Stop
 // lands, and reports whether one landed. The stop is consumed: the next
 // RunUntil runs on. With t <= Now() it does nothing: unlike
@@ -257,7 +261,7 @@ func (w *World) Stop() { w.group.RequestStop() }
 // keeps results independent of the shard count.
 func (w *World) CrossNodeSignal(src, dst *Node, fn func()) {
 	if src == dst {
-		dst.eng.Schedule(0, fn)
+		dst.eng.Defer(fn)
 		return
 	}
 	w.group.Post(src.id, dst.id, src.eng.Now()+w.group.Lookahead(), fn)
