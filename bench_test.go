@@ -12,6 +12,7 @@ package atcsched
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -264,6 +265,91 @@ func benchTelemetry(b *testing.B, instrumented bool) {
 func BenchmarkTelemetryDisabledOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { benchTelemetry(b, false) })
 	b.Run("enabled", func(b *testing.B) { benchTelemetry(b, true) })
+}
+
+// --- Exporter layer ------------------------------------------------------
+
+// exporterNodes is atcd -nodes 32's node count: with the global registry
+// the plane holds 33 registries.
+const exporterNodes = 32
+
+// exporterSpanCounts are the fixed span counts the exporter benchmarks
+// run at; atcd-loop's plane holds about 10^5 spans by its last scrape.
+var exporterSpanCounts = []int{10_000, 100_000}
+
+var (
+	exporterSnap telemetry.Snapshot
+	exporterBody int
+)
+
+// exporterPlane builds the plane atcd -nodes 32 publishes into: per node
+// four VMs, each with a counter, a gauge, a series and a histogram, and
+// spans dealt round-robin over the 33 registries with starts that
+// advance and tie across registries (the global registry's decision
+// spans carry node ids). One full snapshot has already ordered them, as
+// an earlier scrape would have.
+func exporterPlane(spans int) *telemetry.Plane {
+	p := telemetry.New(telemetry.Options{})
+	for n := 0; n < exporterNodes; n++ {
+		r := p.Node(n)
+		for vm := 0; vm < 4; vm++ {
+			lab := telemetry.Label{Node: n, VM: fmt.Sprintf("vc%d-vm%d", vm, n)}
+			r.Add("vm_spins", lab, uint64(n*vm))
+			r.SetGauge("vm_run_time_ns", lab, float64(n+vm))
+			r.Point("vm_slice_ns", lab, sim.Millisecond, 3e7)
+			r.Observe("spin_latency", lab, sim.Time(vm+1)*sim.Millisecond)
+		}
+	}
+	for k := 0; k < spans; k++ {
+		reg, n := k%(exporterNodes+1), (k/(exporterNodes+1))%exporterNodes
+		start := sim.Time(k/(exporterNodes+1)) * sim.Microsecond
+		if reg == exporterNodes {
+			p.Global().AddSpan(telemetry.Span{Name: "decision", Track: "daemon", Node: n, Start: start, End: start})
+		} else {
+			p.Node(reg).AddSpan(telemetry.Span{Name: "spin", Track: "vc0-vm0/0", Node: reg, Start: start, End: start + sim.Microsecond})
+		}
+	}
+	p.Snapshot()
+	return p
+}
+
+// BenchmarkPlaneSnapshot measures the exporter layer's full snapshot, the
+// one /debug/atc, -timeline and -jsonl render, at fixed span counts over
+// 33 registries. Every registry's spans are already in order, so each
+// iteration is a scrape's steady state: the k-way merge into one exactly
+// sized slice plus the metric copies. ns/span divides by the span count.
+func BenchmarkPlaneSnapshot(b *testing.B) {
+	for _, n := range exporterSpanCounts {
+		b.Run(fmt.Sprintf("spans=%d", n), func(b *testing.B) {
+			p := exporterPlane(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exporterSnap = p.Snapshot()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/span")
+		})
+	}
+}
+
+// BenchmarkMetricsScrape measures one GET /metrics through
+// telemetry.Handler over the same planes: its B/op and allocs/op do not
+// grow with the span count.
+func BenchmarkMetricsScrape(b *testing.B) {
+	for _, n := range append([]int{0}, exporterSpanCounts...) {
+		b.Run(fmt.Sprintf("spans=%d", n), func(b *testing.B) {
+			h := telemetry.Handler(exporterPlane(n), nil)
+			req := httptest.NewRequest("GET", "/metrics", nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				exporterBody = rec.Body.Len()
+			}
+			b.ReportMetric(float64(exporterBody), "bytes/scrape")
+		})
+	}
 }
 
 // --- Ablations -----------------------------------------------------------

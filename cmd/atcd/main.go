@@ -33,8 +33,9 @@
 //
 // Observability:
 //
-//	-listen addr     serve Prometheus text exposition on /metrics and a
-//	                 JSON state snapshot (fleet summary plus per-node
+//	-listen addr     serve Prometheus text exposition on /metrics (its
+//	                 cost does not grow with span or series history) and
+//	                 a JSON state snapshot (fleet summary plus per-node
 //	                 table) on /debug/atc; the process keeps serving
 //	                 after the control loop ends until SIGINT or SIGTERM
 //	                 arrives (clean shutdown either way)
@@ -238,7 +239,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		srv = &http.Server{Handler: telemetry.Handler(plane.Snapshot, func() map[string]any {
+		srv = &http.Server{Handler: telemetry.Handler(plane, func() map[string]any {
 			table := f.Table()
 			if sb != nil {
 				policies := sb.NodePolicies()

@@ -208,6 +208,28 @@ func TestEuclidPicksShortSlice(t *testing.T) {
 	if strings.Contains(note, "30.000ms") {
 		t.Errorf("optimizer picked the 30ms baseline: %q", note)
 	}
+	// The printed D must separate the winner from every other candidate,
+	// the runner-up included (at seed 1 they differ by about 0.0002).
+	var best float64
+	ds := map[string]float64{}
+	for _, row := range tables[0].Rows {
+		d, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatalf("D cell %q: %v", row[1], err)
+		}
+		ds[row[0]] = d
+		if strings.Contains(note, "threshold: "+row[0]) {
+			best = d
+		}
+	}
+	for slice, d := range ds {
+		if !strings.Contains(note, "threshold: "+slice) && d <= best {
+			t.Errorf("candidate %s prints D = %g, not above the winner's %g: %q", slice, d, best, note)
+		}
+	}
+	if !strings.Contains(note, "runner-up ") || !strings.Contains(note, "margin ") {
+		t.Errorf("note does not name the runner-up and margin: %q", note)
+	}
 }
 
 func TestPlacerDistinctNodes(t *testing.T) {

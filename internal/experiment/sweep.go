@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/core"
@@ -122,13 +123,31 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			// The runner-up is the other candidate with the smallest D.
+			// D prints with enough decimals to show the winner's margin
+			// over it: adjacent candidates can differ by less than 0.001.
+			var bestD float64
+			runnerUp := core.ThresholdResult{D: math.Inf(1)}
+			for _, r := range table {
+				if r.Slice == best {
+					bestD = r.D
+				} else if r.D < runnerUp.D {
+					runnerUp = r
+				}
+			}
+			margin := runnerUp.D - bestD
+			digits := 3
+			if margin > 0 {
+				digits = min(max(digits, int(math.Ceil(-math.Log10(margin)))+1), 9)
+			}
 			t := report.New(
 				"Equation (1) distance to per-application optima (paper: 0.034/0.020/0.018/0.049/0.039/0.069, min at 0.3ms)",
 				"Candidate slice", "D(O,P)")
 			for _, r := range table {
-				t.Add(r.Slice.String(), report.F(r.D))
+				t.Add(r.Slice.String(), fmt.Sprintf("%.*f", digits, r.D))
 			}
-			t.AddNote("Chosen minimum time-slice threshold: %v (paper: 0.3ms)", best)
+			t.AddNote("Chosen minimum time-slice threshold: %v (paper: 0.3ms); runner-up %v, D margin %.*f",
+				best, runnerUp.Slice, digits, margin)
 			return []*report.Table{t}, nil
 		},
 	})

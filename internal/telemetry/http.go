@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -25,30 +26,61 @@ func promName(name string) string {
 	return b.String()
 }
 
-// promLabels renders a label set as {node="0",vm="vm1"}; the global
-// label (-1, "") renders as no braces at all.
-func promLabels(lab Label, extra ...string) string {
-	var parts []string
+// plusInf is the le label of a histogram's implicit last bucket.
+var plusInf = []byte("+Inf")
+
+// writeHead writes a sample's name and label set, {node="0",vm="vm1"}
+// with le="…" last when le is set, and the space before the value; the
+// global label (-1, "") with no le writes no braces at all.
+func writeHead(w *bufio.Writer, name string, lab Label, le []byte) {
+	w.WriteString(name)
+	sep := byte('{')
+	open := func(label string) {
+		w.WriteByte(sep)
+		sep = ','
+		w.WriteString(label)
+		w.WriteString(`="`)
+	}
 	if lab.Node >= 0 {
-		parts = append(parts, fmt.Sprintf(`node="%d"`, lab.Node))
+		open("node")
+		w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(lab.Node), 10))
+		w.WriteByte('"')
 	}
 	if lab.VM != "" {
-		parts = append(parts, fmt.Sprintf(`vm="%s"`, lab.VM))
+		open("vm")
+		w.WriteString(lab.VM)
+		w.WriteByte('"')
 	}
-	for i := 0; i+1 < len(extra); i += 2 {
-		parts = append(parts, fmt.Sprintf(`%s="%s"`, extra[i], extra[i+1]))
+	if le != nil {
+		open("le")
+		w.Write(le)
+		w.WriteByte('"')
 	}
-	if len(parts) == 0 {
-		return ""
+	if sep == ',' {
+		w.WriteByte('}')
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	w.WriteByte(' ')
+}
+
+// writeUint and writeFloat write one sample line, formatting the value
+// as %d and %g do.
+func writeUint(w *bufio.Writer, name string, lab Label, le []byte, v uint64) {
+	writeHead(w, name, lab, le)
+	w.Write(strconv.AppendUint(w.AvailableBuffer(), v, 10))
+	w.WriteByte('\n')
+}
+
+func writeFloat(w *bufio.Writer, name string, lab Label, v float64) {
+	writeHead(w, name, lab, nil)
+	w.Write(strconv.AppendFloat(w.AvailableBuffer(), v, 'g', -1, 64))
+	w.WriteByte('\n')
 }
 
 // WritePrometheus renders a snapshot as Prometheus text exposition
 // (version 0.0.4). Counters and gauges map directly; each series
 // contributes a gauge holding its last sample; histograms become
 // standard _bucket/_sum/_count families with le bounds in seconds of
-// virtual time.
+// virtual time. Spans are not exported.
 func WritePrometheus(w *bufio.Writer, snap Snapshot) error {
 	typed := map[string]bool{}
 	header := func(name, typ string) {
@@ -60,12 +92,12 @@ func WritePrometheus(w *bufio.Writer, snap Snapshot) error {
 	for _, c := range snap.Counters {
 		n := promName(c.Name) + "_total"
 		header(n, "counter")
-		fmt.Fprintf(w, "%s%s %d\n", n, promLabels(c.Label), c.Value)
+		writeUint(w, n, c.Label, nil, c.Value)
 	}
 	for _, g := range snap.Gauges {
 		n := promName(g.Name)
 		header(n, "gauge")
-		fmt.Fprintf(w, "%s%s %g\n", n, promLabels(g.Label), g.Value)
+		writeFloat(w, n, g.Label, g.Value)
 	}
 	for _, s := range snap.Series {
 		if len(s.Points) == 0 {
@@ -73,19 +105,20 @@ func WritePrometheus(w *bufio.Writer, snap Snapshot) error {
 		}
 		n := promName(s.Name) + "_last"
 		header(n, "gauge")
-		last := s.Points[len(s.Points)-1]
-		fmt.Fprintf(w, "%s%s %g\n", n, promLabels(s.Label), last.V)
+		writeFloat(w, n, s.Label, s.Points[len(s.Points)-1].V)
 	}
+	var le []byte
 	for _, h := range snap.Histograms {
 		n := promName(h.Name)
-		header(n+"_bucket", "histogram")
+		bucket := n + "_bucket"
+		header(bucket, "histogram")
 		for i, b := range h.Bounds {
-			fmt.Fprintf(w, "%s_bucket%s %d\n", n,
-				promLabels(h.Label, "le", fmt.Sprintf("%g", b.Seconds())), h.Counts[i])
+			le = strconv.AppendFloat(le[:0], b.Seconds(), 'g', -1, 64)
+			writeUint(w, bucket, h.Label, le, h.Counts[i])
 		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", n, promLabels(h.Label, "le", "+Inf"), h.Count)
-		fmt.Fprintf(w, "%s_sum%s %g\n", n, promLabels(h.Label), h.Sum.Seconds())
-		fmt.Fprintf(w, "%s_count%s %d\n", n, promLabels(h.Label), h.Count)
+		writeUint(w, bucket, h.Label, plusInf, h.Count)
+		writeFloat(w, n+"_sum", h.Label, h.Sum.Seconds())
+		writeUint(w, n+"_count", h.Label, nil, h.Count)
 	}
 	return w.Flush()
 }
@@ -99,21 +132,22 @@ type debugSnapshot struct {
 
 // Handler serves the plane over HTTP:
 //
-//	/metrics    — Prometheus text exposition
+//	/metrics    — Prometheus text exposition of p.Metrics
 //	/debug/atc  — full JSON snapshot with a summary header
 //
-// snapFn is called per request, so a live run is scraped mid-flight.
-// extra summary fields (e.g. daemon stats) come from summaryFn (may be
-// nil).
-func Handler(snapFn func() Snapshot, summaryFn func() map[string]any) http.Handler {
+// Each request reads the plane afresh, so a live run is scraped
+// mid-flight; a /metrics request copies no spans and no series history,
+// so it costs the same however long the run has been going. Extra
+// summary fields (e.g. daemon stats) come from summaryFn (may be nil).
+func Handler(p *Plane, summaryFn func() map[string]any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		bw := bufio.NewWriter(w)
-		_ = WritePrometheus(bw, snapFn())
+		_ = WritePrometheus(bw, p.Metrics())
 	})
 	mux.HandleFunc("/debug/atc", func(w http.ResponseWriter, r *http.Request) {
-		snap := snapFn()
+		snap := p.Snapshot()
 		sum := map[string]any{
 			"counters": len(snap.Counters),
 			"gauges":   len(snap.Gauges),

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,8 +9,10 @@ import (
 	"atcsched/internal/sim"
 )
 
-// refSortSnapshot is sortSnapshot as it was written with the
-// reflection-based sort package, kept as the oracle for the typed sorts.
+// refSortSnapshot is the snapshot sort as it was written with the
+// reflection-based sort package, kept as the oracle for the typed metric
+// sorts and, applied to the concatenation of every registry's spans, for
+// the span merge.
 func refSortSnapshot(s *Snapshot) {
 	less := func(an string, al Label, bn string, bl Label) bool {
 		if an != bn {
@@ -43,9 +44,7 @@ func refSortSnapshot(s *Snapshot) {
 }
 
 // randomSnapshot builds an unsorted snapshot: metric instances with
-// distinct (name, label) keys in shuffled order, and spans drawn from a
-// few start times and nodes so that many tie on (start, node) and only
-// their publish order (the Value field) tells them apart.
+// distinct (name, label) keys in shuffled order.
 func randomSnapshot(r *rng.Source) Snapshot {
 	type key struct {
 		name string
@@ -73,15 +72,6 @@ func randomSnapshot(r *rng.Source) Snapshot {
 			s.Histograms = append(s.Histograms, Histogram{Name: k.name, Label: k.lab, Count: uint64(i)})
 		}
 	}
-	for i := 0; i < 500; i++ {
-		s.Spans = append(s.Spans, Span{
-			Name:  "spin",
-			Track: fmt.Sprintf("vm%d/0", r.Intn(3)),
-			Node:  r.Intn(4) - 1,
-			Start: sim.Time(r.Intn(8)) * sim.Microsecond,
-			Value: sim.Time(i),
-		})
-	}
 	return s
 }
 
@@ -99,16 +89,127 @@ func shuffled(r *rng.Source, n int) []int {
 }
 
 // TestSortSnapshotMatchesReference checks that the typed sorts put every
-// section in exactly the order the reflection-based oracle does,
-// including the stable order of spans tied on (start, node).
+// metric section in exactly the order the reflection-based oracle does.
 func TestSortSnapshotMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		got := randomSnapshot(rng.New(seed))
 		want := randomSnapshot(rng.New(seed))
-		sortSnapshot(&got)
+		sortMetrics(&got)
 		refSortSnapshot(&want)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: sortSnapshot order differs from the reference", seed)
+			t.Fatalf("seed %d: sortMetrics order differs from the reference", seed)
 		}
+	}
+}
+
+// spanStream publishes random spans into a plane and keeps, per
+// registry, the spans it retained in publish order: the input of the
+// reference snapshot.
+type spanStream struct {
+	p     *Plane
+	r     *rng.Source
+	cap   int
+	nodes int
+	logs  [][]Span // per node registry, then the global one last
+	seq   sim.Time
+}
+
+func newSpanStream(seed uint64, nodes, spanCap int) *spanStream {
+	p := New(Options{SpanCap: spanCap})
+	return &spanStream{p: p, r: rng.New(seed), cap: p.opts.SpanCap, nodes: nodes, logs: make([][]Span, nodes+1)}
+}
+
+// publish adds n spans, each to a random registry. Starts come from a
+// few values so that many spans tie on (start, node), within a registry
+// and across registries: the global registry's spans carry node ids as
+// the daemon's decision spans do. Value numbers the spans in publish
+// order, so tied spans stay tellable apart.
+func (st *spanStream) publish(n int) {
+	for ; n > 0; n-- {
+		i := st.r.Intn(st.nodes + 1)
+		s := Span{Name: "spin", Track: "vm0/0", Node: i, Start: sim.Time(st.r.Intn(12)) * sim.Microsecond, Value: st.seq}
+		reg := st.p.Global()
+		if i == st.nodes {
+			s.Name, s.Track, s.Node = "decision", "daemon", st.r.Intn(st.nodes+1)-1
+		} else {
+			reg = st.p.Node(i)
+		}
+		s.End = s.Start + sim.Time(st.r.Intn(5))*sim.Microsecond
+		st.seq++
+		reg.AddSpan(s)
+		if len(st.logs[i]) < st.cap {
+			st.logs[i] = append(st.logs[i], s)
+		}
+	}
+}
+
+// want is the old algorithm's span section: every registry's spans
+// concatenated in registry order, then stable-sorted.
+func (st *spanStream) want() []Span {
+	var snap Snapshot
+	for _, log := range st.logs {
+		snap.Spans = append(snap.Spans, log...)
+	}
+	refSortSnapshot(&snap)
+	return snap.Spans
+}
+
+// TestPlaneSnapshotMatchesConcatSort checks the incremental sort and the
+// k-way merge against the old algorithm (concatenate, then stable sort)
+// over random span streams with snapshots interleaved between batches,
+// with and without a span cap that drops.
+func TestPlaneSnapshotMatchesConcatSort(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		spanCap := 0
+		if seed%4 == 0 {
+			spanCap = 60
+		}
+		st := newSpanStream(seed, 1+int(seed%6), spanCap)
+		for round := 0; round < 8; round++ {
+			st.publish(st.r.Intn(120))
+			if round%3 == 2 {
+				// A lone registry's snapshot orders its new spans by the
+				// same path; the plane's next snapshot must not change.
+				node := st.r.Intn(st.nodes)
+				alone := st.p.Node(node).Snapshot()
+				ref := Snapshot{Spans: append([]Span(nil), st.logs[node]...)}
+				refSortSnapshot(&ref)
+				if !reflect.DeepEqual(alone.Spans, ref.Spans) {
+					t.Fatalf("seed %d round %d: node %d registry snapshot differs from its stable sort", seed, round, node)
+				}
+			}
+			got := st.p.Snapshot()
+			if want := st.want(); !reflect.DeepEqual(got.Spans, want) {
+				t.Fatalf("seed %d round %d: merged spans differ from the concatenated stable sort\ngot  %v\nwant %v", seed, round, got.Spans, want)
+			}
+		}
+	}
+}
+
+// TestMetricsViewMatchesSnapshot checks that the /metrics view is the
+// full snapshot with its spans and all but each series' last point
+// left out.
+func TestMetricsViewMatchesSnapshot(t *testing.T) {
+	st := newSpanStream(7, 4, 0)
+	p := st.p
+	for i := 0; i < 4; i++ {
+		r := p.Node(i)
+		r.Add("dispatches", Label{Node: i}, uint64(3*i+1))
+		r.SetGauge("run_ns", Label{Node: i, VM: "vm1"}, float64(i)/3)
+		r.Observe("spin_latency", Label{Node: i, VM: "vm0"}, sim.Time(i)*sim.Millisecond)
+		for k := 0; k <= i; k++ {
+			r.Point("slice_ns", Label{Node: i, VM: "vm0"}, sim.Time(k), float64(10*i+k))
+		}
+	}
+	p.Global().Point("fleet_nodes", GlobalLabel(), 1, 2)
+	st.publish(300)
+
+	want := p.Snapshot()
+	want.Spans = nil
+	for i, s := range want.Series {
+		want.Series[i].Points = s.Points[len(s.Points)-1:]
+	}
+	if got := p.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("metrics view differs from the trimmed snapshot\ngot  %+v\nwant %+v", got, want)
 	}
 }

@@ -17,6 +17,21 @@
 // scrape (cmd/atcd) can snapshot mid-run; within the simulator each
 // registry is only ever written from one engine goroutine, so the lock
 // is uncontended on the hot path.
+//
+// A snapshot's cost follows what it exports. A full Snapshot keeps
+// every registry's spans in canonical order as it goes: each registry
+// sorts only the spans published since its last snapshot and merges
+// them into its already sorted prefix in place, and the plane merges
+// the per-registry runs into one exactly sized slice in linear time
+// (times log of the registry count). Metrics, the /metrics view, copies
+// no spans and no series history at all.
+//
+// Locking rule: a registry's span order is rewritten only by a full
+// snapshot holding the snapshot mutex (one per plane, shared by all of
+// its registries) and the registry's own mutex, in that order. A
+// publisher only appends past the end of the spans under the registry
+// mutex, so a snapshot that still holds the snapshot mutex may read a
+// sorted prefix after releasing the registry mutex.
 package telemetry
 
 import (
@@ -192,20 +207,29 @@ type hist struct {
 // control daemon. All methods are safe for concurrent use; inside the
 // simulator each registry is written from a single engine goroutine.
 type Registry struct {
-	mu           sync.Mutex
-	opts         Options
-	counters     map[key]uint64
-	gauges       map[key]float64
-	series       map[key]*series
-	hists        map[key]*hist
-	spans        []Span
+	mu       sync.Mutex
+	snapMu   *sync.Mutex // the snapshot mutex; a plane's registries share the plane's
+	opts     Options
+	counters map[key]uint64
+	gauges   map[key]float64
+	series   map[key]*series
+	hists    map[key]*hist
+	spans    []Span
+	// sorted counts the leading spans already in canonical order: the
+	// ones the last full snapshot saw.
+	sorted       int
 	spansDropped uint64
 }
 
 // NewRegistry builds a registry (zero Options select the defaults).
 func NewRegistry(opts Options) *Registry {
+	return newRegistry(opts.withDefaults(), new(sync.Mutex))
+}
+
+func newRegistry(opts Options, snapMu *sync.Mutex) *Registry {
 	return &Registry{
-		opts:     opts.withDefaults(),
+		snapMu:   snapMu,
+		opts:     opts,
 		counters: make(map[key]uint64),
 		gauges:   make(map[key]float64),
 		series:   make(map[key]*series),
@@ -283,8 +307,9 @@ func (r *Registry) AddSpan(s Span) {
 
 // Snapshot captures everything the plane knows, deterministically
 // ordered: counters, gauges, series, and histograms sorted by
-// (name, node, vm); spans sorted by (start, node) with per-registry
-// insertion order (engine order) breaking ties.
+// (name, node, vm); spans sorted by (start, node), ties in registry
+// order (nodes ascending, then the global registry) and then in publish
+// order (engine order) within a registry.
 type Snapshot struct {
 	Counters      []Counter   `json:"counters"`
 	Gauges        []Gauge     `json:"gauges"`
@@ -295,22 +320,31 @@ type Snapshot struct {
 	DroppedSpans  uint64      `json:"droppedSpans,omitempty"`
 }
 
-// snapshotInto appends this registry's state to snap (caller merges and
-// sorts).
-func (r *Registry) snapshotInto(snap *Snapshot) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// metricsInto appends this registry's metrics to snap (the caller holds
+// r.mu and sorts). With history each series carries all its retained
+// points; without, only its last one, copied into one backing array per
+// registry.
+func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 	for k, v := range r.counters {
 		snap.Counters = append(snap.Counters, Counter{Name: k.name, Label: k.lab, Value: v})
 	}
 	for k, v := range r.gauges {
 		snap.Gauges = append(snap.Gauges, Gauge{Name: k.name, Label: k.lab, Value: v})
 	}
+	var last []Point
+	if !history {
+		last = make([]Point, 0, len(r.series))
+	}
 	for k, s := range r.series {
-		snap.Series = append(snap.Series, Series{
-			Name: k.name, Label: k.lab,
-			Points: append([]Point(nil), s.points...),
-		})
+		var pts []Point
+		switch {
+		case history:
+			pts = append([]Point(nil), s.points...)
+		case len(s.points) > 0:
+			last = append(last, s.points[len(s.points)-1])
+			pts = last[len(last)-1 : len(last) : len(last)]
+		}
+		snap.Series = append(snap.Series, Series{Name: k.name, Label: k.lab, Points: pts})
 		snap.DroppedPoints += s.dropped
 	}
 	for k, h := range r.hists {
@@ -328,16 +362,144 @@ func (r *Registry) snapshotInto(snap *Snapshot) {
 		}
 		snap.Histograms = append(snap.Histograms, out)
 	}
-	snap.Spans = append(snap.Spans, r.spans...)
 	snap.DroppedSpans += r.spansDropped
+}
+
+// sortSpans brings r.spans into canonical order and returns them. The
+// spans before r.sorted are in order already; only the ones published
+// since are sorted, then merged into that prefix. The caller holds the
+// snapshot mutex and r.mu.
+func (r *Registry) sortSpans() []Span {
+	s, n := r.spans, r.sorted
+	if n < len(s) {
+		slices.SortStableFunc(s[n:], compareSpans)
+		mergeInPlace(s, n)
+		r.sorted = len(s)
+	}
+	return s
+}
+
+// mergeInPlace stably merges the sorted runs s[:n] and s[n:] (n <
+// len(s)), the first run winning ties. Only the prefix spans that sort
+// after s[n] move: they are copied aside and merged forward with the
+// second run.
+func mergeInPlace(s []Span, n int) {
+	p := sort.Search(n, func(i int) bool { return compareSpans(s[i], s[n]) > 0 })
+	if p == n {
+		return
+	}
+	moved := append([]Span(nil), s[p:n]...)
+	i, j, k := 0, n, p
+	for i < len(moved) {
+		if j < len(s) && compareSpans(s[j], moved[i]) < 0 {
+			s[k] = s[j]
+			j++
+		} else {
+			s[k] = moved[i]
+			i++
+		}
+		k++
+	}
+}
+
+// runHead is a run's entry in mergeRuns' heap: the sort key of the
+// run's next span, and the run's index, which breaks ties.
+type runHead struct {
+	start sim.Time
+	node  int
+	run   int
+}
+
+func (a runHead) before(b runHead) bool {
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	if a.node != b.node {
+		return a.node < b.node
+	}
+	return a.run < b.run
+}
+
+// mergeRuns merges sorted runs into one exactly sized slice, ties going
+// to the earlier run: the stable sort of the runs' concatenation. It
+// returns nil when every run is empty.
+func mergeRuns(runs [][]Span) []Span {
+	total := 0
+	heap := make([]runHead, 0, len(runs)) // runs with spans left, a min-heap
+	for i, run := range runs {
+		if len(run) > 0 {
+			total += len(run)
+			heap = append(heap, runHead{run[0].Start, run[0].Node, i})
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(heap) && heap[l].before(heap[m]) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(heap) && heap[r].before(heap[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]Span, total)
+	for k := range out {
+		top := &heap[0]
+		run := runs[top.run]
+		out[k] = run[0]
+		if run = run[1:]; len(run) > 0 {
+			runs[top.run] = run
+			top.start, top.node = run[0].Start, run[0].Node
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return out
+}
+
+// snapshotOf renders regs in order. A full snapshot (the caller holds
+// their snapshot mutex) copies every series point and every span; a
+// metrics view copies each series' last point and no spans.
+func snapshotOf(regs []*Registry, full bool) Snapshot {
+	var snap Snapshot
+	var runs [][]Span
+	if full {
+		runs = make([][]Span, len(regs))
+	}
+	for i, r := range regs {
+		r.mu.Lock()
+		r.metricsInto(&snap, full)
+		if full {
+			runs[i] = r.sortSpans()
+		}
+		r.mu.Unlock()
+	}
+	sortMetrics(&snap)
+	if full {
+		snap.Spans = mergeRuns(runs)
+	}
+	return snap
 }
 
 // Snapshot renders this single registry deterministically.
 func (r *Registry) Snapshot() Snapshot {
-	var snap Snapshot
-	r.snapshotInto(&snap)
-	sortSnapshot(&snap)
-	return snap
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	return snapshotOf([]*Registry{r}, true)
 }
 
 // Plane is a whole world's telemetry: one registry per node plus one
@@ -347,14 +509,16 @@ func (r *Registry) Snapshot() Snapshot {
 type Plane struct {
 	opts   Options
 	mu     sync.Mutex
+	snapMu sync.Mutex // the snapshot mutex of every registry below
 	nodes  []*Registry
 	global *Registry
 }
 
 // New builds a plane (zero Options select the defaults).
 func New(opts Options) *Plane {
-	o := opts.withDefaults()
-	return &Plane{opts: o, global: NewRegistry(o)}
+	p := &Plane{opts: opts.withDefaults()}
+	p.global = newRegistry(p.opts, &p.snapMu)
+	return p
 }
 
 // Node returns node i's registry, creating it (and any lower-indexed
@@ -366,7 +530,7 @@ func (p *Plane) Node(i int) *Registry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.nodes) <= i {
-		p.nodes = append(p.nodes, NewRegistry(p.opts))
+		p.nodes = append(p.nodes, newRegistry(p.opts, &p.snapMu))
 	}
 	return p.nodes[i]
 }
@@ -374,19 +538,29 @@ func (p *Plane) Node(i int) *Registry {
 // Global returns the node-agnostic registry.
 func (p *Plane) Global() *Registry { return p.global }
 
-// Snapshot merges every registry into one deterministically ordered
-// view. Safe to call mid-run (each registry is locked briefly).
-func (p *Plane) Snapshot() Snapshot {
+// registries lists the node registries in index order, then the global
+// one: the order spans tied on (start, node) keep.
+func (p *Plane) registries() []*Registry {
 	p.mu.Lock()
-	regs := append([]*Registry(nil), p.nodes...)
-	p.mu.Unlock()
-	var snap Snapshot
-	for _, r := range regs {
-		r.snapshotInto(&snap)
-	}
-	p.global.snapshotInto(&snap)
-	sortSnapshot(&snap)
-	return snap
+	defer p.mu.Unlock()
+	return append(append(make([]*Registry, 0, len(p.nodes)+1), p.nodes...), p.global)
+}
+
+// Snapshot merges every registry into one deterministically ordered
+// view. Safe to call mid-run (each registry is locked briefly); full
+// snapshots run one at a time.
+func (p *Plane) Snapshot() Snapshot {
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
+	return snapshotOf(p.registries(), true)
+}
+
+// Metrics is the view /metrics renders: Snapshot's counters, gauges and
+// histograms, each series with only its last point, and no spans. Its
+// cost does not grow with span or series history, and it never waits
+// for a full snapshot.
+func (p *Plane) Metrics() Snapshot {
+	return snapshotOf(p.registries(), false)
 }
 
 // compareKey orders metric instances by (name, node, vm).
@@ -400,17 +574,19 @@ func compareKey(an string, al Label, bn string, bl Label) int {
 	return strings.Compare(al.VM, bl.VM)
 }
 
-// sortSnapshot puts every section in its canonical order: metrics by
-// (name, label), spans by (start, node) keeping publish order among ties.
-func sortSnapshot(s *Snapshot) {
+// compareSpans orders spans by (start, node).
+func compareSpans(a, b Span) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Node, b.Node)
+}
+
+// sortMetrics puts every metric section in its canonical order, by
+// (name, label).
+func sortMetrics(s *Snapshot) {
 	slices.SortFunc(s.Counters, func(a, b Counter) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
 	slices.SortFunc(s.Gauges, func(a, b Gauge) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
 	slices.SortFunc(s.Series, func(a, b Series) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
 	slices.SortFunc(s.Histograms, func(a, b Histogram) int { return compareKey(a.Name, a.Label, b.Name, b.Label) })
-	slices.SortStableFunc(s.Spans, func(a, b Span) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Node, b.Node)
-	})
 }

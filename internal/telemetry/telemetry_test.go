@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"atcsched/internal/sim"
@@ -186,9 +190,9 @@ func TestPrometheusExposition(t *testing.T) {
 
 // TestHandler drives the HTTP surface through httptest.
 func TestHandler(t *testing.T) {
-	r := NewRegistry(Options{})
-	r.Add("daemon_decision_apply", GlobalLabel(), 3)
-	h := Handler(r.Snapshot, func() map[string]any { return map[string]any{"steps": 12} })
+	p := New(Options{})
+	p.Global().Add("daemon_decision_apply", GlobalLabel(), 3)
+	h := Handler(p, func() map[string]any { return map[string]any{"steps": 12} })
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -222,5 +226,129 @@ func TestHandler(t *testing.T) {
 	}
 	if len(dbg.Snapshot.Counters) != 1 {
 		t.Fatalf("snapshot lost counters: %+v", dbg.Snapshot)
+	}
+}
+
+// scrapePlane builds a plane with the same metrics on 8 nodes for any
+// amount of history: spans spread over the node registries and the
+// global one, and points per series.
+func scrapePlane(spans, points int) *Plane {
+	p := New(Options{})
+	for i := 0; i < 8; i++ {
+		r := p.Node(i)
+		r.Add("sched_dispatches", Label{Node: i}, uint64(i))
+		for _, vm := range []string{"vm0", "vm1"} {
+			lab := Label{Node: i, VM: vm}
+			r.SetGauge("vm_run_time_ns", lab, 1e6)
+			r.Observe("spin_latency", lab, sim.Millisecond)
+			for k := 0; k < points; k++ {
+				r.Point("vm_slice_ns", lab, sim.Time(k)*sim.Millisecond, float64(k))
+			}
+		}
+	}
+	for k := 0; k < spans; k++ {
+		r := p.Global()
+		if k%9 != 8 {
+			r = p.Node(k % 9)
+		}
+		r.AddSpan(Span{Name: "spin", Track: "vm0/0", Node: k % 9, Start: sim.Time(k%1000) * sim.Microsecond})
+	}
+	return p
+}
+
+// metricsAlloc returns the mean bytes allocated by one /metrics request.
+func metricsAlloc(p *Plane) uint64 {
+	h := Handler(p, nil)
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	h.ServeHTTP(httptest.NewRecorder(), req) // warm up
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// TestMetricsCostIndependentOfHistory checks that a /metrics request
+// allocates the same, within a small constant, for a plane holding no
+// spans and one point per series as for one holding 50,000 spans and
+// 500 points per series: the view copies neither.
+func TestMetricsCostIndependentOfHistory(t *testing.T) {
+	empty, long := scrapePlane(0, 1), scrapePlane(50000, 500)
+	if got := len(long.Snapshot().Spans); got != 50000 {
+		t.Fatalf("long plane holds %d spans, want 50000", got)
+	}
+	a, b := metricsAlloc(empty), metricsAlloc(long)
+	const slack = 1024
+	if b > a+slack || a > b+slack {
+		t.Fatalf("/metrics allocates %d B with no history and %d B with 50,000 spans and 500 points per series; want equal within %d B", a, b, slack)
+	}
+}
+
+// TestConcurrentScrapes runs two scrapers, Plane.Snapshot and the HTTP
+// handler (alternating /metrics and /debug/atc, so two full snapshots
+// can overlap), against a publisher that keeps adding spans, points and
+// counts until each scraper has finished a few scrapes mid-run (run
+// under -race), and checks the final snapshot holds every span in order.
+func TestConcurrentScrapes(t *testing.T) {
+	p := New(Options{})
+	h := Handler(p, nil)
+	const nodes, minRounds, minScrapes = 4, 2000, 5
+	done := make(chan struct{})
+	var snaps, gets atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if snap := p.Snapshot(); !slices.IsSortedFunc(snap.Spans, compareSpans) {
+				t.Error("mid-run snapshot spans out of order")
+			}
+			snaps.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			path := "/metrics"
+			if i%2 == 1 {
+				path = "/debug/atc"
+			}
+			rec := httptest.NewRecorder()
+			if h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil)); rec.Code != 200 {
+				t.Errorf("%s status %d", path, rec.Code)
+			}
+			gets.Add(1)
+		}
+	}()
+	k := 0
+	for ; k < minRounds || snaps.Load() < minScrapes || gets.Load() < minScrapes; k++ {
+		n := k % (nodes + 1)
+		r := p.Global()
+		if n < nodes {
+			r = p.Node(n)
+		}
+		lab := Label{Node: n}
+		r.AddSpan(Span{Name: "spin", Node: n, Start: sim.Time(k % 97)})
+		r.Point("slice_ns", lab, sim.Time(k), float64(k))
+		r.Add("spins", lab, 1)
+	}
+	close(done)
+	wg.Wait()
+	snap := p.Snapshot()
+	if held := len(snap.Spans) + int(snap.DroppedSpans); held != k || !slices.IsSortedFunc(snap.Spans, compareSpans) {
+		t.Fatalf("final snapshot accounts for %d spans (want %d), sorted %v", held, k, slices.IsSortedFunc(snap.Spans, compareSpans))
 	}
 }
