@@ -91,31 +91,34 @@ func (c Config) Validate() error {
 }
 
 // History is one VM's sliding window: the average spinlock latency and
-// the slice in force for each of the last Window periods, oldest first,
-// plus the number of periods observed. The zero History holds no
-// window; Config.NewHistory makes a cold-start one.
+// the slice in force for each of the last Window periods, plus the
+// number of periods observed. The window is a ring, so a period costs
+// one slot write: win holds the Window latencies and then the Window
+// slices, and head is the slot of the oldest period, the one the next
+// Observe overwrites. The zero History holds no window;
+// Config.NewHistory makes a cold-start one.
 type History struct {
-	lat, slice []sim.Time
-	observed   int
+	win      []sim.Time
+	head     int
+	observed int
 }
 
 // NewHistory returns a cold-start window: zero latency at the default
 // slice, so a new VM behaves like an idle one.
 func (c Config) NewHistory() History {
-	buf := make([]sim.Time, 2*c.Window)
-	h := History{lat: buf[:c.Window:c.Window], slice: buf[c.Window:]}
-	for i := range h.slice {
-		h.slice[i] = c.Default
+	h := History{win: make([]sim.Time, 2*c.Window)}
+	for i := range h.win[c.Window:] {
+		h.win[c.Window+i] = c.Default
 	}
 	return h
 }
 
 // IsZero reports whether h holds no window.
-func (h *History) IsZero() bool { return h.lat == nil }
+func (h *History) IsZero() bool { return h.win == nil }
 
 // Observe records one period's average spinlock latency and the slice
-// that was in force during that period, shifting out the oldest. It
-// panics on a negative latency or a non-positive slice.
+// that was in force during that period over the oldest period's slot.
+// It panics on a negative latency or a non-positive slice.
 func (h *History) Observe(avgLatency, sliceInForce sim.Time) {
 	if avgLatency < 0 {
 		panic(fmt.Sprintf("core: negative latency %v", avgLatency))
@@ -123,22 +126,37 @@ func (h *History) Observe(avgLatency, sliceInForce sim.Time) {
 	if sliceInForce <= 0 {
 		panic(fmt.Sprintf("core: non-positive slice %v", sliceInForce))
 	}
-	copy(h.lat, h.lat[1:])
-	h.lat[len(h.lat)-1] = avgLatency
-	copy(h.slice, h.slice[1:])
-	h.slice[len(h.slice)-1] = sliceInForce
+	w := len(h.win) / 2
+	h.win[h.head], h.win[w+h.head] = avgLatency, sliceInForce
+	if h.head++; h.head == w {
+		h.head = 0
+	}
 	h.observed++
+}
+
+// back returns the slot of the period k periods ago (1 ≤ k ≤ w).
+func (h *History) back(k, w int) int {
+	if i := h.head - k; i >= 0 {
+		return i
+	}
+	return h.head - k + w
 }
 
 // SnapshotInto copies h's latency and slice windows (oldest first) into
 // buf, which must hold two windows (2×Window entries), and returns them
 // as capacity-limited sub-slices of buf, with the observed-period count.
 func (h *History) SnapshotInto(buf []sim.Time) (lat, slice []sim.Time, observed int) {
-	w := len(h.lat)
+	w := len(h.win) / 2
 	lat, slice = buf[:w:w], buf[w:2*w:2*w]
-	copy(lat, h.lat)
-	copy(slice, h.slice)
+	unroll(lat, h.win[:w], h.head)
+	unroll(slice, h.win[w:], h.head)
 	return lat, slice, h.observed
+}
+
+// unroll copies a ring whose oldest entry is at head into dst, oldest
+// first.
+func unroll(dst, ring []sim.Time, head int) {
+	copy(dst[copy(dst, ring[head:]):], ring[:head])
 }
 
 // RestoreHistory rebuilds a window written by SnapshotInto. Both windows
@@ -155,10 +173,9 @@ func (c Config) RestoreHistory(lat, slice []sim.Time, observed int) (History, er
 			return History{}, fmt.Errorf("core: restore history: latency %v, slice %v at index %d", lat[i], slice[i], i)
 		}
 	}
-	h := c.NewHistory()
-	copy(h.lat, lat)
-	copy(h.slice, slice)
-	h.observed = observed
+	h := History{win: make([]sim.Time, 2*c.Window), observed: observed}
+	copy(h.win, lat)
+	copy(h.win[c.Window:], slice)
 	return h, nil
 }
 
@@ -217,57 +234,58 @@ func (c *Controller) ComputeSlice(vmID int) sim.Time {
 
 // ComputeSlice is Algorithm 1 over one VM's window h (cold-start or
 // observed; never the zero History).
-func (c Config) ComputeSlice(h *History) sim.Time {
+func (c *Config) ComputeSlice(h *History) sim.Time {
 	w := c.Window
-	latPrev := h.lat[w-1]  // sLatency_{i-1}
-	latPrev2 := h.lat[w-2] // sLatency_{i-2}
-	latPrev3 := h.lat[0]   // sLatency_{i-3} (window >= 3; for window 2 reuse oldest)
-	if w >= 3 {
-		latPrev3 = h.lat[w-3]
-	}
-	slicePrev := h.slice[w-1]  // timeSlice_{i-1}
-	slicePrev2 := h.slice[w-2] // timeSlice_{i-2}
+	lat, slice := h.win[:w:w], h.win[w:2*w:2*w]
+	p1, p2 := h.back(1, w), h.back(2, w)
+	latPrev := lat[p1]                    // sLatency_{i-1}
+	latPrev2 := lat[p2]                   // sLatency_{i-2}
+	latPrev3 := lat[h.back(min(w, 3), w)] // sLatency_{i-3} (window 2 reuses the oldest)
+	slicePrev := slice[p1]                // timeSlice_{i-1}
+	slicePrev2 := slice[p2]               // timeSlice_{i-2}
 
-	next := slicePrev
-
-	rising := latPrev2 < latPrev
-	fallingDueToShorterSlice := latPrev3 > latPrev2 && latPrev2 > latPrev && slicePrev2 > slicePrev
-	if rising || fallingDueToShorterSlice {
-		switch {
-		case slicePrev > c.Alpha && slicePrev-c.Alpha >= c.MinThreshold:
-			next = slicePrev - c.Alpha
-		case slicePrev > c.Beta && slicePrev-c.Beta >= c.MinThreshold:
-			next = slicePrev - c.Beta
-		}
+	// Lines 1-11: while latency rises, or falls only because the slice
+	// was shortened, shorten the slice by α, or by β where α would take
+	// it below the minimum threshold, or not at all where β would too.
+	// Latency trends are data, so the condition is summed from 0/1
+	// terms instead of branched on, and every choice below is a
+	// conditional move.
+	step := sim.Time(0)
+	if slicePrev-c.Beta >= c.MinThreshold {
+		step = c.Beta
 	}
+	if slicePrev-c.Alpha >= c.MinThreshold {
+		step = c.Alpha
+	}
+	rising := less(latPrev2, latPrev)
+	fallingDueToShorterSlice := less(latPrev2, latPrev3) & less(latPrev, latPrev2) & less(slicePrev, slicePrev2)
+	next := slicePrev - (rising|fallingDueToShorterSlice)*step
 
 	// Lines 12-20: latency stayed zero for the whole window → relax the
-	// slice back toward the default.
-	allZero := true
-	for _, l := range h.lat {
-		if l != 0 {
-			allZero = false
-			break
-		}
+	// slice by α, or to the default where α would pass it. (The paper's
+	// third case, a β step, is never taken: a slice that α does not
+	// carry past the default has room for α.) Latencies are
+	// non-negative, so their OR is zero exactly when every one is.
+	var nonzero sim.Time
+	for _, l := range lat {
+		nonzero |= l
 	}
-	if allZero {
-		switch {
-		case slicePrev > c.Default-c.Alpha:
-			next = c.Default
-		case slicePrev+c.Alpha <= c.Default:
-			next = slicePrev + c.Alpha
-		default:
-			next = slicePrev + c.Beta
-		}
-		if next > c.Default {
-			next = c.Default
-		}
+	relaxed := slicePrev + c.Alpha
+	if slicePrev > c.Default-c.Alpha {
+		relaxed = c.Default
 	}
+	if nonzero == 0 {
+		next = relaxed
+	}
+	return max(next, c.MinThreshold)
+}
 
-	if next < c.MinThreshold {
-		next = c.MinThreshold
+// less is 1 when a < b and 0 otherwise.
+func less(a, b sim.Time) sim.Time {
+	if a < b {
+		return 1
 	}
-	return next
+	return 0
 }
 
 // VMInfo describes one VM for NodeSlices.
@@ -283,7 +301,7 @@ type VMInfo struct {
 // NodeMin folds one parallel VM into Algorithm 2's node minimum: min
 // is the minimum over the node's parallel VMs so far (0 before the
 // first) and h is the next one's window.
-func (c Config) NodeMin(min sim.Time, h *History) sim.Time {
+func (c *Config) NodeMin(min sim.Time, h *History) sim.Time {
 	if s := c.ComputeSlice(h); min == 0 || s < min {
 		return s
 	}
@@ -293,7 +311,7 @@ func (c Config) NodeMin(min sim.Time, h *History) sim.Time {
 // Assign is Algorithm 2's per-VM rule: a parallel VM gets the node
 // minimum min (when the node has one); a non-parallel VM gets its admin
 // slice, or the default.
-func (c Config) Assign(vm VMInfo, min sim.Time) sim.Time {
+func (c *Config) Assign(vm VMInfo, min sim.Time) sim.Time {
 	switch {
 	case vm.Parallel && min > 0:
 		return min

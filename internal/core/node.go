@@ -27,28 +27,31 @@ type Sample struct {
 }
 
 // VM is one row of a Node's table. A row exists once the VM has any
-// state: a batch named it, or a restore wrote some.
+// state: a batch named it, or a restore wrote some. Its flags share
+// the last word, so a row is 120 bytes.
 type VM struct {
 	ID int
-	// Parallel and Admin are the classification the node keeps deciding
-	// with through a monitoring blackout; Known marks them as set.
-	Known, Parallel bool
-	Admin           sim.Time
-	// HasLast marks Last as the slice of the last committed decision.
-	HasLast   bool
+	// Admin and Parallel are the classification the node keeps
+	// deciding with through a monitoring blackout (set when Known).
+	Admin sim.Time
+	// Last is the slice of the last committed decision (set when
+	// HasLast).
 	Last      sim.Time
 	Seq       uint64  // last fresh sample's sequence number (0: none)
 	StaleRuns int     // consecutive stale or missing periods
 	Hist      History // Algorithm-1 window; zero until observed or restored
 
 	// seen and decided hold the epoch of the last Decide whose batch
-	// named the VM and that chose next for it.
+	// named the VM and that chose next for it; inMin marks a fresh
+	// parallel sample in the current Decide.
 	seen, decided uint64
 	next          sim.Time
-	// inMap and mapped mirror the decision map's entry for the VM, so
-	// Decide writes the map only where a decision changed.
-	inMap  bool
+	// mapped mirrors the decision map's entry for the VM while inMap,
+	// so Decide writes the map only where a decision changed.
 	mapped sim.Time
+
+	Known, Parallel, HasLast bool
+	inMap, inMin             bool
 }
 
 // inForce is the slice the VM runs at: its last committed one, or def.
@@ -57,12 +60,6 @@ func (v *VM) inForce(def sim.Time) sim.Time {
 		return v.Last
 	}
 	return def
-}
-
-// observation is one fresh sample of the period: its row and class.
-type observation struct {
-	row int
-	vm  VMInfo
 }
 
 // Node is the ATC controller of one physical node: a table of VM rows
@@ -76,10 +73,9 @@ type Node struct {
 	staleAfter int
 	vms        []VM
 
-	// epoch counts Decides; obs and decisions are Decide's scratch and
-	// output, reused period to period.
+	// epoch counts Decides; decisions, Decide's output, is reused
+	// period to period.
 	epoch     uint64
-	obs       []observation
 	decisions map[int]sim.Time
 
 	// StaleSamples counts samples skipped as stale; Degraded counts
@@ -104,8 +100,12 @@ func (n *Node) Config() Config { return n.cfg }
 func (n *Node) VMs() []VM { return n.vms }
 
 // Row returns vmID's row, inserting an empty one if needed (to restore
-// saved state); the pointer is valid until the next Row or Decide.
+// saved state); the pointer is valid until the next Row, Grow or Decide.
 func (n *Node) Row(vmID int) *VM { return &n.vms[n.row(vmID, len(n.vms))] }
+
+// Grow makes room for k more rows, so that restoring k VMs sizes the
+// table once instead of growing it row by row.
+func (n *Node) Grow(k int) { n.vms = slices.Grow(n.vms, k) }
 
 // row returns the index of vmID's row, inserting an empty one in ID
 // order if there is none. hint is tried first: sources name the same
@@ -118,11 +118,6 @@ func (n *Node) row(vmID, hint int) int {
 	i, found := slices.BinarySearchFunc(n.vms, vmID, func(v VM, id int) int { return cmp.Compare(v.ID, id) })
 	if !found {
 		n.vms = slices.Insert(n.vms, i, VM{ID: vmID})
-		for j := range n.obs {
-			if n.obs[j].row >= i {
-				n.obs[j].row++
-			}
-		}
 	}
 	return i
 }
@@ -134,11 +129,20 @@ func (n *Node) row(vmID, hint int) int {
 // commits nothing, so a failed actuation never records a slice that did
 // not take effect. The returned map, one slice per VM decided this
 // period, is reused by the next Decide.
+//
+// Decide makes three passes and keeps no list between them: each marks
+// what the next needs in the rows. The first observes each fresh
+// sample into its row's window. The second takes Algorithm 2's minimum
+// over the rows that had a fresh parallel sample; it is a pass of its
+// own because a batch may name one VM twice, and the minimum must see
+// the VM's final window. The third assigns each freshly sampled row its
+// slice by the class of its last fresh sample, degrades blacked-out
+// VMs and writes the decisions that changed.
 func (n *Node) Decide(samples []Sample, perVM bool) map[int]sim.Time {
 	n.epoch++
-	n.obs = n.obs[:0]
 	hint := 0
-	for _, s := range samples {
+	for k := range samples {
+		s := &samples[k]
 		i := n.row(s.ID, hint)
 		hint = i + 1
 		v := &n.vms[i]
@@ -160,28 +164,28 @@ func (n *Node) Decide(samples []Sample, perVM bool) map[int]sim.Time {
 			v.Hist = n.cfg.NewHistory()
 		}
 		v.Hist.Observe(s.AvgSpinLatency, v.inForce(n.cfg.Default))
-		n.obs = append(n.obs, observation{row: i, vm: VMInfo{ID: s.ID, Parallel: s.Parallel, AdminSlice: s.AdminSlice}})
+		v.decided = n.epoch
+		v.inMin = v.inMin || s.Parallel
 	}
 
-	// Algorithm 2 over the fresh samples, in batch order.
 	minSlice := sim.Time(0)
 	if !perVM {
-		for _, o := range n.obs {
-			if o.vm.Parallel {
-				minSlice = n.cfg.NodeMin(minSlice, &n.vms[o.row].Hist)
+		for i := range n.vms {
+			if v := &n.vms[i]; v.inMin {
+				minSlice = n.cfg.NodeMin(minSlice, &v.Hist)
 			}
 		}
 	}
-	for _, o := range n.obs {
-		v := &n.vms[o.row]
-		if perVM && o.vm.Parallel {
-			minSlice = n.cfg.ComputeSlice(&v.Hist)
-		}
-		v.next, v.decided = n.cfg.Assign(o.vm, minSlice), n.epoch
-	}
-
 	for i := range n.vms {
 		v := &n.vms[i]
+		if v.decided == n.epoch {
+			sl := minSlice
+			if perVM && v.Parallel {
+				sl = n.cfg.ComputeSlice(&v.Hist)
+			}
+			v.next = n.cfg.Assign(VMInfo{Parallel: v.Parallel, AdminSlice: v.Admin}, sl)
+		}
+		v.inMin = false
 		// A known VM missing from the sample set entirely is a dropout
 		// — the other face of a monitoring blackout.
 		if v.Known && v.seen != n.epoch {

@@ -61,7 +61,9 @@ type FleetSnapshot struct {
 
 // Snapshot captures the fleet's control state. Call it between Steps:
 // in-flight work is not represented, by design — a decision that has
-// not landed was never committed.
+// not landed was never committed. Each shard's node table is sorted by
+// ID, so the node entries come out in order by merging the tables,
+// with every shard locked for the length of the merge.
 func (f *Fleet) Snapshot() *FleetSnapshot {
 	s := &FleetSnapshot{
 		Version:   SnapshotVersion,
@@ -72,16 +74,56 @@ func (f *Fleet) Snapshot() *FleetSnapshot {
 	nodes := 0
 	for _, sh := range f.shards {
 		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		nodes += len(sh.nodes)
-		sh.mu.Unlock()
 	}
-	if nodes > 0 {
-		s.Nodes = make([]NodeSnapshot, 0, nodes)
+	if nodes == 0 {
+		return s
 	}
+	s.Nodes = make([]NodeSnapshot, nodes)
 	var a snapArena
-	f.eachNode(func(id int, n *nodeLoop) { s.Nodes = append(s.Nodes, n.snapshot(id, &a)) })
-	slices.SortFunc(s.Nodes, func(a, b NodeSnapshot) int { return cmp.Compare(a.Node, b.Node) })
+	mergeShards(f.shards, func(k int, e *nodeEntry) { s.Nodes[k] = e.loop.snapshot(e.id, &a) })
 	return s
+}
+
+// mergeShards calls fn with each node entry of the shards in node-ID
+// order, numbering them from 0. Every shard's table is sorted and no
+// node is on two shards, so a min-heap of the shards' next entries
+// yields them in order (the caller holds every shard's lock).
+func mergeShards(shards []*fleetShard, fn func(k int, e *nodeEntry)) {
+	heap := make([][]nodeEntry, 0, len(shards)) // unmerged table tails, by first ID
+	for _, sh := range shards {
+		if len(sh.nodes) > 0 {
+			heap = append(heap, sh.nodes)
+		}
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(heap) && heap[l][0].id < heap[m][0].id {
+				m = l
+			}
+			if r := 2*i + 2; r < len(heap) && heap[r][0].id < heap[m][0].id {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for k := 0; len(heap) > 0; k++ {
+		fn(k, &heap[0][0])
+		if heap[0] = heap[0][1:]; len(heap[0]) == 0 {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
 }
 
 // snapArena is the backing store of one Snapshot's VM lists and
@@ -134,13 +176,15 @@ func (l *nodeLoop) snapshot(id int, a *snapArena) NodeSnapshot {
 }
 
 // restoreNodeLoop rebuilds one node's loop from its snapshot entry.
-// VM entries merge field by field into the VM's slot, in order; an
-// entry that carries no state makes no slot.
+// The VM table is sized for every entry up front. VM entries merge
+// field by field into the VM's slot, in order; an entry that carries no
+// state makes no slot.
 func restoreNodeLoop(cfg core.Config, opts Options, ns *NodeSnapshot) (*nodeLoop, error) {
 	l := newNodeLoop(cfg, opts)
 	l.periods, l.consecDrops = ns.Periods, ns.ConsecDrops
 	l.retries, l.dropped = ns.Stats.Retries, ns.Stats.DroppedPeriods
 	l.ctl.StaleSamples, l.ctl.Degraded = ns.Stats.StaleSamples, ns.Stats.Degraded
+	l.ctl.Grow(len(ns.VMs))
 	for _, vs := range ns.VMs {
 		hasHist := len(vs.Lat) > 0 || len(vs.Slice) > 0
 		if !vs.Known && !vs.HasLast && vs.Seq == 0 && vs.StaleRuns == 0 && !hasHist {

@@ -3,27 +3,24 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 )
 
-// promName converts a metric name ("spin_wait_ns" or "daemon.apply") to
-// a Prometheus-legal name with the atc_ prefix.
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("atc_")
+// appendName appends a metric name ("spin_wait_ns" or "daemon.apply")
+// made Prometheus-legal, with the atc_ prefix, and then suffix.
+func appendName(b []byte, name, suffix string) []byte {
+	b = append(b, "atc_"...)
 	for _, r := range name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		default:
-			b.WriteByte('_')
+			b = append(b, '_')
 		}
 	}
-	return b.String()
+	return append(b, suffix...)
 }
 
 // plusInf is the le label of a histogram's implicit last bucket.
@@ -32,8 +29,8 @@ var plusInf = []byte("+Inf")
 // writeHead writes a sample's name and label set, {node="0",vm="vm1"}
 // with le="…" last when le is set, and the space before the value; the
 // global label (-1, "") with no le writes no braces at all.
-func writeHead(w *bufio.Writer, name string, lab Label, le []byte) {
-	w.WriteString(name)
+func writeHead(w *bufio.Writer, name []byte, lab Label, le []byte) {
+	w.Write(name)
 	sep := byte('{')
 	open := func(label string) {
 		w.WriteByte(sep)
@@ -64,13 +61,13 @@ func writeHead(w *bufio.Writer, name string, lab Label, le []byte) {
 
 // writeUint and writeFloat write one sample line, formatting the value
 // as %d and %g do.
-func writeUint(w *bufio.Writer, name string, lab Label, le []byte, v uint64) {
+func writeUint(w *bufio.Writer, name []byte, lab Label, le []byte, v uint64) {
 	writeHead(w, name, lab, le)
 	w.Write(strconv.AppendUint(w.AvailableBuffer(), v, 10))
 	w.WriteByte('\n')
 }
 
-func writeFloat(w *bufio.Writer, name string, lab Label, v float64) {
+func writeFloat(w *bufio.Writer, name []byte, lab Label, v float64) {
 	writeHead(w, name, lab, nil)
 	w.Write(strconv.AppendFloat(w.AvailableBuffer(), v, 'g', -1, 64))
 	w.WriteByte('\n')
@@ -80,45 +77,50 @@ func writeFloat(w *bufio.Writer, name string, lab Label, v float64) {
 // (version 0.0.4). Counters and gauges map directly; each series
 // contributes a gauge holding its last sample; histograms become
 // standard _bucket/_sum/_count families with le bounds in seconds of
-// virtual time. Spans are not exported.
+// virtual time. Spans are not exported. Each sample's name is built in
+// one reused buffer, so a scrape allocates once per metric family, not
+// once per sample.
 func WritePrometheus(w *bufio.Writer, snap Snapshot) error {
 	typed := map[string]bool{}
-	header := func(name, typ string) {
-		if !typed[name] {
-			typed[name] = true
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+	var name []byte
+	// family sets name to metric's sample name with suffix and writes
+	// the family's TYPE line before its first sample.
+	family := func(metric, suffix, typ string) []byte {
+		name = appendName(name[:0], metric, suffix)
+		if !typed[string(name)] {
+			typed[string(name)] = true
+			w.WriteString("# TYPE ")
+			w.Write(name)
+			w.WriteByte(' ')
+			w.WriteString(typ)
+			w.WriteByte('\n')
 		}
+		return name
 	}
 	for _, c := range snap.Counters {
-		n := promName(c.Name) + "_total"
-		header(n, "counter")
-		writeUint(w, n, c.Label, nil, c.Value)
+		writeUint(w, family(c.Name, "_total", "counter"), c.Label, nil, c.Value)
 	}
 	for _, g := range snap.Gauges {
-		n := promName(g.Name)
-		header(n, "gauge")
-		writeFloat(w, n, g.Label, g.Value)
+		writeFloat(w, family(g.Name, "", "gauge"), g.Label, g.Value)
 	}
 	for _, s := range snap.Series {
 		if len(s.Points) == 0 {
 			continue
 		}
-		n := promName(s.Name) + "_last"
-		header(n, "gauge")
-		writeFloat(w, n, s.Label, s.Points[len(s.Points)-1].V)
+		writeFloat(w, family(s.Name, "_last", "gauge"), s.Label, s.Points[len(s.Points)-1].V)
 	}
 	var le []byte
 	for _, h := range snap.Histograms {
-		n := promName(h.Name)
-		bucket := n + "_bucket"
-		header(bucket, "histogram")
+		bucket := family(h.Name, "_bucket", "histogram")
 		for i, b := range h.Bounds {
 			le = strconv.AppendFloat(le[:0], b.Seconds(), 'g', -1, 64)
 			writeUint(w, bucket, h.Label, le, h.Counts[i])
 		}
 		writeUint(w, bucket, h.Label, plusInf, h.Count)
-		writeFloat(w, n+"_sum", h.Label, h.Sum.Seconds())
-		writeUint(w, n+"_count", h.Label, nil, h.Count)
+		name = appendName(name[:0], h.Name, "_sum")
+		writeFloat(w, name, h.Label, h.Sum.Seconds())
+		name = appendName(name[:0], h.Name, "_count")
+		writeUint(w, name, h.Label, nil, h.Count)
 	}
 	return w.Flush()
 }

@@ -105,7 +105,9 @@ type Series struct {
 
 // Histogram is a cumulative sim-duration histogram in a Snapshot.
 // Counts[i] counts observations <= Bounds[i]; the implicit final bucket
-// (+Inf) is Count minus the last cumulative bound count.
+// (+Inf) is Count minus the last cumulative bound count. Bounds is
+// shared with the snapshot's other histograms from the same registry,
+// so it is read-only.
 type Histogram struct {
 	Name string `json:"name"`
 	Label
@@ -347,20 +349,22 @@ func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 		snap.Series = append(snap.Series, Series{Name: k.name, Label: k.lab, Points: pts})
 		snap.DroppedPoints += s.dropped
 	}
-	for k, h := range r.hists {
-		out := Histogram{
-			Name: k.name, Label: k.lab,
-			Bounds: append([]sim.Time(nil), r.opts.HistBounds...),
-			Counts: make([]uint64, len(r.opts.HistBounds)),
-			Count:  h.count,
-			Sum:    h.sum,
+	if len(r.hists) > 0 {
+		// Every histogram shares one copy of the bound ladder, and the
+		// cumulative counts are carved from one backing array.
+		nb := len(r.opts.HistBounds)
+		bounds := slices.Clip(slices.Clone(r.opts.HistBounds))
+		counts := make([]uint64, len(r.hists)*nb)
+		for k, h := range r.hists {
+			out := Histogram{Name: k.name, Label: k.lab, Bounds: bounds, Counts: counts[:nb:nb], Count: h.count, Sum: h.sum}
+			counts = counts[nb:]
+			var cum uint64
+			for i := range out.Counts {
+				cum += h.counts[i]
+				out.Counts[i] = cum
+			}
+			snap.Histograms = append(snap.Histograms, out)
 		}
-		var cum uint64
-		for i := range out.Counts {
-			cum += h.counts[i]
-			out.Counts[i] = cum
-		}
-		snap.Histograms = append(snap.Histograms, out)
 	}
 	snap.DroppedSpans += r.spansDropped
 }

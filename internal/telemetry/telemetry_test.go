@@ -352,3 +352,22 @@ func TestConcurrentScrapes(t *testing.T) {
 		t.Fatalf("final snapshot accounts for %d spans (want %d), sorted %v", held, k, slices.IsSortedFunc(snap.Spans, compareSpans))
 	}
 }
+
+// TestMetricsRenderAllocs bounds what one /metrics request allocates
+// in this package, Plane.Metrics plus WritePrometheus, over the 8-node
+// plane. Sample names are built in one reused buffer, and a registry's
+// histograms share one bound ladder and one backing array of counts,
+// so the count grows with registries and metric families, not with
+// samples.
+func TestMetricsRenderAllocs(t *testing.T) {
+	p := scrapePlane(1000, 10)
+	w := bufio.NewWriter(io.Discard)
+	got := testing.AllocsPerRun(20, func() {
+		if err := WritePrometheus(w, p.Metrics()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 52 {
+		t.Errorf("a /metrics render makes %v allocations, want ≤ 52", got)
+	}
+}

@@ -109,9 +109,6 @@ type VM struct {
 	// cooperation (the paper's future-work direction).
 	periodWaitSum   sim.Time
 	periodWaitCount int64
-
-	// SchedData is scheduler-private per-VM state.
-	SchedData any
 }
 
 // ID returns the world-unique VM id.
