@@ -68,11 +68,11 @@ import (
 	"atcsched/internal/daemon"
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
-	"atcsched/internal/vmm"
 	"atcsched/internal/workload"
 )
 
-// timelineTraceCap bounds the scheduling tracer attached for -timeline.
+// timelineTraceCap bounds the scheduling records each node keeps for
+// -timeline.
 const timelineTraceCap = 200000
 
 // listenReady, when set (tests), receives the bound listen address once
@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// (for -backend sim) the simulated world publish into it.
 	var plane *telemetry.Plane
 	if *listen != "" || *timeline != "" || *jsonl != "" {
-		plane = telemetry.New(telemetry.Options{})
+		plane = telemetry.New(telemetry.Options{RecordCap: timelineTraceCap})
 	}
 
 	var src daemon.FleetSource
@@ -177,10 +177,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		sb.MaxPeriods = *periods // the config reads 0 as its 400-period default
 		if *timeline != "" {
-			// The timeline merges scheduling events with telemetry spans;
-			// the world's clock has not advanced yet, so attaching the
-			// tracer here still captures the whole run.
-			sb.World.SetTracer(vmm.NewTracer(timelineTraceCap))
+			// The timeline merges scheduling records with telemetry
+			// spans; the world's clock has not advanced yet, so
+			// recording from here still captures the whole run.
+			sb.World.SetRecording(plane)
 		}
 		src, act, maxNodes = sb, sb, len(sb.World.Nodes())
 	default:
@@ -295,11 +295,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rounds, sb.World.Now())
 	}
 	if *timeline != "" || *jsonl != "" {
-		var events []telemetry.SchedEvent
-		if sb != nil {
-			events = sb.World.TelemetryEvents()
-		}
-		if err := telemetry.WriteFiles(*timeline, *jsonl, events, plane.Snapshot()); err != nil {
+		if err := telemetry.WriteFiles(*timeline, *jsonl, plane.Snapshot()); err != nil {
 			return err
 		}
 	}

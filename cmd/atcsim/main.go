@@ -27,7 +27,6 @@ import (
 	"atcsched/internal/sched/registry"
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
-	"atcsched/internal/vmm"
 )
 
 func main() {
@@ -56,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 		horizon  = fs.Float64("horizon", 1200, "virtual-time budget in seconds")
 		hogs     = fs.Int("hogs", 0, "CPU-hog (1-VCPU gcc) non-parallel VMs per node")
 		trace    = fs.String("trace", "", "write a scheduling trace: 'summary', 'text:<file>' or 'csv:<file>'")
-		traceCap = fs.Int("tracecap", 200000, "max trace records retained (ring)")
+		traceCap = fs.Int("tracecap", 200000, "max trace records retained per node (ring; <= 0 selects 65536)")
 		timeline = fs.String("timeline", "", "write a Chrome/Perfetto trace-event timeline to this file")
 		jsonlOut = fs.String("jsonl", "", "write the telemetry time-series dump (JSON Lines) to this file")
 	)
@@ -105,16 +104,22 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	s := res.Scenario
-	// Either artifact flag attaches the telemetry plane; the timeline
-	// additionally needs the scheduling tracer for its PCPU lanes.
+	// Either artifact flag attaches the telemetry plane. -trace and the
+	// timeline's PCPU lanes also need the scheduling records, which go
+	// to that plane, or to one that only records when there is none.
+	opts := telemetry.Options{RecordCap: *traceCap}
 	var plane *telemetry.Plane
 	if *timeline != "" || *jsonlOut != "" {
-		plane = telemetry.New(telemetry.Options{})
+		plane = telemetry.New(opts)
 		s.Cfg.Telemetry = plane
 		s.World.SetTelemetry(plane)
 	}
 	if *trace != "" || *timeline != "" {
-		s.World.SetTracer(vmm.NewTracer(*traceCap))
+		rec := plane
+		if rec == nil {
+			rec = telemetry.New(opts)
+		}
+		s.World.SetRecording(rec)
 	}
 
 	if *specFile != "" {
@@ -126,14 +131,19 @@ func run(args []string, stdout io.Writer) error {
 	} else {
 		runFlagScenario(stdout, spec, s)
 	}
+	var snap telemetry.Snapshot
 	if plane != nil {
 		s.FinalizeTelemetry()
-		if err := telemetry.WriteFiles(*timeline, *jsonlOut, s.World.TelemetryEvents(), plane.Snapshot()); err != nil {
+		snap = plane.Snapshot()
+		if err := telemetry.WriteFiles(*timeline, *jsonlOut, snap); err != nil {
 			return err
 		}
 	}
 	if *trace != "" {
-		return emitTrace(stdout, s.World.Trace(), *trace)
+		if plane == nil {
+			snap = s.World.Recording().Snapshot()
+		}
+		return telemetry.WriteTrace(stdout, *trace, snap)
 	}
 	return nil
 }
@@ -203,30 +213,4 @@ func listSchedulers(stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  defaults: %s\n", opts)
 	}
 	return nil
-}
-
-// emitTrace renders the collected trace per the -trace spec.
-func emitTrace(stdout io.Writer, tr *vmm.Tracer, spec string) error {
-	switch {
-	case spec == "summary":
-		fmt.Fprint(stdout, tr.Summary())
-		return nil
-	case strings.HasPrefix(spec, "text:"):
-		f, err := os.Create(strings.TrimPrefix(spec, "text:"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		_, err = tr.WriteTo(f)
-		return err
-	case strings.HasPrefix(spec, "csv:"):
-		f, err := os.Create(strings.TrimPrefix(spec, "csv:"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return tr.WriteCSV(f)
-	default:
-		return fmt.Errorf("unknown -trace spec %q (summary | text:<file> | csv:<file>)", spec)
-	}
 }

@@ -6,10 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"atcsched/internal/scenario"
 	"atcsched/internal/sched/registry"
+	"atcsched/internal/telemetry"
 )
 
 func TestRunTinyScenario(t *testing.T) {
@@ -57,6 +61,73 @@ func TestRunTraceSummary(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "dispatches") {
 		t.Errorf("no trace summary in output:\n%s", out.String())
+	}
+}
+
+// TestRunTraceFiles checks the -trace text: and csv: writers against
+// the run's own record stream: a two-node run whose per-node rings
+// overflow -tracecap writes exactly the record lines of its
+// fingerprint, and one CSV row per record under the header. A file
+// that cannot be created is an error.
+func TestRunTraceFiles(t *testing.T) {
+	dir := t.TempDir()
+	specJSON := `{"nodes":2,"scheduler":{"kind":"ATC"},"seed":3,"horizonSec":60,` +
+		`"virtualClusters":[{"vms":2,"vcpus":2,"kernel":"lu","class":"A","rounds":1}]}`
+	specPath := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(specPath, []byte(specJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const traceCap = 300
+	text, csv := filepath.Join(dir, "trace.txt"), filepath.Join(dir, "trace.csv")
+	for _, spec := range []string{"text:" + text, "csv:" + csv} {
+		var out strings.Builder
+		if err := run([]string{"-f", specPath, "-tracecap", strconv.Itoa(traceCap), "-trace", spec}, &out); err != nil {
+			t.Fatalf("run -trace %s: %v", spec, err)
+		}
+	}
+
+	// The reference: the same scenario recorded at the same cap.
+	spec, err := scenario.Load(strings.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Scenario.World.SetRecording(telemetry.New(telemetry.Options{RecordCap: traceCap}))
+	if _, err := built.Run(); err != nil {
+		t.Fatal(err)
+	}
+	_, records, ok := strings.Cut(built.Scenario.Fingerprint(), "\ntrace dropped=")
+	if !ok {
+		t.Fatal("fingerprint has no record section")
+	}
+	dropped, records, _ := strings.Cut(records, "\n")
+	want := strings.Split(strings.TrimSuffix(records, "\n"), "\n")
+	if dropped == "0" || len(want) != 2*traceCap {
+		t.Fatalf("reference run kept %d records and dropped %s; want both rings overflowing at %d", len(want), dropped, traceCap)
+	}
+
+	got, err := os.ReadFile(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n"); !slices.Equal(lines, want) {
+		t.Errorf("text trace has %d lines that differ from the fingerprint's %d record lines", len(lines), len(want))
+	}
+	got, err = os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+	if rows[0] != "at_ns,kind,node,pcpu,vm,vcpu,arg_ns" || len(rows)-1 != len(want) {
+		t.Errorf("csv trace: header %q and %d rows, want %d rows", rows[0], len(rows)-1, len(want))
+	}
+
+	missing := filepath.Join(dir, "no-such-dir", "trace.txt")
+	if err := run([]string{"-f", specPath, "-trace", "text:" + missing}, new(strings.Builder)); err == nil {
+		t.Error("an uncreatable -trace file was not reported")
 	}
 }
 

@@ -164,7 +164,7 @@ func runTimeline(stdout io.Writer, sc experiment.Scale, seed uint64, timeline, j
 	if err != nil {
 		return err
 	}
-	if err := telemetry.WriteFiles(timeline, jsonl, res.Events, res.Snapshot); err != nil {
+	if err := telemetry.WriteFiles(timeline, jsonl, res.Snapshot); err != nil {
 		return err
 	}
 	if timeline != "" {

@@ -1,4 +1,4 @@
-// Tracing: attach a scheduling tracer to a contended run and watch ATC
+// Tracing: record a contended run's scheduling events and watch ATC
 // walk a parallel VM's slice down, period by period — the control loop
 // made visible. Prints the per-VM dispatch/preempt/block/wake summary
 // and every slice decision ATC took on node 0.
@@ -10,7 +10,7 @@ import (
 
 	"atcsched"
 	"atcsched/internal/sim"
-	"atcsched/internal/vmm"
+	"atcsched/internal/telemetry"
 )
 
 func main() {
@@ -20,7 +20,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s.World.SetTracer(vmm.NewTracer(500000))
+	rec := telemetry.New(telemetry.Options{RecordCap: 500000})
+	s.World.SetRecording(rec)
 
 	prof := atcsched.NPBProfile("cg", "B")
 	prof.Iterations = 10
@@ -32,14 +33,14 @@ func main() {
 	}
 
 	fmt.Println("ATC slice decisions on node 0 (time, vm, new slice):")
-	trace := s.World.Trace()
+	snap := rec.Snapshot()
 	shown := 0
-	for _, r := range trace.Records() {
-		if r.Kind == vmm.TraceSliceChange && r.Node == 0 && shown < 12 {
+	for _, r := range snap.Records {
+		if r.Kind == telemetry.SchedSlice && r.Node == 0 && shown < 12 {
 			fmt.Printf("  %s\n", r.String())
 			shown++
 		}
 	}
 	fmt.Println("\nper-VM scheduling summary:")
-	fmt.Print(trace.Summary())
+	fmt.Print(telemetry.RecordSummary(snap))
 }

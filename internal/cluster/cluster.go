@@ -241,10 +241,10 @@ func (s *Scenario) FinalizeTelemetry() {
 func (s *Scenario) FaultPlan() *fault.Plan { return s.faults }
 
 // Fingerprint renders the run's observable outcome — engine counters,
-// fault tallies, per-run round times, per-node and per-VM statistics and
-// the full retained scheduling trace — as one string. Two runs of the
-// same scenario must produce byte-identical fingerprints, at any shard
-// count and with telemetry on or off.
+// fault tallies, per-run round times, per-node and per-VM statistics and,
+// when the world is recording, every retained scheduling record — as one
+// string. Two runs of the same scenario must produce byte-identical
+// fingerprints, at any shard count and with telemetry on or off.
 func (s *Scenario) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d executed=%d\n", int64(s.World.Now()), s.World.Executed())
@@ -261,8 +261,12 @@ func (s *Scenario) Fingerprint() string {
 			vm.Name(), vm.PacketsSent(), vm.PacketsReceived(), vm.CtxSwitches(),
 			vm.IOWakes(), int64(vm.RunTime()), int64(vm.WaitTime()), int64(vm.SpinWaitTotal()))
 	}
-	fmt.Fprintf(&b, "trace dropped=%d\n", s.World.TraceDropped())
-	for _, r := range s.World.TraceRecords() {
+	var rec telemetry.Snapshot
+	if p := s.World.Recording(); p != nil {
+		rec = p.Snapshot()
+	}
+	fmt.Fprintf(&b, "trace dropped=%d\n", rec.DroppedRecords)
+	for _, r := range rec.Records {
 		b.WriteString(r.String())
 		b.WriteByte('\n')
 	}

@@ -9,6 +9,7 @@ import (
 	"atcsched/internal/report"
 	"atcsched/internal/runner"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
 	"atcsched/internal/workload"
 )
@@ -137,7 +138,7 @@ func dfrsRunCell(sc Scale, seed uint64, scen dfrsScenario, kind cluster.Approach
 var dfrsShardCounts = []int{1, 2, 4, 8}
 
 // dfrsFingerprint runs a short measured scenario under kind on the given
-// shard count with the scheduling tracer attached and returns the 64-bit
+// shard count with scheduling records on and returns the 64-bit
 // FNV-1a of its cluster.Scenario fingerprint. Byte-identical runs hash
 // identically.
 func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (string, error) {
@@ -150,7 +151,7 @@ func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (
 	if err != nil {
 		return "", err
 	}
-	s.World.SetTracer(vmm.NewTracer(timelineTraceCap))
+	s.World.SetRecording(telemetry.New(telemetry.Options{RecordCap: timelineTraceCap}))
 	prof := npb(sc, "lu", workload.ClassA)
 	vms := s.VirtualCluster("vc0", nodes, 2, nil)
 	s.RunParallel(prof, vms, 2, false)
@@ -169,14 +170,15 @@ func dfrsFingerprint(sc Scale, seed uint64, kind cluster.Approach, shards int) (
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// dfrsShowcaseTraceCap keeps the showcase's scheduling trace — and with
-// it the exported timeline artifact — small enough to commit as a golden
-// file; overflow shows up only as the drop counter.
+// dfrsShowcaseTraceCap keeps the showcase's scheduling records — and
+// with them the exported timeline artifact — small enough to commit as a
+// golden file: each node keeps its newest records, and the overflow
+// shows up only as the drop counter.
 const dfrsShowcaseTraceCap = 2000
 
 // DFRSShowcase runs a short instrumented hybrid run — the fractional
 // plane redistributing around live parallel load — with the telemetry
-// plane and scheduling tracer attached, for the timeline/JSONL exports:
+// plane and scheduling records attached, for the timeline/JSONL exports:
 // vm_fraction series and redistribute spans from the DFRS side, spin
 // episodes and slice changes from the ATC side, on one sim-time axis.
 // The tenant mix is deliberately tiny (one 2×2 lu cluster plus a web

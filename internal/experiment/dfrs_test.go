@@ -96,7 +96,7 @@ func TestDFRSGoldenArtifacts(t *testing.T) {
 	checkGolden(t, "dfrs_showcase.jsonl", jl.Bytes())
 
 	var tl bytes.Buffer
-	if err := telemetry.WriteTimeline(&tl, res.Events, res.Snapshot); err != nil {
+	if err := telemetry.WriteTimeline(&tl, res.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {

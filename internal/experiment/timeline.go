@@ -6,47 +6,46 @@ import (
 	"atcsched/internal/cluster"
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
-	"atcsched/internal/vmm"
 )
 
-// timelineTraceCap bounds the scheduling tracer behind the timeline
-// export; the showcase run is a few virtual seconds, well inside it.
+// timelineTraceCap bounds the scheduling records each node keeps for
+// the timeline export; the showcase run is a few virtual seconds, well
+// inside it.
 const timelineTraceCap = 500000
 
 // TimelineResult is one instrumented showcase run, ready for export
 // with telemetry.WriteFiles, WriteTimeline or WriteJSONL.
 type TimelineResult struct {
-	// Events is the merged scheduling-event stream (dispatches,
+	// Snapshot holds the run's end-of-run metrics, spans (spin episodes,
+	// BSP rounds, fault windows) and scheduling records (dispatches,
 	// preemptions, slice changes, policy swaps).
-	Events []telemetry.SchedEvent
-	// Snapshot holds the run's end-of-run metrics and spans (spin
-	// episodes, BSP rounds, fault windows).
 	Snapshot telemetry.Snapshot
 }
 
 // showcase runs one instrumented scenario for the timeline/JSONL
-// exports: it builds cfg with a fresh telemetry plane and a scheduling
-// tracer of traceCap records, installs the tenants, runs for d of
-// virtual time, audits the end state and publishes end-of-run totals.
+// exports: it builds cfg with a fresh telemetry plane that also records
+// up to traceCap scheduling records per node, installs the tenants,
+// runs for d of virtual time, audits the end state and publishes
+// end-of-run totals.
 func showcase(name string, cfg cluster.Config, traceCap int, d sim.Time, tenants func(*cluster.Scenario)) (*TimelineResult, error) {
-	plane := telemetry.New(telemetry.Options{})
+	plane := telemetry.New(telemetry.Options{RecordCap: traceCap})
 	cfg.Telemetry = plane
 	s, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.World.SetTracer(vmm.NewTracer(traceCap))
+	s.World.SetRecording(plane)
 	tenants(s)
 	s.GoFor(d)
 	if errs := s.World.Audit(); len(errs) > 0 {
 		return nil, fmt.Errorf("%s: audit: %v", name, errs[0])
 	}
 	s.FinalizeTelemetry()
-	return &TimelineResult{Events: s.World.TelemetryEvents(), Snapshot: plane.Snapshot()}, nil
+	return &TimelineResult{Snapshot: plane.Snapshot()}, nil
 }
 
 // Timeline runs the fault-injection showcase under ATC with the full
-// telemetry plane and scheduling tracer attached: the straggler and
+// telemetry plane and scheduling records attached: the straggler and
 // packet-loss windows of the faults experiment over parallel tenants,
 // so the exported timeline shows spin-episode spans, slice-change
 // markers, BSP round spans, and the fault windows on one sim-time axis.

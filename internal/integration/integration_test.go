@@ -11,6 +11,7 @@ import (
 
 	"atcsched/internal/cluster"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
 	"atcsched/internal/workload"
 )
@@ -153,15 +154,15 @@ func TestTracerUnderFullLoad(t *testing.T) {
 	cfg := cluster.DefaultConfig(2, cluster.CS)
 	cfg.Node.PCPUs = 4
 	s := cluster.MustNew(cfg)
-	tr := vmm.NewTracer(50000)
-	s.World.SetTracer(tr)
+	rec := telemetry.New(telemetry.Options{RecordCap: 50000})
+	s.World.SetRecording(rec)
 	prof := workload.NPB("lu", workload.ClassA)
 	prof.Iterations = 6
 	s.RunParallel(prof, s.VirtualCluster("vc", 2, 4, nil), 2, false)
 	if !s.Go(120 * sim.Second) {
 		t.Fatal("horizon exceeded")
 	}
-	recs := s.World.TraceRecords()
+	recs := rec.Snapshot().Records
 	if len(recs) == 0 {
 		t.Fatal("no trace records under load")
 	}

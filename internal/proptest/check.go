@@ -14,8 +14,9 @@ import (
 // auditEvery is the virtual-time interval between mid-run audits.
 const auditEvery = 25 * sim.Millisecond
 
-// traceCap bounds the determinism tracer's memory; dropped records still
-// contribute to the fingerprint through the drop counter.
+// traceCap bounds the scheduling records each node retains for the
+// determinism fingerprint; evicted records still contribute to it
+// through the drop counter.
 const traceCap = 50000
 
 // result captures everything the battery measures for one approach on
@@ -59,7 +60,9 @@ type result struct {
 
 // runOne builds the Spec's world under one approach, drives it to
 // completion (or the horizon) and collects the battery's observables.
-// With traced set a bounded scheduling tracer is attached and the full
+// With traced set the world records scheduling events (into the
+// telemetry plane when the Spec attaches one, so that run records and
+// publishes metrics; into a record-only plane otherwise) and the full
 // fingerprint is rendered.
 func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) {
 	w := clone(spec)
@@ -74,15 +77,15 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 	s.Cfg.OnAudit = func(at sim.Time, errs []error) {
 		res.auditTimes = append(res.auditTimes, at)
 	}
+	plane := telemetry.New(telemetry.Options{RecordCap: traceCap})
 	if spec.Telemetry {
 		// Instrumented runs must fingerprint identically to bare ones:
 		// the battery attaches a full plane and otherwise changes nothing.
-		plane := telemetry.New(telemetry.Options{})
 		s.Cfg.Telemetry = plane
 		s.World.SetTelemetry(plane)
 	}
 	if traced {
-		s.World.SetTracer(vmm.NewTracer(traceCap))
+		s.World.SetRecording(plane)
 	}
 	res.completed = s.Go(sim.FromSeconds(w.HorizonSec))
 	// Exercise the end-of-run telemetry publication too (no-op when the

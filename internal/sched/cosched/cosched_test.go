@@ -6,6 +6,7 @@ import (
 
 	"atcsched/internal/sched/cosched"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
 	"atcsched/internal/vmmtest"
 )
@@ -65,7 +66,8 @@ func TestGangRunsSiblingsConcurrently(t *testing.T) {
 	// from the scheduling trace rather than sampled.
 	corun := func(factory vmm.SchedulerFactory) (paired, overlap float64) {
 		w := vmmtest.World(1, 2, factory)
-		w.SetTracer(vmm.NewTracer(0))
+		rec := telemetry.New(telemetry.Options{})
+		w.SetRecording(rec)
 		node := w.Node(0)
 		vmA, _ := vmmtest.SpinPair(node, 30*sim.Millisecond)
 		for i := 0; i < 3; i++ {
@@ -78,7 +80,7 @@ func TestGangRunsSiblingsConcurrently(t *testing.T) {
 		lastDispatch := [2]sim.Time{-1, -1}
 		var last, either, both sim.Time
 		dispatches, gangs := 0, 0
-		for _, r := range w.TraceRecords() {
+		for _, r := range rec.Snapshot().Records {
 			if r.VM != vmA.Name() {
 				continue
 			}
@@ -90,14 +92,14 @@ func TestGangRunsSiblingsConcurrently(t *testing.T) {
 			}
 			last = r.At
 			switch r.Kind {
-			case vmm.TraceDispatch:
+			case telemetry.SchedDispatch:
 				running[r.VCPU] = true
 				lastDispatch[r.VCPU] = r.At
 				dispatches++
 				if lastDispatch[1-r.VCPU] == r.At {
 					gangs++ // both siblings dispatched at one instant
 				}
-			case vmm.TracePreempt, vmm.TraceBlock:
+			case telemetry.SchedPreempt, telemetry.SchedBlock:
 				running[r.VCPU] = false
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"atcsched/internal/sched/credit"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 	"atcsched/internal/vmm"
 	"atcsched/internal/vmmtest"
 )
@@ -47,7 +48,7 @@ func TestSetSliceContract(t *testing.T) {
 // maxRun returns the longest dispatch-to-preemption run of vm's VCPUs in
 // the trace. A run includes the few microseconds of context-switch cost
 // on top of the slice.
-func maxRun(recs []vmm.TraceRecord, vm *vmm.VM) sim.Time {
+func maxRun(recs []telemetry.SchedEvent, vm *vmm.VM) sim.Time {
 	var longest sim.Time
 	start := map[int]sim.Time{}
 	for _, r := range recs {
@@ -55,9 +56,9 @@ func maxRun(recs []vmm.TraceRecord, vm *vmm.VM) sim.Time {
 			continue
 		}
 		switch r.Kind {
-		case vmm.TraceDispatch:
+		case telemetry.SchedDispatch:
 			start[r.VCPU] = r.At
-		case vmm.TracePreempt:
+		case telemetry.SchedPreempt:
 			if d := r.At - start[r.VCPU]; d > longest {
 				longest = d
 			}
@@ -71,7 +72,8 @@ func maxRun(recs []vmm.TraceRecord, vm *vmm.VM) sim.Time {
 // default.
 func TestSetSliceGovernsDispatch(t *testing.T) {
 	w := world(t, 1, 1, credit.DefaultOptions())
-	w.SetTracer(vmm.NewTracer(0))
+	rec := telemetry.New(telemetry.Options{})
+	w.SetRecording(rec)
 	node := w.Node(0)
 	short := node.NewVM("short", vmm.ClassNonParallel, 1, 0, 1)
 	long := node.NewVM("long", vmm.ClassNonParallel, 1, 0, 1)
@@ -84,7 +86,7 @@ func TestSetSliceGovernsDispatch(t *testing.T) {
 	}
 	w.Start()
 	w.RunUntil(sim.Second)
-	recs := w.TraceRecords()
+	recs := rec.Snapshot().Records
 	near := func(got, want sim.Time) bool { return got >= want && got < want+100*sim.Microsecond }
 	if got := maxRun(recs, short); !near(got, 3*sim.Millisecond) {
 		t.Errorf("longest run of the 3ms VM = %v", got)

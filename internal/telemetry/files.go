@@ -11,8 +11,8 @@ import (
 // Lines dump (WriteJSONL) to jsonl. An empty path skips that artifact.
 // Errors are prefixed with the artifact they belong to ("timeline: ",
 // "jsonl: ").
-func WriteFiles(timeline, jsonl string, events []SchedEvent, snap Snapshot) error {
-	if err := writeFile(timeline, func(w io.Writer) error { return WriteTimeline(w, events, snap) }); err != nil {
+func WriteFiles(timeline, jsonl string, snap Snapshot) error {
+	if err := writeFile(timeline, func(w io.Writer) error { return WriteTimeline(w, snap) }); err != nil {
 		return fmt.Errorf("timeline: %w", err)
 	}
 	if err := writeFile(jsonl, func(w io.Writer) error { return WriteJSONL(w, snap) }); err != nil {

@@ -13,9 +13,9 @@ import (
 // snapshot, an empty path writes nothing, and a failure names its
 // artifact.
 func TestWriteFiles(t *testing.T) {
-	events, snap := goldenEvents(), goldenSnapshot()
+	snap := goldenSnapshot()
 	var wantTL, wantJL bytes.Buffer
-	if err := WriteTimeline(&wantTL, events, snap); err != nil {
+	if err := WriteTimeline(&wantTL, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteJSONL(&wantJL, snap); err != nil {
@@ -24,7 +24,7 @@ func TestWriteFiles(t *testing.T) {
 
 	dir := t.TempDir()
 	tl, jl := filepath.Join(dir, "run.json"), filepath.Join(dir, "run.jsonl")
-	if err := WriteFiles(tl, jl, events, snap); err != nil {
+	if err := WriteFiles(tl, jl, snap); err != nil {
 		t.Fatal(err)
 	}
 	for path, want := range map[string][]byte{tl: wantTL.Bytes(), jl: wantJL.Bytes()} {
@@ -38,10 +38,10 @@ func TestWriteFiles(t *testing.T) {
 	}
 
 	empty := t.TempDir()
-	if err := WriteFiles("", "", events, snap); err != nil {
+	if err := WriteFiles("", "", snap); err != nil {
 		t.Fatalf("empty paths: %v", err)
 	}
-	if err := WriteFiles("", filepath.Join(empty, "only.jsonl"), events, snap); err != nil {
+	if err := WriteFiles("", filepath.Join(empty, "only.jsonl"), snap); err != nil {
 		t.Fatal(err)
 	}
 	if ents, _ := os.ReadDir(empty); len(ents) != 1 || ents[0].Name() != "only.jsonl" {
@@ -53,7 +53,7 @@ func TestWriteFiles(t *testing.T) {
 		{missing, "", "timeline: "},
 		{"", missing, "jsonl: "},
 	} {
-		err := WriteFiles(c.timeline, c.jsonl, events, snap)
+		err := WriteFiles(c.timeline, c.jsonl, snap)
 		if err == nil || !strings.HasPrefix(err.Error(), c.prefix) {
 			t.Errorf("uncreatable path: error %v, want prefix %q", err, c.prefix)
 		}

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,7 +20,8 @@ var update = flag.Bool("update", false, "rewrite exporter golden files")
 // goldenSnapshot builds a small fixed snapshot that exercises every
 // exporter feature: per-node and global labels, multi-point series,
 // spans on several tracks (including the cluster pseudo-node), a
-// histogram with below-first and +Inf observations, and drop counters.
+// histogram with below-first and +Inf observations, drop counters, and
+// the goldenEvents scheduling records.
 func goldenSnapshot() Snapshot {
 	p := New(Options{HistBounds: []sim.Time{sim.Millisecond, 10 * sim.Millisecond}})
 	n0, n1, g := p.Node(0), p.Node(1), p.Global()
@@ -41,6 +43,9 @@ func goldenSnapshot() Snapshot {
 		Start: 30 * sim.Millisecond, End: 30 * sim.Millisecond})
 	g.AddSpan(Span{Name: "fault:pcpu-slow", Track: "faults", Node: -1,
 		Start: 20 * sim.Millisecond, End: 80 * sim.Millisecond})
+	for _, e := range goldenEvents() {
+		p.Node(e.Node).Record(e)
+	}
 	return p.Snapshot()
 }
 
@@ -50,13 +55,13 @@ func goldenSnapshot() Snapshot {
 func goldenEvents() []SchedEvent {
 	ms := func(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
 	return []SchedEvent{
-		{At: ms(1), Kind: "dispatch", Node: 0, PCPU: 0, VM: "vm0", VCPU: 0},
-		{At: ms(4), Kind: "preempt", Node: 0, PCPU: 0, VM: "vm0", VCPU: 0},
-		{At: ms(4), Kind: "dispatch", Node: 0, PCPU: 0, VM: "vm1", VCPU: 2},
-		{At: ms(6), Kind: "slice", Node: 0, PCPU: -1, VM: "vm0", VCPU: -1, Arg: ms(30)},
-		{At: ms(7), Kind: "dispatch", Node: 1, PCPU: 1, VM: "vm2", VCPU: 0},
-		{At: ms(9), Kind: "block", Node: 1, PCPU: 1, VM: "vm2", VCPU: 0},
-		{At: ms(10), Kind: "swap", Node: 1, PCPU: -1, VCPU: -1},
+		{At: ms(1), Kind: SchedDispatch, Node: 0, PCPU: 0, VM: "vm0", VCPU: 0},
+		{At: ms(4), Kind: SchedPreempt, Node: 0, PCPU: 0, VM: "vm0", VCPU: 0},
+		{At: ms(4), Kind: SchedDispatch, Node: 0, PCPU: 0, VM: "vm1", VCPU: 2},
+		{At: ms(6), Kind: SchedSlice, Node: 0, PCPU: -1, VM: "vm0", VCPU: -1, Arg: ms(30)},
+		{At: ms(7), Kind: SchedDispatch, Node: 1, PCPU: 1, VM: "vm2", VCPU: 0},
+		{At: ms(9), Kind: SchedBlock, Node: 1, PCPU: 1, VM: "vm2", VCPU: 0},
+		{At: ms(10), Kind: SchedSwap, Node: 1, PCPU: -1, VCPU: -1},
 	}
 }
 
@@ -85,7 +90,11 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 func TestTimelineGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, goldenEvents(), goldenSnapshot()); err != nil {
+	snap := goldenSnapshot()
+	if !reflect.DeepEqual(snap.Records, goldenEvents()) {
+		t.Fatalf("snapshot records are not the published stream in order:\n%v", snap.Records)
+	}
+	if err := WriteTimeline(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	// The artifact must parse as trace-event JSON whatever the bytes.

@@ -9,19 +9,6 @@ import (
 	"atcsched/internal/sim"
 )
 
-// SchedEvent is a neutral rendering of one vmm scheduling trace record,
-// decoupled from the vmm package so the exporter can live below it in
-// the import graph (vmm imports telemetry, not the other way around).
-type SchedEvent struct {
-	At   sim.Time
-	Kind string // dispatch | preempt | block | wake | slice | swap
-	Node int
-	PCPU int // -1 when not applicable
-	VM   string
-	VCPU int // -1 when not applicable
-	Arg  sim.Time
-}
-
 // traceEvent is one Chrome/Perfetto trace-event JSON object. Timestamps
 // and durations are microseconds (the trace-event convention).
 type traceEvent struct {
@@ -49,15 +36,15 @@ type track struct {
 	name string
 }
 
-// WriteTimeline renders scheduling events and spans as Chrome/Perfetto
-// trace-event JSON (load with ui.perfetto.dev or chrome://tracing).
-// Each node becomes a process; PCPUs, per-VM spin lanes, and span
+// WriteTimeline renders a snapshot's scheduling records and spans as
+// Chrome/Perfetto trace-event JSON (load with ui.perfetto.dev or
+// chrome://tracing). Each node becomes a process; PCPUs, per-VM spin lanes, and span
 // tracks become threads. Dispatch→preempt/block pairs become complete
 // ("X") slices, slice changes and policy swaps become instant ("i")
 // markers, and telemetry spans (spin episodes, BSP rounds, controller
 // decisions, fault windows) become "X" slices on their own lanes.
 // Output is deterministic: one JSON object, stable track numbering.
-func WriteTimeline(w io.Writer, events []SchedEvent, snap Snapshot) error {
+func WriteTimeline(w io.Writer, snap Snapshot) error {
 	var out []traceEvent
 	tids := map[track]int{}
 	// tid lays out lanes per node: PCPUs first (stable small indices),
@@ -92,20 +79,20 @@ func WriteTimeline(w io.Writer, events []SchedEvent, snap Snapshot) error {
 		})
 	}
 	var last sim.Time
-	for i := range events {
-		ev := events[i]
+	for i := range snap.Records {
+		ev := snap.Records[i]
 		if ev.At > last {
 			last = ev.At
 		}
 		switch ev.Kind {
-		case "dispatch":
+		case SchedDispatch:
 			l := lane{ev.Node, ev.PCPU}
 			closeLane(l, ev.At) // defensive: a dangling dispatch ends here
 			e := ev
 			open[l] = &e
-		case "preempt", "block":
+		case SchedPreempt, SchedBlock:
 			closeLane(lane{ev.Node, ev.PCPU}, ev.At)
-		case "slice":
+		case SchedSlice:
 			out = append(out, traceEvent{
 				Name: fmt.Sprintf("slice %s=%v", ev.VM, ev.Arg),
 				Cat:  "control",
@@ -116,7 +103,7 @@ func WriteTimeline(w io.Writer, events []SchedEvent, snap Snapshot) error {
 				S:    "t",
 				Args: map[string]any{"vm": ev.VM, "slice_us": ev.Arg.Micros()},
 			})
-		case "swap":
+		case SchedSwap:
 			out = append(out, traceEvent{
 				Name: "policy swap",
 				Cat:  "control",

@@ -1,17 +1,25 @@
 // Package telemetry is the simulator's sim-time observability plane: a
 // metric registry (counters, gauges, time series, sim-clock histograms)
 // plus span tracking for spin episodes, BSP rounds, and controller
-// decision cycles, with exporters for Chrome/Perfetto trace-event JSON,
-// JSONL time series, and Prometheus-style text exposition.
+// decision cycles, and the scheduling record stream (dispatch, preempt,
+// block, wake, slice and swap records), with exporters for
+// Chrome/Perfetto trace-event JSON, JSONL time series, record text and
+// CSV, and Prometheus-style text exposition.
 //
 // The plane is strictly off the determinism path: every publish site in
 // the simulator is guarded by a nil check, sampling reads lifetime
 // counters without consuming the scheduler-facing period accumulators,
-// and a world gives every node its own Registry (mirroring the per-node
-// tracer rings) so shards never contend on shared state.
+// and a world gives every node its own Registry so shards never contend
+// on shared state.
 // Enabling telemetry must never change a run's fingerprint — the
 // proptest battery enforces byte-identical results telemetry-on vs
 // telemetry-off at every shard count.
+//
+// Two retention rules bound a registry's memory. Series points and
+// spans keep the first N (a deterministic prefix; later ones are dropped
+// and counted). Scheduling records keep the newest N in a ring (older
+// ones are evicted and counted), because a record stream is read for
+// how a run ended as much as for how it began.
 //
 // Registries serialize their own access with a mutex so a live HTTP
 // scrape (cmd/atcd) can snapshot mid-run; within the simulator each
@@ -168,6 +176,10 @@ type Options struct {
 	SeriesCap int
 	// SpanCap bounds the spans retained per registry (<= 0: default).
 	SpanCap int
+	// RecordCap bounds the scheduling records retained per registry
+	// (<= 0: default). Past the cap the oldest record is evicted and
+	// counted, so the newest RecordCap records stay.
+	RecordCap int
 	// HistBounds overrides the histogram bucket ladder (nil: default).
 	HistBounds []sim.Time
 }
@@ -175,6 +187,7 @@ type Options struct {
 const (
 	defaultSeriesCap = 1 << 16
 	defaultSpanCap   = 1 << 16
+	defaultRecordCap = 1 << 16
 )
 
 func (o Options) withDefaults() Options {
@@ -184,15 +197,21 @@ func (o Options) withDefaults() Options {
 	if o.SpanCap <= 0 {
 		o.SpanCap = defaultSpanCap
 	}
+	if o.RecordCap <= 0 {
+		o.RecordCap = defaultRecordCap
+	}
 	if o.HistBounds == nil {
 		o.HistBounds = DefaultBounds()
 	}
 	return o
 }
 
-// series is the mutable series state.
+// series is the mutable series state: the retained prefix of its
+// points, and its newest point, which /metrics renders even once the
+// prefix is full.
 type series struct {
 	points  []Point
+	last    Point
 	dropped uint64
 }
 
@@ -221,6 +240,11 @@ type Registry struct {
 	// ones the last full snapshot saw.
 	sorted       int
 	spansDropped uint64
+	// records is the ring of the newest scheduling records, oldest at
+	// recHead once it is full.
+	records        []SchedEvent
+	recHead        int
+	recordsDropped uint64
 }
 
 // NewRegistry builds a registry (zero Options select the defaults).
@@ -261,8 +285,9 @@ func (r *Registry) SetGauge(name string, lab Label, v float64) {
 }
 
 // Point appends one time-series sample. Past the series cap the sample
-// is dropped (and counted) rather than evicting history — a bounded
-// prefix keeps exporter output deterministic.
+// is dropped from the history (and counted) rather than evicting it — a
+// bounded prefix keeps exporter output deterministic — but it still
+// becomes the series' newest point, the one /metrics reports.
 func (r *Registry) Point(name string, lab Label, t sim.Time, v float64) {
 	r.mu.Lock()
 	k := key{name, lab}
@@ -271,10 +296,11 @@ func (r *Registry) Point(name string, lab Label, t sim.Time, v float64) {
 		s = &series{}
 		r.series[k] = s
 	}
+	s.last = Point{T: t, V: v}
 	if len(s.points) >= r.opts.SeriesCap {
 		s.dropped++
 	} else {
-		s.points = append(s.points, Point{T: t, V: v})
+		s.points = append(s.points, s.last)
 	}
 	r.mu.Unlock()
 }
@@ -309,23 +335,26 @@ func (r *Registry) AddSpan(s Span) {
 
 // Snapshot captures everything the plane knows, deterministically
 // ordered: counters, gauges, series, and histograms sorted by
-// (name, node, vm); spans sorted by (start, node), ties in registry
-// order (nodes ascending, then the global registry) and then in publish
-// order (engine order) within a registry.
+// (name, node, vm); spans sorted by (start, node) and scheduling records
+// by (time, node), ties in registry order (nodes ascending, then the
+// global registry) and then in publish order (engine order) within a
+// registry.
 type Snapshot struct {
-	Counters      []Counter   `json:"counters"`
-	Gauges        []Gauge     `json:"gauges"`
-	Series        []Series    `json:"series"`
-	Histograms    []Histogram `json:"histograms"`
-	Spans         []Span      `json:"spans"`
-	DroppedPoints uint64      `json:"droppedPoints,omitempty"`
-	DroppedSpans  uint64      `json:"droppedSpans,omitempty"`
+	Counters       []Counter    `json:"counters"`
+	Gauges         []Gauge      `json:"gauges"`
+	Series         []Series     `json:"series"`
+	Histograms     []Histogram  `json:"histograms"`
+	Spans          []Span       `json:"spans"`
+	Records        []SchedEvent `json:"records,omitempty"`
+	DroppedPoints  uint64       `json:"droppedPoints,omitempty"`
+	DroppedSpans   uint64       `json:"droppedSpans,omitempty"`
+	DroppedRecords uint64       `json:"droppedRecords,omitempty"`
 }
 
 // metricsInto appends this registry's metrics to snap (the caller holds
 // r.mu and sorts). With history each series carries all its retained
-// points; without, only its last one, copied into one backing array per
-// registry.
+// points; without, only its newest one (retained or not), copied into
+// one backing array per registry.
 func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 	for k, v := range r.counters {
 		snap.Counters = append(snap.Counters, Counter{Name: k.name, Label: k.lab, Value: v})
@@ -339,11 +368,10 @@ func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 	}
 	for k, s := range r.series {
 		var pts []Point
-		switch {
-		case history:
+		if history {
 			pts = append([]Point(nil), s.points...)
-		case len(s.points) > 0:
-			last = append(last, s.points[len(s.points)-1])
+		} else {
+			last = append(last, s.last)
 			pts = last[len(last)-1 : len(last) : len(last)]
 		}
 		snap.Series = append(snap.Series, Series{Name: k.name, Label: k.lab, Points: pts})
@@ -367,6 +395,7 @@ func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 		}
 	}
 	snap.DroppedSpans += r.spansDropped
+	snap.DroppedRecords += r.recordsDropped
 }
 
 // sortSpans brings r.spans into canonical order and returns them. The
@@ -407,16 +436,16 @@ func mergeInPlace(s []Span, n int) {
 }
 
 // runHead is a run's entry in mergeRuns' heap: the sort key of the
-// run's next span, and the run's index, which breaks ties.
+// run's next element, and the run's index, which breaks ties.
 type runHead struct {
-	start sim.Time
-	node  int
-	run   int
+	at   sim.Time
+	node int
+	run  int
 }
 
 func (a runHead) before(b runHead) bool {
-	if a.start != b.start {
-		return a.start < b.start
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	if a.node != b.node {
 		return a.node < b.node
@@ -424,16 +453,22 @@ func (a runHead) before(b runHead) bool {
 	return a.run < b.run
 }
 
-// mergeRuns merges sorted runs into one exactly sized slice, ties going
-// to the earlier run: the stable sort of the runs' concatenation. It
-// returns nil when every run is empty.
-func mergeRuns(runs [][]Span) []Span {
+// spanKey and recordKey are the (time, node) sort keys mergeRuns
+// orders spans and scheduling records by.
+func spanKey(s *Span) (sim.Time, int)         { return s.Start, s.Node }
+func recordKey(e *SchedEvent) (sim.Time, int) { return e.At, e.Node }
+
+// mergeRuns merges runs, each sorted by key, into one exactly sized
+// slice, ties going to the earlier run: the stable sort of the runs'
+// concatenation. It returns nil when every run is empty.
+func mergeRuns[T any](runs [][]T, key func(*T) (sim.Time, int)) []T {
 	total := 0
-	heap := make([]runHead, 0, len(runs)) // runs with spans left, a min-heap
+	heap := make([]runHead, 0, len(runs)) // runs with elements left, a min-heap
 	for i, run := range runs {
 		if len(run) > 0 {
 			total += len(run)
-			heap = append(heap, runHead{run[0].Start, run[0].Node, i})
+			at, node := key(&run[0])
+			heap = append(heap, runHead{at, node, i})
 		}
 	}
 	if total == 0 {
@@ -458,14 +493,14 @@ func mergeRuns(runs [][]Span) []Span {
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	out := make([]Span, total)
+	out := make([]T, total)
 	for k := range out {
 		top := &heap[0]
 		run := runs[top.run]
 		out[k] = run[0]
 		if run = run[1:]; len(run) > 0 {
 			runs[top.run] = run
-			top.start, top.node = run[0].Start, run[0].Node
+			top.at, top.node = key(&run[0])
 		} else {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
@@ -475,26 +510,40 @@ func mergeRuns(runs [][]Span) []Span {
 	return out
 }
 
+// ringRecords copies the record ring oldest-first. The caller holds
+// r.mu: once the ring is full a publisher overwrites its slots, so the
+// records cannot be read after the lock is released as spans can.
+func (r *Registry) ringRecords() []SchedEvent {
+	out := make([]SchedEvent, 0, len(r.records))
+	out = append(out, r.records[r.recHead:]...)
+	return append(out, r.records[:r.recHead]...)
+}
+
 // snapshotOf renders regs in order. A full snapshot (the caller holds
-// their snapshot mutex) copies every series point and every span; a
-// metrics view copies each series' last point and no spans.
+// their snapshot mutex) copies every series point, span and record; a
+// metrics view copies each series' newest point and no spans or
+// records.
 func snapshotOf(regs []*Registry, full bool) Snapshot {
 	var snap Snapshot
-	var runs [][]Span
+	var spans [][]Span
+	var records [][]SchedEvent
 	if full {
-		runs = make([][]Span, len(regs))
+		spans = make([][]Span, len(regs))
+		records = make([][]SchedEvent, len(regs))
 	}
 	for i, r := range regs {
 		r.mu.Lock()
 		r.metricsInto(&snap, full)
 		if full {
-			runs[i] = r.sortSpans()
+			spans[i] = r.sortSpans()
+			records[i] = r.ringRecords()
 		}
 		r.mu.Unlock()
 	}
 	sortMetrics(&snap)
 	if full {
-		snap.Spans = mergeRuns(runs)
+		snap.Spans = mergeRuns(spans, spanKey)
+		snap.Records = mergeRuns(records, recordKey)
 	}
 	return snap
 }
@@ -509,7 +558,8 @@ func (r *Registry) Snapshot() Snapshot {
 // Plane is a whole world's telemetry: one registry per node plus one
 // global registry for node-agnostic publishers (the control daemon,
 // shard sync stats, the network fabric). Attach to a world with
-// vmm.World.SetTelemetry before Start.
+// vmm.World.SetTelemetry, and vmm.World.SetRecording for scheduling
+// records, before Start.
 type Plane struct {
 	opts   Options
 	mu     sync.Mutex

@@ -2,9 +2,12 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -89,6 +92,34 @@ func TestSeriesCap(t *testing.T) {
 	}
 	if snap.DroppedPoints != 2 {
 		t.Fatalf("droppedPoints=%d, want 2", snap.DroppedPoints)
+	}
+}
+
+// TestMetricsReportPresentPastSeriesCap checks that /metrics reports a
+// series' newest point even once its history is full, while the full
+// snapshot keeps the retained prefix.
+func TestMetricsReportPresentPastSeriesCap(t *testing.T) {
+	p := New(Options{SeriesCap: 4})
+	lab := Label{Node: 0, VM: "vm0"}
+	for i := 0; i < 10; i++ {
+		p.Node(0).Point("slice_ns", lab, sim.Time(i), float64(100+i))
+	}
+	m := p.Metrics()
+	if pts := m.Series[0].Points; len(pts) != 1 || pts[0] != (Point{T: 9, V: 109}) {
+		t.Fatalf("metrics view shows %+v, want the newest point t=9", pts)
+	}
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := WritePrometheus(bw, m); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `atc_slice_ns_last{node="0",vm="vm0"} 109`+"\n") {
+		t.Errorf("exposition does not report the newest point:\n%s", buf.String())
+	}
+	snap := p.Snapshot()
+	want := []Point{{0, 100}, {1, 101}, {2, 102}, {3, 103}}
+	if !reflect.DeepEqual(snap.Series[0].Points, want) || snap.DroppedPoints != 6 {
+		t.Fatalf("snapshot holds %+v with %d dropped, want t=0..3 with 6 dropped", snap.Series[0].Points, snap.DroppedPoints)
 	}
 }
 
@@ -289,9 +320,10 @@ func TestMetricsCostIndependentOfHistory(t *testing.T) {
 
 // TestConcurrentScrapes runs two scrapers, Plane.Snapshot and the HTTP
 // handler (alternating /metrics and /debug/atc, so two full snapshots
-// can overlap), against a publisher that keeps adding spans, points and
-// counts until each scraper has finished a few scrapes mid-run (run
-// under -race), and checks the final snapshot holds every span in order.
+// can overlap), against a publisher that keeps adding spans, records,
+// points and counts until each scraper has finished a few scrapes
+// mid-run (run under -race), and checks the final snapshot holds every
+// span and record in order.
 func TestConcurrentScrapes(t *testing.T) {
 	p := New(Options{})
 	h := Handler(p, nil)
@@ -308,8 +340,8 @@ func TestConcurrentScrapes(t *testing.T) {
 				return
 			default:
 			}
-			if snap := p.Snapshot(); !slices.IsSortedFunc(snap.Spans, compareSpans) {
-				t.Error("mid-run snapshot spans out of order")
+			if snap := p.Snapshot(); !slices.IsSortedFunc(snap.Spans, compareSpans) || !recordsSorted(snap.Records) {
+				t.Error("mid-run snapshot spans or records out of order")
 			}
 			snaps.Add(1)
 		}
@@ -342,6 +374,7 @@ func TestConcurrentScrapes(t *testing.T) {
 		}
 		lab := Label{Node: n}
 		r.AddSpan(Span{Name: "spin", Node: n, Start: sim.Time(k % 97)})
+		r.Record(SchedEvent{At: sim.Time(k), Node: n})
 		r.Point("slice_ns", lab, sim.Time(k), float64(k))
 		r.Add("spins", lab, 1)
 	}
@@ -351,6 +384,19 @@ func TestConcurrentScrapes(t *testing.T) {
 	if held := len(snap.Spans) + int(snap.DroppedSpans); held != k || !slices.IsSortedFunc(snap.Spans, compareSpans) {
 		t.Fatalf("final snapshot accounts for %d spans (want %d), sorted %v", held, k, slices.IsSortedFunc(snap.Spans, compareSpans))
 	}
+	if held := len(snap.Records) + int(snap.DroppedRecords); held != k || !recordsSorted(snap.Records) {
+		t.Fatalf("final snapshot accounts for %d records (want %d), sorted %v", held, k, recordsSorted(snap.Records))
+	}
+}
+
+// recordsSorted reports whether records are in (time, node) order.
+func recordsSorted(records []SchedEvent) bool {
+	return slices.IsSortedFunc(records, func(a, b SchedEvent) int {
+		if a.At != b.At {
+			return cmp.Compare(a.At, b.At)
+		}
+		return cmp.Compare(a.Node, b.Node)
+	})
 }
 
 // TestMetricsRenderAllocs bounds what one /metrics request allocates

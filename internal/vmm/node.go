@@ -6,6 +6,7 @@ import (
 	"atcsched/internal/cachemodel"
 	"atcsched/internal/diskmodel"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 )
 
 // NodeConfig parameterizes a physical node.
@@ -105,8 +106,9 @@ type Node struct {
 	// chasing the VM pointer graph.
 	vcpus []*VCPU
 
-	// trc is the node's private tracer ring (nil when detached).
-	trc *Tracer
+	// rec is the registry the node's scheduling records go to (nil when
+	// the world is not recording).
+	rec *telemetry.Registry
 
 	// pendingSwap, when non-nil, is a scheduler replacement requested via
 	// SwapScheduler on a started world; it is applied at the next period
@@ -219,7 +221,7 @@ func (n *Node) wake(v *VCPU, io bool) {
 		v.vm.ioWakes++
 	}
 	n.wakes++
-	n.trace(TraceWake, -1, v, 0)
+	n.trace(telemetry.SchedWake, -1, v, 0)
 	v.state = StateRunnable
 	v.waitStart = n.eng.Now()
 	n.sched.Enqueue(v, EnqueueWake)
@@ -331,7 +333,7 @@ func (n *Node) applySwap() {
 		}
 	}
 	n.swaps++
-	n.trace(TraceSwap, -1, nil, 0)
+	n.trace(telemetry.SchedSwap, -1, nil, 0)
 	for _, p := range n.pcpus {
 		if p.cur == nil {
 			p.scheduleDispatch()

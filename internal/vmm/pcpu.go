@@ -5,6 +5,7 @@ import (
 
 	"atcsched/internal/cachemodel"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 )
 
 // PCPU is one physical core. It executes at most one VCPU at a time,
@@ -166,7 +167,7 @@ func (p *PCPU) dispatch() {
 	p.cur = v
 	p.busySince = now
 	p.dispatches++
-	p.node.trace(TraceDispatch, p.idx, v, 0)
+	p.node.trace(telemetry.SchedDispatch, p.idx, v, 0)
 
 	cs := sim.Time(0)
 	if p.lastRan != v {
@@ -215,7 +216,7 @@ func (p *PCPU) preemptCur() {
 		return
 	}
 	p.node.preempts++
-	p.node.trace(TracePreempt, p.idx, v, 0)
+	p.node.trace(telemetry.SchedPreempt, p.idx, v, 0)
 	p.releaseCur(v, now)
 	v.state = StateRunnable
 	v.waitStart = now
@@ -296,7 +297,7 @@ func (p *PCPU) blockCur(v *VCPU, st VCPUState) {
 		panic(fmt.Sprintf("vmm: %s blocking mid-segment", v))
 	}
 	p.node.blocks++
-	p.node.trace(TraceBlock, p.idx, v, 0)
+	p.node.trace(telemetry.SchedBlock, p.idx, v, 0)
 	p.releaseCur(v, now)
 	v.state = st
 	p.scheduleDispatch()

@@ -5,6 +5,7 @@ import (
 
 	"atcsched/internal/netmodel"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 )
 
 func TestSwapBeforeStartAppliesImmediately(t *testing.T) {
@@ -36,7 +37,8 @@ func TestSwapRejectsNilFactories(t *testing.T) {
 
 func TestSwapMidRunAtPeriodBoundary(t *testing.T) {
 	w := testWorld(t, 1, 1, sim.Millisecond)
-	w.SetTracer(NewTracer(0))
+	rec := telemetry.New(telemetry.Options{})
+	w.SetRecording(rec)
 	n := w.Node(0)
 	vmA := n.NewVM("a", ClassParallel, 1, 0, 1)
 	vmB := n.NewVM("b", ClassParallel, 1, 0, 1)
@@ -83,8 +85,8 @@ func TestSwapMidRunAtPeriodBoundary(t *testing.T) {
 	}
 
 	swaps := 0
-	for _, r := range w.TraceRecords() {
-		if r.Kind == TraceSwap {
+	for _, r := range rec.Snapshot().Records {
+		if r.Kind == telemetry.SchedSwap {
 			swaps++
 			if r.At != 30*sim.Millisecond {
 				t.Errorf("swap traced at %v, want 30ms", r.At)

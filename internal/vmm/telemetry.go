@@ -49,11 +49,12 @@ func (t *nodeTel) vmState(n *Node, i int) *vmTel {
 	return &t.perVM[i]
 }
 
-// SetTelemetry attaches a telemetry plane to the world (nil detaches).
-// Attach before Start to capture the whole run. Each node publishes into
-// its own plane registry — mirroring the per-node tracer rings — so
-// shards never contend on shared state. Telemetry is strictly
-// observational: attaching a plane never changes a run's results.
+// SetTelemetry attaches a telemetry plane's metrics and spans to the
+// world (nil detaches); scheduling records are switched separately by
+// SetRecording. Attach before Start to capture the whole run. Each node
+// publishes into its own plane registry so shards never contend on
+// shared state. Telemetry is strictly observational: attaching a plane
+// never changes a run's results.
 func (w *World) SetTelemetry(p *telemetry.Plane) {
 	w.telemetry = p
 	for _, n := range w.nodes {
@@ -165,24 +166,6 @@ func (w *World) FinalizeTelemetry() {
 	g.SetCount("shard_sync_parallel_segments", lab, st.ParallelSegments)
 	g.SetCount("shard_cross_posted", lab, st.CrossPosted)
 	g.SetCount("shard_cross_injected", lab, st.CrossInjected)
-}
-
-// TelemetryEvents renders the world's trace records as neutral
-// telemetry.SchedEvent values for the Perfetto exporter. Returns nil
-// when no tracer is attached.
-func (w *World) TelemetryEvents() []telemetry.SchedEvent {
-	recs := w.TraceRecords()
-	if recs == nil {
-		return nil
-	}
-	out := make([]telemetry.SchedEvent, len(recs))
-	for i, r := range recs {
-		out[i] = telemetry.SchedEvent{
-			At: r.At, Kind: r.Kind.String(), Node: r.Node,
-			PCPU: r.PCPU, VM: r.VM, VCPU: r.VCPU, Arg: r.Arg,
-		}
-	}
-	return out
 }
 
 // telSpin publishes one contended spin episode (histogram observation

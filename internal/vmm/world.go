@@ -2,7 +2,6 @@ package vmm
 
 import (
 	"fmt"
-	"sort"
 
 	"atcsched/internal/cachemodel"
 	"atcsched/internal/diskmodel"
@@ -35,7 +34,7 @@ type World struct {
 	nextVMID   int
 	nextVCPUID int
 	started    bool
-	tracer     *Tracer
+	recording  *telemetry.Plane
 	telemetry  *telemetry.Plane
 
 	// slowFn, when set, reports the execution-time multiplier (>= 1) in
@@ -59,66 +58,6 @@ func (w *World) SetSlowdown(fn func(node int, now sim.Time) float64) { w.slowFn 
 // fault hook consulted by VM.SampleSpinPeriod. The caveat of SetSlowdown
 // applies: any mutable state must be partitioned by node.
 func (w *World) SetMonitorTap(fn func(vm *VM) MonitorVerdict) { w.monitorTap = fn }
-
-// SetTracer attaches a scheduling tracer (nil detaches). Attach before
-// Start to capture the whole run. Each node records into its own ring of
-// t's capacity (shards must not share a ring); t is only the template.
-// Read the merged stream with TraceRecords, TraceDropped or Trace.
-func (w *World) SetTracer(t *Tracer) {
-	w.tracer = t
-	for _, n := range w.nodes {
-		n.trc = nil
-		if t != nil {
-			n.trc = NewTracer(t.Cap)
-		}
-	}
-}
-
-// Tracer returns the template passed to SetTracer (nil when none); use
-// TraceRecords or Trace for the data.
-func (w *World) Tracer() *Tracer { return w.tracer }
-
-// TraceRecords returns the retained scheduling records of the whole
-// world in deterministic order: by time, ties broken by node. Returns nil
-// when no tracer is attached.
-func (w *World) TraceRecords() []TraceRecord {
-	if w.tracer == nil {
-		return nil
-	}
-	var out []TraceRecord
-	for _, n := range w.nodes {
-		out = append(out, n.trc.Records()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
-// TraceDropped returns how many records the per-node rings evicted.
-func (w *World) TraceDropped() uint64 {
-	if w.tracer == nil {
-		return 0
-	}
-	var n uint64
-	for _, nd := range w.nodes {
-		n += nd.trc.Dropped()
-	}
-	return n
-}
-
-// Trace returns the merged records as an unbounded standalone Tracer
-// (for its Summary and writers), carrying the rings' eviction count; nil
-// when no tracer is attached.
-func (w *World) Trace() *Tracer {
-	if w.tracer == nil {
-		return nil
-	}
-	return &Tracer{records: w.TraceRecords(), dropped: w.TraceDropped()}
-}
 
 // NewWorld builds a 1-shard world of nNodes identical nodes, each with
 // its own scheduler instance produced by factory.
