@@ -12,9 +12,10 @@
 // drives the simulated cluster (SimBackend), a text stream, or the
 // in-memory fakes used in tests and the demo. A single machine is a
 // 1-node fleet: SliceSource and WriterActuator speak for node 0. Each
-// node's control state lives in a nodeLoop; every period Fleet.Step
-// samples all nodes, fans the nodes out over shard goroutines that run
-// decide → actuate → commit, and joins them.
+// node's control state lives in a nodeLoop, in one table sorted by node
+// ID; every period Fleet.Step samples all nodes, hands contiguous ranges
+// of the table to worker goroutines that run decide → actuate → commit,
+// and joins them.
 package daemon
 
 import (

@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"atcsched/internal/core"
-	"atcsched/internal/runner"
 	"atcsched/internal/sim"
 	"atcsched/internal/telemetry"
 )
@@ -31,10 +30,12 @@ type FleetSource interface {
 	SampleFleet() ([]NodeBatch, error)
 }
 
-// FleetActuator applies one node's slices. Nodes on different shards
-// are actuated concurrently. The fleet reuses the slices map for the
-// node's next period, updating only the entries that change, so
-// ApplyNode must neither modify it nor keep it after returning.
+// FleetActuator applies one node's slices. A period's workers actuate
+// their nodes concurrently, so ApplyNode may run for several nodes at
+// once, but never for one node twice at once. The fleet reuses the
+// slices map for the node's next period, updating only the entries
+// that change, so ApplyNode must neither modify it nor keep it after
+// returning.
 type FleetActuator interface {
 	ApplyNode(node int, slices map[int]sim.Time) error
 }
@@ -44,8 +45,9 @@ type FleetOptions struct {
 	// Node carries the per-node hardened-loop options (retry/stale/
 	// giveup), applied to every fleet node.
 	Node Options
-	// Shards is the number of goroutines a period's nodes are spread
-	// over (hash(node)→shard; default 1).
+	// Shards is the number of worker goroutines a period's nodes are
+	// spread over: worker k drives the k-th of Shards contiguous ranges
+	// of the ID-sorted node table (default 1).
 	Shards int
 	// MaxNodes, when positive, bounds the node IDs the fleet accepts:
 	// batches and snapshot entries for nodes outside [0,MaxNodes) are
@@ -61,33 +63,53 @@ func (o *FleetOptions) sanitize() {
 	}
 }
 
-// fleetShardSalt seeds the node→shard hash (splitmix64 via runner.Seed)
-// so shard assignment is deterministic across runs and restores.
-const fleetShardSalt = 0xa7c15f1ee7
-
-// fleetShard owns a disjoint subset of nodes. mu guards nodes and every
-// nodeLoop in it: the shard's goroutine holds it for decide and commit
-// and releases it around ApplyNode and backoff waits, so Table/Summary
-// readers never wait on a slow actuator.
-type fleetShard struct {
-	mu    sync.Mutex
-	nodes []nodeEntry // sorted by node ID
-
-	// work lists the current period's batches on this shard as indices
-	// into Step's batch slice (Step scratch).
+// fleetWorker is one of a period's Shards goroutines. Of an n-row node
+// table, worker k of K drives the rows r with r·K/n = k (integer
+// division): the range [⌈k·n/K⌉, ⌈(k+1)·n/K⌉), so worker 0, which runs
+// on Step's own goroutine, always has row 0. mu guards those
+// rows' nodeLoops: the worker holds it for decide and commit and
+// releases it around ApplyNode and backoff waits, so readers, which
+// take every worker's mutex (lockAll), never wait on a slow actuator.
+// Each worker has a 64-byte cache line to itself: packed together, the
+// workers' mutexes shared a line and their lock traffic contended.
+type fleetWorker struct {
+	mu sync.Mutex
+	// work lists the current period's batches on the worker's rows as
+	// indices into Step's batch slice, in batch order (Step scratch).
 	work []int
+	_    [64 - unsafe.Sizeof(sync.Mutex{}) - unsafe.Sizeof([]int(nil))]byte
 }
 
-// nodeEntry is one row of a shard's node table.
+// nodeEntry is one row of the fleet's node table.
 type nodeEntry struct {
 	id   int
 	loop *nodeLoop
 }
 
-// find returns the index of node's row, or the index it belongs at,
-// and whether the row is there.
-func (sh *fleetShard) find(node int) (int, bool) {
-	return slices.BinarySearchFunc(sh.nodes, node, func(e nodeEntry, id int) int { return cmp.Compare(e.id, id) })
+// find returns node's row, or the row it belongs at, and whether the
+// row is there. The row at hint is tried first: sources name the same
+// nodes in the same order every period, so a node's row is usually the
+// one after the last.
+func (f *Fleet) find(node, hint int) (int, bool) {
+	if hint < len(f.nodes) && f.nodes[hint].id == node {
+		return hint, true
+	}
+	return slices.BinarySearchFunc(f.nodes, node, func(e nodeEntry, id int) int { return cmp.Compare(e.id, id) })
+}
+
+// lockAll takes every worker's mutex, in worker order; unlockAll
+// releases them. The node table's rows may be inserted only under
+// lockAll, and every reader of the table holds it.
+func (f *Fleet) lockAll() {
+	for i := range f.workers {
+		f.workers[i].mu.Lock()
+	}
+}
+
+func (f *Fleet) unlockAll() {
+	for i := range f.workers {
+		f.workers[i].mu.Unlock()
+	}
 }
 
 // A node-period's result, spelled as the telemetry counter it bumps.
@@ -100,26 +122,29 @@ const (
 // outcome is one batch's result in the current period.
 type outcome struct {
 	node   int
+	row    int // the node's row in the table; -1 for a rejected batch
 	slices map[int]sim.Time
 	result string // a decision* constant; "" for a rejected batch
 	err    error
 }
 
-// Fleet is the control plane: one nodeLoop per node, sharded across
-// goroutines for the length of a period. Each Step samples every node,
-// runs decide → applyWithRetry → commit for each shard's nodes in
-// node-ID order on one goroutine per shard, and joins them, so the
-// control state after a Step is the same at any shard count. A 1-node
-// fleet is the single-machine daemon.
+// Fleet is the control plane: one nodeLoop per node, in one table
+// sorted by node ID. Each Step samples every node, hands each worker
+// goroutine a contiguous range of the table to run decide →
+// applyWithRetry → commit on, and joins them. Nodes are independent and
+// a node's batches stay on one worker in batch order, so the control
+// state after a Step is the same at any worker count. A 1-node fleet is
+// the single-machine daemon.
 type Fleet struct {
-	cfg    core.Config
-	opts   FleetOptions
-	src    FleetSource
-	act    FleetActuator
-	shards []*fleetShard
-	outs   []outcome      // Step scratch, one per batch
-	join   sync.WaitGroup // Step's wait for its shard goroutines
-	err    error          // sticky terminal error (a node gave up)
+	cfg     core.Config
+	opts    FleetOptions
+	src     FleetSource
+	act     FleetActuator
+	nodes   []nodeEntry // the node table, sorted by node ID
+	workers []fleetWorker
+	outs    []outcome      // Step scratch, one per batch
+	join    sync.WaitGroup // Step's wait for its worker goroutines
+	err     error          // sticky terminal error (a node gave up)
 
 	stop     atomic.Bool
 	stopc    chan struct{}
@@ -150,22 +175,11 @@ func NewFleet(cfg core.Config, src FleetSource, act FleetActuator, opts FleetOpt
 		opts:     opts,
 		src:      src,
 		act:      act,
-		shards:   make([]*fleetShard, opts.Shards),
+		workers:  make([]fleetWorker, opts.Shards),
 		stopc:    make(chan struct{}),
 		vmLabels: make(map[int]string),
 	}
-	for i := range f.shards {
-		f.shards[i] = new(fleetShard)
-	}
 	return f
-}
-
-// shardOf hashes a node ID onto its shard.
-func (f *Fleet) shardOf(node int) *fleetShard {
-	if len(f.shards) == 1 {
-		return f.shards[0]
-	}
-	return f.shards[runner.Seed(fleetShardSalt, node)%uint64(len(f.shards))]
 }
 
 // SetTelemetry attaches a registry the fleet publishes into. Per
@@ -187,8 +201,9 @@ func (f *Fleet) telNow() sim.Time {
 	return sim.Time(f.periods.Load()) * 30 * sim.Millisecond
 }
 
-// Step runs one fleet-wide control period: sample every node, group the
-// batches by shard, run each shard's nodes on its own goroutine, join.
+// Step runs one fleet-wide control period: sample every node, find each
+// batch's row (inserting new nodes), hand each worker the batches on its
+// rows, run the workers on their own goroutines, join.
 // It returns io.EOF when the source is exhausted. When a node gives up,
 // the period still completes for every other node and Step returns the
 // lowest such node's error, then keeps returning it.
@@ -211,29 +226,52 @@ func (f *Fleet) Step() error {
 		return err
 	}
 
+	f.lockAll()
 	f.outs = f.outs[:0]
-	for _, sh := range f.shards {
-		sh.work = sh.work[:0]
-	}
-	for i, b := range batches {
-		f.outs = append(f.outs, outcome{node: b.Node})
+	row := -1
+	for _, b := range batches {
+		o := outcome{node: b.Node, row: -1}
 		if f.opts.MaxNodes > 0 && (b.Node < 0 || b.Node >= f.opts.MaxNodes) {
 			f.rejected.Add(1)
-			continue
+		} else {
+			var found bool
+			if row, found = f.find(b.Node, row+1); !found {
+				if row < len(f.nodes) { // rows found so far at or after it move down one
+					for j := range f.outs {
+						if f.outs[j].row >= row {
+							f.outs[j].row++
+						}
+					}
+				}
+				f.nodes = slices.Insert(f.nodes, row, nodeEntry{id: b.Node, loop: newNodeLoop(f.cfg, f.opts.Node)})
+			}
+			o.row = row
 		}
-		sh := f.shardOf(b.Node)
-		sh.work = append(sh.work, i)
+		f.outs = append(f.outs, o)
 	}
-	for _, sh := range f.shards[1:] {
-		if len(sh.work) > 0 {
+	// Bucket by row, not by batch position, so every batch of a node
+	// named twice lands on the node's worker, in batch order.
+	n, k := len(f.nodes), len(f.workers)
+	for w := range f.workers {
+		f.workers[w].work = f.workers[w].work[:0]
+	}
+	for i := range f.outs {
+		if r := f.outs[i].row; r >= 0 {
+			w := &f.workers[r*k/n]
+			w.work = append(w.work, i)
+		}
+	}
+	f.unlockAll()
+	for i := 1; i < k; i++ {
+		if w := &f.workers[i]; len(w.work) > 0 {
 			f.join.Add(1)
 			go func() {
 				defer f.join.Done()
-				f.runShard(sh, batches)
+				f.runWorker(w, batches)
 			}()
 		}
 	}
-	f.runShard(f.shards[0], batches)
+	f.runWorker(&f.workers[0], batches)
 	f.join.Wait()
 	f.periods.Add(1)
 
@@ -273,36 +311,25 @@ func (f *Fleet) Step() error {
 	return f.err
 }
 
-// runShard drives one period for a shard's nodes in batch (node-ID)
-// order, recording each batch's outcome in f.outs. A cursor walks the
-// node table alongside the batches, so a node's row is usually the one
-// after the last; a miss binary-searches, and inserts a new node's row.
-func (f *Fleet) runShard(sh *fleetShard, batches []NodeBatch) {
+// runWorker drives one period for a worker's batches in batch order,
+// recording each batch's outcome in f.outs.
+func (f *Fleet) runWorker(w *fleetWorker, batches []NodeBatch) {
 	now := time.Now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := 0
-	for _, i := range sh.work {
-		node := batches[i].Node
-		if cur >= len(sh.nodes) || sh.nodes[cur].id != node {
-			var found bool
-			if cur, found = sh.find(node); !found {
-				sh.nodes = slices.Insert(sh.nodes, cur, nodeEntry{id: node, loop: newNodeLoop(f.cfg, f.opts.Node)})
-			}
-		}
-		fn := sh.nodes[cur].loop
-		cur++
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, i := range w.work {
+		o := &f.outs[i]
+		node, fn := o.node, f.nodes[o.row].loop
 		slices := fn.ctl.Decide(batches[i].Samples, false)
 		committed, err := fn.applyWithRetry(slices, func(s map[int]sim.Time) error {
-			sh.mu.Unlock()
-			defer sh.mu.Lock()
+			w.mu.Unlock()
+			defer w.mu.Lock()
 			return f.act.ApplyNode(node, s)
 		}, func(dt time.Duration) {
-			sh.mu.Unlock()
-			defer sh.mu.Lock()
+			w.mu.Unlock()
+			defer w.mu.Lock()
 			f.wait(dt)
 		})
-		o := &f.outs[i]
 		o.slices = slices
 		switch {
 		case err != nil:
@@ -329,7 +356,7 @@ func (f *Fleet) publish(o *outcome, start, end sim.Time) {
 }
 
 // vmLabel returns VM id's telemetry label, "vm<id>", made once per VM.
-// Only Step's goroutine calls it, after the shards have joined.
+// Only Step's goroutine calls it, after the workers have joined.
 func (f *Fleet) vmLabel(id int) string {
 	lab, ok := f.vmLabels[id]
 	if !ok {
@@ -401,15 +428,12 @@ func (f *Fleet) Rejected() uint64 { return f.rejected.Load() }
 func (f *Fleet) RestoredNodes() uint64       { return f.restoredNodes.Load() }
 func (f *Fleet) SkippedRestoreNodes() uint64 { return f.skippedRestore.Load() }
 
-// eachNode calls fn for every node under its shard's lock, shard by
-// shard, each shard's in node order.
+// eachNode calls fn for every node in node-ID order, under lockAll.
 func (f *Fleet) eachNode(fn func(id int, n *nodeLoop)) {
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		for _, e := range sh.nodes {
-			fn(e.id, e.loop)
-		}
-		sh.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
+	for _, e := range f.nodes {
+		fn(e.id, e.loop)
 	}
 }
 
@@ -417,7 +441,6 @@ func (f *Fleet) eachNode(fn func(id int, n *nodeLoop)) {
 func (f *Fleet) Nodes() []int {
 	var ids []int
 	f.eachNode(func(id int, _ *nodeLoop) { ids = append(ids, id) })
-	sort.Ints(ids)
 	return ids
 }
 
@@ -431,15 +454,14 @@ func (f *Fleet) Stats() Stats {
 // LastSlices returns a copy of the last committed slices for one node
 // (nil if the node is unknown).
 func (f *Fleet) LastSlices(node int) map[int]sim.Time {
-	sh := f.shardOf(node)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	i, ok := sh.find(node)
+	f.lockAll()
+	defer f.unlockAll()
+	i, ok := f.find(node, 0)
 	if !ok {
 		return nil
 	}
 	out := make(map[int]sim.Time)
-	for _, v := range sh.nodes[i].loop.ctl.VMs() {
+	for _, v := range f.nodes[i].loop.ctl.VMs() {
 		if v.HasLast {
 			out[v.ID] = v.Last
 		}
@@ -496,7 +518,6 @@ func (f *Fleet) Table() []FleetNodeStatus {
 		st.SliceUS = minSlice.Micros()
 		out = append(out, st)
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 
@@ -513,7 +534,7 @@ type FleetSummary struct {
 // Summary aggregates the fleet-wide control-plane state.
 func (f *Fleet) Summary() FleetSummary {
 	s := FleetSummary{
-		Shards:    len(f.shards),
+		Shards:    len(f.workers),
 		Periods:   f.Periods(),
 		Decisions: f.Decisions(),
 		Rejected:  f.Rejected(),

@@ -135,7 +135,7 @@ func parallelBatch(node int, lat sim.Time) NodeBatch {
 }
 
 // TestFleetStepStartsNoGoroutines pins the fan-out/join shape: a Step
-// joins every shard goroutine it starts, and the fleet holds none
+// joins every worker goroutine it starts, and the fleet holds none
 // between Steps.
 func TestFleetStepStartsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -171,19 +171,14 @@ func (failingActuator) ApplyNode(int, map[int]sim.Time) error { return errActuat
 
 // TestFleetGiveUpReturnsLowestNode pins the terminal error when several
 // nodes give up in the same period: it is always the lowest node's,
-// whichever shard goroutine finishes first.
+// whichever worker goroutine finishes first. Of a 2-row table at 2
+// workers, nodes 0 and 1 are on different workers, so the two give up
+// on different goroutines.
 func TestFleetGiveUpReturnsLowestNode(t *testing.T) {
 	o := DefaultOptions()
 	o.GiveUpAfter, o.Sleep = 1, noSleep
-	// Pair node 0 with the lowest node hashed onto the other shard, so
-	// the two give up on different goroutines.
-	probe := NewFleet(core.DefaultConfig(), nil, failingActuator{}, FleetOptions{Shards: 2})
-	other := 1
-	for probe.shardOf(other) == probe.shardOf(0) {
-		other++
-	}
 	for run := 0; run < 50; run++ {
-		src := &scriptSource{periods: [][]NodeBatch{{parallelBatch(other, ms(1)), parallelBatch(0, ms(1))}}}
+		src := &scriptSource{periods: [][]NodeBatch{{parallelBatch(1, ms(1)), parallelBatch(0, ms(1))}}}
 		f := NewFleet(core.DefaultConfig(), src, failingActuator{}, FleetOptions{Node: o, Shards: 2})
 		err := f.Step()
 		if err == nil || !strings.Contains(err.Error(), "fleet node 0:") || !errors.Is(err, errActuator) {
@@ -365,9 +360,9 @@ func TestFleetKillRestoreMidBlackout(t *testing.T) {
 	}
 }
 
-// TestFleetShardCountInvariant pins that the shard count is pure
-// plumbing: the same cluster driven at 1, 2 and 4 shards lands the
-// same control state, byte for byte.
+// TestFleetShardCountInvariant pins that the worker count (Shards) is
+// pure plumbing: the same cluster driven at 1, 2 and 4 workers lands
+// the same control state, byte for byte.
 func TestFleetShardCountInvariant(t *testing.T) {
 	var want []byte
 	for _, shards := range []int{1, 2, 4} {
@@ -389,8 +384,8 @@ func TestFleetShardCountInvariant(t *testing.T) {
 	}
 }
 
-// TestFleetNodeTableOrderFree pins the sorted per-shard node table
-// against batch order: a source that names nodes out of ID order, adds
+// TestFleetNodeTableOrderFree pins the sorted node table against batch
+// order: a source that names nodes out of ID order, adds
 // nodes between known ones, skips some and repeats one lands the same
 // state as the same batches stably sorted by node ID.
 func TestFleetNodeTableOrderFree(t *testing.T) {

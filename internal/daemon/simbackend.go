@@ -236,12 +236,13 @@ func (b *SimBackend) SampleFleet() ([]NodeBatch, error) {
 
 // ApplyNode implements FleetActuator: write one node's slices into its
 // externally-controlled scheduler. Nodes switched to a self-adapting
-// policy (via PolicySwitch) own their slices and are skipped.
+// policy (via PolicySwitch) own their slices and are skipped. The
+// fleet's workers call it for different nodes concurrently.
 func (b *SimBackend) ApplyNode(node int, slices map[int]sim.Time) error {
 	if node < 0 || node >= len(b.World.Nodes()) {
 		return fmt.Errorf("sim backend: actuation for unknown node %d", node)
 	}
-	// Fleet shards apply concurrently; the world is quiescent meanwhile
+	// Fleet workers apply concurrently; the world is quiescent meanwhile
 	// (it only advances in SampleFleet) and the plan draws per node.
 	if err := b.scen.FaultPlan().FailActuation(node, b.World.Now()); err != nil {
 		return err

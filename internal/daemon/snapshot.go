@@ -61,9 +61,8 @@ type FleetSnapshot struct {
 
 // Snapshot captures the fleet's control state. Call it between Steps:
 // in-flight work is not represented, by design — a decision that has
-// not landed was never committed. Each shard's node table is sorted by
-// ID, so the node entries come out in order by merging the tables,
-// with every shard locked for the length of the merge.
+// not landed was never committed. The node table is sorted by ID, so
+// the node entries are one walk of it, under lockAll.
 func (f *Fleet) Snapshot() *FleetSnapshot {
 	s := &FleetSnapshot{
 		Version:   SnapshotVersion,
@@ -71,59 +70,17 @@ func (f *Fleet) Snapshot() *FleetSnapshot {
 		Periods:   f.Periods(),
 		Decisions: f.Decisions(),
 	}
-	nodes := 0
-	for _, sh := range f.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		nodes += len(sh.nodes)
-	}
-	if nodes == 0 {
+	f.lockAll()
+	defer f.unlockAll()
+	if len(f.nodes) == 0 {
 		return s
 	}
-	s.Nodes = make([]NodeSnapshot, nodes)
+	s.Nodes = make([]NodeSnapshot, len(f.nodes))
 	var a snapArena
-	mergeShards(f.shards, func(k int, e *nodeEntry) { s.Nodes[k] = e.loop.snapshot(e.id, &a) })
+	for k, e := range f.nodes {
+		s.Nodes[k] = e.loop.snapshot(e.id, &a)
+	}
 	return s
-}
-
-// mergeShards calls fn with each node entry of the shards in node-ID
-// order, numbering them from 0. Every shard's table is sorted and no
-// node is on two shards, so a min-heap of the shards' next entries
-// yields them in order (the caller holds every shard's lock).
-func mergeShards(shards []*fleetShard, fn func(k int, e *nodeEntry)) {
-	heap := make([][]nodeEntry, 0, len(shards)) // unmerged table tails, by first ID
-	for _, sh := range shards {
-		if len(sh.nodes) > 0 {
-			heap = append(heap, sh.nodes)
-		}
-	}
-	down := func(i int) {
-		for {
-			m := i
-			if l := 2*i + 1; l < len(heap) && heap[l][0].id < heap[m][0].id {
-				m = l
-			}
-			if r := 2*i + 2; r < len(heap) && heap[r][0].id < heap[m][0].id {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for k := 0; len(heap) > 0; k++ {
-		fn(k, &heap[0][0])
-		if heap[0] = heap[0][1:]; len(heap[0]) == 0 {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		down(0)
-	}
 }
 
 // snapArena is the backing store of one Snapshot's VM lists and
@@ -152,7 +109,7 @@ func carve[T any](free *[]T, n, chunk int) []T {
 }
 
 // snapshot images the loop as node id's entry, one VM per table slot,
-// carving its lists from a (caller holds the shard lock).
+// carving its lists from a (caller holds lockAll).
 func (l *nodeLoop) snapshot(id int, a *snapArena) NodeSnapshot {
 	ns := NodeSnapshot{Node: id, Periods: l.periods, ConsecDrops: l.consecDrops, Stats: l.stats()}
 	vms := l.ctl.VMs()
@@ -214,7 +171,8 @@ func restoreNodeLoop(cfg core.Config, opts Options, ns *NodeSnapshot) (*nodeLoop
 // history windows are config-shaped). Node entries outside MaxNodes —
 // a snapshot from a larger fleet, or a corrupt node ID — are counted in
 // SkippedRestoreNodes and ignored, never fatal: the control plane must
-// come back up with whatever state is still valid. Call before Run.
+// come back up with whatever state is still valid. Entries may come in
+// any order; of two for one node, the later wins. Call before Run.
 func (f *Fleet) Restore(s *FleetSnapshot) error {
 	if s.Version != SnapshotVersion {
 		return fmt.Errorf("daemon: snapshot version %d, want %d", s.Version, SnapshotVersion)
@@ -225,6 +183,8 @@ func (f *Fleet) Restore(s *FleetSnapshot) error {
 	start := f.telNow()
 	f.periods.Store(s.Periods)
 	f.decisions.Store(s.Decisions)
+	f.lockAll()
+	row := -1
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
 		if f.opts.MaxNodes > 0 && (ns.Node < 0 || ns.Node >= f.opts.MaxNodes) {
@@ -233,18 +193,18 @@ func (f *Fleet) Restore(s *FleetSnapshot) error {
 		}
 		l, err := restoreNodeLoop(f.cfg, f.opts.Node, ns)
 		if err != nil {
+			f.unlockAll()
 			return fmt.Errorf("daemon: restore node %d: %w", ns.Node, err)
 		}
-		sh := f.shardOf(ns.Node)
-		sh.mu.Lock()
-		if i, found := sh.find(ns.Node); found {
-			sh.nodes[i].loop = l
+		var found bool
+		if row, found = f.find(ns.Node, row+1); found {
+			f.nodes[row].loop = l
 		} else {
-			sh.nodes = slices.Insert(sh.nodes, i, nodeEntry{id: ns.Node, loop: l})
+			f.nodes = slices.Insert(f.nodes, row, nodeEntry{id: ns.Node, loop: l})
 		}
-		sh.mu.Unlock()
 		f.restoredNodes.Add(1)
 	}
+	f.unlockAll()
 	if f.tel != nil {
 		f.tel.AddSpan(telemetry.Span{
 			Name: "restore", Track: "fleet", Node: -1, Start: start, End: f.telNow(),

@@ -50,7 +50,9 @@ type fleetCell struct {
 	P99DecisionUS float64 `json:"p99_decision_us,omitempty"`
 	P99StepUS     float64 `json:"p99_step_us,omitempty"`
 	SimS          float64 `json:"sim_s"`
-	PeakRSSMB     float64 `json:"peak_rss_mb"`
+	// PeakRSSMB is the process's peak RSS so far (see peakRSSMB), not
+	// the cell's own.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
 // runFleetCell builds a hollow fleet of n nodes sharded s ways, runs it
@@ -119,7 +121,7 @@ func init() {
 				fmt.Sprintf("Fleet sweep (%s): %v nodes x fleet shards %v, %d control periods per cell",
 					sc.Name, nodeSteps, shardSteps, fleetPeriods),
 				"nodes", "shards", "periods", "decisions", "wall (s)", "decisions/s",
-				"p99 step", "vs 1 shard", "peak RSS MB")
+				"p99 step", "vs 1 shard", "process peak RSS so far MB")
 			run := scaleRun{
 				Date:  time.Now().Format("2006-01-02"),
 				Go:    runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
@@ -152,11 +154,12 @@ func init() {
 				}
 			}
 			t.AddNote("each cell drives a hollow cluster (one light VM per node) through Fleet.Step: "+
-				"sample every node -> one goroutine per shard deciding, actuating and committing its "+
-				"nodes -> join. p99 step is the wall time of one whole Step, sample included. "+
+				"sample every node -> one worker goroutine per fleet shard deciding, actuating and "+
+				"committing a contiguous range of the node table -> join. p99 step is the wall time of one whole Step, sample included. "+
 				"Host has %d core(s); shard speedups need multiple cores.", runtime.NumCPU())
 			t.AddNote("a Step's wall time includes advancing the simulated world by one period, " +
 				"so decisions/s understates the control-plane-only ceiling at large node counts.")
+			t.AddNote(peakRSSNote)
 			if err := appendBenchScale(run); err != nil {
 				t.AddNote("WARNING: could not append to %s: %v", benchScalePath, err)
 			} else {

@@ -56,7 +56,7 @@ type scaleCell struct {
 	EventsPS  float64 `json:"events_per_s"`
 	SimS      float64 `json:"sim_s"`
 	HeapMB    float64 `json:"heap_mb"`
-	PeakRSSMB float64 `json:"peak_rss_mb"`
+	PeakRSSMB float64 `json:"peak_rss_mb"` // the process's peak RSS so far, not the cell's own
 }
 
 // scaleRun is one full sweep appended to BENCH_scale.json: a simulator
@@ -138,6 +138,11 @@ func peakRSSMB() float64 {
 	return 0
 }
 
+// peakRSSNote explains the peakRSSMB column of the fleet and scale tables.
+const peakRSSNote = "process peak RSS so far is the process's high-water RSS (VmHWM) when the cell ends: " +
+	"cells run one after another in one process, so it is the largest of this cell's and every " +
+	"earlier cell's peak, not the cell's own."
+
 // appendBenchScale appends one sweep to benchScalePath, creating the
 // file when absent and preserving prior runs.
 func appendBenchScale(run scaleRun) error {
@@ -166,7 +171,7 @@ func init() {
 			t := report.New(
 				fmt.Sprintf("Scale sweep (%s): %v nodes x shards %v, %v virtual time per cell",
 					sc.Name, nodeSteps, shardSteps, scaleSimTime),
-				"nodes", "shards", "events", "wall (s)", "events/s", "vs 1 shard", "heap MB", "peak RSS MB")
+				"nodes", "shards", "events", "wall (s)", "events/s", "vs 1 shard", "heap MB", "process peak RSS so far MB")
 			run := scaleRun{
 				Date:  time.Now().Format("2006-01-02"),
 				Go:    runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
@@ -202,7 +207,7 @@ func init() {
 				"match the baseline (goroutines serialize), the >=1.0x-at->=1024-nodes "+
 				"speedup criterion applies on multi-core hosts.",
 				cluster.DefaultConfig(2, cluster.CR).Net.WireLatency, runtime.NumCPU())
-			t.AddNote("peak RSS (VmHWM) is monotone across cells; per-cell attribution is the heap column.")
+			t.AddNote(peakRSSNote + " Per-cell attribution is the heap column.")
 			if err := appendBenchScale(run); err != nil {
 				t.AddNote("WARNING: could not append to %s: %v", benchScalePath, err)
 			} else {
