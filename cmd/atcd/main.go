@@ -36,9 +36,12 @@
 //	-listen addr     serve Prometheus text exposition on /metrics (its
 //	                 cost does not grow with span or series history) and
 //	                 a JSON state snapshot (fleet summary plus per-node
-//	                 table) on /debug/atc; the process keeps serving
-//	                 after the control loop ends until SIGINT or SIGTERM
-//	                 arrives (clean shutdown either way)
+//	                 table) on /debug/atc; every telemetry history keeps
+//	                 its newest entries, so both show the present however
+//	                 long the run, and /metrics counts what the caps
+//	                 evicted (atc_telemetry_dropped_*_total); the process
+//	                 keeps serving after the control loop ends until
+//	                 SIGINT or SIGTERM arrives (clean shutdown either way)
 //	-timeline f.json sim: write a Chrome/Perfetto trace-event timeline
 //	-jsonl f.jsonl   sim: write the telemetry time-series dump
 //

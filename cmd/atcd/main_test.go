@@ -63,6 +63,10 @@ func TestLiveTelemetrySurface(t *testing.T) {
 		"atc_daemon_slice_ns_last{vm=",      // per-VM slice series
 		"atc_sched_dispatches_total{node=",  // per-node scheduler counters
 		"atc_spin_latency_bucket{node=",     // spin-latency histogram
+		// what the retention caps evicted, exported even at zero
+		"atc_telemetry_dropped_points_total ",
+		"atc_telemetry_dropped_spans_total ",
+		"atc_telemetry_dropped_records_total ",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q\n%s", want, metrics)

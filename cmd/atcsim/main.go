@@ -55,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 		horizon  = fs.Float64("horizon", 1200, "virtual-time budget in seconds")
 		hogs     = fs.Int("hogs", 0, "CPU-hog (1-VCPU gcc) non-parallel VMs per node")
 		trace    = fs.String("trace", "", "write a scheduling trace: 'summary', 'text:<file>' or 'csv:<file>'")
-		traceCap = fs.Int("tracecap", 200000, "max trace records retained per node (ring; <= 0 selects 65536)")
+		traceCap = fs.Int("tracecap", 200000, "max trace records retained per node, the newest (<= 0 selects 65536)")
 		timeline = fs.String("timeline", "", "write a Chrome/Perfetto trace-event timeline to this file")
 		jsonlOut = fs.String("jsonl", "", "write the telemetry time-series dump (JSON Lines) to this file")
 	)
@@ -111,7 +111,6 @@ func run(args []string, stdout io.Writer) error {
 	var plane *telemetry.Plane
 	if *timeline != "" || *jsonlOut != "" {
 		plane = telemetry.New(opts)
-		s.Cfg.Telemetry = plane
 		s.World.SetTelemetry(plane)
 	}
 	if *trace != "" || *timeline != "" {

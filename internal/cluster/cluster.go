@@ -227,9 +227,10 @@ func (s *Scenario) FaultReport() fault.Report { return s.faults.Report() }
 
 // FinalizeTelemetry publishes end-of-run totals (per-node scheduler
 // counters, shard sync stats, fault windows and tallies) into the
-// configured telemetry plane. No-op without one; call after the run.
+// world's telemetry plane, however it was attached (Config.Telemetry or
+// World.SetTelemetry). No-op without one; call after the run.
 func (s *Scenario) FinalizeTelemetry() {
-	p := s.Cfg.Telemetry
+	p := s.World.Telemetry()
 	if p == nil {
 		return
 	}

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"atcsched/internal/fault"
 	"atcsched/internal/sim"
+	"atcsched/internal/telemetry"
 	"atcsched/internal/workload"
 )
 
@@ -55,6 +58,43 @@ func TestFaultPlanDeterministicAcrossRuns(t *testing.T) {
 	}
 	if lost == 0 {
 		t.Error("20% loss over the whole run injected nothing — hooks not live?")
+	}
+}
+
+// TestFinalizeTelemetryFollowsWorldPlane checks that the end-of-run
+// totals go to the plane the world publishes into, whether it came in
+// through Config.Telemetry or World.SetTelemetry, and that both ways
+// publish the same counters.
+func TestFinalizeTelemetryFollowsWorldPlane(t *testing.T) {
+	counters := func(viaConfig bool) map[string]uint64 {
+		cfg := faultedConfig(3)
+		plane := telemetry.New(telemetry.Options{})
+		if viaConfig {
+			cfg.Telemetry = plane
+		}
+		s := MustNew(cfg)
+		if !viaConfig {
+			s.World.SetTelemetry(plane)
+		}
+		prof := workload.NPB("lu", workload.ClassA)
+		prof.Iterations = 2
+		s.RunParallel(prof, s.VirtualCluster("vc", 2, 2, nil), 2, false)
+		s.Go(120 * sim.Second)
+		s.FinalizeTelemetry()
+		out := map[string]uint64{}
+		for _, c := range plane.Snapshot().Counters {
+			out[fmt.Sprintf("%s/%d", c.Name, c.Node)] = c.Value
+		}
+		return out
+	}
+	viaConfig, attached := counters(true), counters(false)
+	for _, name := range []string{"sched_dispatches/0", "shard_sync_windows/-1", "fault_packets_lost/-1"} {
+		if _, ok := attached[name]; !ok {
+			t.Errorf("a plane attached with SetTelemetry gets no %s total", name)
+		}
+	}
+	if !reflect.DeepEqual(viaConfig, attached) {
+		t.Errorf("end-of-run totals differ by how the plane was attached:\nconfig     %v\nSetTelemetry %v", viaConfig, attached)
 	}
 }
 

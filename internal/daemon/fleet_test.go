@@ -202,13 +202,13 @@ func TestFleetDecisionTelemetry(t *testing.T) {
 		{parallelBatch(0, ms(1)), parallelBatch(1, ms(2))},
 		{parallelBatch(1, ms(2))},
 	}}
-	reg := telemetry.NewRegistry(telemetry.Options{})
+	plane := telemetry.New(telemetry.Options{})
 	f := NewFleet(core.DefaultConfig(), src, &mapActuator{}, FleetOptions{Shards: 2})
-	f.SetTelemetry(reg, nil)
+	f.SetTelemetry(plane.Global(), nil)
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
+	snap := plane.Snapshot()
 	var spans []string
 	for _, sp := range snap.Spans {
 		spans = append(spans, fmt.Sprintf("%s n%d %v-%v", sp.Name, sp.Node, sp.Start, sp.End))

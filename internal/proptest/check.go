@@ -81,7 +81,6 @@ func runOne(spec Spec, approach cluster.Approach, traced bool) (*result, error) 
 	if spec.Telemetry {
 		// Instrumented runs must fingerprint identically to bare ones:
 		// the battery attaches a full plane and otherwise changes nothing.
-		s.Cfg.Telemetry = plane
 		s.World.SetTelemetry(plane)
 	}
 	if traced {

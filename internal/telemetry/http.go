@@ -73,13 +73,22 @@ func writeFloat(w *bufio.Writer, name []byte, lab Label, v float64) {
 	w.WriteByte('\n')
 }
 
+// droppedHeads are the TYPE line and sample name of the counters of
+// evicted series points, spans and scheduling records.
+var droppedHeads = [...]string{
+	"# TYPE atc_telemetry_dropped_points_total counter\natc_telemetry_dropped_points_total ",
+	"# TYPE atc_telemetry_dropped_spans_total counter\natc_telemetry_dropped_spans_total ",
+	"# TYPE atc_telemetry_dropped_records_total counter\natc_telemetry_dropped_records_total ",
+}
+
 // WritePrometheus renders a snapshot as Prometheus text exposition
 // (version 0.0.4). Counters and gauges map directly; each series
 // contributes a gauge holding its last sample; histograms become
 // standard _bucket/_sum/_count families with le bounds in seconds of
-// virtual time. Spans are not exported. Each sample's name is built in
-// one reused buffer, so a scrape allocates once per metric family, not
-// once per sample.
+// virtual time. Spans are not exported; atc_telemetry_dropped_*_total
+// count what the retention caps evicted, at zero too. Each sample's name
+// is built in one reused buffer, so a scrape allocates once per metric
+// family, not once per sample.
 func WritePrometheus(w *bufio.Writer, snap Snapshot) error {
 	typed := map[string]bool{}
 	var name []byte
@@ -121,6 +130,11 @@ func WritePrometheus(w *bufio.Writer, snap Snapshot) error {
 		writeFloat(w, name, h.Label, h.Sum.Seconds())
 		name = appendName(name[:0], h.Name, "_count")
 		writeUint(w, name, h.Label, nil, h.Count)
+	}
+	for i, v := range [...]uint64{snap.DroppedPoints, snap.DroppedSpans, snap.DroppedRecords} {
+		w.WriteString(droppedHeads[i])
+		w.Write(strconv.AppendUint(w.AvailableBuffer(), v, 10))
+		w.WriteByte('\n')
 	}
 	return w.Flush()
 }

@@ -55,11 +55,11 @@ func TestHistogramQuantileEdges(t *testing.T) {
 // TestHistogramQuantileLive drives the estimator through the Registry
 // path the fleet uses for decision latency.
 func TestHistogramQuantileLive(t *testing.T) {
-	r := NewRegistry(Options{})
+	p := New(Options{})
 	for i := 1; i <= 100; i++ {
-		r.Observe("lat", GlobalLabel(), sim.Time(i)*sim.Microsecond)
+		p.Global().Observe("lat", GlobalLabel(), sim.Time(i)*sim.Microsecond)
 	}
-	snap := r.Snapshot()
+	snap := p.Snapshot()
 	if len(snap.Histograms) != 1 {
 		t.Fatalf("histograms = %d, want 1", len(snap.Histograms))
 	}

@@ -67,20 +67,14 @@ func (e SchedEvent) String() string {
 	return fmt.Sprintf("%-12v node%d %-8s pcpu=%d vcpu=%s/%d", e.At, e.Node, e.Kind, e.PCPU, e.VM, e.VCPU)
 }
 
-// Record appends one scheduling record to the registry's ring; past
-// RecordCap the oldest record is evicted and counted. A registry's
-// records must arrive in time order, as a node's do on its engine
-// clock: snapshots merge the rings without sorting them.
+// Record appends one scheduling record; past RecordCap and its slack
+// the oldest records are evicted and counted. A registry's records must
+// arrive in time order, as a node's do on its engine clock: snapshots
+// merge the registries' records without sorting them.
 func (r *Registry) Record(e SchedEvent) {
 	r.mu.Lock()
-	if len(r.records) < r.opts.RecordCap {
-		r.records = append(r.records, e)
-	} else {
-		r.records[r.recHead] = e
-		if r.recHead++; r.recHead == len(r.records) {
-			r.recHead = 0
-		}
-		r.recordsDropped++
+	if r.records = append(r.records, e); overCap(len(r.records), r.opts.RecordCap) {
+		r.records = keepNewest(r.records, r.opts.RecordCap, &r.recordsDropped)
 	}
 	r.mu.Unlock()
 }
@@ -108,7 +102,7 @@ func WriteRecordsCSV(w io.Writer, records []SchedEvent) error {
 
 // RecordSummary tabulates snap's records per VM (dispatches, preempts,
 // blocks, wakes): a quick textual profile of a run, with a note of how
-// many older records the rings evicted.
+// many older records the caps evicted.
 func RecordSummary(snap Snapshot) string {
 	per := map[string]*[SchedWake + 1]int{}
 	for _, e := range snap.Records {
@@ -131,7 +125,7 @@ func RecordSummary(snap Snapshot) string {
 		fmt.Fprintf(&b, "%-16s %10d %10d %10d %10d\n", vm, a[SchedDispatch], a[SchedPreempt], a[SchedBlock], a[SchedWake])
 	}
 	if snap.DroppedRecords > 0 {
-		fmt.Fprintf(&b, "(%d older records dropped by the ring)\n", snap.DroppedRecords)
+		fmt.Fprintf(&b, "(%d older records dropped by the cap)\n", snap.DroppedRecords)
 	}
 	return b.String()
 }

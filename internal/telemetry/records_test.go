@@ -17,11 +17,11 @@ import (
 )
 
 func TestRecordRingBound(t *testing.T) {
-	r := NewRegistry(Options{RecordCap: 4})
+	p := New(Options{RecordCap: 4})
 	for i := 0; i < 10; i++ {
-		r.Record(SchedEvent{At: sim.Time(i), Kind: SchedDispatch, VM: "x"})
+		p.Node(0).Record(SchedEvent{At: sim.Time(i), Kind: SchedDispatch, VM: "x"})
 	}
-	snap := r.Snapshot()
+	snap := p.Snapshot()
 	if len(snap.Records) != 4 {
 		t.Fatalf("kept %d records, want 4", len(snap.Records))
 	}
@@ -29,13 +29,13 @@ func TestRecordRingBound(t *testing.T) {
 		t.Errorf("DroppedRecords = %d, want 6", snap.DroppedRecords)
 	}
 	if recs := snap.Records; recs[0].At != 6 || recs[3].At != 9 {
-		t.Errorf("ring kept %v..%v, want 6..9", recs[0].At, recs[3].At)
+		t.Errorf("kept %v..%v, want 6..9", recs[0].At, recs[3].At)
 	}
 }
 
 // TestRecordRingPerNode checks the retention rule across a plane: every
 // node registry keeps its own newest RecordCap records, and the
-// snapshot's eviction count is the sum of what each ring evicted.
+// snapshot's eviction count is the sum of what each cap evicted.
 func TestRecordRingPerNode(t *testing.T) {
 	const recordCap = 5
 	p := New(Options{RecordCap: recordCap})
@@ -195,11 +195,12 @@ func TestWriteTrace(t *testing.T) {
 }
 
 func TestRecordSummary(t *testing.T) {
-	r := NewRegistry(Options{RecordCap: 2})
+	p := New(Options{RecordCap: 2})
+	r := p.Node(0)
 	r.Record(SchedEvent{Kind: SchedDispatch, VM: "a"})
 	r.Record(SchedEvent{Kind: SchedBlock, VM: "a"})
 	r.Record(SchedEvent{Kind: SchedWake, VM: "b"})
-	s := RecordSummary(r.Snapshot())
+	s := RecordSummary(p.Snapshot())
 	if !strings.Contains(s, "b") || !strings.Contains(s, "(1 older records dropped") {
 		t.Errorf("summary:\n%s", s)
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -102,8 +103,8 @@ func TestSortSnapshotMatchesReference(t *testing.T) {
 	}
 }
 
-// spanStream publishes random spans into a plane and keeps, per
-// registry, the spans it retained in publish order: the input of the
+// spanStream publishes random spans into a plane and logs, per
+// registry, every span it published in publish order: the input of the
 // reference snapshot.
 type spanStream struct {
 	p     *Plane
@@ -137,27 +138,33 @@ func (st *spanStream) publish(n int) {
 		s.End = s.Start + sim.Time(st.r.Intn(5))*sim.Microsecond
 		st.seq++
 		reg.AddSpan(s)
-		if len(st.logs[i]) < st.cap {
-			st.logs[i] = append(st.logs[i], s)
-		}
+		st.logs[i] = append(st.logs[i], s)
 	}
 }
 
-// want is the old algorithm's span section: every registry's spans
-// concatenated in registry order, then stable-sorted.
-func (st *spanStream) want() []Span {
+// want is the reference span section and its drop count: every
+// registry's spans stable-sorted, the newest cap of each kept, then
+// concatenated in registry order and stable-sorted again.
+func (st *spanStream) want() ([]Span, uint64) {
 	var snap Snapshot
+	var dropped uint64
 	for _, log := range st.logs {
-		snap.Spans = append(snap.Spans, log...)
+		reg := Snapshot{Spans: append([]Span(nil), log...)}
+		refSortSnapshot(&reg)
+		if k := len(reg.Spans) - st.cap; k > 0 {
+			reg.Spans, dropped = reg.Spans[k:], dropped+uint64(k)
+		}
+		snap.Spans = append(snap.Spans, reg.Spans...)
 	}
 	refSortSnapshot(&snap)
-	return snap.Spans
+	return snap.Spans, dropped
 }
 
-// TestPlaneSnapshotMatchesConcatSort checks the incremental sort and the
-// k-way merge against the old algorithm (concatenate, then stable sort)
-// over random span streams with snapshots interleaved between batches,
-// with and without a span cap that drops.
+// TestPlaneSnapshotMatchesConcatSort checks the incremental sort, the
+// span trims and the k-way merge against the reference (per registry,
+// stable sort and keep the newest cap; then concatenate and stable
+// sort) over random span streams with snapshots interleaved between
+// batches, with and without a span cap that evicts.
 func TestPlaneSnapshotMatchesConcatSort(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		spanCap := 0
@@ -167,21 +174,54 @@ func TestPlaneSnapshotMatchesConcatSort(t *testing.T) {
 		st := newSpanStream(seed, 1+int(seed%6), spanCap)
 		for round := 0; round < 8; round++ {
 			st.publish(st.r.Intn(120))
-			if round%3 == 2 {
-				// A lone registry's snapshot orders its new spans by the
-				// same path; the plane's next snapshot must not change.
-				node := st.r.Intn(st.nodes)
-				alone := st.p.Node(node).Snapshot()
-				ref := Snapshot{Spans: append([]Span(nil), st.logs[node]...)}
-				refSortSnapshot(&ref)
-				if !reflect.DeepEqual(alone.Spans, ref.Spans) {
-					t.Fatalf("seed %d round %d: node %d registry snapshot differs from its stable sort", seed, round, node)
-				}
+			if round%3 == 1 {
+				continue // let two batches pile up unsorted
 			}
 			got := st.p.Snapshot()
-			if want := st.want(); !reflect.DeepEqual(got.Spans, want) {
-				t.Fatalf("seed %d round %d: merged spans differ from the concatenated stable sort\ngot  %v\nwant %v", seed, round, got.Spans, want)
+			want, dropped := st.want()
+			if !reflect.DeepEqual(got.Spans, want) || got.DroppedSpans != dropped {
+				t.Fatalf("seed %d round %d: merged spans (%d dropped) differ from the reference (%d dropped)\ngot  %v\nwant %v",
+					seed, round, got.DroppedSpans, dropped, got.Spans, want)
 			}
+		}
+	}
+}
+
+// TestRetentionIgnoresSnapshots is the retention rule's determinism
+// property: over random streams of points, spans and records, with caps
+// small enough to trim many times, the final snapshot is the same
+// whether or not snapshots and metrics views were taken along the way.
+func TestRetentionIgnoresSnapshots(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		opts := Options{SeriesCap: 5, SpanCap: 12, RecordCap: 7}
+		quiet, watched := New(opts), New(opts)
+		r := rng.New(seed)
+		nodes := 1 + int(seed%3)
+		clock := make([]sim.Time, nodes)
+		for i := 0; i < 600; i++ {
+			n := r.Intn(nodes)
+			clock[n] += sim.Time(r.Intn(3))
+			lab := Label{Node: n, VM: fmt.Sprintf("vm%d", r.Intn(2))}
+			span := Span{Name: "spin", Node: n, Start: sim.Time(r.Intn(40)), Value: sim.Time(i)}
+			for _, p := range []*Plane{quiet, watched} {
+				switch reg := p.Node(n); i % 3 {
+				case 0:
+					reg.Point("slice_ns", lab, clock[n], float64(i))
+				case 1:
+					reg.AddSpan(span)
+				case 2:
+					reg.Record(SchedEvent{At: clock[n], Node: n, VCPU: i})
+				}
+			}
+			switch r.Intn(9) {
+			case 0:
+				watched.Snapshot()
+			case 1:
+				watched.Metrics()
+			}
+		}
+		if a, b := quiet.Snapshot(), watched.Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: the final snapshot depends on the snapshots taken along the way\nwithout %+v\nwith    %+v", seed, a, b)
 		}
 	}
 }

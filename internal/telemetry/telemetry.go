@@ -15,11 +15,12 @@
 // proptest battery enforces byte-identical results telemetry-on vs
 // telemetry-off at every shard count.
 //
-// Two retention rules bound a registry's memory. Series points and
-// spans keep the first N (a deterministic prefix; later ones are dropped
-// and counted). Scheduling records keep the newest N in a ring (older
-// ones are evicted and counted), because a record stream is read for
-// how a run ended as much as for how it began.
+// One retention rule bounds a registry's memory: a series' points, a
+// registry's spans and its scheduling records each keep their newest N
+// (spans by their canonical order), and what they evict is counted. A
+// history may outgrow N by a quarter of N before a trim cuts it back in
+// a fresh array; a snapshot shows the newest N, so what it shows follows
+// from the publish stream alone.
 //
 // Registries serialize their own access with a mutex so a live HTTP
 // scrape (cmd/atcd) can snapshot mid-run; within the simulator each
@@ -34,12 +35,13 @@
 // (times log of the registry count). Metrics, the /metrics view, copies
 // no spans and no series history at all.
 //
-// Locking rule: a registry's span order is rewritten only by a full
-// snapshot holding the snapshot mutex (one per plane, shared by all of
-// its registries) and the registry's own mutex, in that order. A
-// publisher only appends past the end of the spans under the registry
-// mutex, so a snapshot that still holds the snapshot mutex may read a
-// sorted prefix after releasing the registry mutex.
+// Locking rule: a registry's span order is rewritten in place only by a
+// full snapshot holding its plane's snapshot mutex and the registry's
+// own mutex, in that order. A publisher, under the registry mutex, only
+// appends past the end of a history or swaps in a trimmed fresh array,
+// never writing into the old one, so a snapshot that still holds the
+// snapshot mutex may read a registry's spans and records after
+// releasing the registry mutex.
 package telemetry
 
 import (
@@ -169,16 +171,16 @@ func DefaultBounds() []sim.Time {
 	}
 }
 
-// Options bound a Registry's memory.
+// Options bound a Registry's memory; each cap keeps the newest entries.
 type Options struct {
-	// SeriesCap bounds the points retained per series (<= 0: default).
-	// Past the cap new points are dropped and counted.
+	// SeriesCap bounds the points retained per series, the newest ones
+	// (<= 0: default).
 	SeriesCap int
-	// SpanCap bounds the spans retained per registry (<= 0: default).
+	// SpanCap bounds the spans retained per registry, the ones last in
+	// (start, node) order (<= 0: default).
 	SpanCap int
-	// RecordCap bounds the scheduling records retained per registry
-	// (<= 0: default). Past the cap the oldest record is evicted and
-	// counted, so the newest RecordCap records stay.
+	// RecordCap bounds the scheduling records retained per registry, the
+	// newest ones (<= 0: default).
 	RecordCap int
 	// HistBounds overrides the histogram bucket ladder (nil: default).
 	HistBounds []sim.Time
@@ -206,12 +208,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// series is the mutable series state: the retained prefix of its
-// points, and its newest point, which /metrics renders even once the
-// prefix is full.
+// series is the mutable series state: its retained points, oldest
+// first, and how many older ones trims evicted.
 type series struct {
 	points  []Point
-	last    Point
 	dropped uint64
 }
 
@@ -229,7 +229,6 @@ type hist struct {
 // simulator each registry is written from a single engine goroutine.
 type Registry struct {
 	mu       sync.Mutex
-	snapMu   *sync.Mutex // the snapshot mutex; a plane's registries share the plane's
 	opts     Options
 	counters map[key]uint64
 	gauges   map[key]float64
@@ -240,21 +239,13 @@ type Registry struct {
 	// ones the last full snapshot saw.
 	sorted       int
 	spansDropped uint64
-	// records is the ring of the newest scheduling records, oldest at
-	// recHead once it is full.
+	// records are the retained scheduling records, oldest first.
 	records        []SchedEvent
-	recHead        int
 	recordsDropped uint64
 }
 
-// NewRegistry builds a registry (zero Options select the defaults).
-func NewRegistry(opts Options) *Registry {
-	return newRegistry(opts.withDefaults(), new(sync.Mutex))
-}
-
-func newRegistry(opts Options, snapMu *sync.Mutex) *Registry {
+func newRegistry(opts Options) *Registry {
 	return &Registry{
-		snapMu:   snapMu,
 		opts:     opts,
 		counters: make(map[key]uint64),
 		gauges:   make(map[key]float64),
@@ -284,10 +275,23 @@ func (r *Registry) SetGauge(name string, lab Label, v float64) {
 	r.mu.Unlock()
 }
 
-// Point appends one time-series sample. Past the series cap the sample
-// is dropped from the history (and counted) rather than evicting it — a
-// bounded prefix keeps exporter output deterministic — but it still
-// becomes the series' newest point, the one /metrics reports.
+// overCap reports whether a history of length l has outgrown its cap n
+// by more than its slack, a quarter of the cap, and is due for a trim.
+func overCap(l, n int) bool { return l > n+n/4 }
+
+// keepNewest trims history h to its newest n entries, counting the
+// evicted ones in dropped. The survivors go to a fresh array with room
+// for the slack: a full snapshot may still be reading h's.
+func keepNewest[T any](h []T, n int, dropped *uint64) []T {
+	*dropped += uint64(len(h) - n)
+	return append(make([]T, 0, n+n/4), h[len(h)-n:]...)
+}
+
+// excess is how many of l entries a snapshot omits to show the newest n.
+func excess(l, n int) int { return max(l-n, 0) }
+
+// Point appends one time-series sample; past the series cap and its
+// slack the oldest points are evicted and counted.
 func (r *Registry) Point(name string, lab Label, t sim.Time, v float64) {
 	r.mu.Lock()
 	k := key{name, lab}
@@ -296,11 +300,8 @@ func (r *Registry) Point(name string, lab Label, t sim.Time, v float64) {
 		s = &series{}
 		r.series[k] = s
 	}
-	s.last = Point{T: t, V: v}
-	if len(s.points) >= r.opts.SeriesCap {
-		s.dropped++
-	} else {
-		s.points = append(s.points, s.last)
+	if s.points = append(s.points, Point{T: t, V: v}); overCap(len(s.points), r.opts.SeriesCap) {
+		s.points = keepNewest(s.points, r.opts.SeriesCap, &s.dropped)
 	}
 	r.mu.Unlock()
 }
@@ -321,14 +322,18 @@ func (r *Registry) Observe(name string, lab Label, d sim.Time) {
 	r.mu.Unlock()
 }
 
-// AddSpan records one completed span. Past the cap spans are dropped
-// and counted.
+// AddSpan records one completed span. Past the span cap and its slack
+// the spans are put in canonical order and the ones first in it are
+// evicted and counted.
 func (r *Registry) AddSpan(s Span) {
 	r.mu.Lock()
-	if len(r.spans) >= r.opts.SpanCap {
-		r.spansDropped++
-	} else {
-		r.spans = append(r.spans, s)
+	if r.spans = append(r.spans, s); overCap(len(r.spans), r.opts.SpanCap) {
+		// Order a copy: a full snapshot may still be reading the old
+		// array's sorted prefix.
+		all := slices.Clone(r.spans)
+		slices.SortStableFunc(all[r.sorted:], compareSpans)
+		mergeInPlace(all, r.sorted)
+		r.spans, r.sorted = keepNewest(all, r.opts.SpanCap, &r.spansDropped), r.opts.SpanCap
 	}
 	r.mu.Unlock()
 }
@@ -338,7 +343,8 @@ func (r *Registry) AddSpan(s Span) {
 // (name, node, vm); spans sorted by (start, node) and scheduling records
 // by (time, node), ties in registry order (nodes ascending, then the
 // global registry) and then in publish order (engine order) within a
-// registry.
+// registry. Each history shows its newest cap entries; Dropped* count
+// everything published and not shown.
 type Snapshot struct {
 	Counters       []Counter    `json:"counters"`
 	Gauges         []Gauge      `json:"gauges"`
@@ -351,10 +357,10 @@ type Snapshot struct {
 	DroppedRecords uint64       `json:"droppedRecords,omitempty"`
 }
 
-// metricsInto appends this registry's metrics to snap (the caller holds
-// r.mu and sorts). With history each series carries all its retained
-// points; without, only its newest one (retained or not), copied into
-// one backing array per registry.
+// metricsInto appends this registry's metrics and eviction counts to
+// snap (the caller holds r.mu and sorts). With history each series
+// carries its newest SeriesCap points; without, only its newest one,
+// copied into one backing array per registry.
 func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 	for k, v := range r.counters {
 		snap.Counters = append(snap.Counters, Counter{Name: k.name, Label: k.lab, Value: v})
@@ -367,15 +373,16 @@ func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 		last = make([]Point, 0, len(r.series))
 	}
 	for k, s := range r.series {
+		old := excess(len(s.points), r.opts.SeriesCap)
 		var pts []Point
 		if history {
-			pts = append([]Point(nil), s.points...)
+			pts = append([]Point(nil), s.points[old:]...)
 		} else {
-			last = append(last, s.last)
+			last = append(last, s.points[len(s.points)-1])
 			pts = last[len(last)-1 : len(last) : len(last)]
 		}
 		snap.Series = append(snap.Series, Series{Name: k.name, Label: k.lab, Points: pts})
-		snap.DroppedPoints += s.dropped
+		snap.DroppedPoints += s.dropped + uint64(old)
 	}
 	if len(r.hists) > 0 {
 		// Every histogram shares one copy of the bound ladder, and the
@@ -394,14 +401,14 @@ func (r *Registry) metricsInto(snap *Snapshot, history bool) {
 			snap.Histograms = append(snap.Histograms, out)
 		}
 	}
-	snap.DroppedSpans += r.spansDropped
-	snap.DroppedRecords += r.recordsDropped
+	snap.DroppedSpans += r.spansDropped + uint64(excess(len(r.spans), r.opts.SpanCap))
+	snap.DroppedRecords += r.recordsDropped + uint64(excess(len(r.records), r.opts.RecordCap))
 }
 
 // sortSpans brings r.spans into canonical order and returns them. The
 // spans before r.sorted are in order already; only the ones published
-// since are sorted, then merged into that prefix. The caller holds the
-// snapshot mutex and r.mu.
+// since are sorted, then merged into that prefix. The caller holds its
+// plane's snapshot mutex and r.mu.
 func (r *Registry) sortSpans() []Span {
 	s, n := r.spans, r.sorted
 	if n < len(s) {
@@ -510,17 +517,8 @@ func mergeRuns[T any](runs [][]T, key func(*T) (sim.Time, int)) []T {
 	return out
 }
 
-// ringRecords copies the record ring oldest-first. The caller holds
-// r.mu: once the ring is full a publisher overwrites its slots, so the
-// records cannot be read after the lock is released as spans can.
-func (r *Registry) ringRecords() []SchedEvent {
-	out := make([]SchedEvent, 0, len(r.records))
-	out = append(out, r.records[r.recHead:]...)
-	return append(out, r.records[:r.recHead]...)
-}
-
 // snapshotOf renders regs in order. A full snapshot (the caller holds
-// their snapshot mutex) copies every series point, span and record; a
+// their snapshot mutex) copies the newest cap of every history; a
 // metrics view copies each series' newest point and no spans or
 // records.
 func snapshotOf(regs []*Registry, full bool) Snapshot {
@@ -535,8 +533,9 @@ func snapshotOf(regs []*Registry, full bool) Snapshot {
 		r.mu.Lock()
 		r.metricsInto(&snap, full)
 		if full {
-			spans[i] = r.sortSpans()
-			records[i] = r.ringRecords()
+			s := r.sortSpans()
+			spans[i] = s[excess(len(s), r.opts.SpanCap):]
+			records[i] = r.records[excess(len(r.records), r.opts.RecordCap):]
 		}
 		r.mu.Unlock()
 	}
@@ -546,13 +545,6 @@ func snapshotOf(regs []*Registry, full bool) Snapshot {
 		snap.Records = mergeRuns(records, recordKey)
 	}
 	return snap
-}
-
-// Snapshot renders this single registry deterministically.
-func (r *Registry) Snapshot() Snapshot {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	return snapshotOf([]*Registry{r}, true)
 }
 
 // Plane is a whole world's telemetry: one registry per node plus one
@@ -571,7 +563,7 @@ type Plane struct {
 // New builds a plane (zero Options select the defaults).
 func New(opts Options) *Plane {
 	p := &Plane{opts: opts.withDefaults()}
-	p.global = newRegistry(p.opts, &p.snapMu)
+	p.global = newRegistry(p.opts)
 	return p
 }
 
@@ -584,7 +576,7 @@ func (p *Plane) Node(i int) *Registry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.nodes) <= i {
-		p.nodes = append(p.nodes, newRegistry(p.opts, &p.snapMu))
+		p.nodes = append(p.nodes, newRegistry(p.opts))
 	}
 	return p.nodes[i]
 }

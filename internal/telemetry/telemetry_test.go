@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"reflect"
@@ -26,16 +27,18 @@ func TestHistogramEdgeCases(t *testing.T) {
 	lab := Label{Node: 0}
 
 	t.Run("zero-observations", func(t *testing.T) {
-		r := NewRegistry(Options{HistBounds: bounds})
-		if got := len(r.Snapshot().Histograms); got != 0 {
+		p := New(Options{HistBounds: bounds})
+		p.Node(0)
+		if got := len(p.Snapshot().Histograms); got != 0 {
 			t.Fatalf("unobserved histogram materialized: %d entries", got)
 		}
 	})
 
 	t.Run("single-observation", func(t *testing.T) {
-		r := NewRegistry(Options{HistBounds: bounds})
+		p := New(Options{HistBounds: bounds})
+		r := p.Node(0)
 		r.Observe("lat", lab, 5*sim.Millisecond)
-		h := r.Snapshot().Histograms[0]
+		h := p.Snapshot().Histograms[0]
 		if h.Count != 1 || h.Sum != 5*sim.Millisecond {
 			t.Fatalf("count=%d sum=%v, want 1, 5ms", h.Count, h.Sum)
 		}
@@ -46,19 +49,21 @@ func TestHistogramEdgeCases(t *testing.T) {
 
 	t.Run("boundary-inclusive", func(t *testing.T) {
 		// d <= bound lands in the bound's bucket (Prometheus le semantics).
-		r := NewRegistry(Options{HistBounds: bounds})
+		p := New(Options{HistBounds: bounds})
+		r := p.Node(0)
 		r.Observe("lat", lab, sim.Millisecond)
-		h := r.Snapshot().Histograms[0]
+		h := p.Snapshot().Histograms[0]
 		if h.Counts[0] != 1 {
 			t.Fatalf("exact-boundary observation missed first bucket: %v", h.Counts)
 		}
 	})
 
 	t.Run("below-first-and-above-last", func(t *testing.T) {
-		r := NewRegistry(Options{HistBounds: bounds})
+		p := New(Options{HistBounds: bounds})
+		r := p.Node(0)
 		r.Observe("lat", lab, 0)            // below the first bound
 		r.Observe("lat", lab, 5*sim.Second) // above the last bound (+Inf bucket)
-		h := r.Snapshot().Histograms[0]
+		h := p.Snapshot().Histograms[0]
 		if h.Count != 2 {
 			t.Fatalf("count=%d, want 2", h.Count)
 		}
@@ -72,32 +77,34 @@ func TestHistogramEdgeCases(t *testing.T) {
 	})
 }
 
-// TestSeriesCap proves the series keeps a deterministic prefix and
-// counts what it dropped.
+// TestSeriesCap checks the series retention rule after every publish:
+// the snapshot shows exactly the newest SeriesCap points and counts
+// every older one as dropped, while the history itself never holds
+// more than the cap plus its slack.
 func TestSeriesCap(t *testing.T) {
-	r := NewRegistry(Options{SeriesCap: 3})
+	const seriesCap = 8
+	p := New(Options{SeriesCap: seriesCap})
 	lab := Label{Node: 1, VM: "vm0"}
-	for i := 0; i < 5; i++ {
-		r.Point("m", lab, sim.Time(i), float64(i))
-	}
-	snap := r.Snapshot()
-	s := snap.Series[0]
-	if len(s.Points) != 3 {
-		t.Fatalf("retained %d points, want 3", len(s.Points))
-	}
-	for i, p := range s.Points {
-		if p.T != sim.Time(i) || p.V != float64(i) {
-			t.Fatalf("point %d is %+v, want t=%d v=%d (prefix, not eviction)", i, p, i, i)
+	for i := 0; i < 40; i++ {
+		p.Node(1).Point("m", lab, sim.Time(i), float64(10*i))
+		snap := p.Snapshot()
+		kept := min(i+1, seriesCap)
+		want := make([]Point, 0, kept)
+		for k := i + 1 - kept; k <= i; k++ {
+			want = append(want, Point{T: sim.Time(k), V: float64(10 * k)})
 		}
-	}
-	if snap.DroppedPoints != 2 {
-		t.Fatalf("droppedPoints=%d, want 2", snap.DroppedPoints)
+		if got := snap.Series[0].Points; !reflect.DeepEqual(got, want) || snap.DroppedPoints != uint64(i+1-kept) {
+			t.Fatalf("after %d points: snapshot holds %v with %d dropped, want %v with %d", i+1, got, snap.DroppedPoints, want, i+1-kept)
+		}
+		if held := len(p.Node(1).series[key{"m", lab}].points); held > seriesCap+seriesCap/4 {
+			t.Fatalf("after %d points the history holds %d, more than the cap %d plus its slack", i+1, held, seriesCap)
+		}
 	}
 }
 
 // TestMetricsReportPresentPastSeriesCap checks that /metrics reports a
-// series' newest point even once its history is full, while the full
-// snapshot keeps the retained prefix.
+// series' newest point and what the cap evicted once its history is
+// full, and that the full snapshot keeps the newest points.
 func TestMetricsReportPresentPastSeriesCap(t *testing.T) {
 	p := New(Options{SeriesCap: 4})
 	lab := Label{Node: 0, VM: "vm0"}
@@ -113,28 +120,42 @@ func TestMetricsReportPresentPastSeriesCap(t *testing.T) {
 	if err := WritePrometheus(bw, m); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `atc_slice_ns_last{node="0",vm="vm0"} 109`+"\n") {
-		t.Errorf("exposition does not report the newest point:\n%s", buf.String())
+	for _, want := range []string{
+		`atc_slice_ns_last{node="0",vm="vm0"} 109` + "\n",
+		"atc_telemetry_dropped_points_total 6\n",
+		"atc_telemetry_dropped_spans_total 0\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
 	}
 	snap := p.Snapshot()
-	want := []Point{{0, 100}, {1, 101}, {2, 102}, {3, 103}}
+	want := []Point{{6, 106}, {7, 107}, {8, 108}, {9, 109}}
 	if !reflect.DeepEqual(snap.Series[0].Points, want) || snap.DroppedPoints != 6 {
-		t.Fatalf("snapshot holds %+v with %d dropped, want t=0..3 with 6 dropped", snap.Series[0].Points, snap.DroppedPoints)
+		t.Fatalf("snapshot holds %+v with %d dropped, want t=6..9 with 6 dropped", snap.Series[0].Points, snap.DroppedPoints)
 	}
 }
 
-// TestSpanCap mirrors the series-cap contract for spans.
+// TestSpanCap checks the span retention rule: a registry keeps the
+// SpanCap spans last in (start, node) order, ties in publish order,
+// whatever order they were published in, and counts the rest.
 func TestSpanCap(t *testing.T) {
-	r := NewRegistry(Options{SpanCap: 2})
-	for i := 0; i < 4; i++ {
-		r.AddSpan(Span{Name: "spin", Track: "vm0/0", Start: sim.Time(i), End: sim.Time(i + 1)})
+	p := New(Options{SpanCap: 4})
+	r := p.Node(0)
+	// Value numbers the spans in publish order; two pairs tie on start.
+	for i, start := range []sim.Time{5, 1, 7, 3, 9, 7, 0, 8, 2, 9} {
+		r.AddSpan(Span{Name: "spin", Track: "vm0/0", Start: start, End: start + 1, Value: sim.Time(i)})
+		if len(r.spans) > 5 {
+			t.Fatalf("after %d spans the registry holds %d, more than the cap 4 plus its slack 1", i+1, len(r.spans))
+		}
 	}
-	snap := r.Snapshot()
-	if len(snap.Spans) != 2 || snap.DroppedSpans != 2 {
-		t.Fatalf("spans=%d dropped=%d, want 2, 2", len(snap.Spans), snap.DroppedSpans)
+	snap := p.Snapshot()
+	var got []string
+	for _, s := range snap.Spans {
+		got = append(got, fmt.Sprintf("%d#%d", s.Start, s.Value))
 	}
-	if snap.Spans[0].Start != 0 || snap.Spans[1].Start != 1 {
-		t.Fatalf("retained spans are not the deterministic prefix: %+v", snap.Spans)
+	if want := []string{"7#5", "8#7", "9#4", "9#9"}; !slices.Equal(got, want) || snap.DroppedSpans != 6 {
+		t.Fatalf("retained spans %v with %d dropped, want %v with 6", got, snap.DroppedSpans, want)
 	}
 }
 
@@ -190,7 +211,8 @@ func TestNodeRegistryGrowth(t *testing.T) {
 
 // TestPrometheusExposition spot-checks the text exposition shapes.
 func TestPrometheusExposition(t *testing.T) {
-	r := NewRegistry(Options{HistBounds: []sim.Time{sim.Millisecond}})
+	p := New(Options{HistBounds: []sim.Time{sim.Millisecond}})
+	r := p.Node(0)
 	r.Add("sched_dispatches", Label{Node: 0}, 7)
 	r.SetGauge("vm_run_time_ns", Label{Node: 0, VM: "vm1"}, 42)
 	r.Point("vm_spin_latency_ns", Label{Node: 0, VM: "vm1"}, 10, 1.5)
@@ -199,7 +221,7 @@ func TestPrometheusExposition(t *testing.T) {
 
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	if err := WritePrometheus(bw, r.Snapshot()); err != nil {
+	if err := WritePrometheus(bw, p.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -386,6 +408,119 @@ func TestConcurrentScrapes(t *testing.T) {
 	}
 	if held := len(snap.Records) + int(snap.DroppedRecords); held != k || !recordsSorted(snap.Records) {
 		t.Fatalf("final snapshot accounts for %d records (want %d), sorted %v", held, k, recordsSorted(snap.Records))
+	}
+}
+
+// TestTrimsDuringScrapes publishes at least 20,000 points, spans and
+// records into three node registries and the global one past small
+// caps, so that every history is trimmed thousands
+// of times, while one goroutine takes full snapshots and another
+// metrics views, until each has finished a few dozen mid-run (run under
+// -race: a trim that wrote into the array a snapshot still reads would
+// be reported). Every mid-run snapshot must stay within the caps, and
+// the final one must hold exactly the newest of each history.
+func TestTrimsDuringScrapes(t *testing.T) {
+	const regs, minPublished, minScrapes = 4, 20000, 30
+	opts := Options{SeriesCap: 4, SpanCap: 8, RecordCap: 8}
+	p := New(opts)
+	within := func(snap Snapshot) bool {
+		spans, records := map[int]int{}, map[int]int{}
+		for _, s := range snap.Spans {
+			spans[s.Node]++
+		}
+		for _, e := range snap.Records {
+			records[e.Node]++
+		}
+		for i := 0; i < regs; i++ {
+			if spans[i] > opts.SpanCap || records[i] > opts.RecordCap {
+				return false
+			}
+		}
+		for _, s := range snap.Series {
+			if len(s.Points) > opts.SeriesCap {
+				return false
+			}
+		}
+		return true
+	}
+	done := make(chan struct{})
+	var snaps, views atomic.Int64
+	var wg sync.WaitGroup
+	for _, full := range []bool{true, false} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if full {
+					if snap := p.Snapshot(); !within(snap) || !slices.IsSortedFunc(snap.Spans, compareSpans) {
+						t.Error("mid-run snapshot over its caps or out of order")
+					}
+					snaps.Add(1)
+				} else {
+					if m := p.Metrics(); len(m.Series) > regs {
+						t.Errorf("metrics view holds %d series, want at most %d", len(m.Series), regs)
+					}
+					views.Add(1)
+				}
+			}
+		}()
+	}
+	logs := make([][]Span, regs)
+	n := 0
+	for n < minPublished || snaps.Load() < minScrapes || views.Load() < minScrapes {
+		for i := 0; i < regs; i, n = i+1, n+1 {
+			// The global registry is the one a full snapshot locks last,
+			// so nothing orders a trim there after the snapshot's reads.
+			r := p.Global()
+			if i < regs-1 {
+				r = p.Node(i)
+			}
+			// Starts wander back and forth, so trims must reorder spans.
+			s := Span{Name: "spin", Node: i, Start: sim.Time(n/regs + 7*(n%5)), Value: sim.Time(n)}
+			r.AddSpan(s)
+			logs[i] = append(logs[i], s)
+			r.Record(SchedEvent{At: sim.Time(n), Node: i, VCPU: n})
+			r.Point("slice_ns", Label{Node: i}, sim.Time(n), float64(n))
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	snap := p.Snapshot()
+	evicted := func(c int) uint64 { return uint64(n - regs*c) }
+	var spans []Span
+	for _, log := range logs {
+		slices.SortStableFunc(log, compareSpans)
+		spans = append(spans, log[len(log)-opts.SpanCap:]...)
+	}
+	slices.SortStableFunc(spans, compareSpans)
+	if !reflect.DeepEqual(snap.Spans, spans) || snap.DroppedSpans != evicted(opts.SpanCap) {
+		t.Errorf("final snapshot keeps spans %v (%d dropped), want %v (%d)", snap.Spans, snap.DroppedSpans, spans, evicted(opts.SpanCap))
+	}
+	for _, e := range snap.Records {
+		if e.VCPU < n-regs*opts.RecordCap {
+			t.Fatalf("final snapshot keeps record %d, older than the newest %d per registry", e.VCPU, opts.RecordCap)
+		}
+	}
+	if len(snap.Records) != regs*opts.RecordCap || snap.DroppedRecords != evicted(opts.RecordCap) {
+		t.Errorf("final snapshot keeps %d records (%d dropped), want %d (%d)", len(snap.Records), snap.DroppedRecords, regs*opts.RecordCap, evicted(opts.RecordCap))
+	}
+	for i, s := range snap.Series {
+		var want []Point
+		for k := n - regs*opts.SeriesCap + i; k < n; k += regs {
+			want = append(want, Point{T: sim.Time(k), V: float64(k)})
+		}
+		if !reflect.DeepEqual(s.Points, want) {
+			t.Errorf("node %d series keeps %v, want %v", i, s.Points, want)
+		}
+	}
+	if snap.DroppedPoints != evicted(opts.SeriesCap) {
+		t.Errorf("final snapshot drops %d points, want %d", snap.DroppedPoints, evicted(opts.SeriesCap))
 	}
 }
 

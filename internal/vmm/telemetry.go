@@ -127,6 +127,10 @@ func (n *Node) sampleTelemetry() {
 	}
 }
 
+// Telemetry returns the plane passed to SetTelemetry (nil when the
+// world publishes no metrics).
+func (w *World) Telemetry() *telemetry.Plane { return w.telemetry }
+
 // FinalizeTelemetry publishes end-of-run totals (lifetime counters,
 // shard sync stats) into the attached plane. Call after the run; no-op
 // without a plane.

@@ -10,9 +10,9 @@ import (
 // registry in p; nil switches recording off. Attach before Start to
 // capture the whole run. Recording is separate from SetTelemetry's
 // metrics: p may be the world's telemetry plane or one that only
-// records. Read the merged stream from p.Snapshot's Records, the
-// evictions of p's per-node rings (Options.RecordCap) from its
-// DroppedRecords.
+// records. Read the merged stream from p.Snapshot's Records, and how
+// many older records each node's cap (Options.RecordCap) evicted from
+// its DroppedRecords.
 func (w *World) SetRecording(p *telemetry.Plane) {
 	w.recording = p
 	for _, n := range w.nodes {
@@ -29,7 +29,7 @@ func (w *World) Recording() *telemetry.Plane { return w.recording }
 
 // trace records one scheduling event in the node's registry when the
 // world is recording. Each node records into its own registry, so nodes
-// on different shards never contend on a shared ring.
+// on different shards never contend on shared state.
 func (n *Node) trace(kind telemetry.SchedKind, pcpu int, v *VCPU, arg sim.Time) {
 	r := n.rec
 	if r == nil {

@@ -156,7 +156,6 @@ func (j *DiskJob) Requests() uint64 { return j.completed }
 type PingJob struct {
 	eng *sim.Engine
 	rtt metrics.Welford
-	p95 *metrics.P2Quantile
 	p99 *metrics.P2Quantile
 }
 
@@ -164,7 +163,7 @@ type PingJob struct {
 // echo process on echo.VCPU(echoRank). Interval is the probe spacing.
 func NewPingJob(client *vmm.VM, clientRank int, echo *vmm.VM, echoRank int, interval sim.Time) *PingJob {
 	eng := client.Node().Engine()
-	j := &PingJob{eng: eng, p95: metrics.NewP2Quantile(0.95), p99: metrics.NewP2Quantile(0.99)}
+	j := &PingJob{eng: eng, p99: metrics.NewP2Quantile(0.99)}
 	client.VCPU(clientRank).SetCacheProfile(64<<10, 0.95)
 	echo.VCPU(echoRank).SetCacheProfile(64<<10, 0.95)
 	client.LatencySensitive = true
@@ -183,7 +182,6 @@ func NewPingJob(client *vmm.VM, clientRank int, echo *vmm.VM, echoRank int, inte
 				Then: func() {
 					rtt := (eng.Now() - sentAt).Seconds()
 					j.rtt.Add(rtt)
-					j.p95.Add(rtt)
 					j.p99.Add(rtt)
 				}},
 		}}
@@ -206,9 +204,6 @@ func NewPingJob(client *vmm.VM, clientRank int, echo *vmm.VM, echoRank int, inte
 // MeanRTT returns the mean round-trip time in seconds.
 func (j *PingJob) MeanRTT() float64 { return j.rtt.Mean() }
 
-// P95RTT returns the estimated 95th-percentile round-trip time.
-func (j *PingJob) P95RTT() float64 { return j.p95.Value() }
-
 // P99RTT returns the estimated 99th-percentile round-trip time.
 func (j *PingJob) P99RTT() float64 { return j.p99.Value() }
 
@@ -225,7 +220,6 @@ func (j *PingJob) Probes() int64 { return j.rtt.N() }
 type WebJob struct {
 	eng  *sim.Engine
 	resp metrics.Welford
-	p95  *metrics.P2Quantile
 	p99  *metrics.P2Quantile
 }
 
@@ -234,7 +228,7 @@ type WebJob struct {
 // think time; service is the server's per-request compute.
 func NewWebJob(client *vmm.VM, clientRank int, server *vmm.VM, serverRank int, thinkMean, service sim.Time, seed uint64) *WebJob {
 	eng := client.Node().Engine()
-	j := &WebJob{eng: eng, p95: metrics.NewP2Quantile(0.95), p99: metrics.NewP2Quantile(0.99)}
+	j := &WebJob{eng: eng, p99: metrics.NewP2Quantile(0.99)}
 	server.LatencySensitive = true
 	server.VCPU(serverRank).SetCacheProfile(512<<10, 0.8)
 	client.VCPU(clientRank).SetCacheProfile(64<<10, 0.95)
@@ -254,7 +248,6 @@ func NewWebJob(client *vmm.VM, clientRank int, server *vmm.VM, serverRank int, t
 				Then: func() {
 					r := (eng.Now() - sentAt).Seconds()
 					j.resp.Add(r)
-					j.p95.Add(r)
 					j.p99.Add(r)
 				}},
 		}}
@@ -277,9 +270,6 @@ func NewWebJob(client *vmm.VM, clientRank int, server *vmm.VM, serverRank int, t
 
 // MeanResponse returns the mean response time in seconds.
 func (j *WebJob) MeanResponse() float64 { return j.resp.Mean() }
-
-// P95Response returns the estimated 95th-percentile response time.
-func (j *WebJob) P95Response() float64 { return j.p95.Value() }
 
 // P99Response returns the estimated 99th-percentile response time.
 func (j *WebJob) P99Response() float64 { return j.p99.Value() }

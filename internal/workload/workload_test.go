@@ -274,9 +274,9 @@ func TestPingJobRTT(t *testing.T) {
 	// Percentiles are ordered (within P2 estimation tolerance on this
 	// nearly-constant distribution) and bounded by the max.
 	tol := 0.01 * rtt
-	if !(job.MeanRTT() <= job.P95RTT()+tol && job.P95RTT() <= job.P99RTT()+tol && job.P99RTT() <= job.MaxRTT()+tol) {
-		t.Errorf("percentiles unordered: mean=%v p95=%v p99=%v max=%v",
-			job.MeanRTT(), job.P95RTT(), job.P99RTT(), job.MaxRTT())
+	if !(job.MeanRTT() <= job.P99RTT()+tol && job.P99RTT() <= job.MaxRTT()+tol) {
+		t.Errorf("percentiles unordered: mean=%v p99=%v max=%v",
+			job.MeanRTT(), job.P99RTT(), job.MaxRTT())
 	}
 }
 
@@ -295,9 +295,8 @@ func TestWebJobResponseTime(t *testing.T) {
 	if resp < 0.002 || resp > 0.006 {
 		t.Errorf("response = %.6fs", resp)
 	}
-	if job.P95Response() < resp*0.99 || job.P99Response() < job.P95Response()-0.01*resp {
-		t.Errorf("web percentiles unordered: mean=%v p95=%v p99=%v",
-			resp, job.P95Response(), job.P99Response())
+	if job.P99Response() < resp*0.99 {
+		t.Errorf("web percentiles unordered: mean=%v p99=%v", resp, job.P99Response())
 	}
 }
 
