@@ -55,9 +55,9 @@ func TestContinueForAfterCompletion(t *testing.T) {
 	if !s.Go(120 * sim.Second) {
 		t.Fatal("did not complete")
 	}
-	doneAt := s.World.Eng.Now()
+	doneAt := s.World.Now()
 	s.ContinueFor(3 * sim.Second)
-	if got := s.World.Eng.Now(); got != doneAt+3*sim.Second {
+	if got := s.World.Now(); got != doneAt+3*sim.Second {
 		t.Errorf("continued to %v, want %v", got, doneAt+3*sim.Second)
 	}
 	// Forever run kept going during the extension.
@@ -78,12 +78,12 @@ func TestContinueUntilConditionAndCap(t *testing.T) {
 		t.Fatalf("condition not met (requests=%d)", job.Requests())
 	}
 	// Cap path: an impossible condition stops at the cap.
-	start := s.World.Eng.Now()
+	start := s.World.Now()
 	ok = s.ContinueUntil(func() bool { return false }, 100*sim.Millisecond, 500*sim.Millisecond)
 	if ok {
 		t.Fatal("impossible condition reported met")
 	}
-	if got := s.World.Eng.Now() - start; got != 500*sim.Millisecond {
+	if got := s.World.Now() - start; got != 500*sim.Millisecond {
 		t.Errorf("ran %v past cap, want exactly 500ms", got)
 	}
 }

@@ -306,8 +306,8 @@ func TestFleetKillRestoreMidBlackout(t *testing.T) {
 	b := faultedFleetBackend(t, total)
 	f1 := NewFleet(core.DefaultConfig(), b, b, opts)
 	runFleetPeriods(t, f1, killAt)
-	if !b.scen.FaultPlan().DaemonDown(b.World.Eng.Now()) {
-		t.Fatalf("kill point %d is not inside the blackout window (now %v)", killAt, b.World.Eng.Now())
+	if !b.scen.FaultPlan().DaemonDown(b.World.Now()) {
+		t.Fatalf("kill point %d is not inside the blackout window (now %v)", killAt, b.World.Now())
 	}
 	snap := f1.Snapshot()
 	enc, err := snap.Encode()

@@ -141,7 +141,7 @@ func TestDeterminismAcrossFullStack(t *testing.T) {
 			t.Fatal("horizon exceeded")
 		}
 		return fmt.Sprintf("%v|%d|%d|%d",
-			run.Times(), s.World.Eng.Executed(),
+			run.Times(), s.World.Executed(),
 			s.World.Fabric.PacketsSent(), s.World.Node(0).CtxSwitches())
 	}
 	a, b := fingerprint(), fingerprint()

@@ -43,16 +43,14 @@ func oneEngineRing(nodes int) *ring {
 	return newRing(New(eng, nodes, DefaultConfig()), func() { eng.Run() })
 }
 
-// shardedRing is a ring whose nodes are split over two shards, so every
-// other hop crosses the barrier through ShardGroup.Post.
+// shardedRing is a ring whose nodes have an engine each, run by two
+// workers, so every hop crosses the barrier through ShardGroup.Post.
 func shardedRing(nodes int) *ring {
 	cfg := DefaultConfig()
-	g := sim.NewShardGroup(2, cfg.WireLatency)
+	g := sim.NewShardGroup(nodes, 2, cfg.WireLatency)
 	engines := make([]*sim.Engine, nodes)
 	for i := range engines {
-		sh := i * 2 / nodes
-		g.AssignSource(i, sh)
-		engines[i] = g.Engine(sh)
+		engines[i] = g.Engine(i)
 	}
 	f := NewSharded(engines, cfg, g.Post)
 	return newRing(f, func() {

@@ -47,7 +47,7 @@ func TestSliceRecoversWhenContentionStops(t *testing.T) {
 	}
 	for _, v := range vmA.VCPUs() {
 		v.SetProcess(&vmmtest.SeqProc{Actions: lockLoop}, func(*vmm.VCPU) vmm.Process {
-			if w.Eng.Now() > deadline {
+			if node.Engine().Now() > deadline {
 				return nil
 			}
 			return &vmmtest.SeqProc{Actions: lockLoop}

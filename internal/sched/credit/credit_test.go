@@ -130,9 +130,9 @@ func TestWakePreemptsOverHog(t *testing.T) {
 	var wakes int
 	var sleepAt sim.Time
 	vmmtest.Loop(sleeper.VCPU(0),
-		vmm.Action{Kind: vmm.ActSleep, Dur: 9300 * sim.Microsecond, Then: func() { sleepAt = w.Eng.Now() }},
+		vmm.Action{Kind: vmm.ActSleep, Dur: 9300 * sim.Microsecond, Then: func() { sleepAt = node.Engine().Now() }},
 		vmm.Action{Kind: vmm.ActCompute, Work: 10 * sim.Microsecond, Then: func() {
-			total += w.Eng.Now() - sleepAt
+			total += node.Engine().Now() - sleepAt
 			wakes++
 		}},
 	)

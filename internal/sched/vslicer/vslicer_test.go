@@ -45,9 +45,9 @@ func TestMicroslicingImprovesLatencyUnderLoad(t *testing.T) {
 		var count int
 		var at sim.Time
 		vmmtest.Loop(lsVM.VCPU(0),
-			vmm.Action{Kind: vmm.ActSleep, Dur: 3100 * sim.Microsecond, Then: func() { at = w.Eng.Now() }},
+			vmm.Action{Kind: vmm.ActSleep, Dur: 3100 * sim.Microsecond, Then: func() { at = node.Engine().Now() }},
 			vmm.Action{Kind: vmm.ActCompute, Work: 2 * sim.Millisecond, Then: func() {
-				total += w.Eng.Now() - at
+				total += node.Engine().Now() - at
 				count++
 			}},
 		)

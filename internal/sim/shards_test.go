@@ -51,24 +51,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // shardScript runs a fixed cross-source ping-pong script on a group with
-// the given shard count and source→shard assignment, returning an
-// execution log that must be identical for every sharding.
-func shardScript(t *testing.T, shards int, assign func(src int) int) string {
+// the given worker count, returning an execution log that must be
+// identical for every worker count.
+func shardScript(t *testing.T, workers int) string {
 	t.Helper()
 	const look = 50 * Microsecond
 	const sources = 4
-	g := NewShardGroup(shards, look)
-	for s := 0; s < sources; s++ {
-		g.AssignSource(s, assign(s))
-	}
-	// One log per source: each source's events run on exactly one shard's
+	g := NewShardGroup(sources, workers, look)
+	// One log per source: each source's events run on exactly one worker's
 	// goroutine, so per-source appends are race-free, and the per-source
 	// event order (with timestamps) is the determinism contract.
 	logs := make([][]string, sources)
 	var hop func(src, hops int) func()
 	hop = func(src, hops int) func() {
 		return func() {
-			eng := g.Engine(g.shardOf[src])
+			eng := g.Engine(src)
 			logs[src] = append(logs[src], fmt.Sprintf("src%d hop%d at=%d", src, hops, eng.Now()))
 			if hops == 0 {
 				return
@@ -83,7 +80,7 @@ func shardScript(t *testing.T, shards int, assign func(src int) int) string {
 		}
 	}
 	for s := 0; s < sources; s++ {
-		g.Engine(assign(s)).At(Time(s)*Microsecond, hop(s, 6))
+		g.Engine(s).At(Time(s)*Microsecond, hop(s, 6))
 	}
 	g.RunUntil(5 * Millisecond)
 	if got := g.Now(); got != 5*Millisecond {
@@ -98,23 +95,14 @@ func shardScript(t *testing.T, shards int, assign func(src int) int) string {
 	return out
 }
 
-// TestShardGroupDeterministic proves the cross-shard delivery order is a
-// pure function of virtual time: the same script executes identically at
-// shard counts 1, 2 and 4 and under different source placements.
+// TestShardGroupDeterministic proves the cross-source delivery order is
+// a pure function of virtual time: the same script executes identically
+// at worker counts 1 to 4, so with even and uneven source ranges.
 func TestShardGroupDeterministic(t *testing.T) {
-	ref := shardScript(t, 1, func(int) int { return 0 })
-	cases := []struct {
-		name   string
-		shards int
-		assign func(int) int
-	}{
-		{"2-shards-split", 2, func(s int) int { return s % 2 }},
-		{"2-shards-blocks", 2, func(s int) int { return s / 2 }},
-		{"4-shards", 4, func(s int) int { return s }},
-	}
-	for _, c := range cases {
-		if got := shardScript(t, c.shards, c.assign); got != ref {
-			t.Errorf("%s: execution log diverged from serial reference\nref:\n%s\ngot:\n%s", c.name, ref, got)
+	ref := shardScript(t, 1)
+	for workers := 2; workers <= 4; workers++ {
+		if got := shardScript(t, workers); got != ref {
+			t.Errorf("%d workers: execution log diverged from serial reference\nref:\n%s\ngot:\n%s", workers, ref, got)
 		}
 	}
 }
@@ -125,10 +113,8 @@ func TestShardGroupDeterministic(t *testing.T) {
 // no reset.
 func TestShardGroupStop(t *testing.T) {
 	const look = 50 * Microsecond
-	g := NewShardGroup(2, look)
-	g.AssignSource(0, 0)
-	g.AssignSource(1, 1)
-	// Both shards request the stop from inside one parallel segment.
+	g := NewShardGroup(2, 2, look)
+	// Both workers request the stop from inside one parallel segment.
 	g.Engine(0).At(10*Microsecond, g.RequestStop)
 	g.Engine(1).At(20*Microsecond, g.RequestStop)
 	fired := 0
@@ -159,9 +145,7 @@ func TestShardGroupStop(t *testing.T) {
 // window is rejected rather than silently reordered.
 func TestShardGroupLookaheadViolation(t *testing.T) {
 	const look = 50 * Microsecond
-	g := NewShardGroup(1, look)
-	g.AssignSource(0, 0)
-	g.AssignSource(1, 0)
+	g := NewShardGroup(2, 1, look)
 	g.Engine(0).At(Microsecond, func() {
 		defer func() {
 			if recover() == nil {
@@ -178,8 +162,7 @@ func TestShardGroupLookaheadViolation(t *testing.T) {
 // t <= Now() fires nothing, not even events due at exactly Now(); they
 // fire on the next RunUntil to a later time.
 func TestShardGroupRunUntilNowIsNoOp(t *testing.T) {
-	g := NewShardGroup(1, 50*Microsecond)
-	g.AssignSource(0, 0)
+	g := NewShardGroup(1, 1, 50*Microsecond)
 	fired := 0
 	g.Engine(0).At(0, func() { fired++ })
 	g.RunUntil(0)
@@ -210,9 +193,7 @@ func TestShardGroupRunUntilNowIsNoOp(t *testing.T) {
 // time, even when no other event would run a segment before it.
 func TestShardGroupPostBetweenRuns(t *testing.T) {
 	const look = 50 * Microsecond
-	g := NewShardGroup(2, look)
-	g.AssignSource(0, 0)
-	g.AssignSource(1, 1)
+	g := NewShardGroup(2, 2, look)
 	g.RunUntil(look / 2)
 	var at Time
 	g.Post(0, 1, g.Now()+look, func() { at = g.Engine(1).Now() })
@@ -223,15 +204,13 @@ func TestShardGroupPostBetweenRuns(t *testing.T) {
 }
 
 // TestShardGroupWorkSpan pins the work/span counters: a segment adds
-// every active engine's events to WorkEvents and its busiest engine's to
+// every worker's events to WorkEvents and its busiest worker's to
 // SpanEvents, and events that fire while RunUntil aligns the clocks (an
 // event at exactly the target, reached by skipping dead windows) count
 // too, so WorkEvents equals Executed.
 func TestShardGroupWorkSpan(t *testing.T) {
 	const look = 50 * Microsecond
-	g := NewShardGroup(2, look)
-	g.AssignSource(0, 0)
-	g.AssignSource(1, 1)
+	g := NewShardGroup(2, 2, look)
 	nop := func() {}
 	g.Engine(0).At(10*Microsecond, nop)
 	g.Engine(0).At(20*Microsecond, nop)

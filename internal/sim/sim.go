@@ -4,8 +4,9 @@
 // scheduled events in (time, sequence) order, so two runs with the same
 // inputs produce byte-identical traces. Every simulated node's
 // virtualization substrate (PCPUs, VCPUs, NICs, disks) is driven by the
-// Engine of the shard it lives on; a ShardGroup runs one or more such
-// Engines in lockstep windows, and a World always runs on one.
+// node's own Engine; a ShardGroup runs a world's Engines in lockstep
+// windows over one or more worker goroutines, and a World always runs on
+// one.
 package sim
 
 import (
@@ -251,7 +252,7 @@ func (l *eventLane) pop() {
 func (l *eventLane) grow() {
 	size := 2 * len(l.buf)
 	if size == 0 {
-		size = 64
+		size = 4 // small: a world has one engine, and one lane, per node
 	}
 	buf := make([]laneEntry, size)
 	for i := 0; i < l.n; i++ {

@@ -27,7 +27,7 @@ type Backend struct {
 	processing int
 	// wires recycles this node's wire records: forward takes from the
 	// source node's list and arrival returns to the destination's, so a
-	// list is only touched from its own node's shard.
+	// list is only touched from its own node's engine.
 	wires []*wire
 }
 

@@ -147,7 +147,7 @@ func (n *Node) Dom0() *VM { return n.dom0 }
 // Backend returns the node's dom0 backend machinery.
 func (n *Node) Backend() *Backend { return n.backend }
 
-// Engine returns the engine driving this node: its shard's engine.
+// Engine returns the node's own engine.
 func (n *Node) Engine() *sim.Engine { return n.eng }
 
 // World returns the owning world.

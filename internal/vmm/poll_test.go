@@ -15,7 +15,7 @@ func TestRecvPollResumedByDelivery(t *testing.T) {
 	b := w.Node(0).NewVM("b", ClassParallel, 1, 0, 1)
 	var doneAt sim.Time
 	a.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActRecv, Tag: 1, Dur: 20 * sim.Millisecond, Then: func() { doneAt = w.Eng.Now() }},
+		{Kind: ActRecv, Tag: 1, Dur: 20 * sim.Millisecond, Then: func() { doneAt = a.Node().Engine().Now() }},
 	}}, nil)
 	b.VCPU(0).SetProcess(&seqProc{actions: []Action{
 		Compute(2 * sim.Millisecond),
@@ -42,7 +42,7 @@ func TestRecvPollTimesOutThenBlocks(t *testing.T) {
 	b := w.Node(0).NewVM("b", ClassParallel, 1, 0, 1)
 	var doneAt sim.Time
 	a.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActRecv, Tag: 1, Dur: sim.Millisecond, Then: func() { doneAt = w.Eng.Now() }},
+		{Kind: ActRecv, Tag: 1, Dur: sim.Millisecond, Then: func() { doneAt = a.Node().Engine().Now() }},
 	}}, nil)
 	b.VCPU(0).SetProcess(&seqProc{actions: []Action{
 		Compute(10 * sim.Millisecond), // well past the poll budget
@@ -121,7 +121,7 @@ func TestRecvPollBudgetCarriesAcrossSlices(t *testing.T) {
 	b := w.Node(0).NewVM("b", ClassParallel, 1, 0, 1)
 	var doneAt sim.Time
 	a.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActRecv, Tag: 1, Dur: 5 * sim.Millisecond, Then: func() { doneAt = w.Eng.Now() }},
+		{Kind: ActRecv, Tag: 1, Dur: 5 * sim.Millisecond, Then: func() { doneAt = a.Node().Engine().Now() }},
 	}}, nil)
 	b.VCPU(0).SetProcess(&seqProc{actions: []Action{
 		Compute(40 * sim.Millisecond),
@@ -151,8 +151,15 @@ func TestPreemptAPIOnIdlePCPU(t *testing.T) {
 func TestAccessorsAndAudit(t *testing.T) {
 	w := testWorld(t, 2, 2, 30*sim.Millisecond)
 	n := w.Node(1)
-	if n.ID() != 1 || n.World() != w || n.Engine() != w.Eng {
+	if n.ID() != 1 || n.World() != w {
 		t.Error("node accessors wrong")
+	}
+	engines := map[*sim.Engine]bool{}
+	for _, nd := range w.Nodes() {
+		engines[nd.Engine()] = true
+	}
+	if len(engines) != len(w.Nodes()) || engines[nil] {
+		t.Errorf("%d nodes share %d engines, want one engine of its own each", len(w.Nodes()), len(engines))
 	}
 	if n.Scheduler() == nil || len(n.VMs()) != 0 {
 		t.Error("scheduler/VMs accessors wrong")

@@ -44,10 +44,10 @@ func TestSwapMidRunAtPeriodBoundary(t *testing.T) {
 	vmB := n.NewVM("b", ClassParallel, 1, 0, 1)
 	var endA, endB sim.Time
 	vmA.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActCompute, Work: 60 * sim.Millisecond, Then: func() { endA = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 60 * sim.Millisecond, Then: func() { endA = n.Engine().Now() }},
 	}}, nil)
 	vmB.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActCompute, Work: 60 * sim.Millisecond, Then: func() { endB = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 60 * sim.Millisecond, Then: func() { endB = n.Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(10 * sim.Millisecond)

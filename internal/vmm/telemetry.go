@@ -52,7 +52,7 @@ func (t *nodeTel) vmState(n *Node, i int) *vmTel {
 // SetTelemetry attaches a telemetry plane's metrics and spans to the
 // world (nil detaches); scheduling records are switched separately by
 // SetRecording. Attach before Start to capture the whole run. Each node
-// publishes into its own plane registry so shards never contend on
+// publishes into its own plane registry so workers never contend on
 // shared state. Telemetry is strictly observational: attaching a plane
 // never changes a run's results.
 func (w *World) SetTelemetry(p *telemetry.Plane) {
@@ -63,14 +63,10 @@ func (w *World) SetTelemetry(p *telemetry.Plane) {
 			continue
 		}
 		n.tel = &nodeTel{reg: p.Node(n.id), lab: telemetry.Label{Node: n.id}}
-		// Shard labels for pprof attribution ride along with telemetry:
-		// label this node's shard with its id and policy.
-		sh := n.id * w.group.Shards() / len(w.nodes)
-		w.group.SetShardLabels(sh,
-			"shard", strconv.Itoa(sh),
-			"node", strconv.Itoa(n.id),
-			"policy", n.sched.Name(),
-		)
+	}
+	// Worker labels for pprof attribution ride along with telemetry.
+	for k := 0; p != nil && k < w.group.Workers(); k++ {
+		w.group.SetWorkerLabels(k, "worker", strconv.Itoa(k))
 	}
 }
 
@@ -132,7 +128,7 @@ func (n *Node) sampleTelemetry() {
 func (w *World) Telemetry() *telemetry.Plane { return w.telemetry }
 
 // FinalizeTelemetry publishes end-of-run totals (lifetime counters,
-// shard sync stats) into the attached plane. Call after the run; no-op
+// engine group sync stats) into the attached plane. Call after the run; no-op
 // without a plane.
 func (w *World) FinalizeTelemetry() {
 	if w.telemetry == nil {

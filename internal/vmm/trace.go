@@ -29,7 +29,7 @@ func (w *World) Recording() *telemetry.Plane { return w.recording }
 
 // trace records one scheduling event in the node's registry when the
 // world is recording. Each node records into its own registry, so nodes
-// on different shards never contend on shared state.
+// on different workers never contend on shared state.
 func (n *Node) trace(kind telemetry.SchedKind, pcpu int, v *VCPU, arg sim.Time) {
 	r := n.rec
 	if r == nil {

@@ -104,7 +104,7 @@ func TestSingleComputeCompletes(t *testing.T) {
 	var doneAt sim.Time
 	v.SetProcess(&seqProc{actions: []Action{
 		Compute(5 * sim.Millisecond),
-		{Kind: ActCompute, Work: sim.Millisecond, Then: func() { doneAt = w.Eng.Now() }},
+		{Kind: ActCompute, Work: sim.Millisecond, Then: func() { doneAt = vm.Node().Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(sim.Second)
@@ -136,10 +136,10 @@ func TestRoundRobinPreemption(t *testing.T) {
 	vmB := w.Node(0).NewVM("b", ClassParallel, 1, 0, 1)
 	var endA, endB sim.Time
 	vmA.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { endA = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { endA = vmA.Node().Engine().Now() }},
 	}}, nil)
 	vmB.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { endB = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 10 * sim.Millisecond, Then: func() { endB = vmB.Node().Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(sim.Second)
@@ -256,7 +256,7 @@ func TestCrossNodeMessage(t *testing.T) {
 		Send(vmB, 0, 7, 1500),
 	}}, nil)
 	vmB.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActRecv, Tag: 7, Then: func() { recvAt = w.Eng.Now() }},
+		{Kind: ActRecv, Tag: 7, Then: func() { recvAt = vmB.Node().Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(sim.Second)
@@ -324,7 +324,7 @@ func TestDiskRequestRoundTrip(t *testing.T) {
 	vm := w.Node(0).NewVM("d", ClassNonParallel, 1, 0, 1)
 	var doneAt sim.Time
 	vm.VCPU(0).SetProcess(&seqProc{actions: []Action{
-		{Kind: ActDisk, Size: 1_000_000, Then: func() { doneAt = w.Eng.Now() }},
+		{Kind: ActDisk, Size: 1_000_000, Then: func() { doneAt = vm.Node().Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(sim.Second)
@@ -349,7 +349,7 @@ func TestSleepWakes(t *testing.T) {
 	var wokeAt sim.Time
 	vm.VCPU(0).SetProcess(&seqProc{actions: []Action{
 		Sleep(25 * sim.Millisecond),
-		{Kind: ActCompute, Work: 0, Then: func() { wokeAt = w.Eng.Now() }},
+		{Kind: ActCompute, Work: 0, Then: func() { wokeAt = vm.Node().Engine().Now() }},
 	}}, nil)
 	w.Start()
 	w.RunUntil(sim.Second)
@@ -447,7 +447,7 @@ func TestDeterminism(t *testing.T) {
 		vmA.VCPU(0).SetProcess(&seqProc{actions: []Action{
 			Acquire(l), Compute(2 * sim.Millisecond), Release(l),
 			Send(vmB, 0, 1, 4096),
-			{Kind: ActRecv, Tag: 2, Then: func() { finish = w.Eng.Now() }},
+			{Kind: ActRecv, Tag: 2, Then: func() { finish = vmA.Node().Engine().Now() }},
 		}}, nil)
 		vmA.VCPU(1).SetProcess(&seqProc{actions: []Action{
 			Compute(100 * sim.Microsecond), Acquire(l), Release(l),
@@ -458,7 +458,7 @@ func TestDeterminism(t *testing.T) {
 		vmB.VCPU(1).SetProcess(&seqProc{actions: []Action{Compute(10 * sim.Millisecond)}}, nil)
 		w.Start()
 		w.RunUntil(sim.Second)
-		return finish, w.Eng.Executed(), vmA.SpinMon.LifetimeCount()
+		return finish, w.Executed(), vmA.SpinMon.LifetimeCount()
 	}
 	f1, e1, c1 := run()
 	f2, e2, c2 := run()

@@ -14,21 +14,23 @@ import (
 // and the nodes. Construct it, create VMs and install their processes,
 // then call Start and drive it with RunUntil.
 //
-// Each node owns an engine; nodes are partitioned over a sim.ShardGroup's
-// shards (one by default), and all cross-node interaction flows through
-// the group's lookahead barrier. The simulation semantics are keyed on
-// node topology, never shard topology, so a scenario produces
-// byte-identical results at every shard count. Drive and observe the
-// world through its methods (Now, RunUntil, Stop, ...), or a node's own
-// engine from inside its callbacks.
+// Each node owns an engine; a sim.ShardGroup runs the nodes' engines in
+// contiguous ranges over its worker goroutines (one by default), and all
+// cross-node interaction flows through the group's lookahead barrier.
+// The simulation semantics are keyed on node topology, never worker
+// topology, so a scenario produces byte-identical results at every
+// worker count. Drive and observe the world through its methods (Now,
+// Executed, Pending, RunUntil, Stop, ...), or a node's own engine from
+// inside its callbacks.
 type World struct {
-	// Eng is the engine of a 1-shard world, nil otherwise.
+	// Eng is node 0's engine, kept for readers outside this module; it
+	// sees node 0's events only. Use the World's methods instead.
 	Eng    *sim.Engine
 	Fabric *netmodel.Fabric
 	nodes  []*Node
 	vms    []*VM
 
-	// group synchronizes the per-node engines.
+	// group runs and synchronizes the per-node engines.
 	group *sim.ShardGroup
 
 	nextVMID   int
@@ -51,7 +53,7 @@ type World struct {
 // 1 are treated as 1. Segments already in flight keep the factor they
 // started with — the hook is sampled at segment start, so its
 // granularity is one slice at worst. The hook is called concurrently
-// from different shards and must not share mutable state across nodes.
+// from different workers and must not share mutable state across nodes.
 func (w *World) SetSlowdown(fn func(node int, now sim.Time) float64) { w.slowFn = fn }
 
 // SetMonitorTap installs (or, with nil, removes) the monitoring-path
@@ -59,7 +61,7 @@ func (w *World) SetSlowdown(fn func(node int, now sim.Time) float64) { w.slowFn 
 // applies: any mutable state must be partitioned by node.
 func (w *World) SetMonitorTap(fn func(vm *VM) MonitorVerdict) { w.monitorTap = fn }
 
-// NewWorld builds a 1-shard world of nNodes identical nodes, each with
+// NewWorld builds a 1-worker world of nNodes identical nodes, each with
 // its own scheduler instance produced by factory.
 func NewWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factory SchedulerFactory) (*World, error) {
 	if factory == nil {
@@ -70,10 +72,11 @@ func NewWorld(nNodes int, ncfg NodeConfig, netCfg netmodel.Config, factory Sched
 
 // NewHeteroWorld builds nNodes nodes whose schedulers may differ —
 // factoryFor(i) supplies the factory for node i, so a cluster can run
-// one policy on most nodes and another on the rest — partitioned
-// contiguously over `shards` engine shards synchronized at the network
-// lookahead (netCfg.WireLatency, which must be positive). Shard counts
-// are clamped to [1, nNodes], so 0 means 1.
+// one policy on most nodes and another on the rest. Each node gets its
+// own engine; `shards` worker goroutines run the engines in contiguous
+// node ranges, synchronized at the network lookahead (netCfg.WireLatency,
+// which must be positive). Worker counts are clamped to [1, nNodes], so
+// 0 means 1.
 func NewHeteroWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config, factoryFor func(node int) SchedulerFactory) (*World, error) {
 	if nNodes <= 0 {
 		return nil, fmt.Errorf("vmm: need at least one node, got %d", nNodes)
@@ -87,17 +90,12 @@ func NewHeteroWorld(nNodes, shards int, ncfg NodeConfig, netCfg netmodel.Config,
 	if factoryFor == nil {
 		return nil, fmt.Errorf("vmm: nil scheduler factory function")
 	}
-	shards = min(max(shards, 1), nNodes)
-	w := &World{group: sim.NewShardGroup(shards, netCfg.WireLatency)}
-	if shards == 1 {
-		w.Eng = w.group.Engine(0)
-	}
+	w := &World{group: sim.NewShardGroup(nNodes, shards, netCfg.WireLatency)}
 	engines := make([]*sim.Engine, nNodes)
 	for i := range engines {
-		sh := i * shards / nNodes
-		engines[i] = w.group.Engine(sh)
-		w.group.AssignSource(i, sh)
+		engines[i] = w.group.Engine(i)
 	}
+	w.Eng = engines[0]
 	w.Fabric = netmodel.NewSharded(engines, netCfg, w.group.Post)
 	for i := 0; i < nNodes; i++ {
 		n := &Node{world: w, id: i, cfg: ncfg, eng: engines[i]}
@@ -166,13 +164,17 @@ func (w *World) Start() {
 	}
 }
 
-// Now returns the group clock: the virtual time every shard has reached.
+// Now returns the group clock: the virtual time every node has reached.
 func (w *World) Now() sim.Time { return w.group.Now() }
 
 // Executed returns the total number of events fired across all engines.
 func (w *World) Executed() uint64 { return w.group.Executed() }
 
-// SyncStats returns the shard group's synchronization and work/span
+// Pending returns the number of events queued across all engines plus
+// the cross-node events not yet delivered to one.
+func (w *World) Pending() int { return w.group.Pending() }
+
+// SyncStats returns the engine group's synchronization and work/span
 // counters. Call between RunUntil calls.
 func (w *World) SyncStats() sim.SyncStats { return w.group.Stats() }
 
@@ -196,8 +198,8 @@ func (w *World) Stop() { w.group.RequestStop() }
 // through the group barrier with one network lookahead of delay — the
 // same contract as a wire message, which is what such signals model
 // (workload completion notifications, coordination RPCs). Using it for
-// ALL cross-node signalling, even between co-sharded nodes, is what
-// keeps results independent of the shard count.
+// ALL cross-node signalling, even between nodes on one worker, is what
+// keeps results independent of the worker count.
 func (w *World) CrossNodeSignal(src, dst *Node, fn func()) {
 	if src == dst {
 		dst.eng.Defer(fn)

@@ -192,7 +192,7 @@ func TestBarrierDeterminism(t *testing.T) {
 		r.Install()
 		w.Start()
 		w.RunUntil(60 * sim.Second)
-		return r.MeanTime(), w.Eng.Executed()
+		return r.MeanTime(), w.Executed()
 	}
 	m1, e1 := run()
 	m2, e2 := run()
