@@ -174,6 +174,36 @@ func runChurn(b *testing.B, eng *sim.Engine) {
 	}
 }
 
+// BenchmarkWorldHollowRing measures the sharded engine on the scale
+// harness's world: 1,024 hollow nodes (cluster.HollowConfig, one
+// hollow-ring VM each) simulated for 20 ms at 1 and 2 worker goroutines.
+// Only the run is timed, not building the world; it reports ns/event,
+// where the per-node event heaps and the window barrier show.
+func BenchmarkWorldHollowRing(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var events uint64
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg := cluster.HollowConfig(1024, cluster.CR)
+				cfg.Shards = workers
+				s, err := cluster.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.RunBackground(workload.HollowRing(), s.VirtualCluster("hollow", 1024, 1, nil))
+				b.StartTimer()
+				start := time.Now()
+				s.GoFor(20 * sim.Millisecond)
+				elapsed += time.Since(start)
+				events += s.World.Executed()
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
+
 // benchScenario runs one type-A scenario and reports simulated events
 // per second — the simulator's own throughput figure.
 func benchScenario(b *testing.B, cfg cluster.Config, kernel string) float64 {

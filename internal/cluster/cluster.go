@@ -100,11 +100,11 @@ type Config struct {
 	Nodes int
 	Node  vmm.NodeConfig
 	Net   netmodel.Config
-	// Shards is how many engine shards the world runs on, synchronized
-	// at the network lookahead (Net.WireLatency must be positive); nodes
-	// are partitioned contiguously over the shards. Zero means one. It is
-	// a parallelism setting only: results are byte-identical at every
-	// shard count.
+	// Shards is how many worker goroutines run the world's per-node
+	// engines, synchronized at the network lookahead (Net.WireLatency
+	// must be positive); each worker runs a contiguous range of nodes.
+	// Zero means one. It is a parallelism setting only: results are
+	// byte-identical at every worker count.
 	Shards int
 	Sched  SchedSpec
 	// NodePolicies, when non-empty, overrides Sched for specific nodes
@@ -168,7 +168,7 @@ type Scenario struct {
 	runs []*workload.ParallelRun
 	// pending counts measured runs that have not reached their target.
 	// Atomic because each run's completion callback fires on its home
-	// node's shard; every decrement still happens at an instant fixed by
+	// node's worker; every decrement still happens at an instant fixed by
 	// virtual time, so reaching zero — and the window-quantized Stop it
 	// triggers — is deterministic.
 	pending    atomic.Int64
@@ -287,7 +287,7 @@ func MustNew(cfg Config) *Scenario {
 // target node (every node when nodes is empty) requests a swap to spec,
 // which lands at that node's next scheduling-period boundary. Each node
 // schedules its own event on its own engine, since one event cannot
-// reach across shards.
+// reach another node's engine.
 func (s *Scenario) SwitchAt(at sim.Time, nodes []int, spec SchedSpec) error {
 	f, err := spec.Factory()
 	if err != nil {

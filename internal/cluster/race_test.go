@@ -1,0 +1,9 @@
+//go:build race
+
+package cluster
+
+// hollowStartBytes is what building and starting a 1,024-node hollow
+// world allocated when all its nodes shared one engine (Go 1.24, amd64),
+// in a binary built with the race detector, whose allocations are
+// larger.
+const hollowStartBytes = 5_058_304

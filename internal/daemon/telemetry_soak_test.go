@@ -51,20 +51,6 @@ func exposition(t *testing.T, body string) map[string]float64 {
 	return out
 }
 
-// debugSnapshot is the part of /debug/atc's snapshot the soak test
-// reads (a record's kind is rendered as a name, which Snapshot does not
-// decode).
-type debugSnapshot struct {
-	Series  []telemetry.Series `json:"series"`
-	Spans   []telemetry.Span   `json:"spans"`
-	Records []struct {
-		Node int `json:"node"`
-	} `json:"records"`
-	DroppedPoints  uint64 `json:"droppedPoints"`
-	DroppedSpans   uint64 `json:"droppedSpans"`
-	DroppedRecords uint64 `json:"droppedRecords"`
-}
-
 // TestLongRunTelemetryReportsPresent runs a fleet over a hollow
 // SimBackend with small telemetry caps for enough periods to pass each
 // cap several times, serving /metrics and /debug/atc through
@@ -89,7 +75,7 @@ func TestLongRunTelemetryReportsPresent(t *testing.T) {
 	h := telemetry.Handler(plane, nil)
 
 	var metricsAllocs, debugAllocs []uint64
-	var snap debugSnapshot
+	var snap telemetry.Snapshot
 	for p := 1; p <= periods; p++ {
 		start := sb.Now()
 		if err := f.Step(); err != nil {
@@ -102,7 +88,7 @@ func TestLongRunTelemetryReportsPresent(t *testing.T) {
 		metrics := exposition(t, body)
 		raw, da := get(t, h, "/debug/atc")
 		var dbg struct {
-			Snapshot debugSnapshot `json:"snapshot"`
+			Snapshot telemetry.Snapshot `json:"snapshot"`
 		}
 		if err := json.Unmarshal([]byte(raw), &dbg); err != nil {
 			t.Fatalf("period %d: /debug/atc is not JSON: %v", p, err)

@@ -44,6 +44,17 @@ func (k SchedKind) String() string {
 // MarshalText names the kind in JSON snapshots.
 func (k SchedKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
+// UnmarshalText reads a kind name MarshalText wrote; an unknown name is
+// an error.
+func (k *SchedKind) UnmarshalText(b []byte) error {
+	i := slices.Index(schedKindNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("telemetry: unknown scheduling record kind %q", b)
+	}
+	*k = SchedKind(i)
+	return nil
+}
+
 // SchedEvent is one scheduling record: a dispatch, preemption, block,
 // wake, slice change or policy swap on one node.
 type SchedEvent struct {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"cmp"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -219,5 +220,36 @@ func TestSchedKindStrings(t *testing.T) {
 	}
 	if b, err := SchedSlice.MarshalText(); err != nil || string(b) != "slice" {
 		t.Errorf("MarshalText = %q, %v", b, err)
+	}
+}
+
+// TestSchedKindTextRoundTrip checks that UnmarshalText inverts
+// MarshalText for all six kinds, in a record's JSON too, and refuses
+// names it does not know.
+func TestSchedKindTextRoundTrip(t *testing.T) {
+	for k := SchedDispatch; k <= SchedSwap; k++ {
+		b, err := k.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got SchedKind
+		if err := got.UnmarshalText(b); err != nil || got != k {
+			t.Errorf("%v: UnmarshalText(%q) = %v, %v", k, b, got, err)
+		}
+		in := SchedEvent{At: 5, Kind: k, Node: 1, PCPU: 2, VM: "vm", VCPU: 3, Arg: 7}
+		js, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out SchedEvent
+		if err := json.Unmarshal(js, &out); err != nil || out != in {
+			t.Errorf("%v: record %s decoded as %+v, %v", k, js, out, err)
+		}
+	}
+	for _, name := range []string{"", "Dispatch", "SchedKind(42)", "steal"} {
+		var k SchedKind
+		if err := k.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("UnmarshalText(%q) = %v, want an error", name, k)
+		}
 	}
 }
