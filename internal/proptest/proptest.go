@@ -277,9 +277,9 @@ func Generate(seed uint64, lim Limits) Spec {
 	if src.Float64() < 0.15 {
 		spec.Faults = genFaults(src, spec.Nodes)
 	}
-	// A slice of scenarios runs on several engine shards (shard counts
-	// past the node count clamp down in the world builder); the rest run
-	// on one.
+	// A slice of scenarios runs on several engine workers (counts past
+	// the node count clamp down in the world builder); the rest run on
+	// one.
 	spec.Shards = 1
 	if src.Float64() < 0.15 {
 		shardChoices := []int{1, 2, 4, 8}

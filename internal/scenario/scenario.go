@@ -48,9 +48,9 @@ type Spec struct {
 	// faults. Windows are seeded from faults.seed (or the scenario
 	// seed).
 	Faults *fault.Spec `json:"faults,omitempty"`
-	// Shards is how many engine shards the world runs on (0 reads as 1;
-	// counts past the node count clamp down). Results are byte-identical
-	// at every shard count.
+	// Shards is how many worker goroutines run the world's per-node
+	// engines (0 reads as 1; counts past the node count clamp down).
+	// Results are byte-identical at every count.
 	Shards int `json:"shards,omitempty"`
 }
 
